@@ -22,9 +22,8 @@ from .pipeline import (
     correlate_tags,
     fit_from_mapping,
     fit_histogram,
-    fit_to_mapping,
+    fit_payload,
     report_from_mapping,
-    report_to_mapping,
     run_pipeline,
 )
 from .scenarios import builtin_scenario_names, validate_config
@@ -98,22 +97,8 @@ def _cmd_fit(args) -> int:
     fit = fit_histogram(hist, max_iterations=args.max_iterations)
     k12 = args.k12 if args.k12 is not None else (meta.get("fit") or {}).get("k12")
     inversion = args.inversion or (meta.get("fit") or {}).get("inversion", "model")
-    report = None
-    if k12 is not None and fit.converged:
-        report = report_photophysics(
-            fit, float(k12),
-            int(meta.get("n_emitters", 1)),
-            meta.get("rho_effective"),
-            inversion=inversion,
-        )
-    payload = {
-        "scenario": meta.get("scenario", Path(args.hist).stem),
-        "fit": fit_to_mapping(fit),
-        "report": None if report is None else report_to_mapping(report),
-        "context": {"k12": k12, "inversion": inversion,
-                    "n_emitters": meta.get("n_emitters", 1),
-                    "rho_effective": meta.get("rho_effective")},
-    }
+    payload, report = fit_payload(fit, meta.get("scenario", Path(args.hist).stem), k12,
+                                  inversion, meta.get("n_emitters", 1), meta.get("rho_effective"))
     out = _out_dir(args.out)
     path = write_json(out / f"{Path(args.hist).stem}_fit.json", payload)
     g1, g2, beta, c = fit.params

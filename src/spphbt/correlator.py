@@ -140,22 +140,6 @@ def _pair_counts(
     return counts
 
 
-def _start_stop_counts(
-    ta: np.ndarray,
-    tb: np.ndarray,
-    lag_min: int,
-    lag_max: int,
-    bin_width: int,
-) -> np.ndarray:
-    """Classic start-stop: only the first b strictly after each a is binned."""
-    n_bins = (lag_max - lag_min) // bin_width
-    nxt = np.searchsorted(tb, ta, side="right")
-    ok = nxt < tb.size
-    lags = tb[nxt[ok]] - ta[ok]
-    ok2 = (lags >= max(lag_min, 0)) & (lags < lag_max)
-    return np.bincount((lags[ok2] - lag_min) // bin_width, minlength=n_bins)
-
-
 def _validate_window(lag_max: int, lag_min: int | None, bin_width: int) -> tuple[int, int]:
     if bin_width <= 0:
         raise ValueError(f"bin_width must be > 0 ps, got {bin_width!r}")
@@ -175,25 +159,17 @@ def cross_correlate(
     bin_width: int,
     *,
     lag_min: int | None = None,
-    mode: str = "all",
     _chunk: int = 1 << 15,
 ) -> CorrelationHistogram:
     """Correlate two channels over lags [lag_min, lag_max) ps.
 
-    lag_min defaults to -lag_max (symmetric window).  mode "all" counts
-    every pair in the window (the unbiased estimator); mode "start-stop"
-    bins only the first b after each a, which is biased at high rates and
-    kept for comparison with legacy hardware correlators.
+    lag_min defaults to -lag_max (symmetric window).  Every pair in the
+    window is counted, which keeps the estimator unbiased at any rate.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptyStream("both channels need at least one tag")
     lag_min, lag_max = _validate_window(lag_max, lag_min, bin_width)
-    if mode == "all":
-        counts = _pair_counts(a.tags, b.tags, lag_min, lag_max, bin_width, _chunk)
-    elif mode == "start-stop":
-        counts = _start_stop_counts(a.tags, b.tags, lag_min, lag_max, bin_width)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    counts = _pair_counts(a.tags, b.tags, lag_min, lag_max, bin_width, _chunk)
     duration = min(a.duration, b.duration)
     return CorrelationHistogram(
         counts=counts,
@@ -212,7 +188,6 @@ def auto_correlate(
     bin_width: int,
     *,
     lag_min: int | None = None,
-    mode: str = "all",
     _chunk: int = 1 << 15,
 ) -> CorrelationHistogram:
     """Correlate a channel with itself, excluding each tag's pairing with itself.
@@ -222,15 +197,9 @@ def auto_correlate(
     if len(a) == 0:
         raise EmptyStream("channel has no tags")
     lag_min_r, lag_max_r = _validate_window(lag_max, lag_min, bin_width)
-    if mode == "all":
-        counts = _pair_counts(a.tags, a.tags, lag_min_r, lag_max_r, bin_width, _chunk)
-        if lag_min_r <= 0 < lag_max_r:
-            counts[(0 - lag_min_r) // bin_width] -= len(a)  # remove i = j pairs
-    elif mode == "start-stop":
-        # side="right" in the search already skips identical indices' own tag
-        counts = _start_stop_counts(a.tags, a.tags, lag_min_r, lag_max_r, bin_width)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    counts = _pair_counts(a.tags, a.tags, lag_min_r, lag_max_r, bin_width, _chunk)
+    if lag_min_r <= 0 < lag_max_r:
+        counts[(0 - lag_min_r) // bin_width] -= len(a)  # remove i = j pairs
     return CorrelationHistogram(
         counts=counts,
         bin_width=bin_width,

@@ -1,8 +1,7 @@
 """Weighted least-squares fitting of the two-exponential correlation model.
 
-The model is m(tau) = 1 - (beta e^{-gamma1|tau|} - (beta-1) e^{-gamma2|tau|}) c
-with parameters p = (gamma1, gamma2, beta, c); c absorbs the rho^2/N
-contrast.  A damped Gauss-Newton (Levenberg-Marquardt) loop with an
+The model is `kinetics.model_g2` with parameters p = (gamma1, gamma2, beta, c);
+c absorbs the rho^2/N contrast.  A damped Gauss-Newton (Levenberg-Marquardt) loop with an
 analytic Jacobian and box projection does the minimisation; errors come
 from the curvature at the optimum scaled by the reduced chi-square.
 """
@@ -21,6 +20,7 @@ from .kinetics import (
     RateSet,
     exact_invert_rates,
     invert_rates,
+    model_g2,
     quantum_yield,
 )
 
@@ -29,7 +29,6 @@ __all__ = [
     "FitResult",
     "PhotophysicsReport",
     "DipWidthReport",
-    "model_g2",
     "model_jacobian",
     "fit_g2",
     "fit_curve",
@@ -39,13 +38,6 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("gamma1", "gamma2", "beta", "c")
-
-
-def model_g2(tau, gamma1: float, gamma2: float, beta: float, c: float):
-    """Model curve over lag in ns; accepts scalars or arrays."""
-    t = np.abs(np.asarray(tau, dtype=float))
-    out = 1.0 - (beta * np.exp(-gamma1 * t) - (beta - 1.0) * np.exp(-gamma2 * t)) * c
-    return out if out.ndim else float(out)
 
 
 def model_jacobian(tau, gamma1: float, gamma2: float, beta: float, c: float) -> np.ndarray:

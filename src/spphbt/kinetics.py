@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateRates,
@@ -51,6 +50,7 @@ __all__ = [
     "exact_invert_rates",
     "g2_model",
     "g2_zero",
+    "model_g2",
     "quantum_yield",
     "invert_rates",
     "steady_state",
@@ -180,17 +180,20 @@ def derived_params(rates: RateSet) -> DerivedParams:
     return DerivedParams(gamma1=g1, gamma2=g2, beta=beta)
 
 
-def g2_model(tau, params: DerivedParams, config: EnsembleConfig = EnsembleConfig()):
-    """Closed-form correlation model; accepts scalar or array lag in ns.
+def model_g2(tau, gamma1: float, gamma2: float, beta: float, c: float):
+    """The two-exponential curve with contrast c over lag in ns; scalar or array.
 
-    g2(tau) = 1 - (beta e^{-gamma1|tau|} - (beta-1) e^{-gamma2|tau|}) * rho^2 / N
+    g2(tau) = 1 - (beta e^{-gamma1|tau|} - (beta-1) e^{-gamma2|tau|}) * c
     """
     t = np.abs(np.asarray(tau, dtype=float))
-    contrast = config.rho ** 2 / config.n_emitters
-    shape = (params.beta * np.exp(-params.gamma1 * t)
-             - (params.beta - 1.0) * np.exp(-params.gamma2 * t))
-    out = 1.0 - shape * contrast
+    out = 1.0 - (beta * np.exp(-gamma1 * t) - (beta - 1.0) * np.exp(-gamma2 * t)) * c
     return out if out.ndim else float(out)
+
+
+def g2_model(tau, params: DerivedParams, config: EnsembleConfig = EnsembleConfig()):
+    """`model_g2` at the ensemble's contrast c = rho^2 / N."""
+    return model_g2(tau, params.gamma1, params.gamma2, params.beta,
+                    config.rho ** 2 / config.n_emitters)
 
 
 def g2_zero(config: EnsembleConfig) -> float:

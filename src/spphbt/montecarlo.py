@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "BACKGROUND_ID",
     "EmitterState",
     "SimConfig",
-    "EmissionEvent",
     "EventStream",
     "simulate_emitter",
     "simulate_ensemble",
@@ -74,18 +72,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class EmissionEvent:
-    """A single emission: time in ns plus the source emitter (or background)."""
-
-    time: float
-    emitter_id: int
-
-    @property
-    def is_background(self) -> bool:
-        return self.emitter_id == BACKGROUND_ID
-
-
-@dataclass(frozen=True)
 class EventStream:
     """Time-sorted emission record over [0, duration].
 
@@ -110,10 +96,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def events(self) -> Iterator[EmissionEvent]:
-        for t, i in zip(self.times, self.emitter_ids):
-            yield EmissionEvent(time=float(t), emitter_id=int(i))
 
     @staticmethod
     def merge(streams: "list[EventStream]", duration: float) -> "EventStream":

@@ -18,27 +18,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidGeometry, UnknownScenario
+from .errors import InvalidGeometry
 from .montecarlo import EventStream
 
 __all__ = [
     "DetectionGeometry",
     "EfficiencyBudget",
     "DipoleMix",
-    "DetectorHit",
     "RoutedStreams",
     "SppRing",
     "spp_ring_na",
     "coupling_ratio",
     "collection_fraction",
-    "route_event",
     "route_events",
     "expected_channel_efficiencies",
-    "scenario_budget",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -46,28 +43,23 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class DetectionGeometry:
-    """Fourier-plane layout of the leakage-radiation ring and pickup fibers.
+    """Where the two pickup fibers sit on the leakage-radiation ring.
 
-    n_spp: effective index of the plasmon mode (sets the ring's NA).
-    n_glass: substrate index; must exceed n_spp for leakage to radiate.
-    fiber angles are azimuthal positions on the ring in [0, 2*pi) rad;
-    fiber_effective_diameter and ring_radius_bfp share any one length unit.
+    Routing depends only on which fiber arcs contain a photon's azimuth, so
+    the ring is described by its radius in the back focal plane alone; its
+    NA and the plasmon enhancement follow from the mode index through
+    `spp_ring_na` and `coupling_ratio`, and enter a run through the
+    efficiency budget.  Fiber angles are azimuthal positions on the ring in
+    [0, 2*pi) rad; fiber_effective_diameter and ring_radius_bfp share any
+    one length unit.
     """
 
-    n_spp: float = 1.04
-    n_glass: float = 1.5
     fiber_a_angle: float = 0.0
     fiber_b_angle: float = math.pi / 2.0
     fiber_effective_diameter: float = 0.44
     ring_radius_bfp: float = 1.0
-    fourier_filter_on: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.n_glass > 1.0):
-            raise InvalidGeometry(f"n_glass must be > 1, got {self.n_glass!r}")
-        if not (1.0 <= self.n_spp < self.n_glass):
-            raise InvalidGeometry(
-                f"need 1 <= n_spp < n_glass, got n_spp={self.n_spp!r}, n_glass={self.n_glass!r}")
         for name in ("fiber_a_angle", "fiber_b_angle"):
             v = getattr(self, name)
             if not (0.0 <= v < _TWO_PI):
@@ -119,20 +111,6 @@ class DipoleMix:
         if not (0.0 <= self.fraction_vertical <= 1.0):
             raise ValueError(
                 f"fraction_vertical must lie in [0, 1], got {self.fraction_vertical!r}")
-
-
-@dataclass(frozen=True)
-class DetectorHit:
-    """One detector click: channel label and timestamp in integer ps."""
-
-    channel: str
-    time_ps: int
-
-    def __post_init__(self) -> None:
-        if self.channel not in ("A", "B"):
-            raise ValueError(f"channel must be 'A' or 'B', got {self.channel!r}")
-        if self.time_ps < 0:
-            raise ValueError("time_ps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -213,12 +191,11 @@ def route_events(
     *,
     mode: str = "fourier",
     jitter_sigma_ns: float = 0.0,
-    azimuth_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
 ) -> RoutedStreams:
     """Route an emission stream through the detection chain, vectorised.
 
     mode "fourier" uses the ring geometry: an event lands at a uniform
-    azimuth (or one drawn by `azimuth_sampler`), is picked up by whichever
+    azimuth, is picked up by whichever
     fiber's arc contains it, and events inside both arcs are split at
     p_bs.  mode "direct" replaces the ring by a single collection
     probability and a beamsplitter.  Background events skip every loss stage
@@ -240,7 +217,7 @@ def route_events(
     # fixed draw schedule keeps the routing reproducible and vectorised
     u_orient = rng.random(n)
     u_chain = rng.random(n)
-    phi = azimuth_sampler(rng, n) if azimuth_sampler is not None else rng.random(n) * _TWO_PI
+    phi = rng.random(n) * _TWO_PI
     u_split = rng.random(n)
     u_qe = rng.random(n)
 
@@ -252,8 +229,8 @@ def route_events(
                             budget.p_couple_vertical, budget.p_couple_horizontal)
         chain_ok = u_chain < p_couple * budget.p_survive * budget.p_leak
         w = math.pi * geometry.fiber_fraction
-        in_a = _ang_dist(np.asarray(phi, dtype=float), geometry.fiber_a_angle) < w
-        in_b = _ang_dist(np.asarray(phi, dtype=float), geometry.fiber_b_angle) < w
+        in_a = _ang_dist(phi, geometry.fiber_a_angle) < w
+        in_b = _ang_dist(phi, geometry.fiber_b_angle) < w
         chan_a = in_a & (~in_b | split_a)
         chan_b = in_b & (~in_a | ~split_a)
     else:
@@ -277,30 +254,6 @@ def route_events(
     return RoutedStreams(tags_a, tags_b, duration_ps, n)
 
 
-def route_event(
-    event_time_ns: float,
-    emitter_id: int,
-    geometry: DetectionGeometry,
-    budget: EfficiencyBudget,
-    mix: DipoleMix,
-    seed,
-    *,
-    mode: str = "fourier",
-    jitter_sigma_ns: float = 0.0,
-) -> DetectorHit | None:
-    """Route a single event; returns the hit or None when it is lost."""
-    duration = max(event_time_ns, 1e-3) + 6.0 * (jitter_sigma_ns + 1.0)
-    stream = EventStream(np.array([event_time_ns]), np.array([emitter_id], dtype=np.int32),
-                         duration, _validate=False)
-    routed = route_events(stream, geometry, budget, mix, seed,
-                          mode=mode, jitter_sigma_ns=jitter_sigma_ns)
-    if routed.tags_a.size:
-        return DetectorHit(channel="A", time_ps=int(routed.tags_a[0]))
-    if routed.tags_b.size:
-        return DetectorHit(channel="B", time_ps=int(routed.tags_b[0]))
-    return None
-
-
 def expected_channel_efficiencies(
     geometry: DetectionGeometry,
     budget: EfficiencyBudget,
@@ -321,41 +274,3 @@ def expected_channel_efficiencies(
     eff_b = chain * ((f - overlap) + overlap * (1.0 - budget.p_bs))
     return eff_a, eff_b
 
-
-def scenario_budget(scenario: str) -> tuple[EfficiencyBudget, float]:
-    """Preset efficiency budgets; returns (budget, per-detector background rate ns^-1).
-
-    "glass": direct fluorescence collection of emitters on bare glass.
-    "silver_filtered": plasmon-coupled emitters with the Fourier-plane
-    filter selecting the leakage ring; background negligible.
-    "silver_unfiltered": same chain without the spatial filter, with enough
-    stray light that the per-detector signal fraction drops to rho = 0.8 for
-    the default ten-emitter scenario.
-    """
-    key = str(scenario).replace("_", "").replace("-", "").lower()
-    if key == "glass":
-        return EfficiencyBudget(p_collect=0.047, p_bs=0.5, p_qe=0.65), 0.0
-    if key in ("silverfiltered", "silverunfiltered"):
-        eta = coupling_ratio(1.04)
-        budget = EfficiencyBudget(
-            p_couple_vertical=0.48,
-            p_couple_horizontal=0.48 / eta,
-            p_survive=0.03,
-            p_leak=0.25,
-            p_collect=0.07,
-            p_bs=0.5,
-            p_qe=0.65,
-        )
-        if key == "silverfiltered":
-            return budget, 0.0
-        from . import scenarios  # deferred: scenarios imports this module
-        from .kinetics import steady_emission_rate
-        signal = (scenarios.DEFAULT_N_EMITTERS
-                  * steady_emission_rate(scenarios.rate_preset("silver"))
-                  * expected_channel_efficiencies(
-                      scenarios.geometry_preset("fourier_default"), budget,
-                      DipoleMix())[0])
-        rho = 0.8
-        return budget, signal * (1.0 - rho) / rho
-    raise UnknownScenario(
-        f"unknown scenario {scenario!r}; expected glass, silver_filtered or silver_unfiltered")

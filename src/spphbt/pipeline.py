@@ -32,6 +32,7 @@ __all__ = [
     "acquire",
     "correlate_tags",
     "fit_histogram",
+    "fit_payload",
     "run_pipeline",
     "fit_to_mapping",
     "fit_from_mapping",
@@ -224,6 +225,33 @@ def report_from_mapping(payload: dict) -> PhotophysicsReport:
     )
 
 
+def fit_payload(
+    fit: FitResult,
+    scenario_name: str,
+    k12: float | None,
+    inversion: str,
+    n_emitters: int,
+    rho_effective: float | None,
+) -> tuple[dict, PhotophysicsReport | None]:
+    """The fit JSON document and its photophysics report.
+
+    The report needs a pump rate and a converged fit; without either it is
+    None.  The context records the inputs so `spphbt report` can redo it.
+    """
+    report = None
+    if k12 is not None and fit.converged:
+        report = report_photophysics(fit, float(k12), int(n_emitters), rho_effective,
+                                     inversion=inversion)
+    payload = {
+        "scenario": scenario_name,
+        "fit": fit_to_mapping(fit),
+        "report": None if report is None else report_to_mapping(report),
+        "context": {"k12": k12, "inversion": inversion, "n_emitters": n_emitters,
+                    "rho_effective": rho_effective},
+    }
+    return payload, report
+
+
 def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     """Full chain: simulate -> route -> correlate -> fit -> report -> manifest.
 
@@ -245,24 +273,9 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     paths["histogram_sidecar"] = Path(str(paths["histogram"]) + ".json")
 
     fit = fit_histogram(hist, scenario.fit_max_iterations)
-    report = None
-    if scenario.fit_k12 is not None and fit.converged:
-        report = report_photophysics(
-            fit, scenario.fit_k12, scenario.n_emitters, info["rho_effective"],
-            inversion=scenario.fit_inversion)
-
-    fit_payload = {
-        "scenario": scenario.name,
-        "fit": fit_to_mapping(fit),
-        "report": None if report is None else report_to_mapping(report),
-        "context": {
-            "k12": scenario.fit_k12,
-            "inversion": scenario.fit_inversion,
-            "n_emitters": scenario.n_emitters,
-            "rho_effective": info["rho_effective"],
-        },
-    }
-    paths["fit"] = write_json(out / f"{stem}_fit.json", fit_payload)
+    payload, report = fit_payload(fit, scenario.name, scenario.fit_k12, scenario.fit_inversion,
+                                  scenario.n_emitters, info["rho_effective"])
+    paths["fit"] = write_json(out / f"{stem}_fit.json", payload)
     if report is not None:
         paths["report"] = out / f"{stem}_report.txt"
         paths["report"].write_text(report.format_table(scenario.name) + "\n")

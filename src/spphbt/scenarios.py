@@ -10,14 +10,14 @@ reference lifetime table lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError, InvalidGeometry, UnknownScenario
 from .kinetics import RateSet
-from .optics import DetectionGeometry, DipoleMix, EfficiencyBudget, scenario_budget
+from .optics import DetectionGeometry, DipoleMix, EfficiencyBudget, coupling_ratio
 
 __all__ = [
     "DEFAULT_N_EMITTERS",
@@ -69,11 +69,40 @@ def geometry_preset(name: str) -> DetectionGeometry:
         f"unknown geometry preset {name!r}; expected fourier_default or ideal_split")
 
 
-def budget_preset(name: str) -> tuple[EfficiencyBudget, float]:
-    """'ideal' (every probability 1) or one of the `scenario_budget` names."""
-    if str(name).lower() == "ideal":
-        return EfficiencyBudget(), 0.0
-    return scenario_budget(name)
+def budget_preset(name: str) -> tuple[EfficiencyBudget, float | None]:
+    """Named detection chain: its efficiency budget and the signal fraction it sets.
+
+    Returns (budget, rho).  rho is the per-detector signal fraction that
+    stray light leaves, or None when the chain adds no background; a
+    scenario's own `rho` or `background_rate` takes precedence over it.
+
+    'ideal': every probability 1.
+    'glass': direct fluorescence collection of emitters on bare glass.
+    'silver_filtered': plasmon-coupled emitters (mode index 1.04) seen
+    through the Fourier-plane filter that selects the leakage ring.
+    'silver_unfiltered': the same chain without that filter, rho = 0.8
+    whatever the emitter count, rates or fiber geometry.
+
+    Names match case-insensitively and ignore '_' and '-'.
+    """
+    key = str(name).replace("_", "").replace("-", "").lower()
+    if key == "ideal":
+        return EfficiencyBudget(), None
+    if key == "glass":
+        return EfficiencyBudget(p_collect=0.047, p_bs=0.5, p_qe=0.65), None
+    if key in ("silverfiltered", "silverunfiltered"):
+        budget = EfficiencyBudget(
+            p_couple_vertical=0.48,
+            p_couple_horizontal=0.48 / coupling_ratio(1.04),
+            p_survive=0.03,
+            p_leak=0.25,
+            p_collect=0.07,
+            p_bs=0.5,
+            p_qe=0.65,
+        )
+        return budget, (None if key == "silverfiltered" else 0.8)
+    raise UnknownScenario(f"unknown budget preset {name!r}; expected ideal, glass, "
+                          "silver_filtered or silver_unfiltered")
 
 
 @dataclass(frozen=True)
@@ -121,29 +150,15 @@ class Scenario:
 
     def to_mapping(self) -> dict:
         """Canonical plain-data form used for hashing and provenance."""
-        g = self.geometry
-        b = self.budget
         return {
             "name": self.name,
-            "rates": {"k12": self.rates.k12, "k21": self.rates.k21,
-                      "k23": self.rates.k23, "k31": self.rates.k31},
+            "rates": asdict(self.rates),
             "n_emitters": self.n_emitters,
             "duration_ns": self.duration_ns,
             "seed": self.seed,
             "fiber_config": self.fiber_config,
-            "geometry": {
-                "n_spp": g.n_spp, "n_glass": g.n_glass,
-                "fiber_a_angle": g.fiber_a_angle, "fiber_b_angle": g.fiber_b_angle,
-                "fiber_effective_diameter": g.fiber_effective_diameter,
-                "ring_radius_bfp": g.ring_radius_bfp,
-                "fourier_filter_on": g.fourier_filter_on,
-            },
-            "budget": {
-                "p_couple_vertical": b.p_couple_vertical,
-                "p_couple_horizontal": b.p_couple_horizontal,
-                "p_survive": b.p_survive, "p_leak": b.p_leak,
-                "p_collect": b.p_collect, "p_bs": b.p_bs, "p_qe": b.p_qe,
-            },
+            "geometry": asdict(self.geometry),
+            "budget": asdict(self.budget),
             "fraction_vertical": self.mix.fraction_vertical,
             "rho": self.rho,
             "background_rate": self.background_rate,
@@ -230,9 +245,7 @@ def _resolve_geometry(raw, errs: list[str]) -> DetectionGeometry | None:
             errs.append(f"geometry: {exc}")
             return None
     if isinstance(raw, dict):
-        allowed = {"n_spp", "n_glass", "fiber_a_angle", "fiber_b_angle",
-                   "fiber_effective_diameter", "ring_radius_bfp", "fourier_filter_on"}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - {f.name for f in fields(DetectionGeometry)}
         if unknown:
             errs.append(f"geometry: unknown fields {sorted(unknown)}")
             return None
@@ -245,29 +258,27 @@ def _resolve_geometry(raw, errs: list[str]) -> DetectionGeometry | None:
     return None
 
 
-def _resolve_budget(raw, errs: list[str]) -> tuple[EfficiencyBudget | None, float]:
+def _resolve_budget(raw, errs: list[str]) -> tuple[EfficiencyBudget | None, float | None]:
     if raw is None:
-        return EfficiencyBudget(), 0.0
+        return EfficiencyBudget(), None
     if isinstance(raw, str):
         try:
             return budget_preset(raw)
         except UnknownScenario as exc:
             errs.append(f"budget: {exc}")
-            return None, 0.0
+            return None, None
     if isinstance(raw, dict):
-        allowed = {"p_couple_vertical", "p_couple_horizontal", "p_survive",
-                   "p_leak", "p_collect", "p_bs", "p_qe"}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - {f.name for f in fields(EfficiencyBudget)}
         if unknown:
             errs.append(f"budget: unknown fields {sorted(unknown)}")
-            return None, 0.0
+            return None, None
         try:
-            return EfficiencyBudget(**raw), 0.0
+            return EfficiencyBudget(**raw), None
         except (TypeError, ValueError) as exc:
             errs.append(f"budget: {exc}")
-            return None, 0.0
+            return None, None
     errs.append(f"budget: expected preset name or mapping, got {raw!r}")
-    return None, 0.0
+    return None, None
 
 
 def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> Scenario:
@@ -296,7 +307,7 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
         errs.append(f"fiber_config: expected one of {_FIBER_CONFIGS}, got {fiber_config!r}")
 
     geometry = _resolve_geometry(mapping.get("geometry"), errs)
-    budget, preset_bg = _resolve_budget(mapping.get("budget"), errs)
+    budget, preset_rho = _resolve_budget(mapping.get("budget"), errs)
 
     fv = _as_float(mapping.get("fraction_vertical", 1.0 / 3.0),
                    "fraction_vertical", errs, lo=0.0, hi=1.0)
@@ -311,8 +322,8 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
             background = None
     if rho is not None and background is not None:
         errs.append("rho and background_rate are mutually exclusive; set one")
-    if rho is None and background is None and preset_bg > 0.0:
-        background = preset_bg
+    if rho is None and background is None:
+        rho = preset_rho
 
     jitter = _as_float(mapping.get("jitter_sigma_ns", 0.0), "jitter_sigma_ns", errs)
     if jitter is not None and jitter < 0.0:

@@ -78,13 +78,6 @@ class TestWorkedExample:
         expected[(5_000 + 6_000) // 1_000] = 2
         assert np.array_equal(h.counts, expected)
 
-    def test_start_stop_keeps_only_first_partner(self):
-        h = cross_correlate(self.a, self.b, lag_max=6_000, bin_width=1_000,
-                            mode="start-stop")
-        assert h.counts.sum() == 2
-        assert h.counts[(5_000 + 6_000) // 1_000] == 2
-        assert h.counts[(-5_000 + 6_000) // 1_000] == 0
-
 
 class TestAgainstBruteForce:
     def test_dense_random_tags_exact(self):
@@ -242,7 +235,6 @@ class TestValidation:
         dict(lag_max=10, bin_width=3),                  # 20 not divisible by 3
         dict(lag_max=10, bin_width=0),
         dict(lag_max=10, bin_width=4, lag_min=10),
-        dict(lag_max=10, bin_width=1, mode="nearest"),
     ])
     def test_bad_windows_raise(self, kwargs):
         a = stream([1, 2], 10)

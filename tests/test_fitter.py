@@ -19,11 +19,10 @@ from spphbt.fitter import (
     fit_curve,
     fit_g2,
     jacobian_check,
-    model_g2,
     model_jacobian,
     report_photophysics,
 )
-from spphbt.kinetics import derived_params, exact_decay_params, quantum_yield
+from spphbt.kinetics import derived_params, exact_decay_params, model_g2, quantum_yield
 from spphbt.montecarlo import simulate_emitter
 from spphbt.optics import DetectionGeometry, DipoleMix, EfficiencyBudget, route_events
 

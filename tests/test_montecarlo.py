@@ -16,7 +16,6 @@ from scipy import stats
 from spphbt.kinetics import RateSet, derived_params, steady_emission_rate, steady_state
 from spphbt.montecarlo import (
     BACKGROUND_ID,
-    EmissionEvent,
     EmitterState,
     EventStream,
     SimConfig,
@@ -57,12 +56,6 @@ class TestEventStream:
     def test_rejects_out_of_range_times(self):
         with pytest.raises(ValueError):
             EventStream(np.array([1.0, 11.0]), np.array([0, 0], dtype=np.int32), 10.0)
-
-    def test_event_iteration_and_background_flag(self):
-        s = EventStream(np.array([0.5]), np.array([BACKGROUND_ID], dtype=np.int32), 1.0)
-        (ev,) = list(s.events())
-        assert ev == EmissionEvent(time=0.5, emitter_id=BACKGROUND_ID)
-        assert ev.is_background
 
 
 class TestSimulateEmitter:

@@ -126,9 +126,16 @@ class TestScenarioResolution:
                                 "duration_ns": 1.0e6})
         assert any("exactly keys" in d for d in diags)
 
-    def test_geometry_unknown_fields(self):
-        diags = diagnostics_of(dict(MINIMAL, geometry={"n_spp": 1.04, "tilt": 2}))
-        assert any("geometry: unknown fields" in d for d in diags)
+    def test_geometry_unknown_fields(self, tmp_path, capsys):
+        for geometry in ({"n_spp": 1.04, "tilt": 2}, {"fourier_filter_on": False},
+                         {"n_glass": 1.5}):
+            diags = diagnostics_of(dict(MINIMAL, geometry=geometry))
+            assert any("geometry: unknown fields" in d for d in diags), geometry
+        path = tmp_path / "filter.yaml"
+        path.write_text("rates: silver\nduration_ns: 1.0e6\n"
+                        "geometry: {fourier_filter_on: false}\n")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "fourier_filter_on" in capsys.readouterr().err
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
@@ -298,6 +305,15 @@ class TestBackgroundResolution:
     def test_clean_scenario_is_all_signal(self):
         s = scenario_from_mapping(dict(SMALL_RUN))
         assert resolve_background(s) == (0.0, 1.0)
+
+    def test_unfiltered_budget_sets_rho_for_any_scenario(self):
+        for extra in ({"n_emitters": 2}, {"rates": "glass"}):
+            s = scenario_from_mapping(dict(MINIMAL, budget="silver_unfiltered", **extra))
+            assert resolve_background(s)[1] == 0.8, extra
+        # the ten-emitter silver AB default keeps its background bit for bit
+        s = scenario_from_mapping(dict(MINIMAL, budget="silver_unfiltered",
+                                       geometry="fourier_default"))
+        assert resolve_background(s) == (1.908017771385414e-06, 0.8)
 
     def test_rho_zero_unreachable(self):
         s = scenario_from_mapping(dict(SMALL_RUN, rho=0.0))
