@@ -1,16 +1,21 @@
-"""Stochastic photon emission from three-level emitters.
+"""Stochastic detection of photons from three-level emitters.
 
 Each emitter is an independent continuous-time Markov chain over
-ground/excited/shelved.  Dwell times are competing exponentials drawn per
-visit (first-reaction sampling); a photon is recorded at every radiative
-2 -> 1 transition.  Antibunching and shelving-induced bunching are emergent
-properties of the chain, nothing about the correlation function enters the
-sampler.
+ground/excited/shelved; a photon leaves at every radiative 2 -> 1
+transition and is detected with a fixed probability p, independently of
+every other photon.  The detected stream is therefore an independent
+thinning of the emission renewal process, and only detected photons are
+sampled: after a detection the emitter is in the ground state, and the
+next detection follows M ~ Geometric(r p) pump cycles (r = k21/(k21+k23)
+the radiative branching ratio), S ~ Binomial(M - 1, (1 - r)/(1 - r p)) of
+which end on the shelf, so the gap is
+Gamma(M, k12) + Gamma(M, k21 + k23) + Gamma(S, k31) (Neuts 1981; exact in
+distribution, O(1) work per detected photon).  Antibunching and
+shelving-induced bunching are emergent properties of the chain; nothing
+about the correlation function enters the sampler.
 
-The fast path (`simulate_emitter`) vectorises whole pump cycles
-(ground dwell, excited branch, optional shelf dwell) in chunks;
 `simulate_trajectory` is a plain jump-by-jump reference used by the tests
-to validate the fast path distributionally.
+to validate the gap sampler distributionally.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ class SimConfig:
     """Ensemble simulation settings.
 
     duration: acquisition length in ns.
+    efficiency: probability p that an emitted photon is detected on either
+        APD (eff_A + eff_B); only detected photons are sampled, and the
+        default p = 1 records every emission.
     background_rate: per-detector Poisson rate in ns^-1.  The ensemble
         stream carries a combined background at twice this rate; the
         detection stage routes it 50:50 (at the preset beamsplitter value),
@@ -60,6 +68,7 @@ class SimConfig:
     seed: int
     n_emitters: int
     rates: RateSet
+    efficiency: float = 1.0
     background_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -67,13 +76,14 @@ class SimConfig:
             raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
         if not isinstance(self.n_emitters, (int, np.integer)) or self.n_emitters < 1:
             raise ValueError(f"n_emitters must be an integer >= 1, got {self.n_emitters!r}")
+        _check_efficiency(self.efficiency)
         if not (math.isfinite(self.background_rate) and self.background_rate >= 0.0):
             raise ValueError(f"background_rate must be >= 0, got {self.background_rate!r}")
 
 
 @dataclass(frozen=True)
 class EventStream:
-    """Time-sorted emission record over [0, duration].
+    """Time-sorted record of detected photons over [0, duration].
 
     times: float64 ns; emitter_ids: int32, BACKGROUND_ID marks background.
     """
@@ -108,47 +118,44 @@ class EventStream:
         return EventStream(times[order], ids[order], duration, _validate=False)
 
 
-def _exp_waits(rng: np.random.Generator, rate: float, n: int) -> np.ndarray:
-    if rate <= 0.0:
-        return np.full(n, np.inf)
-    return rng.exponential(1.0 / rate, n)
+def _check_efficiency(efficiency: float) -> None:
+    if not 0.0 <= efficiency <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency!r}")
 
 
-def _default_burn_in(rates: RateSet) -> float:
+def _burn_in(rates: RateSet) -> float:
     # ten times the slowest model timescale erases the ground-state start
     g1 = rates.k12 + rates.k21
     g2 = rates.k31 + rates.k12 * rates.k23 / g1
     return 10.0 / g2 if g2 > 0.0 else 10.0 / g1
 
 
-def _emission_times(rates: RateSet, t_end: float, rng: np.random.Generator) -> np.ndarray:
-    """Radiative transition times in [0, t_end], chunked over pump cycles."""
-    k12, k21, k23 = rates.k12, rates.k21, rates.k23
-    if k12 <= 0.0 or t_end <= 0.0:
+def _emission_times(rates: RateSet, efficiency: float, t_end: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Detected radiative transition times in [0, t_end], chunked over detections."""
+    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
+    if k12 <= 0.0 or efficiency <= 0.0 or t_end <= 0.0:
         return np.empty(0)
-    # expected cycle length sizes the chunks; shelf entered with prob k23/(k21+k23)
+    r = k21 / (k21 + k23)
+    p_detect = r * efficiency
+    # probability that an undetected cycle ended on the shelf
+    p_shelf = (1.0 - r) / (1.0 - p_detect) if k23 > 0.0 else 0.0
     mean_cycle = 1.0 / k12 + 1.0 / (k21 + k23)
-    if k23 > 0.0 and rates.k31 > 0.0:
-        mean_cycle += (k23 / (k21 + k23)) / rates.k31
+    if p_shelf > 0.0:
+        mean_cycle += (1.0 - r) / k31
+    mean_gap = mean_cycle / p_detect
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < t_end:
-        n = int(np.clip(1.2 * (t_end - t) / mean_cycle + 16, 256, 1 << 17))
-        w_ground = rng.exponential(1.0 / k12, n)
-        w_rad = rng.exponential(1.0 / k21, n)
-        w_shelf_in = _exp_waits(rng, k23, n)
-        w_deshelf = _exp_waits(rng, rates.k31, n)
-        radiative = w_rad <= w_shelf_in
-        w_excited = np.minimum(w_rad, w_shelf_in)
-        w_extra = np.where(radiative, 0.0, w_deshelf)
-        cycle_end = t + np.cumsum(w_ground + w_excited + w_extra)
-        with np.errstate(invalid="ignore"):  # inf - inf on dark cycles, masked below
-            emit_t = cycle_end - w_extra  # instant the excited state was left
-        keep = emit_t[radiative & (emit_t <= t_end)]
-        if keep.size:
-            chunks.append(keep)
-        t = cycle_end[-1]
-    return np.concatenate(chunks) if chunks else np.empty(0)
+        n = int(np.clip(1.2 * (t_end - t) / mean_gap + 16, 256, 1 << 17))
+        cycles = rng.geometric(p_detect, n)
+        gaps = rng.gamma(cycles, 1.0 / k12) + rng.gamma(cycles, 1.0 / (k21 + k23))
+        if p_shelf > 0.0:
+            gaps += rng.gamma(rng.binomial(cycles - 1, p_shelf), 1.0 / k31)
+        times = t + np.cumsum(gaps)
+        chunks.append(times[times <= t_end])
+        t = times[-1]
+    return np.concatenate(chunks)
 
 
 def simulate_emitter(
@@ -156,36 +163,40 @@ def simulate_emitter(
     duration: float,
     seed,
     *,
+    efficiency: float = 1.0,
     emitter_id: int = 0,
-    burn_in: float | None = None,
 ) -> EventStream:
-    """Photon emission times of one emitter over [0, duration] ns.
+    """Detected photon times of one emitter over [0, duration] ns.
 
-    A burn-in interval (default ten times the slowest relaxation timescale)
-    is simulated and discarded so the recorded window is stationary.
-    `seed` may be an int, a SeedSequence or an existing Generator.
+    Each emitted photon is detected with probability `efficiency`; the
+    default 1 records every emission.  A burn-in interval (ten times the
+    slowest relaxation timescale) is simulated and discarded so the
+    recorded window is stationary.  `seed` may be an int, a SeedSequence or
+    an existing Generator.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    _check_efficiency(efficiency)
+    if rates.k31 <= 0.0 < rates.k23:
+        raise ValueError("k31 = 0 with k23 > 0: the shelved state is absorbing")
     rng = np.random.default_rng(seed)
-    burn = _default_burn_in(rates) if burn_in is None else float(burn_in)
-    if burn < 0.0:
-        raise ValueError("burn_in must be >= 0")
-    times = _emission_times(rates, duration + burn, rng)
+    burn = _burn_in(rates)
+    times = _emission_times(rates, efficiency, duration + burn, rng)
     times = times[times > burn] - burn
     ids = np.full(times.size, emitter_id, dtype=np.int32)
     return EventStream(times, ids, duration, _validate=False)
 
 
 def simulate_ensemble(config: SimConfig) -> EventStream:
-    """Merged, time-sorted emission of N independent emitters plus background.
+    """Merged, time-sorted detections of N independent emitters plus background.
 
     Emitter i consumes the i-th child of SeedSequence(config.seed), so the
     N = 1 ensemble reproduces `simulate_emitter` on that substream exactly.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.n_emitters + 1)
     streams = [
-        simulate_emitter(config.rates, config.duration, children[i], emitter_id=i)
+        simulate_emitter(config.rates, config.duration, children[i],
+                         efficiency=config.efficiency, emitter_id=i)
         for i in range(config.n_emitters)
     ]
     if config.background_rate > 0.0:

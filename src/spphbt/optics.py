@@ -4,14 +4,19 @@ Photons couple to a surface plasmon mode with an orientation-dependent
 probability, survive propagation and leakage with fixed probabilities, and
 arrive on a thin ring in the back focal plane at a uniformly distributed
 azimuth.  Two multimode fibers, each subtending a fraction of the ring's
-circumference, pick events off the ring; a quantum-efficiency draw decides
-whether the APD fires.  Background events bypass the whole chain and are
-split between the detectors at the beamsplitter fraction, as they represent
-detector-level counts.
+circumference, pick photons off the ring; photons inside both arcs are
+split at the beamsplitter fraction, and a quantum-efficiency factor decides
+whether the APD fires.  The direct (non-Fourier) path models plain
+fluorescence collection: a single geometric collection probability
+followed by a beamsplitter, used for emitters on bare glass.
 
-The direct (non-Fourier) path models plain fluorescence collection: a
-single geometric collection probability followed by a 50:50-style
-beamsplitter, used for emitters on bare glass.
+Every photon meets the chain independently, so
+`expected_channel_efficiencies` gives its whole effect as two numbers, the
+probabilities eff_A and eff_B that a signal photon fires channel A or B.
+The emission sampler draws only detected photons (at eff_A + eff_B), and
+`route_events` assigns each of them a channel.  Background events represent
+detector-level counts: they bypass the chain and are split at the
+beamsplitter fraction.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ class DipoleMix:
 
 @dataclass(frozen=True)
 class RoutedStreams:
-    """Detected tags per channel plus bookkeeping of what was lost."""
+    """Detected tags per channel; n_events counts the routed events."""
 
     tags_a: np.ndarray  # int64 ps, sorted
     tags_b: np.ndarray
@@ -125,10 +130,6 @@ class RoutedStreams:
     @property
     def n_detected(self) -> int:
         return int(self.tags_a.size + self.tags_b.size)
-
-    @property
-    def n_lost(self) -> int:
-        return self.n_events - self.n_detected
 
 
 class SppRing(NamedTuple):
@@ -167,11 +168,6 @@ def collection_fraction(diameter: float, radius: float) -> float:
     return min(diameter / (_TWO_PI * radius), 1.0)
 
 
-def _ang_dist(phi: np.ndarray, center: float) -> np.ndarray:
-    """Circular distance |phi - center| folded into [0, pi]."""
-    return np.abs((phi - center + math.pi) % _TWO_PI - math.pi)
-
-
 def _arc_overlap(a: float, wa: float, b: float, wb: float) -> float:
     """Length of overlap of two arcs [a-wa, a+wa], [b-wb, b+wb] on the circle."""
     total = 0.0
@@ -184,73 +180,33 @@ def _arc_overlap(a: float, wa: float, b: float, wb: float) -> float:
 
 def route_events(
     stream: EventStream,
-    geometry: DetectionGeometry,
-    budget: EfficiencyBudget,
-    mix: DipoleMix,
+    share_a: float,
+    p_bs: float,
     seed,
     *,
-    mode: str = "fourier",
     jitter_sigma_ns: float = 0.0,
 ) -> RoutedStreams:
-    """Route an emission stream through the detection chain, vectorised.
+    """Assign each detected event of a stream to channel A or B and tag it.
 
-    mode "fourier" uses the ring geometry: an event lands at a uniform
-    azimuth, is picked up by whichever
-    fiber's arc contains it, and events inside both arcs are split at
-    p_bs.  mode "direct" replaces the ring by a single collection
-    probability and a beamsplitter.  Background events skip every loss stage
-    and are split at p_bs.  Timestamps are jittered (Gaussian, ns) and
-    quantised to integer ps; jittered events outside [0, duration] are
-    dropped.
+    One uniform draw per event sends a signal event to A with probability
+    share_a (eff_A / (eff_A + eff_B)) and a background event with
+    probability p_bs; the rest go to B.  Timestamps are jittered (Gaussian,
+    ns) and quantised to integer ps; jittered events outside [0, duration]
+    are dropped.
     """
-    if mode not in ("fourier", "direct"):
-        raise ValueError(f"unknown mode {mode!r}")
     if jitter_sigma_ns < 0.0:
         raise ValueError("jitter_sigma_ns must be >= 0")
     rng = np.random.default_rng(seed)
     n = len(stream)
-    duration_ps = int(round(stream.duration * 1000.0))
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return RoutedStreams(empty, empty, duration_ps, 0)
-
-    # fixed draw schedule keeps the routing reproducible and vectorised
-    u_orient = rng.random(n)
-    u_chain = rng.random(n)
-    phi = rng.random(n) * _TWO_PI
-    u_split = rng.random(n)
-    u_qe = rng.random(n)
-
-    signal = stream.emitter_ids >= 0
-    split_a = u_split < budget.p_bs
-
-    if mode == "fourier":
-        p_couple = np.where(u_orient < mix.fraction_vertical,
-                            budget.p_couple_vertical, budget.p_couple_horizontal)
-        chain_ok = u_chain < p_couple * budget.p_survive * budget.p_leak
-        w = math.pi * geometry.fiber_fraction
-        in_a = _ang_dist(phi, geometry.fiber_a_angle) < w
-        in_b = _ang_dist(phi, geometry.fiber_b_angle) < w
-        chan_a = in_a & (~in_b | split_a)
-        chan_b = in_b & (~in_a | ~split_a)
-    else:
-        chain_ok = u_chain < budget.p_collect
-        chan_a = split_a
-        chan_b = ~split_a
-
-    qe_ok = u_qe < budget.p_qe
-    det_a = signal & chain_ok & chan_a & qe_ok
-    det_b = signal & chain_ok & chan_b & qe_ok
-    det_a |= ~signal & split_a
-    det_b |= ~signal & ~split_a
-
+    to_a = rng.random(n) < np.where(stream.emitter_ids >= 0, share_a, p_bs)
     times = stream.times
     if jitter_sigma_ns > 0.0:
         times = times + rng.normal(0.0, jitter_sigma_ns, n)
+    duration_ps = int(round(stream.duration * 1000.0))
     tags = np.rint(times * 1000.0).astype(np.int64)
     in_range = (tags >= 0) & (tags <= duration_ps)
-    tags_a = np.sort(tags[det_a & in_range])
-    tags_b = np.sort(tags[det_b & in_range])
+    tags_a = np.sort(tags[to_a & in_range])
+    tags_b = np.sort(tags[~to_a & in_range])
     return RoutedStreams(tags_a, tags_b, duration_ps, n)
 
 

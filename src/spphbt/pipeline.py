@@ -1,6 +1,6 @@
 """End-to-end orchestration: simulate, route, correlate, fit, report, manifest.
 
-A run is fully determined by its scenario (including the seed): emission
+A run is fully determined by its scenario (including the seed): photon
 sampling consumes substreams of the scenario seed and detector routing uses
 a separately derived stream, so artifacts are byte-identical across reruns.
 The manifest records the config hash and artifact checksums instead of
@@ -99,22 +99,25 @@ def resolve_background(scenario: Scenario) -> tuple[float, float]:
 
 
 def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
-    """Simulate emission and detection; returns both channels plus run info."""
+    """Simulate the detected photons and route them; returns both channels plus run info."""
     background, rho_eff = resolve_background(scenario)
+    eff_a, eff_b = expected_channel_efficiencies(
+        scenario.routing_geometry, scenario.budget, scenario.mix, scenario.routing_mode)
+    # rounding may lift a lossless split a hair above 1
+    efficiency = min(eff_a + eff_b, 1.0)
     events = simulate_ensemble(SimConfig(
         duration=scenario.duration_ns,
         seed=scenario.seed,
         n_emitters=scenario.n_emitters,
         rates=scenario.rates,
+        efficiency=efficiency,
         background_rate=background,
     ))
     routed = route_events(
         events,
-        scenario.routing_geometry,
-        scenario.budget,
-        scenario.mix,
+        eff_a / efficiency if efficiency > 0.0 else 0.0,
+        scenario.budget.p_bs,
         np.random.SeedSequence(entropy=(scenario.seed, _ROUTE_SALT)),
-        mode=scenario.routing_mode,
         jitter_sigma_ns=scenario.jitter_sigma_ns,
     )
     a = TimeTagStream(routed.tags_a, "A", routed.duration_ps)

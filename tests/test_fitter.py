@@ -24,7 +24,7 @@ from spphbt.fitter import (
 )
 from spphbt.kinetics import derived_params, exact_decay_params, model_g2, quantum_yield
 from spphbt.montecarlo import simulate_emitter
-from spphbt.optics import DetectionGeometry, DipoleMix, EfficiencyBudget, route_events
+from spphbt.optics import route_events
 
 SILVER_TRUTH = (0.1401298205421917, 0.01945009591577039, 1.98390978340858, 0.1)
 
@@ -295,8 +295,7 @@ class TestDipWidthCompare:
 
 def _single_emitter_fit(rates, duration_ns, seed):
     stream = simulate_emitter(rates, duration_ns, seed)
-    routed = route_events(stream, DetectionGeometry(), EfficiencyBudget(),
-                          DipoleMix(), seed=seed + 7919, mode="direct")
+    routed = route_events(stream, 0.5, 0.5, seed=seed + 7919)
     a = TimeTagStream(routed.tags_a, "A", routed.duration_ps)
     b = TimeTagStream(routed.tags_b, "B", routed.duration_ps)
     hist = cross_correlate(a, b, lag_max=150_000, bin_width=1_000)

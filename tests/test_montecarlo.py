@@ -1,4 +1,4 @@
-"""Stochastic emission sampler: determinism, statistics, and the slow reference.
+"""Stochastic detection sampler: determinism, statistics, and the slow reference.
 
 The statistical checks use fixed seeds, so they are deterministic regression
 tests of distributional properties; tolerances are 3 sigma of the relevant
@@ -100,11 +100,40 @@ class TestSimulateEmitter:
         sigma_mean = count_sigma(silver_rates, duration) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - expected) < 3.0 * sigma_mean
 
-    def test_rejects_bad_duration_and_burn_in(self, silver_rates):
+    def test_rejects_bad_arguments(self, silver_rates):
         with pytest.raises(ValueError):
             simulate_emitter(silver_rates, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            simulate_emitter(silver_rates, 1e4, seed=0, burn_in=-1.0)
+        for efficiency in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="efficiency"):
+                simulate_emitter(silver_rates, 1e4, seed=0, efficiency=efficiency)
+        with pytest.raises(ValueError, match="absorbing"):
+            simulate_emitter(RateSet(0.1, 0.1, 0.2, 0.0), 1e4, seed=0)
+
+
+@pytest.mark.parametrize("preset", ["silver_rates", "glass_rates"])
+class TestDetectedSampler:
+    """Sampling only detected photons equals thinning every emission."""
+
+    P = 0.1
+
+    def test_gaps_match_bernoulli_thinned_emission(self, preset, request):
+        rates = request.getfixturevalue(preset)
+        duration = 2e4 / (self.P * steady_emission_rate(rates))  # ~2e4 detections
+        emitted = simulate_emitter(rates, duration, seed=41).times
+        kept = np.random.default_rng(43).random(emitted.size) < self.P
+        detected = simulate_emitter(rates, duration, seed=47, efficiency=self.P).times
+        ks = stats.ks_2samp(np.diff(detected), np.diff(emitted[kept]))
+        assert ks.pvalue > 0.01
+
+    def test_detected_count_matches_analytic_rate(self, preset, request):
+        rates = request.getfixturevalue(preset)
+        duration, n, p = 1e7, 4, self.P
+        cfg = SimConfig(duration=duration, seed=53, n_emitters=n, rates=rates, efficiency=p)
+        emitted_mean = n * rates.k21 * steady_state(rates).p2 * duration
+        # independent thinning: Var = p^2 Var(emitted) + p (1 - p) E(emitted)
+        sigma = math.sqrt(p * p * count_sigma(rates, duration, n) ** 2
+                          + p * (1.0 - p) * emitted_mean)
+        assert abs(len(simulate_ensemble(cfg)) - p * emitted_mean) < 3.0 * sigma
 
 
 class TestSimulateEnsemble:
@@ -148,6 +177,9 @@ class TestSimulateEnsemble:
         with pytest.raises(ValueError):
             SimConfig(duration=1.0, seed=0, n_emitters=1, rates=silver_rates,
                       background_rate=-0.1)
+        with pytest.raises(ValueError):
+            SimConfig(duration=1.0, seed=0, n_emitters=1, rates=silver_rates,
+                      efficiency=1.1)
 
 
 class TestTrajectoryReference:

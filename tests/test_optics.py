@@ -1,7 +1,8 @@
 """Detection chain: ring geometry, efficiency bookkeeping, and routing.
 
 Closed-form quantities are asserted at machine precision; routing statistics
-use fixed seeds with 3 sigma binomial tolerances.
+and the per-photon ring oracle use fixed seeds with 3 sigma binomial
+tolerances.
 """
 
 from __future__ import annotations
@@ -31,6 +32,33 @@ def signal_stream(n, duration, seed):
     rng = np.random.default_rng(seed)
     times = np.sort(rng.uniform(0.0, duration, n))
     return EventStream(times, np.zeros(n, dtype=np.int32), duration)
+
+
+def ring_oracle(n, geometry, budget, mix, seed):
+    """Per-photon Monte Carlo of the Fourier-plane chain, the reference for
+    `expected_channel_efficiencies`: orientation, loss chain, uniform ring
+    azimuth, arc pickup, beamsplitter and quantum-efficiency draws.
+    Returns the photon counts on channels A and B."""
+    rng = np.random.default_rng(seed)
+    vertical = rng.random(n) < mix.fraction_vertical
+    p_couple = np.where(vertical, budget.p_couple_vertical, budget.p_couple_horizontal)
+    chain_ok = rng.random(n) < p_couple * budget.p_survive * budget.p_leak
+    phi = rng.random(n) * 2.0 * math.pi
+    split_a = rng.random(n) < budget.p_bs
+    detected = chain_ok & (rng.random(n) < budget.p_qe)
+    w = math.pi * geometry.fiber_fraction
+
+    def in_arc(center):
+        return np.abs((phi - center + math.pi) % (2.0 * math.pi) - math.pi) < w
+
+    in_a, in_b = in_arc(geometry.fiber_a_angle), in_arc(geometry.fiber_b_angle)
+    n_a = np.count_nonzero(detected & in_a & (~in_b | split_a))
+    n_b = np.count_nonzero(detected & in_b & (~in_a | ~split_a))
+    return int(n_a), int(n_b)
+
+
+def within_binomial(count, n, p):
+    return abs(count - n * p) < 3.0 * math.sqrt(n * p * (1.0 - p))
 
 
 FULL_RING = DetectionGeometry(fiber_effective_diameter=2.0 * math.pi,
@@ -98,40 +126,43 @@ class TestCollectionFraction:
 class TestRouting:
     def test_deterministic_given_seed(self):
         s = signal_stream(5_000, 1e5, seed=1)
-        r1 = route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=9)
-        r2 = route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=9)
+        r1 = route_events(s, 0.3, 0.5, seed=9)
+        r2 = route_events(s, 0.3, 0.5, seed=9)
         assert np.array_equal(r1.tags_a, r2.tags_a)
         assert np.array_equal(r1.tags_b, r2.tags_b)
 
-    def test_lossless_direct_path_detects_everything(self):
+    def test_routes_every_event_at_share_a(self):
         n = 20_000
         s = signal_stream(n, 1e5, seed=2)
-        r = route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=3, mode="direct")
-        assert r.n_detected == n and r.n_lost == 0
-        assert abs(r.tags_a.size - n / 2) < 3.0 * math.sqrt(n * 0.25)
+        r = route_events(s, 0.3, 0.5, seed=3)
+        assert r.n_detected == r.n_events == n
+        assert within_binomial(r.tags_a.size, n, 0.3)
         merged = np.sort(np.concatenate([r.tags_a, r.tags_b]))
         assert np.array_equal(merged, np.rint(s.times * 1000.0).astype(np.int64))
 
     def test_full_ring_overlap_splits_at_beamsplitter(self):
-        # both arcs cover the whole ring, so every event is shared and split
+        # both arcs cover the whole ring, so every photon is shared and split
         n = 20_000
         budget = EfficiencyBudget(p_bs=0.7)
-        s = signal_stream(n, 1e5, seed=4)
-        r = route_events(s, FULL_RING, budget, DipoleMix(), seed=5)
-        assert r.n_detected == n
-        assert abs(r.tags_a.size - 0.7 * n) < 3.0 * math.sqrt(n * 0.7 * 0.3)
+        n_a, n_b = ring_oracle(n, FULL_RING, budget, DipoleMix(), seed=5)
+        assert n_a + n_b == n
+        assert within_binomial(n_a, n, 0.7)
+        eff_a, eff_b = expected_channel_efficiencies(FULL_RING, budget, DipoleMix())
+        assert (eff_a, eff_b) == pytest.approx((0.7, 0.3), rel=1e-12)
 
     def test_orientation_contrast_matches_coupling_ratio(self):
         eta = coupling_ratio(1.04)
         budget = EfficiencyBudget(p_couple_vertical=0.48,
                                   p_couple_horizontal=0.48 / eta)
         n = 200_000
-        s = signal_stream(n, 1e6, seed=6)
-        n_v = route_events(s, FULL_RING, budget, DipoleMix(1.0), seed=7).n_detected
-        n_h = route_events(s, FULL_RING, budget, DipoleMix(0.0), seed=8).n_detected
+        n_v = sum(ring_oracle(n, FULL_RING, budget, DipoleMix(1.0), seed=7))
+        n_h = sum(ring_oracle(n, FULL_RING, budget, DipoleMix(0.0), seed=8))
         ratio = n_v / n_h
         sigma = ratio * math.sqrt(1.0 / n_v + 1.0 / n_h)
         assert abs(ratio - eta) < 3.0 * sigma
+        vertical = sum(expected_channel_efficiencies(FULL_RING, budget, DipoleMix(1.0)))
+        horizontal = sum(expected_channel_efficiencies(FULL_RING, budget, DipoleMix(0.0)))
+        assert vertical / horizontal == pytest.approx(eta, rel=1e-12)
 
     def test_counts_match_analytic_efficiencies(self):
         geometry = geometry_preset("fourier_default")
@@ -139,43 +170,37 @@ class TestRouting:
                                   p_survive=0.5, p_leak=0.8, p_qe=0.7)
         mix = DipoleMix()
         n = 200_000
-        s = signal_stream(n, 1e6, seed=9)
-        r = route_events(s, geometry, budget, mix, seed=10)
-        eff_a, eff_b = expected_channel_efficiencies(geometry, budget, mix)
-        for size, eff in ((r.tags_a.size, eff_a), (r.tags_b.size, eff_b)):
-            assert abs(size - n * eff) < 3.0 * math.sqrt(n * eff * (1.0 - eff))
+        counts = ring_oracle(n, geometry, budget, mix, seed=10)
+        for count, eff in zip(counts, expected_channel_efficiencies(geometry, budget, mix)):
+            assert within_binomial(count, n, eff)
 
     def test_overlapping_arcs_share_instead_of_duplicating(self):
-        # identical fiber positions: every collected event is in both arcs
+        # identical fiber positions: every collected photon is in both arcs
         geometry = DetectionGeometry(fiber_a_angle=1.0, fiber_b_angle=1.0,
                                      fiber_effective_diameter=0.44)
         n = 200_000
-        s = signal_stream(n, 1e6, seed=11)
-        r = route_events(s, geometry, IDEAL, DipoleMix(), seed=12)
+        n_a, n_b = ring_oracle(n, geometry, IDEAL, DipoleMix(), seed=12)
         f = geometry.fiber_fraction
-        assert abs(r.n_detected - n * f) < 3.0 * math.sqrt(n * f * (1.0 - f))
-        assert abs(r.tags_a.size - r.n_detected / 2) \
-            < 3.0 * math.sqrt(r.n_detected * 0.25)
+        assert within_binomial(n_a + n_b, n, f)
+        assert within_binomial(n_a, n_a + n_b, 0.5)
         eff_a, eff_b = expected_channel_efficiencies(geometry, IDEAL, DipoleMix())
         assert eff_a + eff_b == pytest.approx(f, rel=1e-12)
 
     def test_background_bypasses_loss_chain(self):
+        # signal all goes to A, so B holds only background, split at p_bs
         bg = poisson_background(0.01, 1e5, seed=15)
         assert np.all(bg.emitter_ids == BACKGROUND_ID)
-        budget, _ = budget_preset("silver_filtered")  # tiny chain efficiency
-        r = route_events(bg, geometry_preset("fourier_default"), budget,
-                         DipoleMix(), seed=16)
-        n = len(bg)
-        assert r.n_detected == n
-        assert abs(r.tags_a.size - n / 2) < 3.0 * math.sqrt(n * 0.25)
+        s = EventStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 1e5)
+        r = route_events(s, 1.0, 0.3, seed=16)
+        assert r.n_detected == len(s)
+        assert within_binomial(r.tags_b.size, len(bg), 0.7)
 
     def test_thinned_poisson_stays_poisson(self):
         # channel-A inter-arrivals of a routed Poisson stream stay exponential
         rate, duration = 0.01, 1e6
         s = poisson_background(rate, duration, seed=17)
-        budget = EfficiencyBudget(p_collect=0.5, p_bs=0.5)
-        r = route_events(s, FULL_RING, budget, DipoleMix(), seed=18, mode="direct")
-        # background bypasses p_collect, so channel A holds ~ rate/2
+        r = route_events(s, 1.0, 0.5, seed=18)
+        # background splits at p_bs, so channel A holds ~ rate/2
         gaps = np.diff(r.tags_a)
         ks = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (rate / 2.0) * 1000.0))
         assert ks.pvalue > 0.01
@@ -183,9 +208,8 @@ class TestRouting:
     def test_jitter_moves_and_drops_events(self):
         n = 10_000
         s = signal_stream(n, 1e3, seed=19)
-        r0 = route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=20, mode="direct")
-        r1 = route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=20, mode="direct",
-                          jitter_sigma_ns=5.0)
+        r0 = route_events(s, 0.5, 0.5, seed=20)
+        r1 = route_events(s, 0.5, 0.5, seed=20, jitter_sigma_ns=5.0)
         assert not np.array_equal(np.sort(np.concatenate([r0.tags_a, r0.tags_b])),
                                   np.sort(np.concatenate([r1.tags_a, r1.tags_b])))
         assert r1.n_detected <= n  # edge events may jitter out of the window
@@ -196,17 +220,14 @@ class TestRouting:
 
     def test_empty_stream(self):
         s = EventStream(np.empty(0), np.empty(0, dtype=np.int32), 1e3)
-        r = route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=0)
+        r = route_events(s, 0.5, 0.5, seed=0)
         assert r.n_events == 0 and r.n_detected == 0
         assert r.duration_ps == 1_000_000
 
     def test_invalid_arguments(self):
         s = signal_stream(10, 1e3, seed=0)
         with pytest.raises(ValueError):
-            route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=0, mode="mirror")
-        with pytest.raises(ValueError):
-            route_events(s, FULL_RING, IDEAL, DipoleMix(), seed=0,
-                         jitter_sigma_ns=-1.0)
+            route_events(s, 0.5, 0.5, seed=0, jitter_sigma_ns=-1.0)
 
 
 class TestAnalyticEfficiencies:

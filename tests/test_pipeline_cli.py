@@ -330,6 +330,22 @@ class TestBackgroundResolution:
         assert (len(a) + len(b)) == pytest.approx(2.0 * n_expected, rel=0.1)
 
 
+class TestAcquire:
+    def test_paper_budget_samples_only_detected_photons(self):
+        # criterion 7's scenario over one second: ~1.2e8 photons are emitted
+        # and ~1.5e4 detected, so sampling every emission would need ~10 GB
+        s = scenario_from_mapping({
+            "rates": "silver", "n_emitters": 10, "duration_ns": 1e9, "seed": 5,
+            "fiber_config": "AB", "geometry": "fourier_default",
+            "budget": "silver_filtered",
+        })
+        a, b, info = acquire(s)
+        mean = expected_signal_rate(s) * s.duration_ns
+        for tags in (a, b):
+            assert abs(len(tags) - mean) < 5.0 * math.sqrt(mean)
+        assert info["n_events"] == len(a) + len(b)
+
+
 class TestRunPipeline:
     def test_artifacts_and_manifest(self, tmp_path):
         s = scenario_from_mapping(dict(SMALL_RUN))
