@@ -5,6 +5,17 @@ All times are integer picoseconds.  The estimator counts every ordered pair
 grid of half-open bins [edge, edge + bin_width); normalising by the
 uncorrelated-pair expectation rate_a * rate_b * duration * bin_width turns
 counts into g2 with Poisson error bars sqrt(counts) on the same scale.
+
+Pairs are counted by stepping over partner rank rather than by listing
+them.  For a chunk of channel-A tags, two binary searches give each tag's
+first partner lo and its number of partners in the window.  Ordered by that
+number, descending, the tags with more than k partners form a prefix, and
+their (k+1)-th partners are the gather tb[lo + k] over that prefix: one
+gather, one subtraction, one floor division and one bincount per rank k.
+Once fewer than a small fixed number of tags remain, their remaining pairs
+are listed in one go, so a burst tag with many partners costs no more Python
+steps than the ranks before it.  The cost is O(pairs), and each step holds
+O(chunk) memory whatever the window.
 """
 
 from __future__ import annotations
@@ -24,6 +35,10 @@ __all__ = [
 ]
 
 _PS_PER_SECOND = 1_000_000_000_000
+# tags of ta correlated per pass; the per-step arrays are this long at most
+_CHUNK = 1 << 15
+# below this many tags left in a rank step, their remaining pairs are expanded at once
+_TAIL = 64
 
 
 @dataclass(frozen=True)
@@ -125,18 +140,34 @@ def _pair_counts(
     n_bins = (lag_max - lag_min) // bin_width
     counts = np.zeros(n_bins, dtype=np.int64)
     for i0 in range(0, ta.size, chunk):
-        sub = ta[i0:i0 + chunk]
-        lo = np.searchsorted(tb, sub + lag_min, side="left")
-        hi = np.searchsorted(tb, sub + lag_max, side="left")
-        per = hi - lo
-        total = int(per.sum())
-        if total == 0:
+        start = ta[i0:i0 + chunk] + lag_min
+        lo = np.searchsorted(tb, start, side="left")
+        per = np.searchsorted(tb, start + (lag_max - lag_min), side="left") - lo
+        # sorted by partner count, descending, the tags with more than k
+        # partners form a prefix of length m_k; a stable sort keeps each
+        # count's tags in time order, and on the narrowest integer type that
+        # holds the counts it is a radix sort
+        neg_per = -per
+        order = np.argsort(neg_per.astype(np.min_scalar_type(neg_per.min())), kind="stable")
+        neg_per, lo, start = neg_per[order], lo[order], start[order]
+        k = 0
+        m = int(np.searchsorted(neg_per, 0, side="left"))
+        while m >= _TAIL:
+            lags = tb[lo[:m] + k]
+            lags -= start[:m]
+            lags //= bin_width
+            counts += np.bincount(lags, minlength=n_bins)
+            k += 1
+            m = int(np.searchsorted(neg_per, -k, side="left"))
+        if m == 0:
             continue
-        # flat index of every partner of every tag in this chunk
-        offsets = np.repeat(np.cumsum(per) - per, per)
-        partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo, per)
-        lags = tb[partner] - np.repeat(sub, per)
-        counts += np.bincount((lags - lag_min) // bin_width, minlength=n_bins)
+        # the few tags with many partners left: expand their pairs at once
+        rest = -k - neg_per[:m]
+        total = int(rest.sum())
+        offsets = np.repeat(np.cumsum(rest) - rest, rest)
+        partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
+        lags = tb[partner] - np.repeat(start[:m], rest)
+        counts += np.bincount(lags // bin_width, minlength=n_bins)
     return counts
 
 
@@ -159,7 +190,7 @@ def cross_correlate(
     bin_width: int,
     *,
     lag_min: int | None = None,
-    _chunk: int = 1 << 15,
+    _chunk: int = _CHUNK,
 ) -> CorrelationHistogram:
     """Correlate two channels over lags [lag_min, lag_max) ps.
 
@@ -188,7 +219,7 @@ def auto_correlate(
     bin_width: int,
     *,
     lag_min: int | None = None,
-    _chunk: int = 1 << 15,
+    _chunk: int = _CHUNK,
 ) -> CorrelationHistogram:
     """Correlate a channel with itself, excluding each tag's pairing with itself.
 

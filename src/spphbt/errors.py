@@ -13,10 +13,6 @@ class SingularSystem(ValueError):
     """Rate matrix has no unique stationary distribution."""
 
 
-class IntegrationFailure(RuntimeError):
-    """Adaptive ODE integration failed to produce a solution."""
-
-
 class InvalidGeometry(ValueError):
     """Detection geometry violates the leakage condition or basic bounds."""
 

@@ -31,14 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (
-    DegenerateRates,
-    IntegrationFailure,
-    InvalidInversion,
-    SingularSystem,
-)
+from .errors import DegenerateRates, InvalidInversion, SingularSystem
 
 __all__ = [
     "RateSet",
@@ -55,7 +49,6 @@ __all__ = [
     "invert_rates",
     "steady_state",
     "steady_emission_rate",
-    "conditional_intensity",
 ]
 
 _ROUNDTRIP_TOL = 1e-12
@@ -107,11 +100,15 @@ class DerivedParams:
     gamma1: antibunching recovery rate (ns^-1), > 0
     gamma2: bunching decay rate (ns^-1), >= 0
     beta:   bunching amplitude, >= 1 (beta = 1 means no shelving)
+    beta_excess: beta - 1 at full precision, defaults to beta - 1; carried
+        because beta rounds away most digits of a small excess, which
+        `invert_rates` needs for k23
     """
 
     gamma1: float
     gamma2: float
     beta: float
+    beta_excess: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma1) and self.gamma1 > 0.0):
@@ -120,6 +117,11 @@ class DerivedParams:
             raise ValueError(f"gamma2 must be finite and >= 0, got {self.gamma2!r}")
         if not (math.isfinite(self.beta) and self.beta >= 1.0):
             raise ValueError(f"beta must be finite and >= 1, got {self.beta!r}")
+        if self.beta_excess is None:
+            object.__setattr__(self, "beta_excess", self.beta - 1.0)
+        elif not (self.beta_excess >= 0.0 and 1.0 + self.beta_excess == self.beta):
+            raise ValueError(f"beta_excess {self.beta_excess!r} does not round to "
+                             f"beta - 1 for beta = {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,8 @@ def derived_params(rates: RateSet) -> DerivedParams:
                 "k31 = 0 with active shelving: bunching amplitude diverges")
         return DerivedParams(gamma1=g1, gamma2=0.0, beta=1.0)
     g2 = rates.k31 + shelf_flux / g1
-    beta = 1.0 + shelf_flux / (rates.k31 * g1)
-    return DerivedParams(gamma1=g1, gamma2=g2, beta=beta)
+    excess = shelf_flux / (rates.k31 * g1)
+    return DerivedParams(gamma1=g1, gamma2=g2, beta=1.0 + excess, beta_excess=excess)
 
 
 def model_g2(tau, gamma1: float, gamma2: float, beta: float, c: float):
@@ -230,7 +232,7 @@ def invert_rates(params: DerivedParams, k12: float) -> RateSet:
         raise InvalidInversion("gamma2 >= 0 and beta >= 1 required")
     k21 = params.gamma1 - k12
     k31 = params.gamma2 / params.beta
-    k23 = params.gamma1 * params.gamma2 * (params.beta - 1.0) / (params.beta * k12)
+    k23 = params.gamma1 * params.gamma2 * params.beta_excess / (params.beta * k12)
     return RateSet(k12=k12, k21=k21, k23=k23, k31=k31)
 
 
@@ -271,41 +273,6 @@ def steady_state(rates: RateSet) -> Populations:
 def steady_emission_rate(rates: RateSet) -> float:
     """Mean radiative photon rate per emitter, k21 * p2, in ns^-1."""
     return rates.k21 * steady_state(rates).p2
-
-
-def conditional_intensity(rates: RateSet, tau_grid) -> np.ndarray:
-    """Exact single-emitter g2 by integrating the rate equations.
-
-    Starting from the ground state (the state just after a detection), the
-    re-excitation probability p2(tau) normalised by its stationary value is
-    the exact correlation function.  Serves as the numerical oracle for the
-    closed-form model.
-    """
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1:
-        raise ValueError("tau_grid must be one-dimensional")
-    if tau.size == 0:
-        return np.empty(0)
-    if np.any(tau < 0.0) or np.any(np.diff(tau) < 0.0):
-        raise ValueError("tau_grid must be sorted and non-negative")
-    p2_ss = steady_state(rates).p2
-    if p2_ss <= 0.0:
-        raise SingularSystem("stationary excited population is zero")
-    if tau[-1] == 0.0:
-        return np.zeros_like(tau)
-    q = _rate_matrix(rates)
-    sol = solve_ivp(
-        lambda _t, y: q @ y,
-        t_span=(0.0, float(tau[-1])),
-        y0=np.array([1.0, 0.0, 0.0]),
-        t_eval=tau,
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-13,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"rate equation integration failed: {sol.message}")
-    return sol.y[1] / p2_ss
 
 
 def exact_decay_params(rates: RateSet) -> DerivedParams:

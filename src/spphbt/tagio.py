@@ -104,11 +104,10 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:
     """CSV of (lag_ps, counts, g2, sigma) plus a normalisation sidecar."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag_ps", "counts", "g2", "sigma"])
-        for edge, n, g, s in zip(hist.lag_edges, hist.counts, hist.g2, hist.sigma):
-            writer.writerow([int(edge), int(n), repr(float(g)), repr(float(s))])
+    # the bytes csv.writer gives for these rows: no field needs quoting
+    rows = map("{},{},{!r},{!r}".format, hist.lag_edges.tolist(), hist.counts.tolist(),
+               hist.g2.tolist(), hist.sigma.tolist())
+    path.write_text("\r\n".join(["lag_ps,counts,g2,sigma", *rows, ""]), newline="")
     sidecar = {
         "format": "g2-histogram",
         "bin_width_ps": hist.bin_width,
@@ -131,26 +130,22 @@ def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
     if not sidecar.exists():
         raise FileNotFoundError(f"{sidecar}: histogram sidecar is required for normalisation")
     meta = json.loads(sidecar.read_text())
-    edges, counts, g2, sigma = [], [], [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            edges.append(int(row["lag_ps"]))
-            counts.append(int(row["counts"]))
-            g2.append(float(row["g2"]))
-            sigma.append(float(row["sigma"]))
+        header, *rows = csv.reader(fh)
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    edges = np.fromiter(map(int, columns["lag_ps"]), dtype=np.int64)
     hist = CorrelationHistogram(
-        counts=np.asarray(counts, dtype=np.int64),
+        counts=np.fromiter(map(int, columns["counts"]), dtype=np.int64),
         bin_width=int(meta["bin_width_ps"]),
         lag_min=int(meta["lag_min_ps"]),
         lag_max=int(meta["lag_max_ps"]),
         duration=int(meta["duration_ps"]),
         rate_a=float(meta["rate_a_hz"]),
         rate_b=float(meta["rate_b_hz"]),
-        g2=np.asarray(g2),
-        sigma=np.asarray(sigma),
+        g2=np.fromiter(map(float, columns["g2"]), dtype=float),
+        sigma=np.fromiter(map(float, columns["sigma"]), dtype=float),
     )
-    if edges and (edges[0] != hist.lag_min or len(edges) != hist.n_bins):
+    if edges.size and (edges[0] != hist.lag_min or edges.size != hist.n_bins):
         raise ValueError(f"{path}: lag column does not match the sidecar window")
     return hist, meta.get("metadata", {})
 

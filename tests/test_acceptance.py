@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from oracles import conditional_intensity
 from spphbt.correlator import (
     SymmetryViolation,
     TimeTagStream,
@@ -33,7 +34,6 @@ from spphbt.correlator import (
 from spphbt.fitter import FitConfig, fit_curve, jacobian_check, report_photophysics
 from spphbt.kinetics import (
     RateSet,
-    conditional_intensity,
     derived_params,
     exact_decay_params,
     exact_invert_rates,

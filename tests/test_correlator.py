@@ -1,17 +1,20 @@
 """Pair-counting correlator: exact oracles, symmetry, and normalisation.
 
-The chunked searchsorted estimator is checked bin-exactly against an O(n^2)
+The rank-stepping estimator is checked bin-exactly against an O(n^2)
 brute-force oracle on small inputs, so statistical tolerances only appear in
 the Poisson baseline tests.
 """
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spphbt import correlator
 from spphbt.correlator import (
     CorrelationHistogram,
     TimeTagStream,
@@ -142,6 +145,78 @@ class TestAgainstBruteForce:
         h = cross_correlate(stream(ta, 400), stream(tb, 400),
                             lag_max=32, bin_width=bin_width)
         oracle = brute_force_counts(ta, tb, -32, 32, bin_width)
+        assert np.array_equal(h.counts, oracle)
+
+
+@st.composite
+def kernel_cases(draw, auto=False):
+    """Tags with duplicates, a window placed on or around their lags, and a chunk size."""
+    span = draw(st.integers(0, 300))
+    times = st.integers(0, span)
+    ta = np.sort(draw(st.lists(times, min_size=1, max_size=150)))
+    tb = ta if auto else np.sort(draw(st.lists(st.sampled_from(ta.tolist()) | times,
+                                                min_size=1, max_size=150)))
+    bin_width = draw(st.integers(1, 16))
+    n_bins = draw(st.integers(1, 40))
+    placement = draw(st.sampled_from(["on_lag", "above_0", "below_0", "wider_than_span"]))
+    if placement == "on_lag":
+        # an actual lag sits on lag_min (j = 0), on lag_max (j = n_bins) or on a bin edge
+        lag = draw(st.sampled_from(np.unique(tb[:, None] - ta[None, :]).tolist()))
+        lag_min = lag - draw(st.integers(0, n_bins)) * bin_width
+    elif placement == "above_0":
+        lag_min = draw(st.integers(0, span + 1))
+    elif placement == "below_0":
+        lag_min = -n_bins * bin_width - draw(st.integers(0, span + 1))
+    else:
+        lag_min = -span - 1 - draw(st.integers(0, bin_width))
+        n_bins = -(-(span + 1 - lag_min) // bin_width) + draw(st.integers(0, 3))
+    chunk = draw(st.integers(1, ta.size))
+    tail = draw(st.sampled_from([1, 2, correlator._TAIL]))
+    return ta, tb, lag_min, lag_min + n_bins * bin_width, bin_width, chunk, tail
+
+
+class TestRankSteppedKernel:
+    """The rank-stepping pair counter against the brute-force oracle.
+
+    Besides the module's tail constant, the tests run tails of 1 (every rank
+    is stepped) and 2 (one tag left for the expansion), so small inputs reach
+    both branches of the kernel.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    def test_cross_matches_oracle(self, case):
+        ta, tb, lag_min, lag_max, bin_width, chunk, tail = case
+        duration = int(max(ta[-1], tb[-1], 1))
+        with patch.object(correlator, "_TAIL", tail):
+            h = cross_correlate(stream(ta, duration), stream(tb, duration), lag_max, bin_width,
+                                lag_min=lag_min, _chunk=chunk)
+        assert np.array_equal(h.counts, brute_force_counts(ta, tb, lag_min, lag_max, bin_width))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases(auto=True))
+    def test_auto_matches_oracle(self, case):
+        ta, _, lag_min, lag_max, bin_width, chunk, tail = case
+        duration = int(max(ta[-1], 1))
+        with patch.object(correlator, "_TAIL", tail):
+            h = auto_correlate(stream(ta, duration), lag_max, bin_width,
+                               lag_min=lag_min, _chunk=chunk)
+        oracle = brute_force_counts(ta, ta, lag_min, lag_max, bin_width, drop_diagonal=True)
+        assert np.array_equal(h.counts, oracle)
+
+    def test_burst_takes_the_tail_path_exactly(self):
+        # one tag of `a` sits on a burst of 10^5 tags of `b`; its pairs are
+        # expanded in one go after the sparse tags have been rank-stepped
+        rng = np.random.default_rng(31)
+        burst_at, n_burst = 500_000, 100_000
+        ta = np.sort(np.append(rng.integers(0, 1_000_000, 2_000), burst_at))
+        tb_sparse = np.sort(rng.integers(0, 1_000_000, 2_000))
+        tb = np.sort(np.concatenate([tb_sparse, np.full(n_burst, burst_at)]))
+        a, b = stream(ta, 1_000_000), stream(tb, 1_000_000, "b")
+        h = cross_correlate(a, b, lag_max=2_000, bin_width=100)
+        oracle = brute_force_counts(ta, tb_sparse, -2_000, 2_000, 100) \
+            + n_burst * brute_force_counts(ta, [burst_at], -2_000, 2_000, 100)
+        assert oracle.sum() > n_burst
         assert np.array_equal(h.counts, oracle)
 
 

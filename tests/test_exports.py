@@ -1,9 +1,13 @@
-"""Every exported name resolves, so a deletion cannot leave a dangling export."""
+"""Every exported name resolves, and the command line imports no test-only dependency."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,13 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the command line must start without it
+    code = "import sys, spphbt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(spphbt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -12,17 +12,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import conditional_intensity, rate_matrix
 from spphbt.errors import DegenerateRates, InvalidInversion, SingularSystem
 from spphbt.kinetics import (
     DerivedParams,
     EnsembleConfig,
     Populations,
     RateSet,
-    conditional_intensity,
     derived_params,
     exact_decay_params,
     exact_invert_rates,
@@ -36,14 +36,6 @@ from spphbt.kinetics import (
 
 rate_values = st.floats(min_value=1e-3, max_value=10.0,
                         allow_nan=False, allow_infinity=False)
-
-
-def rate_matrix(r: RateSet) -> np.ndarray:
-    return np.array([
-        [-r.k12, r.k21, r.k31],
-        [r.k12, -(r.k21 + r.k23), 0.0],
-        [0.0, r.k23, -r.k31],
-    ])
 
 
 class TestRateSet:
@@ -104,6 +96,9 @@ class TestDerivedParams:
             DerivedParams(gamma1=0.0, gamma2=0.1, beta=2.0)
         with pytest.raises(ValueError):
             DerivedParams(gamma1=0.1, gamma2=0.1, beta=0.5)
+        with pytest.raises(ValueError):
+            DerivedParams(gamma1=0.1, gamma2=0.1, beta=2.0, beta_excess=0.5)
+        assert DerivedParams(gamma1=0.1, gamma2=0.1, beta=2.0).beta_excess == 1.0
 
 
 class TestG2Model:
@@ -176,6 +171,7 @@ class TestInversion:
             invert_rates(DerivedParams(0.2, 0.05, 2.0), k12=k12)
 
     @given(k12=rate_values, k21=rate_values, k23=rate_values, k31=rate_values)
+    @example(k12=0.001, k21=4, k23=0.001, k31=3)  # beta - 1 = 8.3e-8
     @settings(deadline=None)
     def test_roundtrip_property(self, k12, k21, k23, k31):
         r = RateSet(k12, k21, k23, k31)

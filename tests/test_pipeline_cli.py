@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -260,6 +262,25 @@ class TestTagIO:
         assert np.array_equal(hist.sigma, back.sigma)
         assert back.bin_width == hist.bin_width and back.duration == hist.duration
         assert meta == {"kind": "cross"}
+
+    def test_histogram_csv_bytes_match_csv_writer(self, tmp_path):
+        g2 = np.array([0.0, 5e-324, 1e300, 1.0 / 3.0, 2.5e-7, 123456789.125])
+        sigma = np.array([1e-300, 0.1, 0.0, 7e22, 5e-324, 1.0])
+        hist = CorrelationHistogram(
+            counts=np.array([0, 1, 2**40, 7, 0, 3]), bin_width=250, lag_min=-1000,
+            lag_max=500, duration=10**9, rate_a=1e4, rate_b=2e4, g2=g2, sigma=sigma)
+        path = write_histogram_csv(tmp_path / "awkward.csv", hist)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["lag_ps", "counts", "g2", "sigma"])
+        for edge, n, g, s in zip(hist.lag_edges, hist.counts, g2, sigma):
+            writer.writerow([int(edge), int(n), repr(float(g)), repr(float(s))])
+        assert path.read_bytes() == expected.getvalue().encode()
+        back, _ = read_histogram_csv(path)
+        for name in ("counts", "g2", "sigma"):
+            assert getattr(back, name).tobytes() == getattr(hist, name).tobytes()
+        for name in ("bin_width", "lag_min", "lag_max", "duration", "rate_a", "rate_b"):
+            assert getattr(back, name) == getattr(hist, name)
 
     def test_histogram_needs_sidecar(self, tmp_path):
         a, b = self.make_streams(seed=4, n=200)
