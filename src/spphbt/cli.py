@@ -3,30 +3,40 @@
 Subcommands mirror the pipeline stages and pipe into each other through
 files: `simulate` writes time tags, `correlate` turns tags into a histogram,
 `fit` turns a histogram into model parameters and a photophysics report,
-`report` pretty-prints a stored fit, `validate` checks a scenario without
-running it, and `run` does the whole chain.  The default output directory
-comes from --out, falling back to the SPPHBT_OUT environment variable and
-then ./spphbt_out.
+`report` recomputes the photophysics table of a stored fit, `validate`
+checks a scenario without running it, and `run` does the whole chain.  Each
+stage takes its settings from the scenario values stored with its input, so
+the chain writes what `run` writes; a flag overrides the stored value.  The
+default output directory comes from --out, falling back to the SPPHBT_OUT
+environment variable and then ./spphbt_out.
+
+Exit codes: 0 ok, 1 runtime failure (missing file, empty stream, fit that did
+not converge), 2 configuration or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, EmptyStream, NonConvergence, UnknownScenario
-from .fitter import report_photophysics
-from .pipeline import (
-    correlate_tags,
-    fit_from_mapping,
-    fit_histogram,
-    fit_payload,
-    report_from_mapping,
-    run_pipeline,
+from .fitter import (
+    DEFAULT_INVERSION,
+    DEFAULT_MAX_ITERATIONS,
+    INVERSIONS,
+    report_photophysics,
+    require_converged,
 )
-from .scenarios import builtin_scenario_names, validate_config
+from .pipeline import correlate_tags, fit_from_mapping, fit_histogram, fit_payload, run_pipeline
+from .scenarios import (
+    DEFAULT_BIN_WIDTH_PS,
+    DEFAULT_WINDOW_PS,
+    builtin_scenario_names,
+    validate_config,
+)
 from .tagio import read_histogram_csv, read_time_tags, write_histogram_csv, write_json
 
 OUT_ENV_VAR = "SPPHBT_OUT"
@@ -36,6 +46,21 @@ def _out_dir(value: str | None) -> Path:
     out = Path(value or os.environ.get(OUT_ENV_VAR) or "spphbt_out")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _setting(flag, stored: dict, key: str, default=None):
+    """A flag given on the command line, else the value stored with the input, else default."""
+    if flag is not None:
+        return flag
+    value = stored.get(key)
+    return default if value is None else value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _load_scenario_arg(source: str, seed: int | None):
@@ -79,9 +104,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_correlate(args) -> int:
     a, b, meta = read_time_tags(args.tags)
     inner = meta.get("metadata", {})
-    kind = args.kind or inner.get("correlation", "cross")
-    window = args.window or int(inner.get("window_ps", 150_000))
-    bins = args.bins or int(inner.get("bin_width_ps", 1000))
+    kind = _setting(args.kind, inner, "correlation", "cross")
+    window = int(_setting(args.window, inner, "window_ps", DEFAULT_WINDOW_PS))
+    bins = int(_setting(args.bins, inner, "bin_width_ps", DEFAULT_BIN_WIDTH_PS))
     hist = correlate_tags(a, b, kind, window, bins)
     out = _out_dir(args.out)
     stem = Path(args.tags).stem
@@ -94,11 +119,13 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_fit(args) -> int:
     hist, meta = read_histogram_csv(args.hist)
-    fit = fit_histogram(hist, max_iterations=args.max_iterations)
-    k12 = args.k12 if args.k12 is not None else (meta.get("fit") or {}).get("k12")
-    inversion = args.inversion or (meta.get("fit") or {}).get("inversion", "model")
-    payload, report = fit_payload(fit, meta.get("scenario", Path(args.hist).stem), k12,
-                                  inversion, meta.get("n_emitters", 1), meta.get("rho_effective"))
+    stored = meta.get("fit") or {}
+    fit = fit_histogram(hist, int(_setting(args.max_iterations, stored, "max_iterations",
+                                           DEFAULT_MAX_ITERATIONS)))
+    payload, report = fit_payload(
+        fit, meta.get("scenario", Path(args.hist).stem), _setting(args.k12, stored, "k12"),
+        _setting(args.inversion, stored, "inversion", DEFAULT_INVERSION),
+        meta.get("n_emitters", 1), meta.get("rho_effective"))
     out = _out_dir(args.out)
     path = write_json(out / f"{Path(args.hist).stem}_fit.json", payload)
     g1, g2, beta, c = fit.params
@@ -107,27 +134,21 @@ def _cmd_fit(args) -> int:
           f"(chi2_red={fit.chi2_reduced:.3g}, {'converged' if fit.converged else 'NOT converged'})")
     if report is not None:
         print(report.format_table(payload["scenario"]))
+    require_converged(fit)  # the artifacts are written either way
     return 0
 
 
 def _cmd_report(args) -> int:
-    import json
-
     payload = json.loads(Path(args.fit).read_text())
-    # an explicit flag recomputes; the stored table only serves the bare call
-    recompute = args.k12 is not None or args.inversion is not None
-    if payload.get("report") and not recompute:
-        report = report_from_mapping(payload["report"])
-    else:
-        k12 = args.k12 if args.k12 is not None else (payload.get("context") or {}).get("k12")
-        if k12 is None:
-            print("stored fit has no report; pass --k12 to compute one", file=sys.stderr)
-            return 2
-        fit = fit_from_mapping(payload["fit"])
-        ctx = payload.get("context") or {}
-        report = report_photophysics(
-            fit, float(k12), int(ctx.get("n_emitters") or 1), ctx.get("rho_effective"),
-            inversion=args.inversion or ctx.get("inversion", "model"))
+    ctx = payload.get("context") or {}
+    k12 = _setting(args.k12, ctx, "k12")
+    if k12 is None:
+        print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)
+        return 2
+    report = report_photophysics(
+        fit_from_mapping(payload["fit"]), float(k12), int(ctx.get("n_emitters", 1)),
+        ctx.get("rho_effective"),
+        inversion=_setting(args.inversion, ctx, "inversion", DEFAULT_INVERSION))
     print(report.format_table(payload.get("scenario", "stored fit")))
     return 0
 
@@ -138,12 +159,12 @@ def _cmd_run(args) -> int:
     zero_bin = (0 - result.histogram.lag_min) // result.histogram.bin_width
     print(f"scenario {scenario.name}: {result.histogram.counts.sum()} pairs, "
           f"g2(0) bin = {result.histogram.g2[zero_bin]:.3f}")
-    if result.fit is not None:
-        g1, g2, beta, c = result.fit.params
-        print(f"  fit: gamma1={g1:.5g} gamma2={g2:.5g} beta={beta:.4g} c={c:.4g}")
+    g1, g2, beta, c = result.fit.params
+    print(f"  fit: gamma1={g1:.5g} gamma2={g2:.5g} beta={beta:.4g} c={c:.4g}")
     if result.report is not None:
         print(result.report.format_table(scenario.name))
     print(f"  artifacts in {result.paths['manifest'].parent}")
+    require_converged(result.fit)
     return 0
 
 
@@ -173,8 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="histogram a tag file into g2(tau)")
     p.add_argument("--tags", required=True, help="TTAG file from simulate")
-    p.add_argument("--bins", type=int, default=None, help="bin width in ps")
-    p.add_argument("--window", type=int, default=None, help="max |lag| in ps")
+    p.add_argument("--bins", type=_positive_int, default=None,
+                   help="bin width in ps (default: the scenario's, stored with the tags)")
+    p.add_argument("--window", type=_positive_int, default=None,
+                   help="max |lag| in ps (default: the scenario's, stored with the tags)")
     p.add_argument("--kind", choices=("auto", "cross"), default=None,
                    help="override the correlation kind stored with the tags")
     p.add_argument("--out", default=None)
@@ -184,15 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist", required=True, help="histogram CSV from correlate")
     p.add_argument("--k12", type=float, default=None,
                    help="pump rate in ns^-1 for the rate inversion")
-    p.add_argument("--inversion", choices=("model", "exact"), default=None)
-    p.add_argument("--max-iterations", type=int, default=200)
+    p.add_argument("--inversion", choices=INVERSIONS, default=None)
+    p.add_argument("--max-iterations", type=_positive_int, default=None,
+                   help="default: the scenario's, stored with the histogram")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("report", help="print the photophysics table of a stored fit")
+    p = sub.add_parser("report", help="recompute the photophysics table of a stored fit")
     p.add_argument("--fit", required=True, help="fit JSON file")
     p.add_argument("--k12", type=float, default=None)
-    p.add_argument("--inversion", choices=("model", "exact"), default=None)
+    p.add_argument("--inversion", choices=INVERSIONS, default=None)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("validate", help="check a scenario file and echo resolved values")

@@ -20,7 +20,7 @@ O(chunk) memory whatever the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,8 @@ class CorrelationHistogram:
     """Binned pair counts plus their g2 normalisation.
 
     Bin k covers lags [lag_min + k*bin_width, lag_min + (k+1)*bin_width) ps.
-    rate_a/rate_b are the channel rates in Hz used for normalisation.
+    rate_a/rate_b are the channel rates in Hz used for normalisation; g2
+    and sigma are always derived from the counts and these.
     """
 
     counts: np.ndarray
@@ -86,8 +87,6 @@ class CorrelationHistogram:
     duration: int
     rate_a: float
     rate_b: float
-    g2: np.ndarray = field(default=None)
-    sigma: np.ndarray = field(default=None)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -101,17 +100,23 @@ class CorrelationHistogram:
             raise ValueError(f"expected {n_bins} bins, got shape {counts.shape}")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if self.g2 is None:
-            # pairs expected in one bin if the channels were independent
-            denom = (self.rate_a / _PS_PER_SECOND) * (self.rate_b / _PS_PER_SECOND) \
-                * self.duration * self.bin_width
-            if denom <= 0.0:
-                raise ValueError("normalisation requires positive rates and duration")
-            object.__setattr__(self, "g2", counts / denom)
-            object.__setattr__(self, "sigma", np.sqrt(counts) / denom)
-        else:
-            object.__setattr__(self, "g2", np.asarray(self.g2, dtype=float))
-            object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        if not self._uncorrelated_pairs > 0.0:
+            raise ValueError("normalisation requires positive rates and duration")
+
+    @property
+    def _uncorrelated_pairs(self) -> float:
+        """Pairs expected in one bin if the channels were independent."""
+        return (self.rate_a / _PS_PER_SECOND) * (self.rate_b / _PS_PER_SECOND) \
+            * self.duration * self.bin_width
+
+    @property
+    def g2(self) -> np.ndarray:
+        return self.counts / self._uncorrelated_pairs
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Poisson error of g2, sqrt(counts) on the same scale."""
+        return np.sqrt(self.counts) / self._uncorrelated_pairs
 
     @property
     def n_bins(self) -> int:

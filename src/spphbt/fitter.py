@@ -25,19 +25,34 @@ from .kinetics import (
 )
 
 __all__ = [
+    "DEFAULT_INVERSION",
+    "DEFAULT_MAX_ITERATIONS",
+    "INVERSIONS",
+    "LOWER_BOUNDS",
+    "UPPER_BOUNDS",
     "FitConfig",
     "FitResult",
     "PhotophysicsReport",
-    "DipWidthReport",
     "model_jacobian",
     "fit_g2",
     "fit_curve",
     "jacobian_check",
     "report_photophysics",
-    "dip_width_compare",
+    "require_converged",
 ]
 
-_PARAM_NAMES = ("gamma1", "gamma2", "beta", "c")
+# rate inversions by name, the default first: the exact eigenvalue inversion
+# is unbiased at any shelving rate, "model" assumes slow shelving
+_INVERTERS = {"exact": exact_invert_rates, "model": invert_rates}
+INVERSIONS = tuple(_INVERTERS)
+DEFAULT_INVERSION = INVERSIONS[0]
+DEFAULT_MAX_ITERATIONS = 200
+# box for (gamma1, gamma2, beta, c)
+LOWER_BOUNDS = (1e-6, 0.0, 1.0, 0.0)
+UPPER_BOUNDS = (100.0, 100.0, 1e3, 1.0)
+# stopping rules: projected gradient, and step relative to the parameter norm
+_GRADIENT_TOL = 1e-10
+_STEP_TOL = 1e-12
 
 
 def model_jacobian(tau, gamma1: float, gamma2: float, beta: float, c: float) -> np.ndarray:
@@ -55,28 +70,23 @@ def model_jacobian(tau, gamma1: float, gamma2: float, beta: float, c: float) -> 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Initial point, box bounds and stopping rules for the fit."""
+    """Initial point and iteration budget of the fit."""
 
     initial: tuple[float, float, float, float]
-    lower: tuple[float, float, float, float] = (1e-6, 0.0, 1.0, 0.0)
-    upper: tuple[float, float, float, float] = (100.0, 100.0, 1e3, 1.0)
-    max_iterations: int = 200
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self) -> None:
-        lo, hi, p0 = map(np.asarray, (self.lower, self.upper, self.initial))
-        if not (lo.shape == hi.shape == p0.shape == (4,)):
-            raise ValueError("initial, lower and upper must each have four entries")
-        if np.any(lo >= hi):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        if np.any(p0 < lo) or np.any(p0 > hi):
+        p0 = np.asarray(self.initial)
+        if p0.shape != (4,):
+            raise ValueError("initial must have four entries")
+        if np.any(p0 < LOWER_BOUNDS) or np.any(p0 > UPPER_BOUNDS):
             raise ValueError("initial point must lie inside the bounds")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
     @classmethod
-    def from_histogram(cls, hist: CorrelationHistogram, **overrides) -> "FitConfig":
+    def from_histogram(cls, hist: CorrelationHistogram,
+                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> "FitConfig":
         """Data-driven starting point: contrast from the dip, gamma1 from its width."""
         tau = np.abs(hist.lag_centers) / 1000.0  # ns
         y = hist.g2
@@ -90,9 +100,7 @@ class FitConfig:
         g1 = float(np.clip(math.log(2.0) / max(tau_half, 1e-3), 1e-4, 10.0))
         overshoot = max(float(ys.max()) - 1.0, 0.0)
         b0 = float(np.clip(1.0 + overshoot / c0, 1.05, 50.0))
-        if "initial" not in overrides:
-            overrides["initial"] = (g1, g1 / 10.0, max(b0, 1.05), c0)
-        return cls(**overrides)
+        return cls(initial=(g1, g1 / 10.0, max(b0, 1.05), c0), max_iterations=max_iterations)
 
 
 @dataclass(frozen=True)
@@ -127,10 +135,6 @@ class FitResult:
     def errors(self) -> tuple[float, float, float, float]:
         return tuple(float(math.sqrt(max(v, 0.0))) for v in np.diag(self.covariance))
 
-    def derived(self) -> DerivedParams:
-        return DerivedParams(gamma1=self.gamma1, gamma2=self.gamma2,
-                             beta=max(self.beta, 1.0))
-
 
 def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
     """Levenberg-Marquardt minimisation of sum(((y - m)/sigma)^2).
@@ -149,8 +153,8 @@ def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
     if np.any(sigma <= 0.0):
         raise ValueError("sigma must be positive on every fitted point")
 
-    lo = np.asarray(config.lower)
-    hi = np.asarray(config.upper)
+    lo = np.asarray(LOWER_BOUNDS)
+    hi = np.asarray(UPPER_BOUNDS)
     p = np.clip(np.asarray(config.initial, dtype=float), lo, hi)
 
     def cost_at(q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -173,7 +177,7 @@ def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
         # judged on the projected gradient, i.e. the free subspace only
         pinned = ((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0))
         free = ~pinned
-        if np.max(np.abs(grad[free]), initial=0.0) < config.gradient_tol:
+        if np.max(np.abs(grad[free]), initial=0.0) < _GRADIENT_TOL:
             converged, reason = True, "gradient"
             break
         hess = jac.T @ jac
@@ -198,7 +202,7 @@ def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
                 history.append(cost)
                 lam = max(lam / 3.0, 1e-14)
                 stepped = True
-                if np.linalg.norm(step) < config.step_tol * (np.linalg.norm(p) + config.step_tol):
+                if np.linalg.norm(step) < _STEP_TOL * (np.linalg.norm(p) + _STEP_TOL):
                     converged, reason = True, "step"
                 break
             lam *= 5.0
@@ -293,19 +297,41 @@ class PhotophysicsReport:
     Times in ns; `errors` maps field name to one standard deviation
     (None when undefined, e.g. tau23 without shelving).  `no_shelving`
     marks fits with beta indistinguishable from 1, where tau23 is infinite.
+    The times, the quantum yield and the expected contrast rho^2/N are
+    derived from `rates`, `n_emitters` and `rho` (None when unknown).
     """
 
     rates: RateSet
-    tau12: float
-    tau21: float
-    tau23: float
-    tau31: float
-    quantum_yield: float
+    n_emitters: int
+    rho: float | None
     errors: dict
     no_shelving: bool
     c_fitted: float
-    c_expected: float | None
     inversion: str
+
+    @property
+    def tau12(self) -> float:
+        return self.rates.lifetimes[0]
+
+    @property
+    def tau21(self) -> float:
+        return self.rates.lifetimes[1]
+
+    @property
+    def tau23(self) -> float:
+        return self.rates.lifetimes[2]
+
+    @property
+    def tau31(self) -> float:
+        return self.rates.lifetimes[3]
+
+    @property
+    def quantum_yield(self) -> float:
+        return quantum_yield(self.rates)
+
+    @property
+    def c_expected(self) -> float | None:
+        return None if self.rho is None else self.rho ** 2 / self.n_emitters
 
     def format_table(self, configuration: str = "recovered") -> str:
         def fmt(v: float, e) -> str:
@@ -329,7 +355,7 @@ class PhotophysicsReport:
 
 def _numeric_rate_grads(params: DerivedParams, k12: float, inversion: str) -> dict:
     """d(k21, k23, k31)/d(gamma1, gamma2, beta) by central differences."""
-    invert = invert_rates if inversion == "model" else exact_invert_rates
+    invert = _INVERTERS[inversion]
     base = np.array([params.gamma1, params.gamma2, params.beta])
     grads = {name: np.zeros(3) for name in ("k21", "k23", "k31")}
     for j in range(3):
@@ -347,26 +373,30 @@ def _numeric_rate_grads(params: DerivedParams, k12: float, inversion: str) -> di
     return grads
 
 
+def require_converged(fit: FitResult) -> None:
+    """Raise NonConvergence naming the stop reason unless the fit converged."""
+    if not fit.converged:
+        raise NonConvergence(f"fit did not converge ({fit.diagnostics.get('reason', 'unknown')})")
+
+
 def report_photophysics(
     fit: FitResult,
     k12: float,
     n_emitters: int = 1,
     rho: float | None = None,
     *,
-    inversion: str = "model",
+    inversion: str,
 ) -> PhotophysicsReport:
     """Translate a converged fit into rates, lifetimes and quantum yield.
 
-    `inversion` selects the closed-form model maps ("model", the default)
-    or the exact eigenvalue inversion ("exact"); see kinetics for when they
+    `inversion` selects the exact eigenvalue inversion ("exact") or the
+    closed-form slow-shelving maps ("model"); see kinetics for when they
     differ.  Parameter uncertainties are propagated to the lifetimes and
     the quantum yield to first order.
     """
-    if inversion not in ("model", "exact"):
-        raise ValueError(f"inversion must be 'model' or 'exact', got {inversion!r}")
-    if not fit.converged:
-        raise NonConvergence(
-            f"fit did not converge ({fit.diagnostics.get('reason', 'unknown')})")
+    if inversion not in INVERSIONS:
+        raise ValueError(f"inversion must be one of {INVERSIONS}, got {inversion!r}")
+    require_converged(fit)
     no_shelving = fit.beta <= 1.0 + _NO_SHELVING_EPS
     if no_shelving:
         params = DerivedParams(gamma1=fit.gamma1, gamma2=fit.gamma2, beta=1.0)
@@ -375,8 +405,7 @@ def report_photophysics(
         rates = RateSet(k12=k12, k21=fit.gamma1 - k12, k23=0.0, k31=fit.gamma2)
     else:
         params = DerivedParams(gamma1=fit.gamma1, gamma2=fit.gamma2, beta=fit.beta)
-        invert = invert_rates if inversion == "model" else exact_invert_rates
-        rates = invert(params, k12)
+        rates = _INVERTERS[inversion](params, k12)
 
     cov3 = np.asarray(fit.covariance)[:3, :3]
     grads = _numeric_rate_grads(params, k12, inversion)
@@ -396,55 +425,12 @@ def report_photophysics(
         q_grad = (grads["k21"] * rates.k23 - rates.k21 * grads["k23"]) / ksum ** 2
         errors["quantum_yield"] = sd(q_grad)
 
-    t12, t21, t23, t31 = rates.lifetimes
     return PhotophysicsReport(
         rates=rates,
-        tau12=t12,
-        tau21=t21,
-        tau23=t23,
-        tau31=t31,
-        quantum_yield=quantum_yield(rates),
+        n_emitters=n_emitters,
+        rho=rho,
         errors=errors,
         no_shelving=no_shelving,
         c_fitted=fit.c,
-        c_expected=(None if rho is None else rho ** 2 / n_emitters),
         inversion=inversion,
-    )
-
-
-@dataclass(frozen=True)
-class DipWidthReport:
-    """Comparison of antibunching dip widths between two environments."""
-
-    gamma1_glass: float
-    gamma1_silver: float
-    narrower_on_silver: bool
-    tau21_glass: float
-    tau21_silver: float
-    tau21_ratio: float
-
-
-def dip_width_compare(
-    fit_glass: FitResult,
-    fit_silver: FitResult,
-    k12_glass: float,
-    k12_silver: float,
-    *,
-    inversion: str = "model",
-) -> DipWidthReport:
-    """Quantify how much faster the dip recovers on the plasmonic sample.
-
-    Reports gamma1 of both fits, whether the silver dip is narrower, and
-    the ratio tau21(glass)/tau21(silver) after inversion with the supplied
-    pump rates.  Identical fits give a ratio of exactly 1.
-    """
-    rep_g = report_photophysics(fit_glass, k12_glass, inversion=inversion)
-    rep_s = report_photophysics(fit_silver, k12_silver, inversion=inversion)
-    return DipWidthReport(
-        gamma1_glass=fit_glass.gamma1,
-        gamma1_silver=fit_silver.gamma1,
-        narrower_on_silver=fit_silver.gamma1 > fit_glass.gamma1,
-        tau21_glass=rep_g.tau21,
-        tau21_silver=rep_s.tau21,
-        tau21_ratio=rep_g.tau21 / rep_s.tau21,
     )

@@ -299,27 +299,30 @@ def exact_decay_params(rates: RateSet) -> DerivedParams:
         raise DegenerateRates("oscillatory relaxation: no real two-exponential form")
     root = math.sqrt(disc)
     g_fast = (s + root) / 2.0
-    g_slow = (s - root) / 2.0
     if g_fast <= 0.0:
         raise DegenerateRates("relaxation rates must be positive")
+    # the smaller root without the cancellation in (s - root) / 2
+    g_slow = 2.0 * p / (s + root)
     p2_ss = steady_state(rates).p2
     if p2_ss <= 0.0:
         raise SingularSystem("stationary excited population is zero")
     slope0 = rates.k12 / p2_ss  # dg2/dtau at 0+
     if g_fast == g_slow:
         raise DegenerateRates("degenerate eigenvalues: amplitude split undefined")
-    beta = (slope0 - g_slow) / (g_fast - g_slow)
-    if beta < 1.0:
-        if beta >= 1.0 - 1e-9:
-            beta = 1.0  # roundoff at the no-shelving boundary
-        elif beta <= 0.0:
+    # beta - 1 at full precision, as in derived_params
+    excess = (slope0 - g_fast) / (g_fast - g_slow)
+    if excess < 0.0:
+        amplitude = (slope0 - g_slow) / (g_fast - g_slow)
+        if excess >= -1e-9:
+            excess = 0.0  # roundoff at the no-shelving boundary
+        elif amplitude <= 0.0:
             # mirrored labeling: swapping the eigenvalues maps the amplitude
-            # to 1 - beta >= 1 and leaves the curve (and inversion) unchanged
-            g_fast, g_slow, beta = g_slow, g_fast, 1.0 - beta
+            # to 1 - amplitude >= 1 and leaves the curve (and inversion) unchanged
+            g_fast, g_slow, excess = g_slow, g_fast, -amplitude
         else:
             raise DegenerateRates(
                 "exact amplitudes fall outside the model family (0 < beta < 1)")
-    return DerivedParams(gamma1=g_fast, gamma2=g_slow, beta=beta)
+    return DerivedParams(gamma1=g_fast, gamma2=g_slow, beta=1.0 + excess, beta_excess=excess)
 
 
 def exact_invert_rates(params: DerivedParams, k12: float) -> RateSet:
@@ -332,7 +335,8 @@ def exact_invert_rates(params: DerivedParams, k12: float) -> RateSet:
         raise InvalidInversion(f"k12 must be finite and > 0, got {k12!r}")
     s = params.gamma1 + params.gamma2
     p = params.gamma1 * params.gamma2
-    slope0 = params.beta * params.gamma1 + (1.0 - params.beta) * params.gamma2
+    # beta gamma1 + (1 - beta) gamma2, with beta - 1 at full precision
+    slope0 = params.gamma1 + params.beta_excess * (params.gamma1 - params.gamma2)
     if slope0 <= 0.0:
         raise InvalidInversion("shape parameters imply non-positive zero-lag slope")
     k31 = p / slope0

@@ -11,15 +11,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .correlator import CorrelationHistogram, TimeTagStream, auto_correlate, cross_correlate
-from .fitter import FitConfig, FitResult, PhotophysicsReport, fit_g2, report_photophysics
-from .kinetics import RateSet, steady_emission_rate
+from .fitter import (
+    DEFAULT_MAX_ITERATIONS,
+    FitConfig,
+    FitResult,
+    PhotophysicsReport,
+    fit_g2,
+    report_photophysics,
+)
+from .kinetics import steady_emission_rate
 from .montecarlo import SimConfig, simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
 from .scenarios import Scenario
@@ -37,7 +44,6 @@ __all__ = [
     "fit_to_mapping",
     "fit_from_mapping",
     "report_to_mapping",
-    "report_from_mapping",
 ]
 
 _ROUTE_SALT = 0x5EED
@@ -53,21 +59,15 @@ class RunManifest:
     artifacts: dict
 
     def to_mapping(self) -> dict:
-        return {
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "package_version": self.package_version,
-            "artifacts": self.artifacts,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    scenario: Scenario
-    background_rate: float
-    rho_effective: float
+    """In-memory results of a run; background and rho live in the tag sidecar."""
+
     histogram: CorrelationHistogram
-    fit: FitResult | None
+    fit: FitResult
     report: PhotophysicsReport | None
     manifest: RunManifest
     paths: dict
@@ -156,9 +156,9 @@ def correlate_tags(
     return auto_correlate(pooled, window_ps, bin_width_ps)
 
 
-def fit_histogram(hist: CorrelationHistogram, max_iterations: int = 200) -> FitResult:
-    config = FitConfig.from_histogram(hist, max_iterations=max_iterations)
-    return fit_g2(hist, config)
+def fit_histogram(hist: CorrelationHistogram,
+                  max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FitResult:
+    return fit_g2(hist, FitConfig.from_histogram(hist, max_iterations))
 
 
 def _config_sha256(scenario: Scenario) -> str:
@@ -209,25 +209,6 @@ def report_to_mapping(report: PhotophysicsReport) -> dict:
     }
 
 
-def report_from_mapping(payload: dict) -> PhotophysicsReport:
-    rates = payload["rates_per_ns"]
-    tau23 = payload["tau23_ns"]
-    return PhotophysicsReport(
-        rates=RateSet(float(rates["k12"]), float(rates["k21"]),
-                      float(rates["k23"]), float(rates["k31"])),
-        tau12=float(payload["tau12_ns"]),
-        tau21=float(payload["tau21_ns"]),
-        tau23=float("inf") if tau23 is None else float(tau23),
-        tau31=float(payload["tau31_ns"]),
-        quantum_yield=float(payload["quantum_yield"]),
-        errors=dict(payload.get("errors", {})),
-        no_shelving=bool(payload["no_shelving"]),
-        c_fitted=float(payload["c_fitted"]),
-        c_expected=None if payload.get("c_expected") is None else float(payload["c_expected"]),
-        inversion=str(payload["inversion"]),
-    )
-
-
 def fit_payload(
     fit: FitResult,
     scenario_name: str,
@@ -239,7 +220,7 @@ def fit_payload(
     """The fit JSON document and its photophysics report.
 
     The report needs a pump rate and a converged fit; without either it is
-    None.  The context records the inputs so `spphbt report` can redo it.
+    None.  The context records the inputs `spphbt report` recomputes it from.
     """
     report = None
     if k12 is not None and fit.converged:
@@ -299,9 +280,6 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     )
     paths["manifest"] = write_json(out / f"{stem}_manifest.json", manifest.to_mapping())
     return PipelineResult(
-        scenario=scenario,
-        background_rate=info["background_rate_per_ns"],
-        rho_effective=info["rho_effective"],
         histogram=hist,
         fit=fit,
         report=report,

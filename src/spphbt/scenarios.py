@@ -16,11 +16,14 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, InvalidGeometry, UnknownScenario
+from .fitter import DEFAULT_INVERSION, DEFAULT_MAX_ITERATIONS, INVERSIONS
 from .kinetics import RateSet
 from .optics import DetectionGeometry, DipoleMix, EfficiencyBudget, coupling_ratio
 
 __all__ = [
+    "DEFAULT_BIN_WIDTH_PS",
     "DEFAULT_N_EMITTERS",
+    "DEFAULT_WINDOW_PS",
     "Scenario",
     "rate_preset",
     "geometry_preset",
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_N_EMITTERS = 10
+DEFAULT_BIN_WIDTH_PS = 1000
+DEFAULT_WINDOW_PS = 150_000  # max |lag| of the histogram
 
 # characteristic times in ns: (tau12, tau21, tau23, tau31) at the reference
 # excitation power, for emitters on bare glass and coupled to a silver film
@@ -330,8 +335,9 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
         errs.append(f"jitter_sigma_ns: must be >= 0, got {jitter!r}")
         jitter = None
 
-    bin_width = _as_int(mapping.get("bin_width_ps", 1000), "bin_width_ps", errs, minimum=1)
-    window = _as_int(mapping.get("window_ps", 150_000), "window_ps", errs, minimum=1)
+    bin_width = _as_int(mapping.get("bin_width_ps", DEFAULT_BIN_WIDTH_PS),
+                        "bin_width_ps", errs, minimum=1)
+    window = _as_int(mapping.get("window_ps", DEFAULT_WINDOW_PS), "window_ps", errs, minimum=1)
     if bin_width and window:
         if window % bin_width:
             errs.append(f"window_ps: must be a multiple of bin_width_ps "
@@ -341,8 +347,8 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
 
     fit_raw = mapping.get("fit", {}) or {}
     fit_k12 = None
-    fit_iters = 200
-    fit_inversion = "model"
+    fit_iters = DEFAULT_MAX_ITERATIONS
+    fit_inversion = DEFAULT_INVERSION
     if not isinstance(fit_raw, dict):
         errs.append(f"fit: expected a mapping, got {fit_raw!r}")
     else:
@@ -351,11 +357,11 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
             errs.append(f"fit: unknown fields {sorted(unknown_fit)}")
         if fit_raw.get("k12") is not None:
             fit_k12 = _as_float(fit_raw["k12"], "fit.k12", errs, positive=True)
-        fit_iters = _as_int(fit_raw.get("max_iterations", 200),
-                            "fit.max_iterations", errs, minimum=1) or 200
-        fit_inversion = str(fit_raw.get("inversion", "model"))
-        if fit_inversion not in ("model", "exact"):
-            errs.append(f"fit.inversion: expected 'model' or 'exact', got {fit_inversion!r}")
+        fit_iters = _as_int(fit_raw.get("max_iterations", DEFAULT_MAX_ITERATIONS),
+                            "fit.max_iterations", errs, minimum=1)
+        fit_inversion = str(fit_raw.get("inversion", DEFAULT_INVERSION))
+        if fit_inversion not in INVERSIONS:
+            errs.append(f"fit.inversion: expected one of {INVERSIONS}, got {fit_inversion!r}")
 
     if errs:
         raise ConfigError(errs)

@@ -8,12 +8,12 @@ for metadata, so the acquisition duration and provenance travel in a JSON
 sidecar next to the file ("<file>.json").
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
-precision) plus a JSON sidecar holding the normalisation.
+precision) plus a JSON sidecar holding the normalisation.  The reader parses
+lag_ps and counts only and derives g2 and sigma from the sidecar's rates.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import struct
@@ -130,20 +130,16 @@ def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
     if not sidecar.exists():
         raise FileNotFoundError(f"{sidecar}: histogram sidecar is required for normalisation")
     meta = json.loads(sidecar.read_text())
-    with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    edges = np.fromiter(map(int, columns["lag_ps"]), dtype=np.int64)
+    edges, counts = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
+                               usecols=(0, 1), ndmin=2).T
     hist = CorrelationHistogram(
-        counts=np.fromiter(map(int, columns["counts"]), dtype=np.int64),
+        counts=counts,
         bin_width=int(meta["bin_width_ps"]),
         lag_min=int(meta["lag_min_ps"]),
         lag_max=int(meta["lag_max_ps"]),
         duration=int(meta["duration_ps"]),
         rate_a=float(meta["rate_a_hz"]),
         rate_b=float(meta["rate_b_hz"]),
-        g2=np.fromiter(map(float, columns["g2"]), dtype=float),
-        sigma=np.fromiter(map(float, columns["sigma"]), dtype=float),
     )
     if edges.size and (edges[0] != hist.lag_min or edges.size != hist.n_bins):
         raise ValueError(f"{path}: lag column does not match the sidecar window")

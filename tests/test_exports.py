@@ -31,3 +31,13 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_bench_finds_every_name_it_wraps():
+    # `bench/run.py --trace 1` wraps functions where spphbt's modules look them
+    # up; a renamed or dropped name must fail here, not only in a traced run
+    src = Path(spphbt.__file__).resolve().parent.parent
+    code = "import time, tracing; tracing.install(tracing.Tracer(time.perf_counter))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(src.parent / "bench")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import InvalidInversion, NonConvergence
 from spphbt.fitter import (
-    DipWidthReport,
+    LOWER_BOUNDS,
+    UPPER_BOUNDS,
     FitConfig,
     FitResult,
-    dip_width_compare,
     fit_curve,
     fit_g2,
     jacobian_check,
@@ -37,10 +37,8 @@ def clean_fit(truth, tau=None, start_scale=(1.4, 0.6, 1.3, 0.85), **config_overr
                           min(5.0 / max(g2, 1e-3), 5000.0), 401)
     y = model_g2(tau, *truth)
     sigma = np.full_like(tau, 1e-3)
-    lo = (1e-6, 0.0, 1.0, 0.0)
-    hi = (100.0, 100.0, 1e3, 1.0)
     p0 = np.clip(np.asarray(truth) * np.asarray(start_scale),
-                 np.asarray(lo) * 1.01 + 1e-9, np.asarray(hi) * 0.99)
+                 np.asarray(LOWER_BOUNDS) * 1.01 + 1e-9, np.asarray(UPPER_BOUNDS) * 0.99)
     cfg = FitConfig(initial=tuple(p0), **config_overrides)
     return fit_curve(tau, y, sigma, cfg)
 
@@ -160,8 +158,7 @@ class TestFitInputs:
         with pytest.raises(ValueError):
             FitConfig(initial=(0.1, 0.01, 1.5, 2.0))   # above upper bound
         with pytest.raises(ValueError):
-            FitConfig(initial=(0.1, 0.01, 1.5, 0.1), lower=(1, 1, 1, 1),
-                      upper=(1, 2, 2, 2))
+            FitConfig(initial=(0.1, 0.01, 0.5, 0.1))   # below the beta >= 1 bound
         with pytest.raises(ValueError):
             FitConfig(initial=(0.1, 0.01, 1.5, 0.1), max_iterations=0)
 
@@ -180,14 +177,15 @@ class TestFitInputs:
         lam = 2000.0
         rng = np.random.default_rng(67)
         counts = rng.poisson(model * lam)
+        # 1e7 Hz x 2e7 Hz over 10 ms in 1 ns bins: lam uncorrelated pairs per bin
         hist = CorrelationHistogram(counts=counts, bin_width=1000, lag_min=-150_000,
                                     lag_max=150_000, duration=10_000_000_000,
-                                    rate_a=None, rate_b=None,
-                                    g2=counts / lam, sigma=np.sqrt(counts) / lam)
+                                    rate_a=1e7, rate_b=2e7)
+        assert hist.g2 == pytest.approx(counts / lam, rel=1e-12)
         cfg = FitConfig.from_histogram(hist, max_iterations=150)
         assert cfg.max_iterations == 150
-        lo, hi = np.asarray(cfg.lower), np.asarray(cfg.upper)
-        assert np.all(np.asarray(cfg.initial) >= lo) and np.all(np.asarray(cfg.initial) <= hi)
+        initial = np.asarray(cfg.initial)
+        assert np.all(initial >= LOWER_BOUNDS) and np.all(initial <= UPPER_BOUNDS)
         fit = fit_g2(hist, cfg)
         assert fit.converged
         assert fit.gamma1 == pytest.approx(SILVER_TRUTH[0], rel=0.2)
@@ -217,9 +215,9 @@ class TestPhotophysicsReport:
     def test_error_propagation_scales_with_covariance(self, silver_rates):
         dp = derived_params(silver_rates)
         small = report_photophysics(perfect_fit_result(dp, 0.1, sigma=1e-5),
-                                    k12=silver_rates.k12)
+                                    k12=silver_rates.k12, inversion="model")
         big = report_photophysics(perfect_fit_result(dp, 0.1, sigma=1e-3),
-                                  k12=silver_rates.k12)
+                                  k12=silver_rates.k12, inversion="model")
         assert big.errors["tau21"] == pytest.approx(100.0 * small.errors["tau21"],
                                                     rel=1e-3)
         assert big.errors["tau21"] > 0.0
@@ -228,7 +226,7 @@ class TestPhotophysicsReport:
         fit = FitResult(params=(0.14, 0.019, 1.0, 0.5),
                         covariance=np.eye(4) * 1e-8, chi2_reduced=1.0,
                         converged=True, n_iterations=3, n_points=100)
-        rep = report_photophysics(fit, k12=0.04)
+        rep = report_photophysics(fit, k12=0.04, inversion="model")
         assert rep.no_shelving
         assert math.isinf(rep.tau23)
         assert rep.rates.k23 == 0.0
@@ -242,7 +240,7 @@ class TestPhotophysicsReport:
                         covariance=np.eye(4) * 1e-8, chi2_reduced=1.0,
                         converged=True, n_iterations=3, n_points=100)
         with pytest.raises(InvalidInversion):
-            report_photophysics(fit, k12=0.2)
+            report_photophysics(fit, k12=0.2, inversion="model")
 
     def test_unconverged_fit_rejected(self, silver_rates):
         dp = derived_params(silver_rates)
@@ -251,12 +249,12 @@ class TestPhotophysicsReport:
                         n_iterations=200, n_points=100,
                         diagnostics={"reason": "max_iterations"})
         with pytest.raises(NonConvergence):
-            report_photophysics(fit, k12=silver_rates.k12)
+            report_photophysics(fit, k12=silver_rates.k12, inversion="model")
 
     def test_expected_contrast_bookkeeping(self, silver_rates):
         dp = derived_params(silver_rates)
         rep = report_photophysics(perfect_fit_result(dp, 0.08), k12=silver_rates.k12,
-                                  n_emitters=10, rho=0.9)
+                                  n_emitters=10, rho=0.9, inversion="model")
         assert rep.c_expected == pytest.approx(0.081)
         assert rep.c_fitted == pytest.approx(0.08)
 
@@ -268,29 +266,12 @@ class TestPhotophysicsReport:
 
     def test_format_table_lists_all_times(self, silver_rates):
         dp = derived_params(silver_rates)
-        rep = report_photophysics(perfect_fit_result(dp, 0.1), k12=silver_rates.k12)
+        rep = report_photophysics(perfect_fit_result(dp, 0.1), k12=silver_rates.k12,
+                                  inversion="model")
         table = rep.format_table("silver film")
         for token in ("tau21", "tau12", "tau23", "tau31", "quantum yield",
                       "silver film", "model inversion"):
             assert token in table
-
-
-class TestDipWidthCompare:
-    def test_headline_lifetime_ratio(self, silver_rates, glass_rates):
-        fit_s = perfect_fit_result(derived_params(silver_rates), 0.1)
-        fit_g = perfect_fit_result(derived_params(glass_rates), 0.1)
-        rep = dip_width_compare(fit_g, fit_s, k12_glass=glass_rates.k12,
-                                k12_silver=silver_rates.k12)
-        assert isinstance(rep, DipWidthReport)
-        assert rep.narrower_on_silver
-        assert rep.tau21_ratio == pytest.approx(60.0 / 9.7, rel=1e-9)
-
-    def test_identical_fits_give_unit_ratio(self, silver_rates):
-        fit = perfect_fit_result(derived_params(silver_rates), 0.1)
-        rep = dip_width_compare(fit, fit, k12_glass=silver_rates.k12,
-                                k12_silver=silver_rates.k12)
-        assert rep.tau21_ratio == 1.0
-        assert not rep.narrower_on_silver
 
 
 def _single_emitter_fit(rates, duration_ns, seed):

@@ -310,6 +310,7 @@ class TestExactDecayParams:
                                                             rel=1e-9, abs=1e-12)
 
     @given(k12=rate_values, k21=rate_values, k23=rate_values, k31=rate_values)
+    @example(k12=0.001, k21=0.00390625, k23=0.0078125, k31=5)  # raw amplitude -8e-10
     @settings(deadline=None)
     def test_exact_roundtrip_property(self, k12, k21, k23, k31):
         r = RateSet(k12, k21, k23, k31)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from spphbt.cli import OUT_ENV_VAR, main
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
@@ -67,7 +68,8 @@ class TestScenarioResolution:
         assert s.fiber_config == "AB"
         assert s.correlation_kind == "cross"
         assert s.bin_width_ps == 1000 and s.window_ps == 150_000
-        assert s.fit_inversion == "model" and s.fit_k12 is None
+        assert s.fit_max_iterations == 200
+        assert s.fit_inversion == "exact" and s.fit_k12 is None
         assert s.rates.lifetimes == pytest.approx((27.0, 9.7, 27.4, 102.0))
 
     def test_lifetime_mapping_equals_preset(self):
@@ -264,23 +266,43 @@ class TestTagIO:
         assert meta == {"kind": "cross"}
 
     def test_histogram_csv_bytes_match_csv_writer(self, tmp_path):
-        g2 = np.array([0.0, 5e-324, 1e300, 1.0 / 3.0, 2.5e-7, 123456789.125])
-        sigma = np.array([1e-300, 0.1, 0.0, 7e22, 5e-324, 1.0])
-        hist = CorrelationHistogram(
-            counts=np.array([0, 1, 2**40, 7, 0, 3]), bin_width=250, lag_min=-1000,
-            lag_max=500, duration=10**9, rate_a=1e4, rate_b=2e4, g2=g2, sigma=sigma)
-        path = write_histogram_csv(tmp_path / "awkward.csv", hist)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["lag_ps", "counts", "g2", "sigma"])
-        for edge, n, g, s in zip(hist.lag_edges, hist.counts, g2, sigma):
-            writer.writerow([int(edge), int(n), repr(float(g)), repr(float(s))])
-        assert path.read_bytes() == expected.getvalue().encode()
+        # g2 and sigma come from the counts and rates: ordinary rates give
+        # 17-digit reprs, a normalisation near the float maximum subnormals,
+        # and one near the minimum values above 1e300
+        cases = {"ordinary": (3e4, 7e4, 10**9), "subnormal": (1e160, 1e160, 6 * 10**9),
+                 "huge": (1e-140, 3e-141, 10**9)}
+        for label, (rate_a, rate_b, duration) in cases.items():
+            hist = CorrelationHistogram(
+                counts=np.array([0, 1, 2**40, 7, 0, 3]), bin_width=250, lag_min=-1000,
+                lag_max=500, duration=duration, rate_a=rate_a, rate_b=rate_b)
+            values = np.concatenate([hist.g2, hist.sigma])
+            if label == "subnormal":
+                assert np.any((values > 0.0) & (values < np.finfo(float).tiny))
+            if label == "huge":
+                assert values.max() > 1e300
+            path = write_histogram_csv(tmp_path / f"{label}.csv", hist)
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(["lag_ps", "counts", "g2", "sigma"])
+            for edge, n, g, sd in zip(hist.lag_edges, hist.counts, hist.g2, hist.sigma):
+                writer.writerow([int(edge), int(n), repr(float(g)), repr(float(sd))])
+            assert path.read_bytes() == expected.getvalue().encode(), label
+            back, _ = read_histogram_csv(path)
+            for name in ("counts", "g2", "sigma"):
+                assert getattr(back, name).tobytes() == getattr(hist, name).tobytes(), label
+            for name in ("bin_width", "lag_min", "lag_max", "duration", "rate_a", "rate_b"):
+                assert getattr(back, name) == getattr(hist, name), label
+
+    def test_histogram_reader_ignores_stored_g2_columns(self, tmp_path):
+        a, b = self.make_streams(seed=6, n=300)
+        hist = cross_correlate(a, b, lag_max=10_000, bin_width=1000)
+        path = write_histogram_csv(tmp_path / "h4.csv", hist)
+        header, *rows = path.read_text().splitlines()
+        rows = [",".join(row.split(",")[:2] + ["nan", "-1"]) for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
         back, _ = read_histogram_csv(path)
-        for name in ("counts", "g2", "sigma"):
-            assert getattr(back, name).tobytes() == getattr(hist, name).tobytes()
-        for name in ("bin_width", "lag_min", "lag_max", "duration", "rate_a", "rate_b"):
-            assert getattr(back, name) == getattr(hist, name)
+        assert back.g2.tobytes() == hist.g2.tobytes()
+        assert back.sigma.tobytes() == hist.sigma.tobytes()
 
     def test_histogram_needs_sidecar(self, tmp_path):
         a, b = self.make_streams(seed=4, n=200)
@@ -502,12 +524,36 @@ class TestCli:
 
         assert main(["report", "--fit", str(fit_path)]) == 0
         stored = capsys.readouterr().out
-        assert "(model inversion)" in stored
-        # the flag must not be shadowed by the table cached at fit time
-        assert main(["report", "--fit", str(fit_path), "--inversion", "exact"]) == 0
+        assert "(exact inversion)" in stored
+        # the flag must not be shadowed by the table stored at fit time
+        assert main(["report", "--fit", str(fit_path), "--inversion", "model"]) == 0
         recomputed = capsys.readouterr().out
-        assert "(exact inversion)" in recomputed
+        assert "(model inversion)" in recomputed
         assert recomputed != stored
+
+    def test_report_recomputes_instead_of_reading_the_stored_table(self, cli_env, capsys):
+        out, scenario = cli_env
+        assert main(["run", "--scenario", str(scenario)]) == 0
+        fit_path = out / "tiny_fit.json"
+        payload = json.loads(fit_path.read_text())
+        payload["report"] = {"tau21_ns": 1.0, "inversion": "stale"}
+        fit_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", "--fit", str(fit_path)]) == 0
+        assert capsys.readouterr().out == (out / "tiny_report.txt").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "--tags", "x.ttag", "--bins", "0"],
+        ["correlate", "--tags", "x.ttag", "--window", "0"],
+        ["correlate", "--tags", "x.ttag", "--window", "-150000"],
+        ["fit", "--hist", "x.csv", "--max-iterations", "0"],
+    ])
+    def test_zero_settings_are_usage_errors(self, argv, capsys):
+        # a 0 must not fall back to the stored or default value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
     def test_report_without_k12_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
@@ -522,7 +568,61 @@ class TestCli:
         assert main(["fit", "--hist", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_converged_fit_is_exit_1(self, tmp_path, capsys):
+        # two iterations cannot converge; both commands still write their artifacts
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(dict(
+            SMALL_RUN, name="short", duration_ns=1.0e7, fit={"max_iterations": 2})))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: fit did not converge (max_iterations)\n"
+        assert (out / "short_manifest.json").exists()
+        assert json.loads((out / "short_fit.json").read_text())["fit"]["n_iterations"] == 2
+
+        assert main(["fit", "--hist", str(out / "short_g2.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err
+        staged = json.loads((out / "short_g2_fit.json").read_text())
+        assert staged["fit"]["converged"] is False and staged["report"] is None
+
     def test_config_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         assert main(["run", "--scenario", "not_a_scenario"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestStagesReproduceRun:
+    @pytest.mark.parametrize("max_iterations", [2, 40])
+    def test_stage_chain_writes_what_run_writes(self, tmp_path, capsys, max_iterations):
+        # every setting the stages read back from the sidecars is off its default
+        mapping = dict(SMALL_RUN, name="chain", duration_ns=1.0e7, bin_width_ps=2000,
+                       window_ps=100_000, fit={"k12": 1.0 / 27.0, "inversion": "model",
+                                               "max_iterations": max_iterations})
+        path = tmp_path / "chain.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        run_dir, stage_dir = tmp_path / "run", tmp_path / "stages"
+        run_code = main(["run", "--scenario", str(path), "--out", str(run_dir)])
+        assert main(["simulate", "--scenario", str(path), "--out", str(stage_dir)]) == 0
+        assert main(["correlate", "--tags", str(stage_dir / "chain.ttag"),
+                     "--out", str(stage_dir)]) == 0
+        fit_code = main(["fit", "--hist", str(stage_dir / "chain_g2.csv"),
+                         "--out", str(stage_dir)])
+        assert fit_code == run_code
+
+        assert (stage_dir / "chain_g2.csv").read_bytes() == \
+            (run_dir / "chain_g2.csv").read_bytes()
+        run_fit = json.loads((run_dir / "chain_fit.json").read_text())
+        stage_fit = json.loads((stage_dir / "chain_g2_fit.json").read_text())
+        for section in ("fit", "report", "context"):
+            assert stage_fit[section] == run_fit[section], section
+        assert run_fit["context"]["inversion"] == "model"
+        assert run_fit["fit"]["converged"] is (run_code == 0)
+
+        capsys.readouterr()
+        report_code = main(["report", "--fit", str(stage_dir / "chain_g2_fit.json")])
+        if run_code == 0:
+            assert report_code == 0
+            assert capsys.readouterr().out == (run_dir / "chain_report.txt").read_text()
+        else:
+            assert run_fit["fit"]["n_iterations"] == max_iterations
+            assert report_code == 1
