@@ -10,8 +10,10 @@ the chain writes what `run` writes; a flag overrides the stored value.  The
 default output directory comes from --out, falling back to the SPPHBT_OUT
 environment variable and then ./spphbt_out.
 
-Exit codes: 0 ok, 1 runtime failure (missing file, empty stream, fit that did
-not converge), 2 configuration or usage error.
+Exit codes: 0 ok, 1 runtime failure (missing or malformed file, empty stream,
+fit that did not converge or that the rate inversion rejects), 2 configuration
+or usage error.  Fit-health flags print `warning:` lines on stderr without
+changing the exit code.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .fitter import (
     DEFAULT_INVERSION,
     DEFAULT_MAX_ITERATIONS,
     INVERSIONS,
+    fit_warnings,
     report_photophysics,
     require_converged,
 )
@@ -35,6 +38,7 @@ from .scenarios import (
     DEFAULT_BIN_WIDTH_PS,
     DEFAULT_WINDOW_PS,
     builtin_scenario_names,
+    check_window,
     validate_config,
 )
 from .tagio import read_histogram_csv, read_time_tags, write_histogram_csv, write_json
@@ -61,6 +65,15 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _conclude(fit, rejected) -> None:
+    """Warn about each fit-health flag, then fail on a non-converged or uninvertible fit."""
+    for line in fit_warnings(fit):
+        print(line, file=sys.stderr)
+    require_converged(fit)
+    if rejected is not None:
+        raise rejected
 
 
 def _load_scenario_arg(source: str, seed: int | None):
@@ -107,10 +120,14 @@ def _cmd_correlate(args) -> int:
     kind = _setting(args.kind, inner, "correlation", "cross")
     window = int(_setting(args.window, inner, "window_ps", DEFAULT_WINDOW_PS))
     bins = int(_setting(args.bins, inner, "bin_width_ps", DEFAULT_BIN_WIDTH_PS))
+    problems = check_window(window, bins)
+    if problems:
+        raise ConfigError(problems)
     hist = correlate_tags(a, b, kind, window, bins)
     out = _out_dir(args.out)
     stem = Path(args.tags).stem
-    path = write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=inner)
+    used = dict(inner, correlation=kind, window_ps=window, bin_width_ps=bins)
+    path = write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=used)
     zero_bin = (0 - hist.lag_min) // hist.bin_width
     print(f"wrote {path} ({hist.n_bins} bins of {bins} ps, "
           f"g2(0) bin = {hist.g2[zero_bin]:.3f})")
@@ -122,7 +139,7 @@ def _cmd_fit(args) -> int:
     stored = meta.get("fit") or {}
     fit = fit_histogram(hist, int(_setting(args.max_iterations, stored, "max_iterations",
                                            DEFAULT_MAX_ITERATIONS)))
-    payload, report = fit_payload(
+    payload, report, rejected = fit_payload(
         fit, meta.get("scenario", Path(args.hist).stem), _setting(args.k12, stored, "k12"),
         _setting(args.inversion, stored, "inversion", DEFAULT_INVERSION),
         meta.get("n_emitters", 1), meta.get("rho_effective"))
@@ -134,7 +151,7 @@ def _cmd_fit(args) -> int:
           f"(chi2_red={fit.chi2_reduced:.3g}, {'converged' if fit.converged else 'NOT converged'})")
     if report is not None:
         print(report.format_table(payload["scenario"]))
-    require_converged(fit)  # the artifacts are written either way
+    _conclude(fit, rejected)
     return 0
 
 
@@ -164,7 +181,7 @@ def _cmd_run(args) -> int:
     if result.report is not None:
         print(result.report.format_table(scenario.name))
     print(f"  artifacts in {result.paths['manifest'].parent}")
-    require_converged(result.fit)
+    _conclude(result.fit, result.rejected)
     return 0
 
 

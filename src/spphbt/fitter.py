@@ -38,6 +38,7 @@ __all__ = [
     "fit_curve",
     "jacobian_check",
     "report_photophysics",
+    "fit_warnings",
     "require_converged",
 ]
 
@@ -371,6 +372,21 @@ def _numeric_rate_grads(params: DerivedParams, k12: float, inversion: str) -> di
         for name in grads:
             grads[name][j] = (getattr(r_up, name) - getattr(r_dn, name)) / (2.0 * h)
     return grads
+
+
+# what each diagnostic flag `fit_curve` may set means for the fitted numbers
+_HEALTH_FLAGS = {
+    "singular_jacobian": "singular Jacobian, so the parameter errors are unreliable",
+    "non_identifiable": "c is within two standard errors of 0, so the rates are undetermined",
+    "order_swapped": "the fit ended with gamma1 < gamma2 and was reordered, beta -> 1 - beta",
+    "outside_model_family": "beta < 1 after reordering, which no rate set produces",
+}
+
+
+def fit_warnings(fit: FitResult) -> list[str]:
+    """One `warning:` line per diagnostic flag the fit set."""
+    return [f"warning: {flag}: {meaning}" for flag, meaning in _HEALTH_FLAGS.items()
+            if fit.diagnostics.get(flag)]
 
 
 def require_converged(fit: FitResult) -> None:

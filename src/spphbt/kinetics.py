@@ -51,8 +51,6 @@ __all__ = [
     "steady_emission_rate",
 ]
 
-_ROUNDTRIP_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RateSet:

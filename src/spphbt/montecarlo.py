@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import RateSet
+from .kinetics import RateSet, derived_params
 
 __all__ = [
     "BACKGROUND_ID",
@@ -125,9 +125,8 @@ def _check_efficiency(efficiency: float) -> None:
 
 def _burn_in(rates: RateSet) -> float:
     # ten times the slowest model timescale erases the ground-state start
-    g1 = rates.k12 + rates.k21
-    g2 = rates.k31 + rates.k12 * rates.k23 / g1
-    return 10.0 / g2 if g2 > 0.0 else 10.0 / g1
+    params = derived_params(rates)
+    return 10.0 / (params.gamma2 if params.gamma2 > 0.0 else params.gamma1)
 
 
 def _emission_times(rates: RateSet, efficiency: float, t_end: float,

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .correlator import CorrelationHistogram, TimeTagStream, auto_correlate, cross_correlate
+from .errors import InvalidInversion
 from .fitter import (
     DEFAULT_MAX_ITERATIONS,
     FitConfig,
@@ -69,6 +70,7 @@ class PipelineResult:
     histogram: CorrelationHistogram
     fit: FitResult
     report: PhotophysicsReport | None
+    rejected: InvalidInversion | None  # why the rate inversion refused the fit
     manifest: RunManifest
     paths: dict
 
@@ -81,21 +83,17 @@ def expected_signal_rate(scenario: Scenario) -> float:
 
 
 def resolve_background(scenario: Scenario) -> tuple[float, float]:
-    """Per-detector background rate (ns^-1) and the resulting signal fraction.
+    """Per-detector background rate (ns^-1) and the signal fraction rho.
 
-    A target rho is converted into the background level that produces it for
-    this scenario's analytic signal rate; an explicit background_rate is
-    taken as-is.
+    The background b that leaves a signal s the fraction rho is
+    b = s (1 - rho) / rho; a scenario without rho has none.
     """
+    if scenario.rho is None:
+        return 0.0, 1.0
+    if scenario.rho <= 0.0:
+        raise ValueError("rho = 0 is unreachable: it would need infinite background")
     signal = expected_signal_rate(scenario)
-    if scenario.rho is not None:
-        if scenario.rho <= 0.0:
-            raise ValueError("rho = 0 is unreachable: it would need infinite background")
-        background = signal * (1.0 - scenario.rho) / scenario.rho
-        return background, scenario.rho
-    background = scenario.background_rate or 0.0
-    rho_eff = signal / (signal + background) if signal + background > 0.0 else 1.0
-    return background, rho_eff
+    return signal * (1.0 - scenario.rho) / scenario.rho, scenario.rho
 
 
 def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
@@ -132,8 +130,7 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
         "rho_effective": rho_eff,
         "bin_width_ps": scenario.bin_width_ps,
         "window_ps": scenario.window_ps,
-        "fit": {"k12": scenario.fit_k12, "max_iterations": scenario.fit_max_iterations,
-                "inversion": scenario.fit_inversion},
+        "fit": asdict(scenario.fit),
         "n_emitters": scenario.n_emitters,
     }
     return a, b, info
@@ -180,22 +177,25 @@ def fit_to_mapping(fit: FitResult) -> dict:
 
 
 def fit_from_mapping(payload: dict) -> FitResult:
-    params = payload["params"]
-    return FitResult(
-        params=tuple(float(params[k]) for k in ("gamma1", "gamma2", "beta", "c")),
-        covariance=np.asarray(payload["covariance"], dtype=float),
-        chi2_reduced=float(payload["chi2_reduced"]),
-        converged=bool(payload["converged"]),
-        n_iterations=int(payload["n_iterations"]),
-        n_points=int(payload["n_points"]),
-        diagnostics=dict(payload.get("diagnostics", {})),
-    )
+    """Inverse of `fit_to_mapping`; raises ValueError on anything else, e.g. a null fit."""
+    try:
+        params = payload["params"]
+        return FitResult(
+            params=tuple(float(params[k]) for k in ("gamma1", "gamma2", "beta", "c")),
+            covariance=np.asarray(payload["covariance"], dtype=float),
+            chi2_reduced=float(payload["chi2_reduced"]),
+            converged=bool(payload["converged"]),
+            n_iterations=int(payload["n_iterations"]),
+            n_points=int(payload["n_points"]),
+            diagnostics=dict(payload.get("diagnostics", {})),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"no valid fit record ({type(exc).__name__}: {exc})") from exc
 
 
 def report_to_mapping(report: PhotophysicsReport) -> dict:
     return {
-        "rates_per_ns": {"k12": report.rates.k12, "k21": report.rates.k21,
-                         "k23": report.rates.k23, "k31": report.rates.k31},
+        "rates_per_ns": asdict(report.rates),
         "tau12_ns": report.tau12,
         "tau21_ns": report.tau21,
         "tau23_ns": None if report.tau23 == float("inf") else report.tau23,
@@ -216,16 +216,20 @@ def fit_payload(
     inversion: str,
     n_emitters: int,
     rho_effective: float | None,
-) -> tuple[dict, PhotophysicsReport | None]:
-    """The fit JSON document and its photophysics report.
+) -> tuple[dict, PhotophysicsReport | None, InvalidInversion | None]:
+    """The fit JSON document, its photophysics report and why the inversion refused it.
 
-    The report needs a pump rate and a converged fit; without either it is
-    None.  The context records the inputs `spphbt report` recomputes it from.
+    The report needs a pump rate, a converged fit and an inversion that
+    accepts it; otherwise it is None.  The context records the inputs
+    `spphbt report` recomputes it from.
     """
-    report = None
+    report = rejected = None
     if k12 is not None and fit.converged:
-        report = report_photophysics(fit, float(k12), int(n_emitters), rho_effective,
-                                     inversion=inversion)
+        try:
+            report = report_photophysics(fit, float(k12), int(n_emitters), rho_effective,
+                                         inversion=inversion)
+        except InvalidInversion as exc:
+            rejected = exc
     payload = {
         "scenario": scenario_name,
         "fit": fit_to_mapping(fit),
@@ -233,7 +237,7 @@ def fit_payload(
         "context": {"k12": k12, "inversion": inversion, "n_emitters": n_emitters,
                     "rho_effective": rho_effective},
     }
-    return payload, report
+    return payload, report, rejected
 
 
 def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
@@ -256,9 +260,10 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     paths["histogram"] = write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)
     paths["histogram_sidecar"] = Path(str(paths["histogram"]) + ".json")
 
-    fit = fit_histogram(hist, scenario.fit_max_iterations)
-    payload, report = fit_payload(fit, scenario.name, scenario.fit_k12, scenario.fit_inversion,
-                                  scenario.n_emitters, info["rho_effective"])
+    fit = fit_histogram(hist, scenario.fit.max_iterations)
+    payload, report, rejected = fit_payload(fit, scenario.name, scenario.fit.k12,
+                                            scenario.fit.inversion, scenario.n_emitters,
+                                            info["rho_effective"])
     paths["fit"] = write_json(out / f"{stem}_fit.json", payload)
     if report is not None:
         paths["report"] = out / f"{stem}_report.txt"
@@ -283,6 +288,7 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
         histogram=hist,
         fit=fit,
         report=report,
+        rejected=rejected,
         manifest=manifest,
         paths=paths,
     )

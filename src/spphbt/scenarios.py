@@ -10,21 +10,22 @@ reference lifetime table lives.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, InvalidGeometry, UnknownScenario
+from .errors import ConfigError, UnknownScenario
 from .fitter import DEFAULT_INVERSION, DEFAULT_MAX_ITERATIONS, INVERSIONS
 from .kinetics import RateSet
 from .optics import DetectionGeometry, DipoleMix, EfficiencyBudget, coupling_ratio
 
 __all__ = [
     "DEFAULT_BIN_WIDTH_PS",
-    "DEFAULT_N_EMITTERS",
     "DEFAULT_WINDOW_PS",
+    "FitSettings",
     "Scenario",
+    "check_window",
     "rate_preset",
     "geometry_preset",
     "budget_preset",
@@ -35,7 +36,6 @@ __all__ = [
     "builtin_scenario_names",
 ]
 
-DEFAULT_N_EMITTERS = 10
 DEFAULT_BIN_WIDTH_PS = 1000
 DEFAULT_WINDOW_PS = 150_000  # max |lag| of the histogram
 
@@ -79,7 +79,7 @@ def budget_preset(name: str) -> tuple[EfficiencyBudget, float | None]:
 
     Returns (budget, rho).  rho is the per-detector signal fraction that
     stray light leaves, or None when the chain adds no background; a
-    scenario's own `rho` or `background_rate` takes precedence over it.
+    scenario's own `rho` takes precedence over it.
 
     'ideal': every probability 1.
     'glass': direct fluorescence collection of emitters on bare glass.
@@ -111,29 +111,44 @@ def budget_preset(name: str) -> tuple[EfficiencyBudget, float | None]:
 
 
 @dataclass(frozen=True)
+class FitSettings:
+    """The scenario's `fit` section: pump rate for the rate inversion, iteration
+    budget and inversion; without a pump rate no photophysics report is made."""
+
+    k12: float | None = None
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    inversion: str = DEFAULT_INVERSION
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Fully resolved acquisition description; all fields are concrete values."""
+    """Fully resolved acquisition description; all fields are concrete values.
+
+    The fields are the scenario keys, and a key a mapping leaves out takes
+    the field default; `name` falls back to the file stem.
+    """
 
     name: str
     rates: RateSet
-    n_emitters: int
     duration_ns: float
-    seed: int
-    fiber_config: str
-    geometry: DetectionGeometry
-    budget: EfficiencyBudget
-    mix: DipoleMix
-    rho: float | None
-    background_rate: float | None
-    jitter_sigma_ns: float
-    bin_width_ps: int
-    window_ps: int
-    fit_k12: float | None
-    fit_max_iterations: int
-    fit_inversion: str
+    n_emitters: int = 10
+    seed: int = 0
+    fiber_config: str = "AB"
+    geometry: DetectionGeometry = DetectionGeometry()
+    budget: EfficiencyBudget = EfficiencyBudget()
+    fraction_vertical: float = DipoleMix.fraction_vertical
+    rho: float | None = None
+    jitter_sigma_ns: float = 0.0
+    bin_width_ps: int = DEFAULT_BIN_WIDTH_PS
+    window_ps: int = DEFAULT_WINDOW_PS
+    fit: FitSettings = FitSettings()
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=int(seed))
+
+    @property
+    def mix(self) -> DipoleMix:
+        return DipoleMix(fraction_vertical=self.fraction_vertical)
 
     @property
     def routing_mode(self) -> str:
@@ -155,31 +170,20 @@ class Scenario:
 
     def to_mapping(self) -> dict:
         """Canonical plain-data form used for hashing and provenance."""
-        return {
-            "name": self.name,
-            "rates": asdict(self.rates),
-            "n_emitters": self.n_emitters,
-            "duration_ns": self.duration_ns,
-            "seed": self.seed,
-            "fiber_config": self.fiber_config,
-            "geometry": asdict(self.geometry),
-            "budget": asdict(self.budget),
-            "fraction_vertical": self.mix.fraction_vertical,
-            "rho": self.rho,
-            "background_rate": self.background_rate,
-            "jitter_sigma_ns": self.jitter_sigma_ns,
-            "bin_width_ps": self.bin_width_ps,
-            "window_ps": self.window_ps,
-            "fit": {"k12": self.fit_k12, "max_iterations": self.fit_max_iterations,
-                    "inversion": self.fit_inversion},
-        }
+        return asdict(self)
 
 
-_KNOWN_KEYS = {
-    "name", "rates", "n_emitters", "duration_ns", "seed", "fiber_config",
-    "geometry", "budget", "fraction_vertical", "rho", "background_rate",
-    "jitter_sigma_ns", "bin_width_ps", "window_ps", "fit",
-}
+_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
+
+
+def check_window(window_ps: int, bin_width_ps: int) -> list[str]:
+    """Diagnostics for a histogram window: a multiple of the bin width, at least 4 bins per side."""
+    if window_ps % bin_width_ps:
+        return [f"window_ps: must be a multiple of bin_width_ps "
+                f"({window_ps} % {bin_width_ps} != 0)"]
+    if window_ps // bin_width_ps < 4:
+        return ["window_ps: window must span at least 4 bins per side"]
+    return []
 
 
 def _as_float(value, field: str, errs: list[str], *, lo=None, hi=None, positive=False):
@@ -215,6 +219,10 @@ def _as_int(value, field: str, errs: list[str], *, minimum=None):
     return int(value)
 
 
+def _unknown(mapping: dict, cls) -> list[str]:
+    return sorted(set(mapping) - {f.name for f in fields(cls)})
+
+
 def _resolve_rates(raw, errs: list[str]) -> RateSet | None:
     if isinstance(raw, str):
         try:
@@ -240,50 +248,48 @@ def _resolve_rates(raw, errs: list[str]) -> RateSet | None:
     return None
 
 
-def _resolve_geometry(raw, errs: list[str]) -> DetectionGeometry | None:
+def _resolve_preset(key: str, raw, preset, errs: list[str]):
+    """The `key` field from a preset name, a mapping of its class's fields, or its default."""
+    default = _DEFAULTS[key]
     if raw is None:
-        return DetectionGeometry()
+        return default
     if isinstance(raw, str):
         try:
-            return geometry_preset(raw)
+            return preset(raw)
         except UnknownScenario as exc:
-            errs.append(f"geometry: {exc}")
+            errs.append(f"{key}: {exc}")
             return None
     if isinstance(raw, dict):
-        unknown = set(raw) - {f.name for f in fields(DetectionGeometry)}
+        unknown = _unknown(raw, type(default))
         if unknown:
-            errs.append(f"geometry: unknown fields {sorted(unknown)}")
+            errs.append(f"{key}: unknown fields {unknown}")
             return None
         try:
-            return DetectionGeometry(**raw)
-        except (InvalidGeometry, TypeError, ValueError) as exc:
-            errs.append(f"geometry: {exc}")
+            return type(default)(**raw)
+        except (TypeError, ValueError) as exc:
+            errs.append(f"{key}: {exc}")
             return None
-    errs.append(f"geometry: expected preset name or mapping, got {raw!r}")
+    errs.append(f"{key}: expected preset name or mapping, got {raw!r}")
     return None
 
 
-def _resolve_budget(raw, errs: list[str]) -> tuple[EfficiencyBudget | None, float | None]:
-    if raw is None:
-        return EfficiencyBudget(), None
-    if isinstance(raw, str):
-        try:
-            return budget_preset(raw)
-        except UnknownScenario as exc:
-            errs.append(f"budget: {exc}")
-            return None, None
-    if isinstance(raw, dict):
-        unknown = set(raw) - {f.name for f in fields(EfficiencyBudget)}
-        if unknown:
-            errs.append(f"budget: unknown fields {sorted(unknown)}")
-            return None, None
-        try:
-            return EfficiencyBudget(**raw), None
-        except (TypeError, ValueError) as exc:
-            errs.append(f"budget: {exc}")
-            return None, None
-    errs.append(f"budget: expected preset name or mapping, got {raw!r}")
-    return None, None
+def _resolve_fit(raw, errs: list[str]) -> FitSettings | None:
+    if not isinstance(raw, dict):
+        errs.append(f"fit: expected a mapping, got {raw!r}")
+        return None
+    unknown = _unknown(raw, FitSettings)
+    if unknown:
+        errs.append(f"fit: unknown fields {unknown}")
+    default = _DEFAULTS["fit"]
+    k12 = None
+    if raw.get("k12") is not None:
+        k12 = _as_float(raw["k12"], "fit.k12", errs, positive=True)
+    max_iterations = _as_int(raw.get("max_iterations", default.max_iterations),
+                             "fit.max_iterations", errs, minimum=1)
+    inversion = str(raw.get("inversion", default.inversion))
+    if inversion not in INVERSIONS:
+        errs.append(f"fit.inversion: expected one of {INVERSIONS}, got {inversion!r}")
+    return FitSettings(k12=k12, max_iterations=max_iterations, inversion=inversion)
 
 
 def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> Scenario:
@@ -291,99 +297,54 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     if not isinstance(mapping, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(mapping).__name__}"])
     errs: list[str] = []
-    unknown = set(mapping) - _KNOWN_KEYS
+    unknown = _unknown(mapping, Scenario)
     if unknown:
-        errs.append(f"top level: unknown fields {sorted(unknown)}")
+        errs.append(f"top level: unknown fields {unknown}")
 
-    name = str(mapping.get("name", default_name))
-    rates = _resolve_rates(mapping.get("rates"), errs) if "rates" in mapping else None
-    if "rates" not in mapping:
-        errs.append("rates: required (preset name or mapping)")
-    n_emitters = _as_int(mapping.get("n_emitters", DEFAULT_N_EMITTERS),
-                         "n_emitters", errs, minimum=1)
-    duration = _as_float(mapping.get("duration_ns"), "duration_ns", errs, positive=True) \
-        if "duration_ns" in mapping else None
-    if "duration_ns" not in mapping:
-        errs.append("duration_ns: required")
-    seed = _as_int(mapping.get("seed", 0), "seed", errs)
+    def get(key: str):
+        return mapping.get(key, _DEFAULTS[key])
 
-    fiber_config = str(mapping.get("fiber_config", "AB"))
-    if fiber_config not in _FIBER_CONFIGS:
-        errs.append(f"fiber_config: expected one of {_FIBER_CONFIGS}, got {fiber_config!r}")
-
-    geometry = _resolve_geometry(mapping.get("geometry"), errs)
-    budget, preset_rho = _resolve_budget(mapping.get("budget"), errs)
-
-    fv = _as_float(mapping.get("fraction_vertical", 1.0 / 3.0),
-                   "fraction_vertical", errs, lo=0.0, hi=1.0)
-    rho = None
-    if mapping.get("rho") is not None:
-        rho = _as_float(mapping["rho"], "rho", errs, lo=0.0, hi=1.0)
-    background = None
-    if mapping.get("background_rate") is not None:
-        background = _as_float(mapping["background_rate"], "background_rate", errs)
-        if background is not None and background < 0.0:
-            errs.append(f"background_rate: must be >= 0, got {background!r}")
-            background = None
-    if rho is not None and background is not None:
-        errs.append("rho and background_rate are mutually exclusive; set one")
-    if rho is None and background is None:
-        rho = preset_rho
-
-    jitter = _as_float(mapping.get("jitter_sigma_ns", 0.0), "jitter_sigma_ns", errs)
-    if jitter is not None and jitter < 0.0:
-        errs.append(f"jitter_sigma_ns: must be >= 0, got {jitter!r}")
-        jitter = None
-
-    bin_width = _as_int(mapping.get("bin_width_ps", DEFAULT_BIN_WIDTH_PS),
-                        "bin_width_ps", errs, minimum=1)
-    window = _as_int(mapping.get("window_ps", DEFAULT_WINDOW_PS), "window_ps", errs, minimum=1)
-    if bin_width and window:
-        if window % bin_width:
-            errs.append(f"window_ps: must be a multiple of bin_width_ps "
-                        f"({window} % {bin_width} != 0)")
-        elif window // bin_width < 4:
-            errs.append("window_ps: window must span at least 4 bins per side")
-
-    fit_raw = mapping.get("fit", {}) or {}
-    fit_k12 = None
-    fit_iters = DEFAULT_MAX_ITERATIONS
-    fit_inversion = DEFAULT_INVERSION
-    if not isinstance(fit_raw, dict):
-        errs.append(f"fit: expected a mapping, got {fit_raw!r}")
+    v = {"name": str(mapping.get("name", default_name))}
+    if "rates" in mapping:
+        v["rates"] = _resolve_rates(mapping["rates"], errs)
     else:
-        unknown_fit = set(fit_raw) - {"k12", "max_iterations", "inversion"}
-        if unknown_fit:
-            errs.append(f"fit: unknown fields {sorted(unknown_fit)}")
-        if fit_raw.get("k12") is not None:
-            fit_k12 = _as_float(fit_raw["k12"], "fit.k12", errs, positive=True)
-        fit_iters = _as_int(fit_raw.get("max_iterations", DEFAULT_MAX_ITERATIONS),
-                            "fit.max_iterations", errs, minimum=1)
-        fit_inversion = str(fit_raw.get("inversion", DEFAULT_INVERSION))
-        if fit_inversion not in INVERSIONS:
-            errs.append(f"fit.inversion: expected one of {INVERSIONS}, got {fit_inversion!r}")
+        errs.append("rates: required (preset name or mapping)")
+    if "duration_ns" in mapping:
+        v["duration_ns"] = _as_float(mapping["duration_ns"], "duration_ns", errs, positive=True)
+    else:
+        errs.append("duration_ns: required")
+    v["n_emitters"] = _as_int(get("n_emitters"), "n_emitters", errs, minimum=1)
+    v["seed"] = _as_int(get("seed"), "seed", errs)
+
+    v["fiber_config"] = str(get("fiber_config"))
+    if v["fiber_config"] not in _FIBER_CONFIGS:
+        errs.append(f"fiber_config: expected one of {_FIBER_CONFIGS}, got {v['fiber_config']!r}")
+
+    v["geometry"] = _resolve_preset("geometry", mapping.get("geometry"), geometry_preset, errs)
+    raw_budget = mapping.get("budget")
+    v["budget"] = _resolve_preset("budget", raw_budget, lambda n: budget_preset(n)[0], errs)
+
+    v["fraction_vertical"] = _as_float(get("fraction_vertical"), "fraction_vertical", errs,
+                                       lo=0.0, hi=1.0)
+    if mapping.get("rho") is not None:
+        v["rho"] = _as_float(mapping["rho"], "rho", errs, lo=0.0, hi=1.0)
+    elif isinstance(raw_budget, str) and v["budget"] is not None:
+        v["rho"] = budget_preset(raw_budget)[1]
+
+    v["jitter_sigma_ns"] = _as_float(get("jitter_sigma_ns"), "jitter_sigma_ns", errs)
+    if v["jitter_sigma_ns"] is not None and v["jitter_sigma_ns"] < 0.0:
+        errs.append(f"jitter_sigma_ns: must be >= 0, got {v['jitter_sigma_ns']!r}")
+
+    v["bin_width_ps"] = _as_int(get("bin_width_ps"), "bin_width_ps", errs, minimum=1)
+    v["window_ps"] = _as_int(get("window_ps"), "window_ps", errs, minimum=1)
+    if v["bin_width_ps"] and v["window_ps"]:
+        errs.extend(check_window(v["window_ps"], v["bin_width_ps"]))
+
+    v["fit"] = _resolve_fit(mapping.get("fit") or {}, errs)
 
     if errs:
         raise ConfigError(errs)
-    return Scenario(
-        name=name,
-        rates=rates,
-        n_emitters=n_emitters,
-        duration_ns=duration,
-        seed=seed,
-        fiber_config=fiber_config,
-        geometry=geometry,
-        budget=budget,
-        mix=DipoleMix(fraction_vertical=fv),
-        rho=rho,
-        background_rate=background,
-        jitter_sigma_ns=jitter,
-        bin_width_ps=bin_width,
-        window_ps=window,
-        fit_k12=fit_k12,
-        fit_max_iterations=fit_iters,
-        fit_inversion=fit_inversion,
-    )
+    return Scenario(**v)
 
 
 def load_scenario(path) -> Scenario:

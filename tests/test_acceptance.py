@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import conditional_intensity
+from rate_oracles import conditional_intensity
 from spphbt.correlator import (
     SymmetryViolation,
     TimeTagStream,

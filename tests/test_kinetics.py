@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import conditional_intensity, rate_matrix
+from rate_oracles import conditional_intensity, rate_matrix
 from spphbt.errors import DegenerateRates, InvalidInversion, SingularSystem
 from spphbt.kinetics import (
     DerivedParams,

@@ -68,8 +68,8 @@ class TestScenarioResolution:
         assert s.fiber_config == "AB"
         assert s.correlation_kind == "cross"
         assert s.bin_width_ps == 1000 and s.window_ps == 150_000
-        assert s.fit_max_iterations == 200
-        assert s.fit_inversion == "exact" and s.fit_k12 is None
+        assert s.fit.max_iterations == 200
+        assert s.fit.inversion == "exact" and s.fit.k12 is None
         assert s.rates.lifetimes == pytest.approx((27.0, 9.7, 27.4, 102.0))
 
     def test_lifetime_mapping_equals_preset(self):
@@ -102,10 +102,6 @@ class TestScenarioResolution:
         assert "n_emitters:" in text
         assert "unknown fields ['surprise']" in text
 
-    def test_rho_and_background_are_mutually_exclusive(self):
-        diags = diagnostics_of(dict(MINIMAL, rho=0.8, background_rate=0.01))
-        assert any("mutually exclusive" in d for d in diags)
-
     def test_rho_range_checked(self):
         diags = diagnostics_of(dict(MINIMAL, rho=1.2))
         assert any("rho: out of [0, 1]" in d for d in diags)
@@ -135,11 +131,15 @@ class TestScenarioResolution:
                          {"n_glass": 1.5}):
             diags = diagnostics_of(dict(MINIMAL, geometry=geometry))
             assert any("geometry: unknown fields" in d for d in diags), geometry
-        path = tmp_path / "filter.yaml"
-        path.write_text("rates: silver\nduration_ns: 1.0e6\n"
-                        "geometry: {fourier_filter_on: false}\n")
-        assert main(["validate", "--scenario", str(path)]) == 2
-        assert "fourier_filter_on" in capsys.readouterr().err
+        # a target rho is the one way to set background
+        diags = diagnostics_of(dict(MINIMAL, background_rate=1.0e-5))
+        assert diags == ["top level: unknown fields ['background_rate']"]
+        for key, line in (("fourier_filter_on", "geometry: {fourier_filter_on: false}"),
+                          ("background_rate", "background_rate: 1.0e-5")):
+            path = tmp_path / f"{key}.yaml"
+            path.write_text(f"rates: silver\nduration_ns: 1.0e6\n{line}\n")
+            assert main(["validate", "--scenario", str(path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
@@ -338,13 +338,6 @@ class TestBackgroundResolution:
         assert rho_eff == 0.8
         assert bg == pytest.approx(signal * 0.25)
 
-    def test_explicit_background_reports_effective_rho(self):
-        s = scenario_from_mapping(dict(SMALL_RUN, background_rate=0.001))
-        bg, rho_eff = resolve_background(s)
-        signal = expected_signal_rate(s)
-        assert bg == 0.001
-        assert rho_eff == pytest.approx(signal / (signal + 0.001))
-
     def test_clean_scenario_is_all_signal(self):
         s = scenario_from_mapping(dict(SMALL_RUN))
         assert resolve_background(s) == (0.0, 1.0)
@@ -513,6 +506,23 @@ class TestCli:
         sidecar = json.loads((out / "tiny_g2.csv.json").read_text())
         assert sidecar["bin_width_ps"] == 2000
         assert sidecar["lag_max_ps"] == 100_000
+        # the settings used replace the stored ones
+        used = sidecar["metadata"]
+        assert (used["bin_width_ps"], used["window_ps"], used["correlation"]) == \
+            (2000, 100_000, "cross")
+
+    def test_correlate_window_flags_follow_the_scenario_rule(self, cli_env, capsys):
+        out, scenario = cli_env
+        main(["simulate", "--scenario", str(scenario)])
+        # not a multiple of the bin width; only 2 bins per side
+        for bins, window in ((300, 1000), (500, 1000)):
+            capsys.readouterr()
+            assert main(["correlate", "--tags", str(out / "tiny.ttag"),
+                         "--bins", str(bins), "--window", str(window)]) == 2
+            expected = diagnostics_of(dict(MINIMAL, bin_width_ps=bins, window_ps=window))
+            assert capsys.readouterr().err == \
+                "configuration error:\n" + "".join(f"  - {d}\n" for d in expected)
+            assert not (out / "tiny_g2.csv").exists()
 
     def test_report_inversion_flag_recomputes_stored_table(self, cli_env, capsys):
         out, scenario = cli_env
@@ -562,6 +572,10 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["report", "--fit", str(path)]) == 2
         assert "--k12" in capsys.readouterr().err
+        # with a pump rate the missing fit is a malformed input file
+        assert main(["report", "--fit", str(path), "--k12", "0.03"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_input_file_is_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
@@ -569,21 +583,48 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_non_converged_fit_is_exit_1(self, tmp_path, capsys):
-        # two iterations cannot converge; both commands still write their artifacts
-        path = tmp_path / "short.yaml"
-        path.write_text(yaml.safe_dump(dict(
-            SMALL_RUN, name="short", duration_ns=1.0e7, fit={"max_iterations": 2})))
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: fit did not converge (max_iterations)\n"
-        assert (out / "short_manifest.json").exists()
-        assert json.loads((out / "short_fit.json").read_text())["fit"]["n_iterations"] == 2
+        # both commands still write the fit, without a report, and the manifest
+        cases = {
+            # two iterations cannot converge
+            "short": (1.0e7, {"max_iterations": 2},
+                      "error: fit did not converge (max_iterations)\n"),
+            # a pump rate above gamma1 leaves the inversion no rate set
+            "pumped": (1.0e6, {"k12": 5.0}, "error: k21 + k23 would be non-positive\n"),
+        }
+        for name, (duration_ns, fit, err) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(dict(
+                SMALL_RUN, name=name, duration_ns=duration_ns, fit=fit)))
+            out = tmp_path / "out"
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1, name
+            assert capsys.readouterr().err == err
+            assert (out / f"{name}_manifest.json").exists()
+            run_fit = json.loads((out / f"{name}_fit.json").read_text())
+            assert run_fit["report"] is None
+            assert run_fit["fit"]["converged"] is ("k12" in fit)
 
-        assert main(["fit", "--hist", str(out / "short_g2.csv"), "--out", str(out)]) == 1
+            assert main(["fit", "--hist", str(out / f"{name}_g2.csv"), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == err
+            assert json.loads((out / f"{name}_g2_fit.json").read_text()) == run_fit
+
+    def test_fit_health_flags_warn_on_stderr(self, tmp_path, capsys):
+        # criterion 7's scenario over 10 s counts ~200 pairs: c runs to its bound
+        path = tmp_path / "sparse.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "sparse", "rates": "silver", "n_emitters": 10, "duration_ns": 1.0e10,
+            "seed": 5, "fiber_config": "AB", "geometry": "fourier_default",
+            "budget": "silver_filtered", "fit": {"k12": 1.0 / 27.0}}))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: non_identifiable: ")
+        assert main(["fit", "--hist", str(out / "sparse_g2.csv"), "--out", str(out)]) == 0
         assert capsys.readouterr().err == err
-        staged = json.loads((out / "short_g2_fit.json").read_text())
-        assert staged["fit"]["converged"] is False and staged["report"] is None
+        # healthy fits set no flag
+        for seed in ("7", "101", "102", "103"):
+            assert main(["run", "--scenario", "silver_ab", "--seed", seed,
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err == "", seed
 
     def test_config_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
