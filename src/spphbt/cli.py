@@ -19,7 +19,6 @@ changing the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -41,7 +40,7 @@ from .scenarios import (
     check_window,
     validate_config,
 )
-from .tagio import read_histogram_csv, read_time_tags, write_histogram_csv, write_json
+from .tagio import read_histogram_csv, read_json, read_time_tags, write_histogram_csv, write_json
 
 OUT_ENV_VAR = "SPPHBT_OUT"
 
@@ -156,14 +155,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    payload = json.loads(Path(args.fit).read_text())
+    payload = read_json(args.fit)
     ctx = payload.get("context") or {}
     k12 = _setting(args.k12, ctx, "k12")
     if k12 is None:
         print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)
         return 2
+    try:
+        fit = fit_from_mapping(payload.get("fit"))
+    except ValueError as exc:
+        raise ValueError(f"{args.fit}: {exc}") from exc
     report = report_photophysics(
-        fit_from_mapping(payload["fit"]), float(k12), int(ctx.get("n_emitters", 1)),
+        fit, float(k12), int(ctx.get("n_emitters", 1)),
         ctx.get("rho_effective"),
         inversion=_setting(args.inversion, ctx, "inversion", DEFAULT_INVERSION))
     print(report.format_table(payload.get("scenario", "stored fit")))

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStream, SymmetryViolation, UnsortedInput
+from .errors import EmptyStream, UnsortedInput
 
 __all__ = [
     "TimeTagStream",
     "CorrelationHistogram",
     "cross_correlate",
     "auto_correlate",
-    "swap_symmetry_check",
 ]
 
 _PS_PER_SECOND = 1_000_000_000_000
@@ -91,9 +90,9 @@ class CorrelationHistogram:
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        n_bins = (self.lag_max - self.lag_min) // self.bin_width
         if self.bin_width <= 0 or self.lag_max <= self.lag_min:
             raise ValueError("need bin_width > 0 and lag_max > lag_min")
+        n_bins = (self.lag_max - self.lag_min) // self.bin_width
         if (self.lag_max - self.lag_min) % self.bin_width:
             raise ValueError("window must be an integer number of bins")
         if counts.shape != (n_bins,):
@@ -245,40 +244,3 @@ def auto_correlate(
         rate_a=a.rate_hz,
         rate_b=a.rate_hz,
     )
-
-
-def swap_symmetry_check(h_ab: CorrelationHistogram, h_ba: CorrelationHistogram) -> dict:
-    """Verify that swapping the inputs mirrors the histogram, counts_ab[k] == counts_ba[n-k].
-
-    The identity is exact for 1 ps bins (each bin holds a single integer
-    lag, and negation maps it onto its mirror bin).  For wider bins a pair
-    sitting exactly on a bin edge legitimately lands one bin off after the
-    swap, so run this check on 1 ps binning.  The two lowest bins have no
-    mirror partner inside the window and are skipped; for a single-bin
-    histogram the bin is compared with itself.
-
-    Returns a small report dict; raises SymmetryViolation on mismatch.
-    """
-    for attr in ("bin_width", "lag_min", "lag_max", "duration"):
-        if getattr(h_ab, attr) != getattr(h_ba, attr):
-            raise ValueError(f"histograms disagree on {attr}")
-    n = h_ab.n_bins
-    if n == 1:
-        ks = np.array([0])
-        mirrored = h_ba.counts
-    else:
-        ks = np.arange(1, n)
-        mirrored = h_ba.counts[n - ks]
-    diff = h_ab.counts[ks] - mirrored
-    bad = np.nonzero(diff)[0]
-    if bad.size:
-        edges = h_ab.lag_edges[ks[bad]]
-        raise SymmetryViolation(
-            f"{bad.size} mirrored bins disagree, first at lag edge {edges[0]} ps "
-            f"({h_ab.counts[ks[bad][0]]} vs {mirrored[bad[0]]})")
-    return {
-        "checked_bins": int(ks.size),
-        "max_abs_diff": 0,
-        "total_pairs": int(h_ab.counts[ks].sum()),
-        "ok": True,
-    }

@@ -29,10 +29,6 @@ class UnsortedInput(ValueError):
     """Time tags are not in non-decreasing order."""
 
 
-class SymmetryViolation(RuntimeError):
-    """Swapped-input histograms are not mirror images of each other."""
-
-
 class NonConvergence(RuntimeError):
     """Fit did not converge within the configured iteration budget."""
 

@@ -36,7 +36,6 @@ __all__ = [
     "model_jacobian",
     "fit_g2",
     "fit_curve",
-    "jacobian_check",
     "report_photophysics",
     "fit_warnings",
     "require_converged",
@@ -266,28 +265,6 @@ def fit_g2(hist: CorrelationHistogram, config: FitConfig | None = None) -> FitRe
     return fit_curve(tau, hist.g2[keep], hist.sigma[keep], config)
 
 
-def jacobian_check(params, tau_grid=None, h_rel: float = 1e-6) -> float:
-    """Max relative deviation of the analytic Jacobian from central differences.
-
-    The comparison denominator is max(|analytic|, |numeric|, 1) per entry.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("params must be (gamma1, gamma2, beta, c)")
-    tau = np.linspace(-150.0, 150.0, 301) if tau_grid is None else np.asarray(tau_grid, float)
-    analytic = model_jacobian(tau, *p)
-    worst = 0.0
-    for j in range(4):
-        h = h_rel * max(abs(p[j]), 1.0)
-        up, dn = p.copy(), p.copy()
-        up[j] += h
-        dn[j] -= h
-        numeric = (model_g2(tau, *up) - model_g2(tau, *dn)) / (2.0 * h)
-        denom = np.maximum(np.maximum(np.abs(analytic[:, j]), np.abs(numeric)), 1.0)
-        worst = max(worst, float(np.max(np.abs(analytic[:, j] - numeric) / denom)))
-    return worst
-
-
 _NO_SHELVING_EPS = 1e-9
 
 
@@ -413,6 +390,9 @@ def report_photophysics(
     if inversion not in INVERSIONS:
         raise ValueError(f"inversion must be one of {INVERSIONS}, got {inversion!r}")
     require_converged(fit)
+    if fit.beta < 1.0:
+        # the bounds hold beta >= 1, so only a reordered fit gets here
+        raise InvalidInversion(f"beta={fit.beta!r} < 1, which no rate set produces")
     no_shelving = fit.beta <= 1.0 + _NO_SHELVING_EPS
     if no_shelving:
         params = DerivedParams(gamma1=fit.gamma1, gamma2=fit.gamma2, beta=1.0)

@@ -43,7 +43,6 @@ __all__ = [
     "exact_decay_params",
     "exact_invert_rates",
     "g2_model",
-    "g2_zero",
     "model_g2",
     "quantum_yield",
     "invert_rates",
@@ -194,11 +193,6 @@ def g2_model(tau, params: DerivedParams, config: EnsembleConfig = EnsembleConfig
     """`model_g2` at the ensemble's contrast c = rho^2 / N."""
     return model_g2(tau, params.gamma1, params.gamma2, params.beta,
                     config.rho ** 2 / config.n_emitters)
-
-
-def g2_zero(config: EnsembleConfig) -> float:
-    """Zero-lag value 1 - rho^2 / N, independent of the rates."""
-    return 1.0 - config.rho ** 2 / config.n_emitters
 
 
 def quantum_yield(rates: RateSet) -> float:

@@ -14,13 +14,12 @@ distribution, O(1) work per detected photon).  Antibunching and
 shelving-induced bunching are emergent properties of the chain; nothing
 about the correlation function enters the sampler.
 
-`simulate_trajectory` is a plain jump-by-jump reference used by the tests
-to validate the gap sampler distributionally.
+A detected photon is a plain time: the detection stage routes signal and
+background alike, so nothing downstream needs to know where one came from.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -29,25 +28,12 @@ import numpy as np
 from .kinetics import RateSet, derived_params
 
 __all__ = [
-    "BACKGROUND_ID",
-    "EmitterState",
     "SimConfig",
     "EventStream",
     "simulate_emitter",
     "simulate_ensemble",
-    "simulate_trajectory",
     "poisson_background",
 ]
-
-BACKGROUND_ID = -1
-
-
-class EmitterState(enum.IntEnum):
-    """Levels of the emitter; values match the conventional numbering."""
-
-    GROUND = 1
-    EXCITED = 2
-    SHELVED = 3
 
 
 @dataclass(frozen=True)
@@ -58,10 +44,8 @@ class SimConfig:
     efficiency: probability p that an emitted photon is detected on either
         APD (eff_A + eff_B); only detected photons are sampled, and the
         default p = 1 records every emission.
-    background_rate: per-detector Poisson rate in ns^-1.  The ensemble
-        stream carries a combined background at twice this rate; the
-        detection stage routes it 50:50 (at the preset beamsplitter value),
-        restoring the per-detector rate.
+    background_rate: Poisson rate in ns^-1 of the background detected on
+        both APDs together; the detection stage splits it like the signal.
     """
 
     duration: float
@@ -83,21 +67,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EventStream:
-    """Time-sorted record of detected photons over [0, duration].
-
-    times: float64 ns; emitter_ids: int32, BACKGROUND_ID marks background.
-    """
+    """Time-sorted detection times in float64 ns over [0, duration]."""
 
     times: np.ndarray
-    emitter_ids: np.ndarray
     duration: float
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        object.__setattr__(self, "emitter_ids", np.asarray(self.emitter_ids, dtype=np.int32))
-        if self.times.shape != self.emitter_ids.shape or self.times.ndim != 1:
-            raise ValueError("times and emitter_ids must be 1-d arrays of equal length")
+        if self.times.ndim != 1:
+            raise ValueError("times must be a 1-d array")
         if self._validate and self.times.size:
             if np.any(np.diff(self.times) < 0.0):
                 raise ValueError("event times must be non-decreasing")
@@ -109,13 +88,10 @@ class EventStream:
 
     @staticmethod
     def merge(streams: "list[EventStream]", duration: float) -> "EventStream":
-        """Time-sorted union; ties broken by emitter id for determinism."""
-        if not streams:
-            return EventStream(np.empty(0), np.empty(0, dtype=np.int32), duration)
-        times = np.concatenate([s.times for s in streams])
-        ids = np.concatenate([s.emitter_ids for s in streams])
-        order = np.lexsort((ids, times))
-        return EventStream(times[order], ids[order], duration, _validate=False)
+        """Time-sorted union of the streams' detections."""
+        times = np.concatenate([np.empty(0)] + [s.times for s in streams])
+        times.sort()  # in place: a sorted copy would double the run's largest array
+        return EventStream(times, duration, _validate=False)
 
 
 def _check_efficiency(efficiency: float) -> None:
@@ -163,7 +139,6 @@ def simulate_emitter(
     seed,
     *,
     efficiency: float = 1.0,
-    emitter_id: int = 0,
 ) -> EventStream:
     """Detected photon times of one emitter over [0, duration] ns.
 
@@ -181,9 +156,7 @@ def simulate_emitter(
     rng = np.random.default_rng(seed)
     burn = _burn_in(rates)
     times = _emission_times(rates, efficiency, duration + burn, rng)
-    times = times[times > burn] - burn
-    ids = np.full(times.size, emitter_id, dtype=np.int32)
-    return EventStream(times, ids, duration, _validate=False)
+    return EventStream(times[times > burn] - burn, duration, _validate=False)
 
 
 def simulate_ensemble(config: SimConfig) -> EventStream:
@@ -194,69 +167,21 @@ def simulate_ensemble(config: SimConfig) -> EventStream:
     """
     children = np.random.SeedSequence(config.seed).spawn(config.n_emitters + 1)
     streams = [
-        simulate_emitter(config.rates, config.duration, children[i],
-                         efficiency=config.efficiency, emitter_id=i)
-        for i in range(config.n_emitters)
+        simulate_emitter(config.rates, config.duration, child, efficiency=config.efficiency)
+        for child in children[:-1]
     ]
     if config.background_rate > 0.0:
-        streams.append(poisson_background(
-            2.0 * config.background_rate, config.duration, children[-1]))
+        streams.append(poisson_background(config.background_rate, config.duration,
+                                          children[-1]))
     return EventStream.merge(streams, config.duration)
 
 
-def simulate_trajectory(
-    rates: RateSet,
-    n_jumps: int,
-    seed,
-    start: EmitterState = EmitterState.GROUND,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jump-by-jump state trajectory, the slow reference sampler.
-
-    Returns (times, states): states[i] is entered at times[i]; times[0] = 0,
-    states[0] = start.  Used to check dwell-time laws and occupation
-    fractions against the analytic results.
-    """
-    if n_jumps < 1:
-        raise ValueError("n_jumps must be >= 1")
-    rng = np.random.default_rng(seed)
-    times = np.zeros(n_jumps + 1)
-    states = np.zeros(n_jumps + 1, dtype=np.int8)
-    state = EmitterState(start)
-    states[0] = state
-    t = 0.0
-    for i in range(1, n_jumps + 1):
-        if state == EmitterState.GROUND:
-            if rates.k12 <= 0.0:
-                raise ValueError("k12 = 0: ground state is absorbing, no jumps possible")
-            t += rng.exponential(1.0 / rates.k12)
-            state = EmitterState.EXCITED
-        elif state == EmitterState.EXCITED:
-            w_rad = rng.exponential(1.0 / rates.k21)
-            w_shelf = rng.exponential(1.0 / rates.k23) if rates.k23 > 0.0 else np.inf
-            if w_rad <= w_shelf:
-                t += w_rad
-                state = EmitterState.GROUND
-            else:
-                t += w_shelf
-                state = EmitterState.SHELVED
-        else:
-            if rates.k31 <= 0.0:
-                raise ValueError("k31 = 0: shelved state is absorbing, no jumps possible")
-            t += rng.exponential(1.0 / rates.k31)
-            state = EmitterState.GROUND
-        times[i] = t
-        states[i] = state
-    return times, states
-
-
 def poisson_background(rate: float, duration: float, seed) -> EventStream:
-    """Homogeneous Poisson events over [0, duration] ns, tagged as background."""
+    """Homogeneous Poisson detection times over [0, duration] ns."""
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(rate * duration))
-    times = np.sort(rng.uniform(0.0, duration, n))
-    ids = np.full(n, BACKGROUND_ID, dtype=np.int32)
-    return EventStream(times, ids, duration, _validate=False)
+    return EventStream(np.sort(rng.uniform(0.0, duration, n)), duration, _validate=False)

@@ -14,16 +14,15 @@ Every photon meets the chain independently, so
 `expected_channel_efficiencies` gives its whole effect as two numbers, the
 probabilities eff_A and eff_B that a signal photon fires channel A or B.
 The emission sampler draws only detected photons (at eff_A + eff_B), and
-`route_events` assigns each of them a channel.  Background events represent
-detector-level counts: they bypass the chain and are split at the
-beamsplitter fraction.
+`route_events` assigns each of them a channel with the one share
+eff_A / (eff_A + eff_B).  Background counts bypass the loss chain but share
+the signal's split, so every detector sees the same signal fraction rho.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +34,6 @@ __all__ = [
     "EfficiencyBudget",
     "DipoleMix",
     "RoutedStreams",
-    "SppRing",
-    "spp_ring_na",
     "coupling_ratio",
     "collection_fraction",
     "route_events",
@@ -51,12 +48,11 @@ class DetectionGeometry:
     """Where the two pickup fibers sit on the leakage-radiation ring.
 
     Routing depends only on which fiber arcs contain a photon's azimuth, so
-    the ring is described by its radius in the back focal plane alone; its
-    NA and the plasmon enhancement follow from the mode index through
-    `spp_ring_na` and `coupling_ratio`, and enter a run through the
-    efficiency budget.  Fiber angles are azimuthal positions on the ring in
-    [0, 2*pi) rad; fiber_effective_diameter and ring_radius_bfp share any
-    one length unit.
+    the ring is described by its radius in the back focal plane alone; the
+    plasmon enhancement follows from the mode index through `coupling_ratio`
+    and enters a run through the efficiency budget.  Fiber angles are
+    azimuthal positions on the ring in [0, 2*pi) rad;
+    fiber_effective_diameter and ring_radius_bfp share any one length unit.
     """
 
     fiber_a_angle: float = 0.0
@@ -132,25 +128,6 @@ class RoutedStreams:
         return int(self.tags_a.size + self.tags_b.size)
 
 
-class SppRing(NamedTuple):
-    na: float         # numerical-aperture coordinate of the ring
-    theta_lrm: float  # leakage polar angle inside the substrate, rad
-
-
-def spp_ring_na(n_spp: float, n_glass: float = 1.5) -> SppRing:
-    """Ring position in the back focal plane: NA = n_spp, above the critical angle.
-
-    Leakage radiation exits into the substrate at sin(theta) = n_spp/n_glass,
-    so the mode only radiates while n_spp < n_glass.
-    """
-    if not (n_glass > 1.0):
-        raise InvalidGeometry(f"n_glass must be > 1, got {n_glass!r}")
-    if not (1.0 <= n_spp < n_glass):
-        raise InvalidGeometry(
-            f"leakage requires 1 <= n_spp < n_glass, got n_spp={n_spp!r}, n_glass={n_glass!r}")
-    return SppRing(na=n_spp, theta_lrm=math.asin(n_spp / n_glass))
-
-
 def coupling_ratio(n_spp: float) -> float:
     """Plasmon-to-free-space emission enhancement n^2/(n^2 - 1) for a bound mode."""
     if not (math.isfinite(n_spp) and n_spp > 1.0):
@@ -181,24 +158,22 @@ def _arc_overlap(a: float, wa: float, b: float, wb: float) -> float:
 def route_events(
     stream: EventStream,
     share_a: float,
-    p_bs: float,
     seed,
     *,
     jitter_sigma_ns: float = 0.0,
 ) -> RoutedStreams:
     """Assign each detected event of a stream to channel A or B and tag it.
 
-    One uniform draw per event sends a signal event to A with probability
-    share_a (eff_A / (eff_A + eff_B)) and a background event with
-    probability p_bs; the rest go to B.  Timestamps are jittered (Gaussian,
-    ns) and quantised to integer ps; jittered events outside [0, duration]
-    are dropped.
+    One uniform draw per event sends it to A with probability share_a
+    (eff_A / (eff_A + eff_B)) and otherwise to B.  Timestamps are jittered
+    (Gaussian, ns) and quantised to integer ps; jittered events outside
+    [0, duration] are dropped.
     """
     if jitter_sigma_ns < 0.0:
         raise ValueError("jitter_sigma_ns must be >= 0")
     rng = np.random.default_rng(seed)
     n = len(stream)
-    to_a = rng.random(n) < np.where(stream.emitter_ids >= 0, share_a, p_bs)
+    to_a = rng.random(n) < share_a
     times = stream.times
     if jitter_sigma_ns > 0.0:
         times = times + rng.normal(0.0, jitter_sigma_ns, n)

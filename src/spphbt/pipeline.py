@@ -36,7 +36,6 @@ from .tagio import sha256_file, write_histogram_csv, write_json, write_time_tags
 __all__ = [
     "RunManifest",
     "PipelineResult",
-    "resolve_background",
     "acquire",
     "correlate_tags",
     "fit_histogram",
@@ -82,27 +81,21 @@ def expected_signal_rate(scenario: Scenario) -> float:
     return scenario.n_emitters * steady_emission_rate(scenario.rates) * eff_a
 
 
-def resolve_background(scenario: Scenario) -> tuple[float, float]:
-    """Per-detector background rate (ns^-1) and the signal fraction rho.
-
-    The background b that leaves a signal s the fraction rho is
-    b = s (1 - rho) / rho; a scenario without rho has none.
-    """
-    if scenario.rho is None:
-        return 0.0, 1.0
-    if scenario.rho <= 0.0:
-        raise ValueError("rho = 0 is unreachable: it would need infinite background")
-    signal = expected_signal_rate(scenario)
-    return signal * (1.0 - scenario.rho) / scenario.rho, scenario.rho
-
-
 def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
-    """Simulate the detected photons and route them; returns both channels plus run info."""
-    background, rho_eff = resolve_background(scenario)
+    """Simulate the detected photons and route them; returns both channels plus run info.
+
+    Background b is detector-level and splits like the signal s, so the
+    b = s (1 - rho) / rho that leaves s the fraction rho in total leaves it
+    that fraction on each detector; a scenario without rho has none.
+    """
     eff_a, eff_b = expected_channel_efficiencies(
         scenario.routing_geometry, scenario.budget, scenario.mix, scenario.routing_mode)
     # rounding may lift a lossless split a hair above 1
     efficiency = min(eff_a + eff_b, 1.0)
+    share_a = eff_a / efficiency if efficiency > 0.0 else 0.0
+    rho = 1.0 if scenario.rho is None else scenario.rho
+    signal = scenario.n_emitters * steady_emission_rate(scenario.rates) * efficiency
+    background = signal * (1.0 - rho) / rho
     events = simulate_ensemble(SimConfig(
         duration=scenario.duration_ns,
         seed=scenario.seed,
@@ -113,8 +106,7 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
     ))
     routed = route_events(
         events,
-        eff_a / efficiency if efficiency > 0.0 else 0.0,
-        scenario.budget.p_bs,
+        share_a,
         np.random.SeedSequence(entropy=(scenario.seed, _ROUTE_SALT)),
         jitter_sigma_ns=scenario.jitter_sigma_ns,
     )
@@ -126,8 +118,8 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
         "fiber_config": scenario.fiber_config,
         "correlation": scenario.correlation_kind,
         "n_events": routed.n_events,
-        "background_rate_per_ns": background,
-        "rho_effective": rho_eff,
+        "background_rate_per_ns": share_a * background,
+        "rho_effective": rho,
         "bin_width_ps": scenario.bin_width_ps,
         "window_ps": scenario.window_ps,
         "fit": asdict(scenario.fit),

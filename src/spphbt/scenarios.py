@@ -77,9 +77,10 @@ def geometry_preset(name: str) -> DetectionGeometry:
 def budget_preset(name: str) -> tuple[EfficiencyBudget, float | None]:
     """Named detection chain: its efficiency budget and the signal fraction it sets.
 
-    Returns (budget, rho).  rho is the per-detector signal fraction that
-    stray light leaves, or None when the chain adds no background; a
-    scenario's own `rho` takes precedence over it.
+    Returns (budget, rho).  rho is the signal fraction that stray light
+    leaves on each detector, whatever the beamsplitter ratio, or None when
+    the chain adds no background; a scenario's own `rho` takes precedence
+    over it.
 
     'ideal': every probability 1.
     'glass': direct fluorescence collection of emitters on bare glass.
@@ -274,6 +275,9 @@ def _resolve_preset(key: str, raw, preset, errs: list[str]):
 
 
 def _resolve_fit(raw, errs: list[str]) -> FitSettings | None:
+    """The `fit` section; only a missing key or null means the defaults."""
+    if raw is None:
+        return _DEFAULTS["fit"]
     if not isinstance(raw, dict):
         errs.append(f"fit: expected a mapping, got {raw!r}")
         return None
@@ -327,7 +331,8 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     v["fraction_vertical"] = _as_float(get("fraction_vertical"), "fraction_vertical", errs,
                                        lo=0.0, hi=1.0)
     if mapping.get("rho") is not None:
-        v["rho"] = _as_float(mapping["rho"], "rho", errs, lo=0.0, hi=1.0)
+        # rho = 0 would need infinite background
+        v["rho"] = _as_float(mapping["rho"], "rho", errs, lo=0.0, hi=1.0, positive=True)
     elif isinstance(raw_budget, str) and v["budget"] is not None:
         v["rho"] = budget_preset(raw_budget)[1]
 
@@ -340,7 +345,7 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     if v["bin_width_ps"] and v["window_ps"]:
         errs.extend(check_window(v["window_ps"], v["bin_width_ps"]))
 
-    v["fit"] = _resolve_fit(mapping.get("fit") or {}, errs)
+    v["fit"] = _resolve_fit(mapping.get("fit"), errs)
 
     if errs:
         raise ConfigError(errs)

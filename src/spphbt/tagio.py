@@ -31,6 +31,7 @@ __all__ = [
     "write_histogram_csv",
     "read_histogram_csv",
     "write_json",
+    "read_json",
     "sha256_file",
 ]
 
@@ -90,10 +91,8 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     bad = ~np.isin(records["ch"], (0, 1))
     if np.any(bad):
         raise ValueError(f"{path}: invalid channel byte {records['ch'][bad][0]}")
-    meta: dict = {}
     sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+    meta = read_json(sidecar) if sidecar.exists() else {}
     tags = records["t"].astype(np.int64)
     duration = int(meta.get("duration_ps", tags[-1] if tags.size else 1))
     a = TimeTagStream(tags[records["ch"] == 0], "A", duration)
@@ -129,18 +128,23 @@ def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{sidecar}: histogram sidecar is required for normalisation")
-    meta = json.loads(sidecar.read_text())
+    meta = read_json(sidecar)
     edges, counts = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
                                usecols=(0, 1), ndmin=2).T
-    hist = CorrelationHistogram(
-        counts=counts,
-        bin_width=int(meta["bin_width_ps"]),
-        lag_min=int(meta["lag_min_ps"]),
-        lag_max=int(meta["lag_max_ps"]),
-        duration=int(meta["duration_ps"]),
-        rate_a=float(meta["rate_a_hz"]),
-        rate_b=float(meta["rate_b_hz"]),
-    )
+    try:
+        hist = CorrelationHistogram(
+            counts=counts,
+            bin_width=int(meta["bin_width_ps"]),
+            lag_min=int(meta["lag_min_ps"]),
+            lag_max=int(meta["lag_max_ps"]),
+            duration=int(meta["duration_ps"]),
+            rate_a=float(meta["rate_a_hz"]),
+            rate_b=float(meta["rate_b_hz"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: {exc}") from exc
     if edges.size and (edges[0] != hist.lag_min or edges.size != hist.n_bins):
         raise ValueError(f"{path}: lag column does not match the sidecar window")
     return hist, meta.get("metadata", {})
@@ -151,6 +155,18 @@ def write_json(path, payload: dict) -> Path:
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def read_json(path) -> dict:
+    """A JSON object from a file; ValueError naming the file for anything else."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def sha256_file(path) -> str:

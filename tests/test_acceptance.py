@@ -24,14 +24,14 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from rate_oracles import conditional_intensity
-from spphbt.correlator import (
+from rate_oracles import (
     SymmetryViolation,
-    TimeTagStream,
-    cross_correlate,
+    conditional_intensity,
+    jacobian_check,
     swap_symmetry_check,
 )
-from spphbt.fitter import FitConfig, fit_curve, jacobian_check, report_photophysics
+from spphbt.correlator import TimeTagStream, cross_correlate
+from spphbt.fitter import FitConfig, fit_curve, report_photophysics
 from spphbt.kinetics import (
     RateSet,
     derived_params,

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rate_oracles import SymmetryViolation, swap_symmetry_check
 from spphbt import correlator
 from spphbt.correlator import (
     CorrelationHistogram,
     TimeTagStream,
     auto_correlate,
     cross_correlate,
-    swap_symmetry_check,
 )
-from spphbt.errors import EmptyStream, SymmetryViolation, UnsortedInput
+from spphbt.errors import EmptyStream, UnsortedInput
 
 
 def brute_force_counts(ta, tb, lag_min, lag_max, bin_width, drop_diagonal=False):

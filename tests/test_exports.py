@@ -23,6 +23,13 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_test_oracles_are_not_exported():
+    # these serve only as references for the tests, which define them
+    oracles = {"simulate_trajectory", "EmitterState", "swap_symmetry_check", "SymmetryViolation",
+               "jacobian_check", "spp_ring_na", "SppRing", "g2_zero"}
+    assert oracles.isdisjoint(spphbt.__all__)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; the command line must start without it
     code = "import sys, spphbt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rate_oracles import jacobian_check
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import InvalidInversion, NonConvergence
 from spphbt.fitter import (
@@ -18,7 +19,6 @@ from spphbt.fitter import (
     FitResult,
     fit_curve,
     fit_g2,
-    jacobian_check,
     model_jacobian,
     report_photophysics,
 )
@@ -276,7 +276,7 @@ class TestPhotophysicsReport:
 
 def _single_emitter_fit(rates, duration_ns, seed):
     stream = simulate_emitter(rates, duration_ns, seed)
-    routed = route_events(stream, 0.5, 0.5, seed=seed + 7919)
+    routed = route_events(stream, 0.5, seed=seed + 7919)
     a = TimeTagStream(routed.tags_a, "A", routed.duration_ps)
     b = TimeTagStream(routed.tags_b, "B", routed.duration_ps)
     hist = cross_correlate(a, b, lag_max=150_000, bin_width=1_000)

@@ -27,12 +27,18 @@ from spphbt.kinetics import (
     exact_decay_params,
     exact_invert_rates,
     g2_model,
-    g2_zero,
     invert_rates,
     quantum_yield,
     steady_emission_rate,
     steady_state,
 )
+
+
+
+def g2_zero(config: EnsembleConfig) -> float:
+    """Zero-lag value 1 - rho^2 / N, independent of the rates."""
+    return 1.0 - config.rho ** 2 / config.n_emitters
+
 
 rate_values = st.floats(min_value=1e-3, max_value=10.0,
                         allow_nan=False, allow_infinity=False)

@@ -8,13 +8,14 @@ tolerances.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from spphbt.errors import InvalidGeometry, UnknownScenario
-from spphbt.montecarlo import BACKGROUND_ID, EventStream, poisson_background
+from spphbt.montecarlo import EventStream, poisson_background
 from spphbt.optics import (
     DetectionGeometry,
     DipoleMix,
@@ -23,7 +24,6 @@ from spphbt.optics import (
     coupling_ratio,
     expected_channel_efficiencies,
     route_events,
-    spp_ring_na,
 )
 from spphbt.scenarios import budget_preset, geometry_preset
 
@@ -31,7 +31,26 @@ from spphbt.scenarios import budget_preset, geometry_preset
 def signal_stream(n, duration, seed):
     rng = np.random.default_rng(seed)
     times = np.sort(rng.uniform(0.0, duration, n))
-    return EventStream(times, np.zeros(n, dtype=np.int32), duration)
+    return EventStream(times, duration)
+
+
+class SppRing(NamedTuple):
+    na: float         # numerical-aperture coordinate of the ring
+    theta_lrm: float  # leakage polar angle inside the substrate, rad
+
+
+def spp_ring_na(n_spp: float, n_glass: float = 1.5) -> SppRing:
+    """Ring position in the back focal plane: NA = n_spp, above the critical angle.
+
+    Leakage radiation exits into the substrate at sin(theta) = n_spp/n_glass,
+    so the mode only radiates while n_spp < n_glass.
+    """
+    if not (n_glass > 1.0):
+        raise InvalidGeometry(f"n_glass must be > 1, got {n_glass!r}")
+    if not (1.0 <= n_spp < n_glass):
+        raise InvalidGeometry(
+            f"leakage requires 1 <= n_spp < n_glass, got n_spp={n_spp!r}, n_glass={n_glass!r}")
+    return SppRing(na=n_spp, theta_lrm=math.asin(n_spp / n_glass))
 
 
 def ring_oracle(n, geometry, budget, mix, seed):
@@ -126,15 +145,15 @@ class TestCollectionFraction:
 class TestRouting:
     def test_deterministic_given_seed(self):
         s = signal_stream(5_000, 1e5, seed=1)
-        r1 = route_events(s, 0.3, 0.5, seed=9)
-        r2 = route_events(s, 0.3, 0.5, seed=9)
+        r1 = route_events(s, 0.3, seed=9)
+        r2 = route_events(s, 0.3, seed=9)
         assert np.array_equal(r1.tags_a, r2.tags_a)
         assert np.array_equal(r1.tags_b, r2.tags_b)
 
     def test_routes_every_event_at_share_a(self):
         n = 20_000
         s = signal_stream(n, 1e5, seed=2)
-        r = route_events(s, 0.3, 0.5, seed=3)
+        r = route_events(s, 0.3, seed=3)
         assert r.n_detected == r.n_events == n
         assert within_binomial(r.tags_a.size, n, 0.3)
         merged = np.sort(np.concatenate([r.tags_a, r.tags_b]))
@@ -186,21 +205,22 @@ class TestRouting:
         eff_a, eff_b = expected_channel_efficiencies(geometry, IDEAL, DipoleMix())
         assert eff_a + eff_b == pytest.approx(f, rel=1e-12)
 
-    def test_background_bypasses_loss_chain(self):
-        # signal all goes to A, so B holds only background, split at p_bs
+    def test_background_shares_the_signal_split(self):
+        # background is routed like signal: at share_a = 1 every event,
+        # background included, lands on A
         bg = poisson_background(0.01, 1e5, seed=15)
-        assert np.all(bg.emitter_ids == BACKGROUND_ID)
         s = EventStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 1e5)
-        r = route_events(s, 1.0, 0.3, seed=16)
-        assert r.n_detected == len(s)
-        assert within_binomial(r.tags_b.size, len(bg), 0.7)
+        r = route_events(s, 1.0, seed=16)
+        assert r.tags_a.size == len(s) and r.tags_b.size == 0
+        r = route_events(s, 0.3, seed=16)
+        assert within_binomial(r.tags_a.size, len(s), 0.3)
 
     def test_thinned_poisson_stays_poisson(self):
         # channel-A inter-arrivals of a routed Poisson stream stay exponential
         rate, duration = 0.01, 1e6
         s = poisson_background(rate, duration, seed=17)
-        r = route_events(s, 1.0, 0.5, seed=18)
-        # background splits at p_bs, so channel A holds ~ rate/2
+        r = route_events(s, 0.5, seed=18)
+        # channel A holds ~ rate/2
         gaps = np.diff(r.tags_a)
         ks = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (rate / 2.0) * 1000.0))
         assert ks.pvalue > 0.01
@@ -208,8 +228,8 @@ class TestRouting:
     def test_jitter_moves_and_drops_events(self):
         n = 10_000
         s = signal_stream(n, 1e3, seed=19)
-        r0 = route_events(s, 0.5, 0.5, seed=20)
-        r1 = route_events(s, 0.5, 0.5, seed=20, jitter_sigma_ns=5.0)
+        r0 = route_events(s, 0.5, seed=20)
+        r1 = route_events(s, 0.5, seed=20, jitter_sigma_ns=5.0)
         assert not np.array_equal(np.sort(np.concatenate([r0.tags_a, r0.tags_b])),
                                   np.sort(np.concatenate([r1.tags_a, r1.tags_b])))
         assert r1.n_detected <= n  # edge events may jitter out of the window
@@ -219,15 +239,15 @@ class TestRouting:
                 assert tags[0] >= 0 and tags[-1] <= r1.duration_ps
 
     def test_empty_stream(self):
-        s = EventStream(np.empty(0), np.empty(0, dtype=np.int32), 1e3)
-        r = route_events(s, 0.5, 0.5, seed=0)
+        s = EventStream(np.empty(0), 1e3)
+        r = route_events(s, 0.5, seed=0)
         assert r.n_events == 0 and r.n_detected == 0
         assert r.duration_ps == 1_000_000
 
     def test_invalid_arguments(self):
         s = signal_stream(10, 1e3, seed=0)
         with pytest.raises(ValueError):
-            route_events(s, 0.5, 0.5, seed=0, jitter_sigma_ns=-1.0)
+            route_events(s, 0.5, seed=0, jitter_sigma_ns=-1.0)
 
 
 class TestAnalyticEfficiencies:

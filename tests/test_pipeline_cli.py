@@ -15,12 +15,13 @@ import yaml
 from spphbt.cli import OUT_ENV_VAR, main
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import ConfigError, UnknownScenario
+from spphbt.kinetics import steady_emission_rate
+from spphbt.optics import expected_channel_efficiencies
 from spphbt.pipeline import (
     acquire,
     expected_signal_rate,
     fit_from_mapping,
     fit_to_mapping,
-    resolve_background,
     run_pipeline,
 )
 from spphbt.scenarios import (
@@ -120,6 +121,11 @@ class TestScenarioResolution:
         text = "\n".join(diags)
         assert "fit.k12" in text and "unknown fields ['style']" in text
         assert "fit.inversion" in text
+        # only a missing key or null means the defaults; other falsy values are errors
+        for fit in (0, False, [], ""):
+            assert diagnostics_of(dict(MINIMAL, fit=fit)) == \
+                [f"fit: expected a mapping, got {fit!r}"], fit
+        assert scenario_from_mapping(dict(MINIMAL, fit=None)) == scenario_from_mapping(MINIMAL)
 
     def test_mixed_rate_keys_rejected(self):
         diags = diagnostics_of({"rates": {"tau12": 27.0, "k21": 0.1},
@@ -333,28 +339,46 @@ class TestTagIO:
 class TestBackgroundResolution:
     def test_target_rho_sets_background(self):
         s = scenario_from_mapping(dict(SMALL_RUN, rho=0.8))
-        bg, rho_eff = resolve_background(s)
-        signal = expected_signal_rate(s)
-        assert rho_eff == 0.8
-        assert bg == pytest.approx(signal * 0.25)
+        _, _, info = acquire(s)
+        assert info["rho_effective"] == 0.8
+        # channel A's background leaves its signal the fraction rho
+        assert info["background_rate_per_ns"] == pytest.approx(expected_signal_rate(s) * 0.25)
 
     def test_clean_scenario_is_all_signal(self):
-        s = scenario_from_mapping(dict(SMALL_RUN))
-        assert resolve_background(s) == (0.0, 1.0)
+        _, _, info = acquire(scenario_from_mapping(dict(SMALL_RUN)))
+        assert (info["background_rate_per_ns"], info["rho_effective"]) == (0.0, 1.0)
 
     def test_unfiltered_budget_sets_rho_for_any_scenario(self):
         for extra in ({"n_emitters": 2}, {"rates": "glass"}):
             s = scenario_from_mapping(dict(MINIMAL, budget="silver_unfiltered", **extra))
-            assert resolve_background(s)[1] == 0.8, extra
+            assert acquire(s)[2]["rho_effective"] == 0.8, extra
         # the ten-emitter silver AB default keeps its background bit for bit
         s = scenario_from_mapping(dict(MINIMAL, budget="silver_unfiltered",
                                        geometry="fourier_default"))
-        assert resolve_background(s) == (1.908017771385414e-06, 0.8)
+        info = acquire(s)[2]
+        assert (info["background_rate_per_ns"], info["rho_effective"]) == \
+            (1.908017771385414e-06, 0.8)
 
-    def test_rho_zero_unreachable(self):
-        s = scenario_from_mapping(dict(SMALL_RUN, rho=0.0))
-        with pytest.raises(ValueError, match="rho = 0"):
-            resolve_background(s)
+    def test_rho_zero_unreachable(self, tmp_path, capsys):
+        # rho = 0 would need infinite background: a configuration error
+        assert diagnostics_of(dict(SMALL_RUN, rho=0.0)) == ["rho: must be > 0, got 0.0"]
+        path = tmp_path / "dark.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_RUN, rho=0)))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "rho: must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fiber_config", ["DirectPlane", "AB"])
+    def test_every_detector_sees_rho(self, fiber_config):
+        # the contrast 1 - rho^2/N needs the signal fraction rho on both
+        # detectors, also when the beamsplitter sends 30 % to A
+        s = scenario_from_mapping(dict(MINIMAL, fiber_config=fiber_config, rho=0.8,
+                                       budget={"p_bs": 0.3}))
+        a, b, _ = acquire(s)
+        rate = s.n_emitters * steady_emission_rate(s.rates)
+        effs = expected_channel_efficiencies(s.routing_geometry, s.budget, s.mix, s.routing_mode)
+        for tags, eff in zip((a, b), effs):
+            mean = rate * eff / s.rho * s.duration_ns
+            assert abs(len(tags) - mean) < 5.0 * math.sqrt(mean), tags.channel_label
 
     def test_acquire_injects_requested_background(self):
         s = scenario_from_mapping(dict(SMALL_RUN, rho=0.5, seed=11))
@@ -577,6 +601,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("artifact,corrupt,command", [
+        ("tiny_g2.csv.json", lambda d: dict(d, bin_width_ps=0), ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: {k: v for k, v in d.items() if k != "rate_a_hz"},
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_fit.json", lambda d: {k: v for k, v in d.items() if k != "fit"},
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: [d], ["report", "--fit", "tiny_fit.json"]),
+        ("tiny.ttag.json", lambda d: [d], ["correlate", "--tags", "tiny.ttag"]),
+    ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list"])
+    def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
+        out, scenario = cli_env
+        assert main(["run", "--scenario", str(scenario)]) == 0
+        path = out / artifact
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main([*command[:2], str(out / command[2])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert artifact in err
+
     def test_missing_input_file_is_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         assert main(["fit", "--hist", str(tmp_path / "absent.csv")]) == 1
@@ -586,26 +630,40 @@ class TestCli:
         # both commands still write the fit, without a report, and the manifest
         cases = {
             # two iterations cannot converge
-            "short": (1.0e7, {"max_iterations": 2},
+            "short": ({"duration_ns": 1.0e7, "fit": {"max_iterations": 2}},
                       "error: fit did not converge (max_iterations)\n"),
             # a pump rate above gamma1 leaves the inversion no rate set
-            "pumped": (1.0e6, {"k12": 5.0}, "error: k21 + k23 would be non-positive\n"),
+            "pumped": ({"fit": {"k12": 5.0}}, "error: k21 + k23 would be non-positive\n"),
+            # ~1800 pairs: the fit ends order-swapped with beta = 0 < 1
+            "swapped": ({"n_emitters": 10, "duration_ns": 1.0e11, "fiber_config": "AB",
+                         "geometry": "fourier_default", "budget": "silver_filtered"},
+                        "warning: singular_jacobian: singular Jacobian, so the parameter "
+                        "errors are unreliable\n"
+                        "warning: non_identifiable: c is within two standard errors of 0, "
+                        "so the rates are undetermined\n"
+                        "warning: order_swapped: the fit ended with gamma1 < gamma2 and was "
+                        "reordered, beta -> 1 - beta\n"
+                        "warning: outside_model_family: beta < 1 after reordering, which no "
+                        "rate set produces\n"
+                        "error: beta=0.0 < 1, which no rate set produces\n"),
         }
-        for name, (duration_ns, fit, err) in cases.items():
+        for name, (overrides, err) in cases.items():
             path = tmp_path / f"{name}.yaml"
-            path.write_text(yaml.safe_dump(dict(
-                SMALL_RUN, name=name, duration_ns=duration_ns, fit=fit)))
+            path.write_text(yaml.safe_dump(dict(SMALL_RUN, name=name, **overrides)))
             out = tmp_path / "out"
             assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1, name
             assert capsys.readouterr().err == err
             assert (out / f"{name}_manifest.json").exists()
             run_fit = json.loads((out / f"{name}_fit.json").read_text())
             assert run_fit["report"] is None
-            assert run_fit["fit"]["converged"] is ("k12" in fit)
+            assert run_fit["fit"]["converged"] is (name != "short")
 
             assert main(["fit", "--hist", str(out / f"{name}_g2.csv"), "--out", str(out)]) == 1
             assert capsys.readouterr().err == err
             assert json.loads((out / f"{name}_g2_fit.json").read_text()) == run_fit
+            if run_fit["context"]["k12"] is not None:
+                assert main(["report", "--fit", str(out / f"{name}_fit.json")]) == 1
+                assert capsys.readouterr().err == err.splitlines(keepends=True)[-1]
 
     def test_fit_health_flags_warn_on_stderr(self, tmp_path, capsys):
         # criterion 7's scenario over 10 s counts ~200 pairs: c runs to its bound
