@@ -40,7 +40,14 @@ from .scenarios import (
     check_window,
     validate_config,
 )
-from .tagio import read_histogram_csv, read_json, read_time_tags, write_histogram_csv, write_json
+from .tagio import (
+    json_section,
+    read_histogram_csv,
+    read_json,
+    read_time_tags,
+    write_histogram_csv,
+    write_json,
+)
 
 OUT_ENV_VAR = "SPPHBT_OUT"
 
@@ -115,7 +122,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_correlate(args) -> int:
     a, b, meta = read_time_tags(args.tags)
-    inner = meta.get("metadata", {})
+    inner = meta.get("metadata") or {}  # the reader checked it is an object
     kind = _setting(args.kind, inner, "correlation", "cross")
     window = int(_setting(args.window, inner, "window_ps", DEFAULT_WINDOW_PS))
     bins = int(_setting(args.bins, inner, "bin_width_ps", DEFAULT_BIN_WIDTH_PS))
@@ -135,7 +142,7 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_fit(args) -> int:
     hist, meta = read_histogram_csv(args.hist)
-    stored = meta.get("fit") or {}
+    stored = json_section(meta, "fit", args.hist)
     fit = fit_histogram(hist, int(_setting(args.max_iterations, stored, "max_iterations",
                                            DEFAULT_MAX_ITERATIONS)))
     payload, report, rejected = fit_payload(
@@ -156,7 +163,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_report(args) -> int:
     payload = read_json(args.fit)
-    ctx = payload.get("context") or {}
+    ctx = json_section(payload, "context", args.fit)
     k12 = _setting(args.k12, ctx, "k12")
     if k12 is None:
         print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)

@@ -7,15 +7,26 @@ uncorrelated-pair expectation rate_a * rate_b * duration * bin_width turns
 counts into g2 with Poisson error bars sqrt(counts) on the same scale.
 
 Pairs are counted by stepping over partner rank rather than by listing
-them.  For a chunk of channel-A tags, two binary searches give each tag's
-first partner lo and its number of partners in the window.  Ordered by that
-number, descending, the tags with more than k partners form a prefix, and
-their (k+1)-th partners are the gather tb[lo + k] over that prefix: one
-gather, one subtraction, one floor division and one bincount per rank k.
-Once fewer than a small fixed number of tags remain, their remaining pairs
-are listed in one go, so a burst tag with many partners costs no more Python
-steps than the ranks before it.  The cost is O(pairs), and each step holds
-O(chunk) memory whatever the window.
+them.  A chunk of channel-A tags can only reach the slice of tb between its
+first tag's earliest partner and its last tag's latest one; two scalar
+searches locate that slice, and the per-tag searches run inside it.  They
+give each tag's first partner lo and its number of partners in the window.
+Ordered by that number, descending, the tags with more than k partners form
+a prefix, and their (k+1)-th partners are the gather tb[k:][lo] over that
+prefix: one gather, one subtraction, one floor division and one bincount per
+rank k.  Once fewer than a small fixed number of tags remain, their
+remaining pairs are listed in one go, so a burst tag with many partners
+costs no more Python steps than the ranks before it.  The cost is O(pairs),
+and each step holds O(chunk) memory whatever the window.
+
+An auto-correlation counts each pair once.  Its window is symmetric with
+whole bins per side.  The ordered pairs with lag in [0, lag_max) give a
+histogram F, which less the self-pairs in bin 0 is the positive half.  Mirrored,
+a lag d > 0 lands in the k-th bin left of zero for d in (k*w, (k+1)*w], so
+that bin holds F[k] - E[k] + E[k+1], where E[k] counts the ordered pairs
+whose lag is exactly k*w.  Those pairs share t mod w, so E comes from one
+more rank-stepped pass at unit bins over sorted keys (t mod w, t div w),
+restricted to the few keys that have a neighbour within the window.
 """
 
 from __future__ import annotations
@@ -145,8 +156,12 @@ def _pair_counts(
     counts = np.zeros(n_bins, dtype=np.int64)
     for i0 in range(0, ta.size, chunk):
         start = ta[i0:i0 + chunk] + lag_min
-        lo = np.searchsorted(tb, start, side="left")
-        per = np.searchsorted(tb, start + (lag_max - lag_min), side="left") - lo
+        # the chunk's partners all lie in tb[j0:j1]; search only there
+        j0 = int(np.searchsorted(tb, start[0], side="left"))
+        j1 = int(np.searchsorted(tb, start[-1] + (lag_max - lag_min), side="left"))
+        tw = tb[j0:j1]
+        lo = np.searchsorted(tw, start, side="left")
+        per = np.searchsorted(tw, start + (lag_max - lag_min), side="left") - lo
         # sorted by partner count, descending, the tags with more than k
         # partners form a prefix of length m_k; a stable sort keeps each
         # count's tags in time order, and on the narrowest integer type that
@@ -157,7 +172,7 @@ def _pair_counts(
         k = 0
         m = int(np.searchsorted(neg_per, 0, side="left"))
         while m >= _TAIL:
-            lags = tb[lo[:m] + k]
+            lags = tw[k:][lo[:m]]
             lags -= start[:m]
             lags //= bin_width
             counts += np.bincount(lags, minlength=n_bins)
@@ -170,9 +185,34 @@ def _pair_counts(
         total = int(rest.sum())
         offsets = np.repeat(np.cumsum(rest) - rest, rest)
         partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
-        lags = tb[partner] - np.repeat(start[:m], rest)
+        lags = tw[partner] - np.repeat(start[:m], rest)
         counts += np.bincount(lags // bin_width, minlength=n_bins)
     return counts
+
+
+def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int, chunk: int) -> np.ndarray:
+    """Ordered pairs, self-pairs included, with lag exactly k * w (w = bin_width), k = 0..n_half.
+
+    Such pairs share their residue t mod w and differ by k in t div w.  On
+    the keys (t mod w) * stride + (t div w), with stride above the largest
+    quotient plus n_half, keys of different residues differ by more than
+    n_half, so these are the pairs whose keys differ by k.  Only keys with
+    a neighbour within n_half can pair; each other key adds just its
+    self-pair to k = 0.
+    """
+    stride = int(tags[-1]) // bin_width + n_half + 1
+    keys = tags % bin_width
+    keys *= stride
+    keys += tags // bin_width
+    keys.sort()
+    close = np.diff(keys) <= n_half
+    near = np.zeros(keys.size, dtype=bool)
+    near[1:] = close
+    near[:-1] |= close
+    keys = keys[near]
+    exact = _pair_counts(keys, keys, 0, n_half + 1, 1, chunk)
+    exact[0] += tags.size - keys.size
+    return exact
 
 
 def _validate_window(lag_max: int, lag_min: int | None, bin_width: int) -> tuple[int, int]:
@@ -222,24 +262,32 @@ def auto_correlate(
     lag_max: int,
     bin_width: int,
     *,
-    lag_min: int | None = None,
     _chunk: int = _CHUNK,
 ) -> CorrelationHistogram:
-    """Correlate a channel with itself, excluding each tag's pairing with itself.
+    """Correlate a channel with itself over lags [-lag_max, lag_max) ps.
 
-    Pairs of distinct tags that happen to share a timestamp are kept.
+    Each tag's pairing with itself is excluded; pairs of distinct tags that
+    happen to share a timestamp are kept.  The window must hold a whole
+    number of bins on each side.  Only the pairs with lag in [0, lag_max)
+    are counted; the negative half is their mirror image, corrected for the
+    pairs whose lag sits exactly on a bin edge.
     """
     if len(a) == 0:
         raise EmptyStream("channel has no tags")
-    lag_min_r, lag_max_r = _validate_window(lag_max, lag_min, bin_width)
-    counts = _pair_counts(a.tags, a.tags, lag_min_r, lag_max_r, bin_width, _chunk)
-    if lag_min_r <= 0 < lag_max_r:
-        counts[(0 - lag_min_r) // bin_width] -= len(a)  # remove i = j pairs
+    lag_min, lag_max = _validate_window(lag_max, None, bin_width)
+    if lag_max % bin_width:
+        raise ValueError("auto-correlation needs a whole number of bins on each side of 0")
+    forward = _pair_counts(a.tags, a.tags, 0, lag_max, bin_width, _chunk)
+    exact = _exact_lag_counts(a.tags, lag_max // bin_width, bin_width, _chunk)
+    # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
+    # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w
+    backward = forward - exact[:-1] + exact[1:]
+    forward[0] -= len(a)  # remove i = j pairs
     return CorrelationHistogram(
-        counts=counts,
+        counts=np.concatenate([backward[::-1], forward]),
         bin_width=bin_width,
-        lag_min=lag_min_r,
-        lag_max=lag_max_r,
+        lag_min=lag_min,
+        lag_max=lag_max,
         duration=a.duration,
         rate_a=a.rate_hz,
         rate_b=a.rate_hz,

@@ -140,7 +140,8 @@ def correlate_tags(
         return cross_correlate(a, b, window_ps, bin_width_ps)
     if kind != "auto":
         raise ValueError(f"correlation kind must be 'auto' or 'cross', got {kind!r}")
-    tags = np.sort(np.concatenate([a.tags, b.tags]))
+    # a stable sort merges the two sorted runs instead of sorting from scratch
+    tags = np.sort(np.concatenate([a.tags, b.tags]), kind="stable")
     pooled = TimeTagStream(tags, a.channel_label, min(a.duration, b.duration))
     return auto_correlate(pooled, window_ps, bin_width_ps)
 

@@ -32,6 +32,7 @@ __all__ = [
     "read_histogram_csv",
     "write_json",
     "read_json",
+    "json_section",
     "sha256_file",
 ]
 
@@ -49,17 +50,14 @@ def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | N
     """Write both channels into one TTAG file plus its JSON sidecar."""
     path = Path(path)
     times = np.concatenate([a.tags, b.tags])
-    chans = np.concatenate([
-        np.zeros(len(a), dtype=np.uint8),
-        np.ones(len(b), dtype=np.uint8),
-    ])
-    order = np.lexsort((chans, times))
+    # a stable sort merges the two sorted runs and keeps A before B at equal times
+    order = np.argsort(times, kind="stable")
     records = np.zeros(times.size, dtype=_RECORD_DTYPE)
-    records["t"] = times[order].astype(np.uint64)
-    records["ch"] = chans[order]
+    np.take(times.view(np.uint64), order, out=records["t"])
+    records["ch"] = order >= len(a)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TTAG_MAGIC, TTAG_VERSION))
-        fh.write(records.tobytes())
+        fh.write(records.data)
     sidecar = {
         "format": "ttag",
         "version": TTAG_VERSION,
@@ -84,19 +82,22 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {TTAG_MAGIC!r}")
     if version != TTAG_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    body = raw[_HEADER.size:]
-    if len(body) % _RECORD_DTYPE.itemsize:
+    if (len(raw) - _HEADER.size) % _RECORD_DTYPE.itemsize:
         raise ValueError(f"{path}: truncated record block")
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    bad = ~np.isin(records["ch"], (0, 1))
-    if np.any(bad):
-        raise ValueError(f"{path}: invalid channel byte {records['ch'][bad][0]}")
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
+    channel = np.ascontiguousarray(records["ch"])
+    top = int(channel.max(initial=0))
+    if top > 1:
+        raise ValueError(f"{path}: invalid channel byte {top}")
     sidecar = _sidecar_path(path)
     meta = read_json(sidecar) if sidecar.exists() else {}
+    json_section(meta, "metadata", sidecar)
     tags = records["t"].astype(np.int64)
+    del records, raw  # the tags and channels are copies; free the file image
     duration = int(meta.get("duration_ps", tags[-1] if tags.size else 1))
-    a = TimeTagStream(tags[records["ch"] == 0], "A", duration)
-    b = TimeTagStream(tags[records["ch"] == 1], "B", duration)
+    on_b = channel.view(bool)
+    a = TimeTagStream(tags[~on_b], "A", duration)
+    b = TimeTagStream(tags[on_b], "B", duration)
     return a, b, meta
 
 
@@ -147,7 +148,7 @@ def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
         raise ValueError(f"{sidecar}: {exc}") from exc
     if edges.size and (edges[0] != hist.lag_min or edges.size != hist.n_bins):
         raise ValueError(f"{path}: lag column does not match the sidecar window")
-    return hist, meta.get("metadata", {})
+    return hist, json_section(meta, "metadata", sidecar)
 
 
 def write_json(path, payload: dict) -> Path:
@@ -167,6 +168,16 @@ def read_json(path) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def json_section(payload: dict, key: str, path) -> dict:
+    """The object stored under key, {} if absent or null; ValueError naming the file otherwise."""
+    section = payload.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: {key} must be a JSON object, got {type(section).__name__}")
+    return section
 
 
 def sha256_file(path) -> str:

@@ -149,13 +149,12 @@ class TestAgainstBruteForce:
 
 
 @st.composite
-def kernel_cases(draw, auto=False):
+def kernel_cases(draw):
     """Tags with duplicates, a window placed on or around their lags, and a chunk size."""
     span = draw(st.integers(0, 300))
     times = st.integers(0, span)
     ta = np.sort(draw(st.lists(times, min_size=1, max_size=150)))
-    tb = ta if auto else np.sort(draw(st.lists(st.sampled_from(ta.tolist()) | times,
-                                                min_size=1, max_size=150)))
+    tb = np.sort(draw(st.lists(st.sampled_from(ta.tolist()) | times, min_size=1, max_size=150)))
     bin_width = draw(st.integers(1, 16))
     n_bins = draw(st.integers(1, 40))
     placement = draw(st.sampled_from(["on_lag", "above_0", "below_0", "wider_than_span"]))
@@ -173,6 +172,31 @@ def kernel_cases(draw, auto=False):
     chunk = draw(st.integers(1, ta.size))
     tail = draw(st.sampled_from([1, 2, correlator._TAIL]))
     return ta, tb, lag_min, lag_min + n_bins * bin_width, bin_width, chunk, tail
+
+
+@st.composite
+def auto_cases(draw):
+    """Tags with duplicates, a symmetric whole-bin window placed on their lags, and a chunk size."""
+    span = draw(st.integers(0, 300))
+    ta = draw(st.lists(st.integers(0, span), min_size=1, max_size=120))
+    ta = np.sort(ta + draw(st.lists(st.sampled_from(ta), max_size=30)))
+    lag = abs(draw(st.sampled_from(np.unique(ta[:, None] - ta[None, :]).tolist())))
+    placement = draw(st.sampled_from(["on_edge", "at_lag_max", "any", "wider_than_span"]))
+    if placement in ("on_edge", "at_lag_max"):
+        # the bin width divides an actual lag, which then sits on a bin edge
+        # inside the window or on its ends -lag_max and +lag_max
+        bin_width = draw(st.sampled_from([w for w in range(1, 17) if lag % w == 0]))
+        n_half = max(lag // bin_width, 1)
+        if placement == "on_edge":
+            n_half += draw(st.integers(0, 20))
+    else:
+        bin_width = draw(st.integers(1, 16))
+        n_half = draw(st.integers(1, 40))
+        if placement == "wider_than_span":
+            n_half = -(-(span + 1) // bin_width) + draw(st.integers(0, 3))
+    chunk = draw(st.integers(1, ta.size))
+    tail = draw(st.sampled_from([1, 2, correlator._TAIL]))
+    return ta, n_half * bin_width, bin_width, chunk, tail
 
 
 class TestRankSteppedKernel:
@@ -194,14 +218,26 @@ class TestRankSteppedKernel:
         assert np.array_equal(h.counts, brute_force_counts(ta, tb, lag_min, lag_max, bin_width))
 
     @settings(max_examples=300, deadline=None)
-    @given(case=kernel_cases(auto=True))
+    @given(case=auto_cases())
     def test_auto_matches_oracle(self, case):
-        ta, _, lag_min, lag_max, bin_width, chunk, tail = case
+        ta, lag_max, bin_width, chunk, tail = case
         duration = int(max(ta[-1], 1))
         with patch.object(correlator, "_TAIL", tail):
-            h = auto_correlate(stream(ta, duration), lag_max, bin_width,
-                               lag_min=lag_min, _chunk=chunk)
-        oracle = brute_force_counts(ta, ta, lag_min, lag_max, bin_width, drop_diagonal=True)
+            h = auto_correlate(stream(ta, duration), lag_max, bin_width, _chunk=chunk)
+        oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
+        assert np.array_equal(h.counts, oracle)
+
+    @pytest.mark.parametrize("tail", [1, 2, correlator._TAIL])
+    def test_auto_on_a_lattice(self, tail):
+        # every lag is a multiple of the bin width, so every pair sits on a
+        # bin edge and the mirrored half is all edge terms
+        rng = np.random.default_rng(32)
+        bin_width = 8
+        ta = np.sort(rng.integers(0, 120, 400)) * bin_width
+        with patch.object(correlator, "_TAIL", tail):
+            h = auto_correlate(stream(ta, int(ta[-1])), 10 * bin_width, bin_width, _chunk=37)
+        oracle = brute_force_counts(ta, ta, -10 * bin_width, 10 * bin_width, bin_width,
+                                    drop_diagonal=True)
         assert np.array_equal(h.counts, oracle)
 
     def test_burst_takes_the_tail_path_exactly(self):
@@ -315,6 +351,11 @@ class TestValidation:
         a = stream([1, 2], 10)
         with pytest.raises(ValueError):
             cross_correlate(a, a, **kwargs)
+
+    @pytest.mark.parametrize("lag_max,bin_width", [(10, 4), (0, 1), (-8, 4), (8, 0)])
+    def test_auto_needs_whole_bins_per_side(self, lag_max, bin_width):
+        with pytest.raises(ValueError):
+            auto_correlate(stream([1, 2], 10), lag_max=lag_max, bin_width=bin_width)
 
     def test_histogram_shape_checks(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,8 @@ class TestValidateConfig:
 
 
 class TestTagIO:
+    RECORD = np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")])
+
     def make_streams(self, seed=0, n=500, duration=1_000_000):
         rng = np.random.default_rng(seed)
         a = np.sort(rng.integers(0, duration, n))
@@ -243,9 +245,48 @@ class TestTagIO:
     def test_records_are_time_sorted(self, tmp_path):
         a, b = self.make_streams(seed=1)
         path = write_time_tags(tmp_path / "y.ttag", a, b)
-        raw = np.frombuffer(path.read_bytes()[16:],
-                            dtype=np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")]))
+        raw = np.frombuffer(path.read_bytes()[16:], dtype=self.RECORD)
         assert np.all(np.diff(raw["t"].astype(np.int64)) >= 0)
+
+    def test_equal_times_are_written_a_first(self, tmp_path):
+        a = TimeTagStream(np.array([5, 5, 9]), "A", 10)
+        b = TimeTagStream(np.array([0, 5, 9]), "B", 10)
+        path = write_time_tags(tmp_path / "tie.ttag", a, b)
+        raw = np.frombuffer(path.read_bytes()[16:], dtype=self.RECORD)
+        assert raw["t"].tolist() == [0, 5, 5, 5, 9, 9]
+        assert raw["ch"].tolist() == [1, 0, 0, 1, 0, 1]
+        # many ties: the records are ordered by time, then channel
+        rng = np.random.default_rng(7)
+        a = TimeTagStream(np.sort(rng.integers(0, 40, 600)), "A", 40)
+        b = TimeTagStream(np.sort(rng.integers(0, 40, 500)), "B", 40)
+        raw = np.frombuffer(write_time_tags(tmp_path / "ties.ttag", a, b).read_bytes()[16:],
+                            dtype=self.RECORD)
+        key = raw["t"].astype(np.int64) * 2 + raw["ch"]
+        assert np.all(np.diff(key) >= 0)
+
+    def test_header_and_pad_bytes_are_zero(self, tmp_path):
+        a, b = self.make_streams(seed=4, n=50)
+        data = write_time_tags(tmp_path / "p.ttag", a, b).read_bytes()
+        assert data[:6] == b"TTAG\x01\x00" and data[6:16] == bytes(10)
+        records = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(-1, 16)
+        assert records.shape[0] == 75 and not records[:, 9:].any()
+
+    def test_bad_channel_byte_rejected(self, tmp_path):
+        a, b = self.make_streams(seed=5, n=10)
+        path = write_time_tags(tmp_path / "c.ttag", a, b)
+        data = bytearray(path.read_bytes())
+        data[16 + 3 * 16 + 8] = 2
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="c.ttag: invalid channel byte 2"):
+            read_time_tags(path)
+
+    def test_rewrite_gives_the_same_bytes(self, tmp_path):
+        a, b = self.make_streams(seed=6)
+        first = write_time_tags(tmp_path / "1.ttag", a, b, metadata={"note": 1})
+        a2, b2, sidecar = read_time_tags(first)
+        second = write_time_tags(tmp_path / "2.ttag", a2, b2, metadata=sidecar["metadata"])
+        assert first.read_bytes() == second.read_bytes()
+        assert Path(f"{first}.json").read_bytes() == Path(f"{second}.json").read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "z.ttag"
@@ -609,7 +650,14 @@ class TestCli:
          ["report", "--fit", "tiny_fit.json"]),
         ("tiny_fit.json", lambda d: [d], ["report", "--fit", "tiny_fit.json"]),
         ("tiny.ttag.json", lambda d: [d], ["correlate", "--tags", "tiny.ttag"]),
-    ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list"])
+        ("tiny_fit.json", lambda d: dict(d, context=[d["context"]]),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, metadata=[d["metadata"]]),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny.ttag.json", lambda d: dict(d, metadata=[d["metadata"]]),
+         ["correlate", "--tags", "tiny.ttag"]),
+    ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list",
+            "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
