@@ -16,16 +16,26 @@ about the correlation function enters the sampler.
 
 A detected photon is a plain time: the detection stage routes signal and
 background alike, so nothing downstream needs to know where one came from.
+
+Emitters are independent and each draws from its own SeedSequence child, so
+`simulate_ensemble` samples them on one thread per usable core (numpy's
+generators release the GIL while they fill arrays).  Below about 8 k
+expected detections per emitter the hand-offs cost more than they gain and
+the calling thread samples alone.  Results are merged in emitter order on
+the calling thread, so the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import RateSet, derived_params
+from .errors import SingularSystem
+from .kinetics import RateSet, derived_params, steady_emission_rate
 
 __all__ = [
     "SimConfig",
@@ -34,6 +44,10 @@ __all__ = [
     "simulate_ensemble",
     "poisson_background",
 ]
+
+# expected detections per emitter below which the calling thread samples the
+# whole ensemble: smaller draws lose more to GIL hand-offs than threads gain
+_THREADED_MIN_DETECTIONS = 8192
 
 
 @dataclass(frozen=True)
@@ -124,11 +138,15 @@ def _emission_times(rates: RateSet, efficiency: float, t_end: float,
     while t < t_end:
         n = int(np.clip(1.2 * (t_end - t) / mean_gap + 16, 256, 1 << 17))
         cycles = rng.geometric(p_detect, n)
-        gaps = rng.gamma(cycles, 1.0 / k12) + rng.gamma(cycles, 1.0 / (k21 + k23))
+        # gaps, then times, built in place in the first draw's array
+        times = rng.gamma(cycles, 1.0 / k12)
+        times += rng.gamma(cycles, 1.0 / (k21 + k23))
         if p_shelf > 0.0:
-            gaps += rng.gamma(rng.binomial(cycles - 1, p_shelf), 1.0 / k31)
-        times = t + np.cumsum(gaps)
-        chunks.append(times[times <= t_end])
+            cycles -= 1
+            times += rng.gamma(rng.binomial(cycles, p_shelf), 1.0 / k31)
+        np.cumsum(times, out=times)
+        times += t
+        chunks.append(times[:np.searchsorted(times, t_end, side="right")])
         t = times[-1]
     return np.concatenate(chunks)
 
@@ -156,24 +174,74 @@ def simulate_emitter(
     rng = np.random.default_rng(seed)
     burn = _burn_in(rates)
     times = _emission_times(rates, efficiency, duration + burn, rng)
-    return EventStream(times[times > burn] - burn, duration, _validate=False)
+    kept = times[np.searchsorted(times, burn, side="right"):]
+    return EventStream(kept - burn, duration, _validate=False)
 
 
 def simulate_ensemble(config: SimConfig) -> EventStream:
     """Merged, time-sorted detections of N independent emitters plus background.
 
     Emitter i consumes the i-th child of SeedSequence(config.seed), so the
-    N = 1 ensemble reproduces `simulate_emitter` on that substream exactly.
+    N = 1 ensemble reproduces `simulate_emitter` on that substream exactly,
+    and the result does not depend on how many threads sample the emitters.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.n_emitters + 1)
-    streams = [
-        simulate_emitter(config.rates, config.duration, child, efficiency=config.efficiency)
-        for child in children[:-1]
-    ]
+
+    def emitter(child: np.random.SeedSequence) -> EventStream:
+        return simulate_emitter(config.rates, config.duration, child,
+                                efficiency=config.efficiency)
+
+    streams = _map_on_threads(emitter, children[:-1], _worker_count(config))
     if config.background_rate > 0.0:
         streams.append(poisson_background(config.background_rate, config.duration,
                                           children[-1]))
     return EventStream.merge(streams, config.duration)
+
+
+def _worker_count(config: SimConfig) -> int:
+    """Threads that sample the ensemble: one per usable core above the size gate."""
+    try:
+        per_emitter = steady_emission_rate(config.rates) * config.efficiency * config.duration
+    except SingularSystem:
+        return 1  # simulate_emitter rejects these rates with its own message
+    if per_emitter < _THREADED_MIN_DETECTIONS:
+        return 1
+    return min(_usable_cores(), config.n_emitters)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_on_threads(fn, items: list, n_threads: int) -> list:
+    """[fn(item) for item in items], spread over n_threads including the caller.
+
+    Thread w takes items w, w + n_threads, ...; the first exception stops
+    every thread after its current item and is raised once all have joined.
+    """
+    results: list = [None] * len(items)
+    errors: list[BaseException] = []
+
+    def work(first: int) -> None:
+        try:
+            for i in range(first, len(items), n_threads):
+                if errors:
+                    return
+                results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_threads)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def poisson_background(rate: float, duration: float, seed) -> EventStream:

@@ -5,7 +5,9 @@ Time tags go into a little-endian binary file: a 16-byte header (magic
 (u64 timestamp in ps, u8 channel with 0 = A and 1 = B, 7 zero pad bytes),
 sorted by timestamp with channel breaking ties.  The header has no room
 for metadata, so the acquisition duration and provenance travel in a JSON
-sidecar next to the file ("<file>.json").
+sidecar next to the file ("<file>.json").  Records are merged and written
+in blocks of a fixed number of tags per channel, so writing holds a few MB
+whatever the file's size; the bytes do not depend on the block size.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
 precision) plus a JSON sidecar holding the normalisation.  The reader parses
@@ -40,6 +42,7 @@ TTAG_MAGIC = b"TTAG"
 TTAG_VERSION = 1
 _HEADER = struct.Struct("<4sH10x")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")])
+_BLOCK = 1 << 16  # tags per channel and block that write_time_tags merges at once
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -49,15 +52,15 @@ def _sidecar_path(path: Path) -> Path:
 def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | None = None) -> Path:
     """Write both channels into one TTAG file plus its JSON sidecar."""
     path = Path(path)
-    times = np.concatenate([a.tags, b.tags])
-    # a stable sort merges the two sorted runs and keeps A before B at equal times
-    order = np.argsort(times, kind="stable")
-    records = np.zeros(times.size, dtype=_RECORD_DTYPE)
-    np.take(times.view(np.uint64), order, out=records["t"])
-    records["ch"] = order >= len(a)
+    # cut both channels at the same times, each tie on one side of every cut,
+    # so that no block holds more than about _BLOCK tags of either channel
+    cuts = np.sort(np.concatenate([a.tags[_BLOCK::_BLOCK], b.tags[_BLOCK::_BLOCK]]))
+    ends_a = np.append(np.searchsorted(a.tags, cuts), len(a)).tolist()
+    ends_b = np.append(np.searchsorted(b.tags, cuts), len(b)).tolist()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TTAG_MAGIC, TTAG_VERSION))
-        fh.write(records.data)
+        for start_a, end_a, start_b, end_b in zip([0, *ends_a], ends_a, [0, *ends_b], ends_b):
+            fh.write(_merged_records(a.tags[start_a:end_a], b.tags[start_b:end_b]).data)
     sidecar = {
         "format": "ttag",
         "version": TTAG_VERSION,
@@ -69,6 +72,17 @@ def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | N
         sidecar["metadata"] = metadata
     write_json(_sidecar_path(path), sidecar)
     return path
+
+
+def _merged_records(tags_a: np.ndarray, tags_b: np.ndarray) -> np.ndarray:
+    """TTAG records of one block's tags of channels A and B."""
+    times = np.concatenate([tags_a, tags_b])
+    # a stable sort merges the two sorted runs and keeps A before B at equal times
+    order = np.argsort(times, kind="stable")
+    records = np.zeros(times.size, dtype=_RECORD_DTYPE)
+    np.take(times.view(np.uint64), order, out=records["t"])
+    records["ch"] = order >= tags_a.size
+    return records
 
 
 def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:

@@ -30,14 +30,26 @@ def test_test_oracles_are_not_exported():
     assert oracles.isdisjoint(spphbt.__all__)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test dependency only; the command line must start without it
-    code = "import sys, spphbt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def modules_loaded_by_cli_import(package: str) -> str:
+    """The modules of `package` that `import spphbt.cli` loads in a fresh interpreter."""
+    code = ("import sys, spphbt.cli; "
+            f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))")
     src = str(Path(spphbt.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the command line must start without it
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # the ensemble sampler's threads need only `threading`; concurrent.futures
+    # would add several ms to every command's start-up
+    assert modules_loaded_by_cli_import("concurrent.futures") == "[]"
 
 
 def test_traced_bench_finds_every_name_it_wraps():

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from spphbt import montecarlo
 from spphbt.kinetics import RateSet, derived_params, steady_emission_rate, steady_state
 from spphbt.montecarlo import (
     EventStream,
@@ -218,6 +221,50 @@ class TestSimulateEnsemble:
         assert np.array_equal(ens.times, np.sort(np.concatenate([clean.times, background.times])))
         expected = rate * duration
         assert abs(len(background) - expected) < 3.0 * math.sqrt(expected)
+
+    @pytest.mark.parametrize("duration", [6e6, 1e5], ids=["above_gate", "below_gate"])
+    def test_thread_count_never_changes_the_result(self, silver_rates, monkeypatch, duration):
+        cfg = SimConfig(duration=duration, seed=31, n_emitters=4, rates=silver_rates,
+                        background_rate=1e-3)
+        above = steady_emission_rate(silver_rates) * duration >= montecarlo._THREADED_MIN_DETECTIONS
+        assert above == (duration > 1e6)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
+        assert montecarlo._worker_count(cfg) == (4 if above else 1)  # capped at n_emitters
+        reference = simulate_ensemble(cfg).times
+        sampled_on: set[int] = set()
+        original = montecarlo.simulate_emitter
+
+        def recording(*args, **kwargs):
+            sampled_on.add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_emitter", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for n_threads in (1, 2, 3):
+                sampled_on.clear()
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda config: n_threads)
+                assert np.array_equal(simulate_ensemble(cfg).times, reference)
+                assert len(sampled_on) == n_threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reaches_the_caller(self, silver_rates, monkeypatch):
+        original = montecarlo.simulate_emitter
+
+        def failing(rates, duration, seed, **kwargs):
+            if seed.spawn_key[-1] == 2:  # the first item of the third thread
+                raise RuntimeError("emitter 2 failed")
+            return original(rates, duration, seed, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_emitter", failing)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda config: 3)
+        before = threading.active_count()
+        cfg = SimConfig(duration=1e5, seed=5, n_emitters=6, rates=silver_rates)
+        with pytest.raises(RuntimeError, match="emitter 2 failed"):
+            simulate_ensemble(cfg)
+        assert threading.active_count() == before
 
     def test_config_validation(self, silver_rates):
         with pytest.raises(ValueError):

@@ -7,11 +7,15 @@ import io
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from spphbt import tagio
 from spphbt.cli import OUT_ENV_VAR, main
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import ConfigError, UnknownScenario
@@ -222,8 +226,40 @@ class TestValidateConfig:
             load_scenario(tmp_path / "absent.yaml")
 
 
+def one_shot_ttag_bytes(tags_a: np.ndarray, tags_b: np.ndarray) -> bytes:
+    """A TTAG file written in one piece: concatenate, stable argsort, take."""
+    times = np.concatenate([tags_a, tags_b])
+    order = np.argsort(times, kind="stable")
+    records = np.zeros(times.size, dtype=TestTagIO.RECORD)
+    records["t"] = times[order]
+    records["ch"] = order >= tags_a.size
+    return TTAG_MAGIC + b"\x01\x00" + bytes(10) + records.tobytes()
+
+
+# few distinct values, so ties within and across channels are common
+sorted_tags = st.lists(st.integers(0, 12), max_size=40).map(sorted)
+
+
 class TestTagIO:
     RECORD = np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")])
+
+    @pytest.mark.parametrize("block", [1, 2, 3, tagio._BLOCK])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=sorted_tags, b=sorted_tags)
+    @example(a=[2, 4, 6, 8], b=[4, 4, 6, 8])  # equal A/B times on the cuts
+    @example(a=[], b=[1, 3, 3])
+    @example(a=[0, 5, 5], b=[])
+    @example(a=[], b=[7])
+    @example(a=[4, 5, 5, 6], b=[0, 1, 6, 9, 12])  # B before A's first and after A's last
+    def test_blocks_write_the_one_shot_bytes(self, tmp_path, block, a, b):
+        sa = TimeTagStream(np.array(a, dtype=np.int64), "A", 12)
+        sb = TimeTagStream(np.array(b, dtype=np.int64), "B", 12)
+        with mock.patch.object(tagio, "_BLOCK", block):
+            path = write_time_tags(tmp_path / "blocks.ttag", sa, sb)
+        assert path.read_bytes() == one_shot_ttag_bytes(sa.tags, sb.tags)
+        a2, b2, _ = read_time_tags(path)
+        assert a2.tags.tolist() == a and b2.tags.tolist() == b
 
     def make_streams(self, seed=0, n=500, duration=1_000_000):
         rng = np.random.default_rng(seed)
