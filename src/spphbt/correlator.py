@@ -19,14 +19,21 @@ remaining pairs are listed in one go, so a burst tag with many partners
 costs no more Python steps than the ranks before it.  The cost is O(pairs),
 and each step holds O(chunk) memory whatever the window.
 
-An auto-correlation counts each pair once.  Its window is symmetric with
-whole bins per side.  The ordered pairs with lag in [0, lag_max) give a
-histogram F, which less the self-pairs in bin 0 is the positive half.  Mirrored,
-a lag d > 0 lands in the k-th bin left of zero for d in (k*w, (k+1)*w], so
-that bin holds F[k] - E[k] + E[k+1], where E[k] counts the ordered pairs
-whose lag is exactly k*w.  Those pairs share t mod w, so E comes from one
-more rank-stepped pass at unit bins over sorted keys (t mod w, t div w),
-restricted to the few keys that have a neighbour within the window.
+An auto-correlation counts each pair once, in one sorted stream t where
+tag i's partner at rank k is tag i + k.  While at least a fixed share of a
+chunk still has a partner in the window, rank k is the slice difference
+t[i0+k:i1+k] - t[i0:i1], floored, clipped into one overflow bin and
+bincounted: no search, sort or gather.  The tags still inside once the chunk
+thins out go on through the rank-stepped loop above, which then searches
+for their partners only.  This gives the histogram G of the pairs i < j
+with lag in [0, lag_max).  The window is symmetric with whole bins per
+side.  Mirrored, a lag d > 0 lands in the k-th bin left of zero for d in
+(k*w, (k+1)*w], so that bin holds G[k] - E[k] + E[k+1], where E[k] counts
+the pairs i < j whose lag is exactly k*w; equal tags pair both ways, so
+bin 0 of the positive half holds G[0] + E[0].  Pairs at lag exactly k*w
+share t mod w, so E comes from the same kernel at unit bins over sorted
+keys (t mod w, t div w), restricted to the few keys that have a neighbour
+within the window.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ _PS_PER_SECOND = 1_000_000_000_000
 _CHUNK = 1 << 15
 # below this many tags left in a rank step, their remaining pairs are expanded at once
 _TAIL = 64
+# below this share of an auto chunk still inside the window, rank steps take over from slices
+_DENSE = 1 / 3
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class TimeTagStream:
         if self.duration <= 0:
             raise ValueError(f"duration must be > 0 ps, got {self.duration!r}")
         if tags.size:
-            if np.any(np.diff(tags) < 0):
+            if np.any(tags[1:] < tags[:-1]):
                 raise UnsortedInput(f"channel {self.channel_label}: tags are not sorted")
             if tags[0] < 0 or tags[-1] > self.duration:
                 raise ValueError("tags must lie within [0, duration]")
@@ -152,8 +161,7 @@ def _pair_counts(
     chunk: int,
 ) -> np.ndarray:
     """Histogram of lags tb[j] - ta[i] inside [lag_min, lag_max)."""
-    n_bins = (lag_max - lag_min) // bin_width
-    counts = np.zeros(n_bins, dtype=np.int64)
+    counts = np.zeros((lag_max - lag_min) // bin_width, dtype=np.int64)
     for i0 in range(0, ta.size, chunk):
         start = ta[i0:i0 + chunk] + lag_min
         # the chunk's partners all lie in tb[j0:j1]; search only there
@@ -162,57 +170,104 @@ def _pair_counts(
         tw = tb[j0:j1]
         lo = np.searchsorted(tw, start, side="left")
         per = np.searchsorted(tw, start + (lag_max - lag_min), side="left") - lo
-        # sorted by partner count, descending, the tags with more than k
-        # partners form a prefix of length m_k; a stable sort keeps each
-        # count's tags in time order, and on the narrowest integer type that
-        # holds the counts it is a radix sort
-        neg_per = -per
-        order = np.argsort(neg_per.astype(np.min_scalar_type(neg_per.min())), kind="stable")
-        neg_per, lo, start = neg_per[order], lo[order], start[order]
-        k = 0
-        m = int(np.searchsorted(neg_per, 0, side="left"))
-        while m >= _TAIL:
-            lags = tw[k:][lo[:m]]
-            lags -= start[:m]
-            lags //= bin_width
-            counts += np.bincount(lags, minlength=n_bins)
+        _step_ranks(tw, start, lo, per, bin_width, counts)
+    return counts
+
+
+def _step_ranks(tw: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarray,
+                bin_width: int, counts: np.ndarray) -> None:
+    """Add the lags tw[lo[i] + k] - start[i], k < per[i], to counts at bin_width."""
+    # sorted by partner count, descending, the tags with more than k partners
+    # form a prefix of length m_k; a stable sort keeps each count's tags in
+    # time order, and on the narrowest integer type that holds the counts it
+    # is a radix sort
+    neg_per = -per
+    order = np.argsort(neg_per.astype(np.min_scalar_type(neg_per.min())), kind="stable")
+    neg_per, lo, start = neg_per[order], lo[order], start[order]
+    k = 0
+    m = int(np.searchsorted(neg_per, 0, side="left"))
+    while m >= _TAIL:
+        lags = tw[k:][lo[:m]]
+        lags -= start[:m]
+        lags //= bin_width
+        counts += np.bincount(lags, minlength=counts.size)
+        k += 1
+        m = int(np.searchsorted(neg_per, -k, side="left"))
+    if m == 0:
+        return
+    # the few tags with many partners left: expand their pairs at once
+    rest = -k - neg_per[:m]
+    total = int(rest.sum())
+    offsets = np.repeat(np.cumsum(rest) - rest, rest)
+    partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
+    lags = tw[partner] - np.repeat(start[:m], rest)
+    counts += np.bincount(lags // bin_width, minlength=counts.size)
+
+
+def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int, chunk: int) -> np.ndarray:
+    """Histogram of lags t[j] - t[i], i < j, inside [0, lag_max) of sorted tags t."""
+    n_bins = lag_max // bin_width
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for i0 in range(0, t.size, chunk):
+        i1 = min(i0 + chunk, t.size)
+        # tag i's partner at rank k is tag i + k: while enough of the chunk
+        # is still inside the window, rank k is one slice difference, and the
+        # lags that have left it pile up in an overflow bin
+        k, m = 0, i1 - i0
+        while m and m >= _DENSE * (i1 - i0):
             k += 1
-            m = int(np.searchsorted(neg_per, -k, side="left"))
+            end = min(i1, t.size - k)  # the chunk's tags that have a rank-k partner
+            lags = t[i0 + k:end + k] - t[i0:end]
+            lags //= bin_width
+            np.minimum(lags, n_bins, out=lags)
+            binned = np.bincount(lags, minlength=n_bins + 1)
+            counts += binned[:n_bins]
+            m = end - i0 - int(binned[n_bins])
         if m == 0:
             continue
-        # the few tags with many partners left: expand their pairs at once
-        rest = -k - neg_per[:m]
-        total = int(rest.sum())
-        offsets = np.repeat(np.cumsum(rest) - rest, rest)
-        partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
-        lags = tw[partner] - np.repeat(start[:m], rest)
-        counts += np.bincount(lags // bin_width, minlength=n_bins)
+        # the tags still inside after rank k go on by rank steps over the
+        # slice their partners can reach
+        inside = np.arange(i1 - i0) if k == 0 else np.flatnonzero(lags < n_bins)
+        tw = t[i0:int(np.searchsorted(t, t[i1 - 1] + lag_max, side="left"))]
+        start = tw[inside]
+        lo = inside + (k + 1)
+        per = np.searchsorted(tw, start + lag_max, side="left") - lo
+        _step_ranks(tw, start, lo, per, bin_width, counts)
     return counts
 
 
 def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int, chunk: int) -> np.ndarray:
-    """Ordered pairs, self-pairs included, with lag exactly k * w (w = bin_width), k = 0..n_half.
+    """Pairs i < j with lag exactly k * w (w = bin_width), k = 0..n_half.
 
     Such pairs share their residue t mod w and differ by k in t div w.  On
     the keys (t mod w) * stride + (t div w), with stride above the largest
     quotient plus n_half, keys of different residues differ by more than
     n_half, so these are the pairs whose keys differ by k.  Only keys with
-    a neighbour within n_half can pair; each other key adds just its
-    self-pair to k = 0.
+    a neighbour within n_half can pair.  The keys are built, tested and
+    compacted a chunk at a time, so they are the one tag-sized array.
     """
     stride = int(tags[-1]) // bin_width + n_half + 1
-    keys = tags % bin_width
-    keys *= stride
-    keys += tags // bin_width
+    keys = np.empty_like(tags)
+    for i0 in range(0, tags.size, chunk):
+        block = keys[i0:i0 + chunk]
+        np.remainder(tags[i0:i0 + chunk], bin_width, out=block)
+        block *= stride
+        block += tags[i0:i0 + chunk] // bin_width
     keys.sort()
-    close = np.diff(keys) <= n_half
     near = np.zeros(keys.size, dtype=bool)
-    near[1:] = close
-    near[:-1] |= close
-    keys = keys[near]
-    exact = _pair_counts(keys, keys, 0, n_half + 1, 1, chunk)
-    exact[0] += tags.size - keys.size
-    return exact
+    for i0 in range(0, keys.size - 1, chunk):
+        i1 = min(i0 + chunk, keys.size - 1)
+        close = keys[i0 + 1:i1 + 1] - keys[i0:i1] <= n_half
+        near[i0:i1] |= close
+        near[i0 + 1:i1 + 1] |= close
+    # a kept key never moves right, so the keys compact in place
+    kept = 0
+    for i0 in range(0, keys.size, chunk):
+        block = keys[i0:i0 + chunk][near[i0:i0 + chunk]]
+        keys[kept:kept + block.size] = block
+        kept += block.size
+    del near
+    return _forward_pair_counts(keys[:kept], n_half + 1, 1, chunk)
 
 
 def _validate_window(lag_max: int, lag_min: int | None, bin_width: int) -> tuple[int, int]:
@@ -277,12 +332,12 @@ def auto_correlate(
     lag_min, lag_max = _validate_window(lag_max, None, bin_width)
     if lag_max % bin_width:
         raise ValueError("auto-correlation needs a whole number of bins on each side of 0")
-    forward = _pair_counts(a.tags, a.tags, 0, lag_max, bin_width, _chunk)
+    forward = _forward_pair_counts(a.tags, lag_max, bin_width, _chunk)
     exact = _exact_lag_counts(a.tags, lag_max // bin_width, bin_width, _chunk)
     # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
     # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w
     backward = forward - exact[:-1] + exact[1:]
-    forward[0] -= len(a)  # remove i = j pairs
+    forward[0] += exact[0]  # equal tags pair both ways at lag 0: add the pairs j < i
     return CorrelationHistogram(
         counts=np.concatenate([backward[::-1], forward]),
         bin_width=bin_width,

@@ -92,7 +92,7 @@ class EventStream:
         if self.times.ndim != 1:
             raise ValueError("times must be a 1-d array")
         if self._validate and self.times.size:
-            if np.any(np.diff(self.times) < 0.0):
+            if np.any(self.times[1:] < self.times[:-1]):
                 raise ValueError("event times must be non-decreasing")
             if self.times[0] < 0.0 or self.times[-1] > self.duration:
                 raise ValueError("event times must lie within [0, duration]")

@@ -99,7 +99,7 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     if (len(raw) - _HEADER.size) % _RECORD_DTYPE.itemsize:
         raise ValueError(f"{path}: truncated record block")
     records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    channel = np.ascontiguousarray(records["ch"])
+    channel = records["ch"].copy()
     top = int(channel.max(initial=0))
     if top > 1:
         raise ValueError(f"{path}: invalid channel byte {top}")
@@ -109,10 +109,13 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     tags = records["t"].astype(np.int64)
     del records, raw  # the tags and channels are copies; free the file image
     duration = int(meta.get("duration_ps", tags[-1] if tags.size else 1))
+    # split into arrays of the final sizes; the mask flips in place for A
     on_b = channel.view(bool)
-    a = TimeTagStream(tags[~on_b], "A", duration)
-    b = TimeTagStream(tags[on_b], "B", duration)
-    return a, b, meta
+    n_b = int(np.count_nonzero(on_b))
+    tags_b = np.compress(on_b, tags, out=np.empty(n_b, dtype=np.int64))
+    tags_a = np.compress(np.logical_not(on_b, out=on_b), tags,
+                         out=np.empty(tags.size - n_b, dtype=np.int64))
+    return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), meta
 
 
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:

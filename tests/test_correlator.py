@@ -7,6 +7,7 @@ the Poisson baseline tests.
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -25,14 +26,20 @@ from spphbt.correlator import (
 from spphbt.errors import EmptyStream, UnsortedInput
 
 
-def brute_force_counts(ta, tb, lag_min, lag_max, bin_width, drop_diagonal=False):
-    """All ordered pair lags tb[i] - ta[j], binned the slow and obvious way."""
+def brute_force_counts(ta, tb, lag_min, lag_max, bin_width, drop_diagonal=False,
+                       forward_only=False):
+    """All ordered pair lags tb[i] - ta[j], binned the slow and obvious way.
+
+    drop_diagonal drops the pairs i = j, forward_only keeps only i > j.
+    """
     ta = np.asarray(ta, dtype=np.int64)
     tb = np.asarray(tb, dtype=np.int64)
     lags = tb[:, None] - ta[None, :]
     if drop_diagonal:
         keep = ~np.eye(len(tb), len(ta), dtype=bool)
         lags = lags[keep]
+    if forward_only:
+        lags = lags[np.tri(len(tb), len(ta), k=-1, dtype=bool)]
     lags = lags.ravel()
     lags = lags[(lags >= lag_min) & (lags < lag_max)]
     n_bins = (lag_max - lag_min) // bin_width
@@ -199,6 +206,16 @@ def auto_cases(draw):
     return ta, n_half * bin_width, bin_width, chunk, tail
 
 
+@st.composite
+def forward_cases(draw):
+    """An auto case, its tags optionally on a lattice of the bin width, and a dense share."""
+    ta, lag_max, bin_width, chunk, tail = draw(auto_cases())
+    if draw(st.booleans()):
+        ta = ta * bin_width  # every lag sits on a bin edge
+    dense = draw(st.sampled_from([0, correlator._DENSE, 2]))
+    return ta, lag_max, bin_width, chunk, tail, dense
+
+
 class TestRankSteppedKernel:
     """The rank-stepping pair counter against the brute-force oracle.
 
@@ -254,6 +271,72 @@ class TestRankSteppedKernel:
             + n_burst * brute_force_counts(ta, [burst_at], -2_000, 2_000, 100)
         assert oracle.sum() > n_burst
         assert np.array_equal(h.counts, oracle)
+
+
+class TestDenseRankKernel:
+    """The auto kernel's forward pairs i < j: rank slices while a chunk is dense, then rank steps.
+
+    A dense share of 0 slices every rank, the module's share hands the
+    survivors over once the chunk thins out, and a share above 1 hands every
+    tag over before the first slice.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=forward_cases())
+    def test_forward_pairs_match_oracle(self, case):
+        ta, lag_max, bin_width, chunk, tail, dense = case
+        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_DENSE", dense), \
+                patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+            counts = correlator._forward_pair_counts(ta, lag_max, bin_width, chunk)
+        oracle = brute_force_counts(ta, ta, 0, lag_max, bin_width, forward_only=True)
+        assert np.array_equal(counts, oracle)
+        if dense == 0:
+            assert not ranked.called
+        elif dense > 1:
+            assert ranked.call_count == -(-ta.size // chunk)
+
+    def test_dense_ranks_hand_over_to_rank_steps(self):
+        # about one partner per tag: rank 1 is sliced, rank 2 leaves fewer
+        # than a third of the chunk inside, and those go on by rank steps
+        rng = np.random.default_rng(33)
+        ta = np.unique(rng.integers(0, 4_000_000, 4_000))
+        with patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+            counts = correlator._forward_pair_counts(ta, 1_000, 100, 1_000)
+        assert np.array_equal(counts, brute_force_counts(ta, ta, 0, 1_000, 100, forward_only=True))
+        assert ranked.call_count == 4
+        for (tw, start, lo, *_), _ in ranked.call_args_list:
+            # tags are distinct, so a survivor's index in tw gives the ranks already sliced
+            assert np.all(lo - np.searchsorted(tw, start) >= 2)
+
+    @pytest.mark.parametrize("chunk", [700, correlator._CHUNK])
+    def test_auto_burst_is_exact(self, chunk):
+        # a burst of equal tags among sparse ones: its ranks run long after
+        # the sparse tags have left the window
+        rng = np.random.default_rng(34)
+        burst_at, n_burst = 400_000, 3_000
+        sparse = np.sort(rng.integers(0, 1_000_000, 2_000))
+        ta = np.sort(np.concatenate([sparse, np.full(n_burst, burst_at)]))
+        h = auto_correlate(stream(ta, 1_000_000), 2_000, 100, _chunk=chunk)
+        oracle = brute_force_counts(sparse, sparse, -2_000, 2_000, 100, drop_diagonal=True) \
+            + n_burst * brute_force_counts(sparse, [burst_at], -2_000, 2_000, 100) \
+            + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
+        oracle[2_000 // 100] += n_burst * (n_burst - 1)
+        assert np.array_equal(h.counts, oracle)
+
+
+class TestMemory:
+    def test_auto_peak_stays_near_the_tags(self):
+        # the exact-lag keys are the one tag-sized array auto_correlate holds
+        rng = np.random.default_rng(35)
+        n = 1 << 18
+        a = stream(np.sort(rng.integers(0, n * 1_000, n)), n * 1_000)
+        tracemalloc.start()
+        try:
+            auto_correlate(a, 50_000, 1_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.tags.nbytes
 
 
 class TestSwapSymmetry:
