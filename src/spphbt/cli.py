@@ -58,12 +58,30 @@ def _out_dir(value: str | None) -> Path:
     return out
 
 
-def _setting(flag, stored: dict, key: str, default=None):
-    """A flag given on the command line, else the value stored with the input, else default."""
+def _setting(flag, stored: dict, key: str, path, convert, default=None):
+    """A flag given on the command line, else the value stored with the input, else default.
+
+    A stored null counts as absent.  A stored value that `convert` rejects is
+    a ValueError naming the file it came from.
+    """
     if flag is not None:
         return flag
     value = stored.get(key)
-    return default if value is None else value
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad {key} {value!r} ({exc})") from exc
+
+
+def _one_of(*choices):
+    """A converter that passes one of `choices` through and rejects anything else."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+    return convert
 
 
 def _positive_int(text: str) -> int:
@@ -123,9 +141,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_correlate(args) -> int:
     a, b, meta = read_time_tags(args.tags)
     inner = meta.get("metadata") or {}  # the reader checked it is an object
-    kind = _setting(args.kind, inner, "correlation", "cross")
-    window = int(_setting(args.window, inner, "window_ps", DEFAULT_WINDOW_PS))
-    bins = int(_setting(args.bins, inner, "bin_width_ps", DEFAULT_BIN_WIDTH_PS))
+    sidecar = f"{args.tags}.json"
+    kind = _setting(args.kind, inner, "correlation", sidecar, _one_of("auto", "cross"), "cross")
+    window = _setting(args.window, inner, "window_ps", sidecar, int, DEFAULT_WINDOW_PS)
+    bins = _setting(args.bins, inner, "bin_width_ps", sidecar, int, DEFAULT_BIN_WIDTH_PS)
     problems = check_window(window, bins)
     if problems:
         raise ConfigError(problems)
@@ -142,13 +161,18 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_fit(args) -> int:
     hist, meta = read_histogram_csv(args.hist)
-    stored = json_section(meta, "fit", args.hist)
-    fit = fit_histogram(hist, int(_setting(args.max_iterations, stored, "max_iterations",
-                                           DEFAULT_MAX_ITERATIONS)))
+    sidecar = f"{args.hist}.json"
+    stored = json_section(meta, "fit", sidecar)
+    max_iterations = _setting(args.max_iterations, stored, "max_iterations", sidecar, int,
+                              DEFAULT_MAX_ITERATIONS)
+    k12 = _setting(args.k12, stored, "k12", sidecar, float)
+    inversion = _setting(args.inversion, stored, "inversion", sidecar, _one_of(*INVERSIONS),
+                         DEFAULT_INVERSION)
+    n_emitters = _setting(None, meta, "n_emitters", sidecar, int, 1)
+    rho = _setting(None, meta, "rho_effective", sidecar, float)
+    fit = fit_histogram(hist, max_iterations)
     payload, report, rejected = fit_payload(
-        fit, meta.get("scenario", Path(args.hist).stem), _setting(args.k12, stored, "k12"),
-        _setting(args.inversion, stored, "inversion", DEFAULT_INVERSION),
-        meta.get("n_emitters", 1), meta.get("rho_effective"))
+        fit, meta.get("scenario", Path(args.hist).stem), k12, inversion, n_emitters, rho)
     out = _out_dir(args.out)
     path = write_json(out / f"{Path(args.hist).stem}_fit.json", payload)
     g1, g2, beta, c = fit.params
@@ -164,7 +188,7 @@ def _cmd_fit(args) -> int:
 def _cmd_report(args) -> int:
     payload = read_json(args.fit)
     ctx = json_section(payload, "context", args.fit)
-    k12 = _setting(args.k12, ctx, "k12")
+    k12 = _setting(args.k12, ctx, "k12", args.fit, float)
     if k12 is None:
         print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)
         return 2
@@ -173,9 +197,10 @@ def _cmd_report(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.fit}: {exc}") from exc
     report = report_photophysics(
-        fit, float(k12), int(ctx.get("n_emitters", 1)),
-        ctx.get("rho_effective"),
-        inversion=_setting(args.inversion, ctx, "inversion", DEFAULT_INVERSION))
+        fit, k12, _setting(None, ctx, "n_emitters", args.fit, int, 1),
+        _setting(None, ctx, "rho_effective", args.fit, float),
+        inversion=_setting(args.inversion, ctx, "inversion", args.fit, _one_of(*INVERSIONS),
+                           DEFAULT_INVERSION))
     print(report.format_table(payload.get("scenario", "stored fit")))
     return 0
 

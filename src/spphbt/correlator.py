@@ -1,10 +1,12 @@
 """Second-order correlation estimation from detector time tags.
 
-All times are integer picoseconds.  The estimator counts every ordered pair
-(a, b) whose lag b - a falls inside the window and bins it on a uniform
-grid of half-open bins [edge, edge + bin_width); normalising by the
-uncorrelated-pair expectation rate_a * rate_b * duration * bin_width turns
-counts into g2 with Poisson error bars sqrt(counts) on the same scale.
+All times are integer picoseconds.  Cross- and auto-correlations both take
+a symmetric window [-lag_max, lag_max) with a whole number of bins on each
+side.  The estimator counts every ordered pair (a, b) whose lag b - a falls
+inside the window and bins it on a uniform grid of half-open bins
+[edge, edge + bin_width); normalising by the uncorrelated-pair expectation
+rate_a * rate_b * duration * bin_width turns counts into g2 with Poisson
+error bars sqrt(counts) on the same scale.
 
 Pairs are counted by stepping over partner rank rather than by listing
 them.  A chunk of channel-A tags can only reach the slice of tb between its
@@ -152,18 +154,12 @@ class CorrelationHistogram:
         return self.lag_edges + 0.5 * self.bin_width
 
 
-def _pair_counts(
-    ta: np.ndarray,
-    tb: np.ndarray,
-    lag_min: int,
-    lag_max: int,
-    bin_width: int,
-    chunk: int,
-) -> np.ndarray:
+def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
+                 bin_width: int) -> np.ndarray:
     """Histogram of lags tb[j] - ta[i] inside [lag_min, lag_max)."""
     counts = np.zeros((lag_max - lag_min) // bin_width, dtype=np.int64)
-    for i0 in range(0, ta.size, chunk):
-        start = ta[i0:i0 + chunk] + lag_min
+    for i0 in range(0, ta.size, _CHUNK):
+        start = ta[i0:i0 + _CHUNK] + lag_min
         # the chunk's partners all lie in tb[j0:j1]; search only there
         j0 = int(np.searchsorted(tb, start[0], side="left"))
         j1 = int(np.searchsorted(tb, start[-1] + (lag_max - lag_min), side="left"))
@@ -204,12 +200,12 @@ def _step_ranks(tw: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarr
     counts += np.bincount(lags // bin_width, minlength=counts.size)
 
 
-def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int, chunk: int) -> np.ndarray:
+def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int) -> np.ndarray:
     """Histogram of lags t[j] - t[i], i < j, inside [0, lag_max) of sorted tags t."""
     n_bins = lag_max // bin_width
     counts = np.zeros(n_bins, dtype=np.int64)
-    for i0 in range(0, t.size, chunk):
-        i1 = min(i0 + chunk, t.size)
+    for i0 in range(0, t.size, _CHUNK):
+        i1 = min(i0 + _CHUNK, t.size)
         # tag i's partner at rank k is tag i + k: while enough of the chunk
         # is still inside the window, rank k is one slice difference, and the
         # lags that have left it pile up in an overflow bin
@@ -236,7 +232,7 @@ def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int, chunk: int
     return counts
 
 
-def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int, chunk: int) -> np.ndarray:
+def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int) -> np.ndarray:
     """Pairs i < j with lag exactly k * w (w = bin_width), k = 0..n_half.
 
     Such pairs share their residue t mod w and differ by k in t div w.  On
@@ -248,63 +244,53 @@ def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int, chunk: int)
     """
     stride = int(tags[-1]) // bin_width + n_half + 1
     keys = np.empty_like(tags)
-    for i0 in range(0, tags.size, chunk):
-        block = keys[i0:i0 + chunk]
-        np.remainder(tags[i0:i0 + chunk], bin_width, out=block)
+    for i0 in range(0, tags.size, _CHUNK):
+        block = keys[i0:i0 + _CHUNK]
+        np.remainder(tags[i0:i0 + _CHUNK], bin_width, out=block)
         block *= stride
-        block += tags[i0:i0 + chunk] // bin_width
+        block += tags[i0:i0 + _CHUNK] // bin_width
     keys.sort()
     near = np.zeros(keys.size, dtype=bool)
-    for i0 in range(0, keys.size - 1, chunk):
-        i1 = min(i0 + chunk, keys.size - 1)
+    for i0 in range(0, keys.size - 1, _CHUNK):
+        i1 = min(i0 + _CHUNK, keys.size - 1)
         close = keys[i0 + 1:i1 + 1] - keys[i0:i1] <= n_half
         near[i0:i1] |= close
         near[i0 + 1:i1 + 1] |= close
     # a kept key never moves right, so the keys compact in place
     kept = 0
-    for i0 in range(0, keys.size, chunk):
-        block = keys[i0:i0 + chunk][near[i0:i0 + chunk]]
+    for i0 in range(0, keys.size, _CHUNK):
+        block = keys[i0:i0 + _CHUNK][near[i0:i0 + _CHUNK]]
         keys[kept:kept + block.size] = block
         kept += block.size
     del near
-    return _forward_pair_counts(keys[:kept], n_half + 1, 1, chunk)
+    return _forward_pair_counts(keys[:kept], n_half + 1, 1)
 
 
-def _validate_window(lag_max: int, lag_min: int | None, bin_width: int) -> tuple[int, int]:
+def _validate_window(lag_max: int, bin_width: int) -> int:
+    """lag_max as an int, once it is a positive whole number of bins."""
     if bin_width <= 0:
         raise ValueError(f"bin_width must be > 0 ps, got {bin_width!r}")
-    if lag_min is None:
-        lag_min = -int(lag_max)
-    if lag_max <= lag_min:
-        raise ValueError("lag_max must exceed lag_min")
-    if (lag_max - lag_min) % bin_width:
-        raise ValueError("lag window must divide evenly into bins")
-    return int(lag_min), int(lag_max)
+    if lag_max <= 0 or lag_max % bin_width:
+        raise ValueError(f"lag_max must be a positive whole number of bins, got {lag_max!r}")
+    return int(lag_max)
 
 
-def cross_correlate(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    lag_max: int,
-    bin_width: int,
-    *,
-    lag_min: int | None = None,
-    _chunk: int = _CHUNK,
-) -> CorrelationHistogram:
-    """Correlate two channels over lags [lag_min, lag_max) ps.
+def cross_correlate(a: TimeTagStream, b: TimeTagStream, lag_max: int,
+                    bin_width: int) -> CorrelationHistogram:
+    """Correlate two channels over lags [-lag_max, lag_max) ps.
 
-    lag_min defaults to -lag_max (symmetric window).  Every pair in the
-    window is counted, which keeps the estimator unbiased at any rate.
+    The window must hold a whole number of bins on each side.  Every pair in
+    the window is counted, which keeps the estimator unbiased at any rate.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptyStream("both channels need at least one tag")
-    lag_min, lag_max = _validate_window(lag_max, lag_min, bin_width)
-    counts = _pair_counts(a.tags, b.tags, lag_min, lag_max, bin_width, _chunk)
+    lag_max = _validate_window(lag_max, bin_width)
+    counts = _pair_counts(a.tags, b.tags, -lag_max, lag_max, bin_width)
     duration = min(a.duration, b.duration)
     return CorrelationHistogram(
         counts=counts,
         bin_width=bin_width,
-        lag_min=lag_min,
+        lag_min=-lag_max,
         lag_max=lag_max,
         duration=duration,
         rate_a=len(a) / duration * _PS_PER_SECOND,
@@ -312,13 +298,7 @@ def cross_correlate(
     )
 
 
-def auto_correlate(
-    a: TimeTagStream,
-    lag_max: int,
-    bin_width: int,
-    *,
-    _chunk: int = _CHUNK,
-) -> CorrelationHistogram:
+def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> CorrelationHistogram:
     """Correlate a channel with itself over lags [-lag_max, lag_max) ps.
 
     Each tag's pairing with itself is excluded; pairs of distinct tags that
@@ -329,11 +309,9 @@ def auto_correlate(
     """
     if len(a) == 0:
         raise EmptyStream("channel has no tags")
-    lag_min, lag_max = _validate_window(lag_max, None, bin_width)
-    if lag_max % bin_width:
-        raise ValueError("auto-correlation needs a whole number of bins on each side of 0")
-    forward = _forward_pair_counts(a.tags, lag_max, bin_width, _chunk)
-    exact = _exact_lag_counts(a.tags, lag_max // bin_width, bin_width, _chunk)
+    lag_max = _validate_window(lag_max, bin_width)
+    forward = _forward_pair_counts(a.tags, lag_max, bin_width)
+    exact = _exact_lag_counts(a.tags, lag_max // bin_width, bin_width)
     # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
     # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w
     backward = forward - exact[:-1] + exact[1:]
@@ -341,7 +319,7 @@ def auto_correlate(
     return CorrelationHistogram(
         counts=np.concatenate([backward[::-1], forward]),
         bin_width=bin_width,
-        lag_min=lag_min,
+        lag_min=-lag_max,
         lag_max=lag_max,
         duration=a.duration,
         rate_a=a.rate_hz,

@@ -38,7 +38,6 @@ from .errors import SingularSystem
 from .kinetics import RateSet, derived_params, steady_emission_rate
 
 __all__ = [
-    "SimConfig",
     "EventStream",
     "simulate_emitter",
     "simulate_ensemble",
@@ -48,35 +47,6 @@ __all__ = [
 # expected detections per emitter below which the calling thread samples the
 # whole ensemble: smaller draws lose more to GIL hand-offs than threads gain
 _THREADED_MIN_DETECTIONS = 8192
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Ensemble simulation settings.
-
-    duration: acquisition length in ns.
-    efficiency: probability p that an emitted photon is detected on either
-        APD (eff_A + eff_B); only detected photons are sampled, and the
-        default p = 1 records every emission.
-    background_rate: Poisson rate in ns^-1 of the background detected on
-        both APDs together; the detection stage splits it like the signal.
-    """
-
-    duration: float
-    seed: int
-    n_emitters: int
-    rates: RateSet
-    efficiency: float = 1.0
-    background_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
-        if not isinstance(self.n_emitters, (int, np.integer)) or self.n_emitters < 1:
-            raise ValueError(f"n_emitters must be an integer >= 1, got {self.n_emitters!r}")
-        _check_efficiency(self.efficiency)
-        if not (math.isfinite(self.background_rate) and self.background_rate >= 0.0):
-            raise ValueError(f"background_rate must be >= 0, got {self.background_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +76,6 @@ class EventStream:
         times = np.concatenate([np.empty(0)] + [s.times for s in streams])
         times.sort()  # in place: a sorted copy would double the run's largest array
         return EventStream(times, duration, _validate=False)
-
-
-def _check_efficiency(efficiency: float) -> None:
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency!r}")
 
 
 def _burn_in(rates: RateSet) -> float:
@@ -168,7 +133,8 @@ def simulate_emitter(
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-    _check_efficiency(efficiency)
+    if not 0.0 <= efficiency <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency!r}")
     if rates.k31 <= 0.0 < rates.k23:
         raise ValueError("k31 = 0 with k23 > 0: the shelved state is absorbing")
     rng = np.random.default_rng(seed)
@@ -178,35 +144,48 @@ def simulate_emitter(
     return EventStream(kept - burn, duration, _validate=False)
 
 
-def simulate_ensemble(config: SimConfig) -> EventStream:
+def simulate_ensemble(
+    rates: RateSet,
+    n_emitters: int,
+    duration: float,
+    seed,
+    *,
+    efficiency: float = 1.0,
+    background_rate: float = 0.0,
+) -> EventStream:
     """Merged, time-sorted detections of N independent emitters plus background.
 
-    Emitter i consumes the i-th child of SeedSequence(config.seed), so the
-    N = 1 ensemble reproduces `simulate_emitter` on that substream exactly,
-    and the result does not depend on how many threads sample the emitters.
+    Each emitted photon is detected with probability `efficiency`
+    (eff_A + eff_B); `background_rate` is the Poisson rate in ns^-1 of the
+    background on both APDs together, which the detection stage splits like
+    the signal.  Emitter i consumes the i-th child of SeedSequence(seed), so
+    the N = 1 ensemble reproduces `simulate_emitter` on that substream
+    exactly, and the result does not depend on how many threads sample the
+    emitters.
     """
-    children = np.random.SeedSequence(config.seed).spawn(config.n_emitters + 1)
+    if not isinstance(n_emitters, (int, np.integer)) or n_emitters < 1:
+        raise ValueError(f"n_emitters must be an integer >= 1, got {n_emitters!r}")
+    children = np.random.SeedSequence(seed).spawn(n_emitters + 1)
 
     def emitter(child: np.random.SeedSequence) -> EventStream:
-        return simulate_emitter(config.rates, config.duration, child,
-                                efficiency=config.efficiency)
+        return simulate_emitter(rates, duration, child, efficiency=efficiency)
 
-    streams = _map_on_threads(emitter, children[:-1], _worker_count(config))
-    if config.background_rate > 0.0:
-        streams.append(poisson_background(config.background_rate, config.duration,
-                                          children[-1]))
-    return EventStream.merge(streams, config.duration)
+    streams = _map_on_threads(emitter, children[:-1],
+                              _worker_count(rates, n_emitters, duration, efficiency))
+    if background_rate != 0.0:  # NaN and negative rates reach poisson_background's check
+        streams.append(poisson_background(background_rate, duration, children[-1]))
+    return EventStream.merge(streams, duration)
 
 
-def _worker_count(config: SimConfig) -> int:
+def _worker_count(rates: RateSet, n_emitters: int, duration: float, efficiency: float) -> int:
     """Threads that sample the ensemble: one per usable core above the size gate."""
     try:
-        per_emitter = steady_emission_rate(config.rates) * config.efficiency * config.duration
+        per_emitter = steady_emission_rate(rates) * efficiency * duration
     except SingularSystem:
         return 1  # simulate_emitter rejects these rates with its own message
     if per_emitter < _THREADED_MIN_DETECTIONS:
         return 1
-    return min(_usable_cores(), config.n_emitters)
+    return min(_usable_cores(), n_emitters)
 
 
 def _usable_cores() -> int:

@@ -175,16 +175,15 @@ def route_events(
     n = len(stream)
     to_a = rng.random(n) < share_a
     duration_ps = int(round(stream.duration * 1000.0))
+    times = stream.times
     if jitter_sigma_ns > 0.0:
-        jittered = stream.times + rng.normal(0.0, jitter_sigma_ns, n)
-        tags = np.rint(jittered * 1000.0).astype(np.int64)
-        in_range = (tags >= 0) & (tags <= duration_ps)
-        tags_a = np.sort(tags[to_a & in_range])
-        tags_b = np.sort(tags[~to_a & in_range])
-        return RoutedStreams(tags_a, tags_b, duration_ps, n)
-    # rounding is monotone: unjittered tags stay sorted, and only their ends
-    # can round out of [0, duration_ps]
-    scaled = stream.times * 1000.0
+        times = times + rng.normal(0.0, jitter_sigma_ns, n)
+        # jittered times reorder; each keeps its channel
+        order = np.argsort(times, kind="stable")
+        times, to_a = times[order], to_a[order]
+    # rounding is monotone: sorted times give sorted tags, and only their
+    # ends can round out of [0, duration_ps]
+    scaled = times * 1000.0
     tags = np.rint(scaled, out=scaled).astype(np.int64)
     del scaled
     lo, hi = np.searchsorted(tags, [0, duration_ps + 1]).tolist()

@@ -28,7 +28,7 @@ from .fitter import (
     report_photophysics,
 )
 from .kinetics import steady_emission_rate
-from .montecarlo import SimConfig, simulate_ensemble
+from .montecarlo import simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
 from .scenarios import Scenario
 from .tagio import sha256_file, write_histogram_csv, write_json, write_time_tags
@@ -96,14 +96,8 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
     rho = 1.0 if scenario.rho is None else scenario.rho
     signal = scenario.n_emitters * steady_emission_rate(scenario.rates) * efficiency
     background = signal * (1.0 - rho) / rho
-    events = simulate_ensemble(SimConfig(
-        duration=scenario.duration_ns,
-        seed=scenario.seed,
-        n_emitters=scenario.n_emitters,
-        rates=scenario.rates,
-        efficiency=efficiency,
-        background_rate=background,
-    ))
+    events = simulate_ensemble(scenario.rates, scenario.n_emitters, scenario.duration_ns,
+                               scenario.seed, efficiency=efficiency, background_rate=background)
     routed = route_events(
         events,
         share_a,

@@ -108,7 +108,13 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     json_section(meta, "metadata", sidecar)
     tags = records["t"].astype(np.int64)
     del records, raw  # the tags and channels are copies; free the file image
-    duration = int(meta.get("duration_ps", tags[-1] if tags.size else 1))
+    duration = meta.get("duration_ps")
+    if duration is None:  # absent or null: up to the last tag
+        duration = tags[-1] if tags.size else 1
+    try:
+        duration = int(duration)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: bad duration_ps {duration!r} ({exc})") from exc
     # split into arrays of the final sizes; the mask flips in place for A
     on_b = channel.view(bool)
     n_b = int(np.count_nonzero(on_b))

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import conftest
 from conftest import record_criterion
 from rate_oracles import (
     SymmetryViolation,
@@ -356,3 +358,19 @@ class TestFitMachinery:
             f"analytic Jacobian vs finite differences {jac_err:.2e} (need 1e-5); "
             f"noiseless recovery max rel err {refit_err:.2e} (need 1e-6)")
         assert ok
+
+
+@pytest.mark.parametrize("recorded", ["all", "all_but_one"])
+def test_report_is_written_only_by_a_full_run(tmp_path, monkeypatch, recorded):
+    # `pytest -k criterion_9` records one line; it must not overwrite the report
+    ids = sorted(conftest.criterion_ids())
+    assert {"1", "2s", "9"} <= set(ids)
+    if recorded == "all_but_one":
+        ids = ids[:-1]
+    monkeypatch.setattr(conftest, "ACCEPTANCE_LINES",
+                        {f"{i} label": f"[PASS] criterion {i} label: ok" for i in ids})
+    printed: list[str] = []
+    reporter = SimpleNamespace(section=lambda title: None, write_line=printed.append)
+    conftest.pytest_terminal_summary(reporter, 0, SimpleNamespace(rootpath=tmp_path))
+    assert len(printed) == len(ids)
+    assert (tmp_path / "acceptance_report.txt").exists() is (recorded == "all")

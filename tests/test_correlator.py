@@ -100,13 +100,13 @@ class TestAgainstBruteForce:
         assert np.array_equal(h.counts, oracle)
 
     def test_asymmetric_window(self):
+        # the public windows are symmetric; the pair counter takes any start offset
         rng = np.random.default_rng(4)
         ta = np.sort(rng.integers(0, 500, 200))
         tb = np.sort(rng.integers(0, 500, 200))
-        h = cross_correlate(stream(ta, 500), stream(tb, 500),
-                            lag_max=40, bin_width=8, lag_min=-16)
+        counts = correlator._pair_counts(ta, tb, -16, 40, 8)
         oracle = brute_force_counts(ta, tb, -16, 40, 8)
-        assert np.array_equal(h.counts, oracle)
+        assert np.array_equal(counts, oracle)
 
     def test_chunk_size_does_not_change_counts(self):
         rng = np.random.default_rng(5)
@@ -114,7 +114,8 @@ class TestAgainstBruteForce:
         tb = np.sort(rng.integers(0, 10_000, 1_000))
         a, b = stream(ta, 10_000), stream(tb, 10_000)
         h_big = cross_correlate(a, b, lag_max=100, bin_width=10)
-        h_tiny = cross_correlate(a, b, lag_max=100, bin_width=10, _chunk=7)
+        with patch.object(correlator, "_CHUNK", 7):
+            h_tiny = cross_correlate(a, b, lag_max=100, bin_width=10)
         assert np.array_equal(h_big.counts, h_tiny.counts)
 
     def test_auto_excludes_self_pairs_only(self):
@@ -229,18 +230,17 @@ class TestRankSteppedKernel:
     def test_cross_matches_oracle(self, case):
         ta, tb, lag_min, lag_max, bin_width, chunk, tail = case
         duration = int(max(ta[-1], tb[-1], 1))
-        with patch.object(correlator, "_TAIL", tail):
-            h = cross_correlate(stream(ta, duration), stream(tb, duration), lag_max, bin_width,
-                                lag_min=lag_min, _chunk=chunk)
-        assert np.array_equal(h.counts, brute_force_counts(ta, tb, lag_min, lag_max, bin_width))
+        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", chunk):
+            counts = correlator._pair_counts(ta, tb, lag_min, lag_max, bin_width)
+        assert np.array_equal(counts, brute_force_counts(ta, tb, lag_min, lag_max, bin_width))
 
     @settings(max_examples=300, deadline=None)
     @given(case=auto_cases())
     def test_auto_matches_oracle(self, case):
         ta, lag_max, bin_width, chunk, tail = case
         duration = int(max(ta[-1], 1))
-        with patch.object(correlator, "_TAIL", tail):
-            h = auto_correlate(stream(ta, duration), lag_max, bin_width, _chunk=chunk)
+        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", chunk):
+            h = auto_correlate(stream(ta, duration), lag_max, bin_width)
         oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
         assert np.array_equal(h.counts, oracle)
 
@@ -251,8 +251,8 @@ class TestRankSteppedKernel:
         rng = np.random.default_rng(32)
         bin_width = 8
         ta = np.sort(rng.integers(0, 120, 400)) * bin_width
-        with patch.object(correlator, "_TAIL", tail):
-            h = auto_correlate(stream(ta, int(ta[-1])), 10 * bin_width, bin_width, _chunk=37)
+        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", 37):
+            h = auto_correlate(stream(ta, int(ta[-1])), 10 * bin_width, bin_width)
         oracle = brute_force_counts(ta, ta, -10 * bin_width, 10 * bin_width, bin_width,
                                     drop_diagonal=True)
         assert np.array_equal(h.counts, oracle)
@@ -286,8 +286,9 @@ class TestDenseRankKernel:
     def test_forward_pairs_match_oracle(self, case):
         ta, lag_max, bin_width, chunk, tail, dense = case
         with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_DENSE", dense), \
+                patch.object(correlator, "_CHUNK", chunk), \
                 patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
-            counts = correlator._forward_pair_counts(ta, lag_max, bin_width, chunk)
+            counts = correlator._forward_pair_counts(ta, lag_max, bin_width)
         oracle = brute_force_counts(ta, ta, 0, lag_max, bin_width, forward_only=True)
         assert np.array_equal(counts, oracle)
         if dense == 0:
@@ -300,8 +301,9 @@ class TestDenseRankKernel:
         # than a third of the chunk inside, and those go on by rank steps
         rng = np.random.default_rng(33)
         ta = np.unique(rng.integers(0, 4_000_000, 4_000))
-        with patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
-            counts = correlator._forward_pair_counts(ta, 1_000, 100, 1_000)
+        with patch.object(correlator, "_CHUNK", 1_000), \
+                patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+            counts = correlator._forward_pair_counts(ta, 1_000, 100)
         assert np.array_equal(counts, brute_force_counts(ta, ta, 0, 1_000, 100, forward_only=True))
         assert ranked.call_count == 4
         for (tw, start, lo, *_), _ in ranked.call_args_list:
@@ -316,7 +318,8 @@ class TestDenseRankKernel:
         burst_at, n_burst = 400_000, 3_000
         sparse = np.sort(rng.integers(0, 1_000_000, 2_000))
         ta = np.sort(np.concatenate([sparse, np.full(n_burst, burst_at)]))
-        h = auto_correlate(stream(ta, 1_000_000), 2_000, 100, _chunk=chunk)
+        with patch.object(correlator, "_CHUNK", chunk):
+            h = auto_correlate(stream(ta, 1_000_000), 2_000, 100)
         oracle = brute_force_counts(sparse, sparse, -2_000, 2_000, 100, drop_diagonal=True) \
             + n_burst * brute_force_counts(sparse, [burst_at], -2_000, 2_000, 100) \
             + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
@@ -426,14 +429,19 @@ class TestValidation:
             auto_correlate(e, lag_max=4, bin_width=1)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(lag_max=10, bin_width=3),                  # 20 not divisible by 3
+        dict(lag_max=10, bin_width=3),                  # 10 not divisible by 3
         dict(lag_max=10, bin_width=0),
-        dict(lag_max=10, bin_width=4, lag_min=10),
+        dict(lag_max=10, bin_width=4),                  # 2.5 bins per side, though 20 = 5 bins
+        dict(lag_max=0, bin_width=1),
+        dict(lag_max=-8, bin_width=4),
     ])
     def test_bad_windows_raise(self, kwargs):
+        # both kinds follow one rule: a positive whole number of bins per side
         a = stream([1, 2], 10)
         with pytest.raises(ValueError):
             cross_correlate(a, a, **kwargs)
+        with pytest.raises(ValueError):
+            auto_correlate(a, **kwargs)
 
     @pytest.mark.parametrize("lag_max,bin_width", [(10, 4), (0, 1), (-8, 4), (8, 0)])
     def test_auto_needs_whole_bins_per_side(self, lag_max, bin_width):

@@ -20,7 +20,6 @@ from spphbt import montecarlo
 from spphbt.kinetics import RateSet, derived_params, steady_emission_rate, steady_state
 from spphbt.montecarlo import (
     EventStream,
-    SimConfig,
     poisson_background,
     simulate_emitter,
     simulate_ensemble,
@@ -182,41 +181,38 @@ class TestDetectedSampler:
     def test_detected_count_matches_analytic_rate(self, preset, request):
         rates = request.getfixturevalue(preset)
         duration, n, p = 1e7, 4, self.P
-        cfg = SimConfig(duration=duration, seed=53, n_emitters=n, rates=rates, efficiency=p)
         emitted_mean = n * rates.k21 * steady_state(rates).p2 * duration
         # independent thinning: Var = p^2 Var(emitted) + p (1 - p) E(emitted)
         sigma = math.sqrt(p * p * count_sigma(rates, duration, n) ** 2
                           + p * (1.0 - p) * emitted_mean)
-        assert abs(len(simulate_ensemble(cfg)) - p * emitted_mean) < 3.0 * sigma
+        ens = simulate_ensemble(rates, n, duration, 53, efficiency=p)
+        assert abs(len(ens) - p * emitted_mean) < 3.0 * sigma
 
 
 class TestSimulateEnsemble:
     def test_single_emitter_equals_substream(self, silver_rates):
-        cfg = SimConfig(duration=1e5, seed=9, n_emitters=1, rates=silver_rates)
-        ens = simulate_ensemble(cfg)
+        ens = simulate_ensemble(silver_rates, 1, 1e5, 9)
         child = np.random.SeedSequence(9).spawn(2)[0]
         solo = simulate_emitter(silver_rates, 1e5, child)
         assert np.array_equal(ens.times, solo.times)
 
     def test_deterministic_and_sorted(self, silver_rates):
-        cfg = SimConfig(duration=1e5, seed=21, n_emitters=5, rates=silver_rates)
-        e1, e2 = simulate_ensemble(cfg), simulate_ensemble(cfg)
+        e1 = simulate_ensemble(silver_rates, 5, 1e5, 21)
+        e2 = simulate_ensemble(silver_rates, 5, 1e5, 21)
         assert np.array_equal(e1.times, e2.times)
         assert np.all(np.diff(e1.times) >= 0.0)
 
     def test_rate_scales_with_n(self, silver_rates):
         duration, n = 1e6, 10
-        cfg = SimConfig(duration=duration, seed=2, n_emitters=n, rates=silver_rates)
-        ens = simulate_ensemble(cfg)
+        ens = simulate_ensemble(silver_rates, n, duration, 2)
         expected = n * steady_emission_rate(silver_rates) * duration
         assert abs(len(ens) - expected) < 3.0 * count_sigma(silver_rates, duration, n)
 
     def test_background_carried_at_total_rate(self, silver_rates):
         # the background rate is the total over both detectors, added as given
         rate, duration = 0.002, 1e6
-        base = dict(duration=duration, seed=4, n_emitters=1, rates=silver_rates)
-        clean = simulate_ensemble(SimConfig(**base))
-        ens = simulate_ensemble(SimConfig(**base, background_rate=rate))
+        clean = simulate_ensemble(silver_rates, 1, duration, 4)
+        ens = simulate_ensemble(silver_rates, 1, duration, 4, background_rate=rate)
         background = poisson_background(rate, duration, np.random.SeedSequence(4).spawn(2)[1])
         assert np.array_equal(ens.times, np.sort(np.concatenate([clean.times, background.times])))
         expected = rate * duration
@@ -224,13 +220,15 @@ class TestSimulateEnsemble:
 
     @pytest.mark.parametrize("duration", [6e6, 1e5], ids=["above_gate", "below_gate"])
     def test_thread_count_never_changes_the_result(self, silver_rates, monkeypatch, duration):
-        cfg = SimConfig(duration=duration, seed=31, n_emitters=4, rates=silver_rates,
-                        background_rate=1e-3)
+        def sample():
+            return simulate_ensemble(silver_rates, 4, duration, 31, background_rate=1e-3).times
+
         above = steady_emission_rate(silver_rates) * duration >= montecarlo._THREADED_MIN_DETECTIONS
         assert above == (duration > 1e6)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
-        assert montecarlo._worker_count(cfg) == (4 if above else 1)  # capped at n_emitters
-        reference = simulate_ensemble(cfg).times
+        # capped at n_emitters
+        assert montecarlo._worker_count(silver_rates, 4, duration, 1.0) == (4 if above else 1)
+        reference = sample()
         sampled_on: set[int] = set()
         original = montecarlo.simulate_emitter
 
@@ -244,8 +242,8 @@ class TestSimulateEnsemble:
         try:
             for n_threads in (1, 2, 3):
                 sampled_on.clear()
-                monkeypatch.setattr(montecarlo, "_worker_count", lambda config: n_threads)
-                assert np.array_equal(simulate_ensemble(cfg).times, reference)
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda *args: n_threads)
+                assert np.array_equal(sample(), reference)
                 assert len(sampled_on) == n_threads
         finally:
             sys.setswitchinterval(interval)
@@ -259,24 +257,33 @@ class TestSimulateEnsemble:
             return original(rates, duration, seed, **kwargs)
 
         monkeypatch.setattr(montecarlo, "simulate_emitter", failing)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda config: 3)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda *args: 3)
         before = threading.active_count()
-        cfg = SimConfig(duration=1e5, seed=5, n_emitters=6, rates=silver_rates)
         with pytest.raises(RuntimeError, match="emitter 2 failed"):
-            simulate_ensemble(cfg)
+            simulate_ensemble(silver_rates, 6, 1e5, 5)
         assert threading.active_count() == before
 
-    def test_config_validation(self, silver_rates):
-        with pytest.raises(ValueError):
-            SimConfig(duration=-1.0, seed=0, n_emitters=1, rates=silver_rates)
-        with pytest.raises(ValueError):
-            SimConfig(duration=1.0, seed=0, n_emitters=0, rates=silver_rates)
-        with pytest.raises(ValueError):
-            SimConfig(duration=1.0, seed=0, n_emitters=1, rates=silver_rates,
-                      background_rate=-0.1)
-        with pytest.raises(ValueError):
-            SimConfig(duration=1.0, seed=0, n_emitters=1, rates=silver_rates,
-                      efficiency=1.1)
+    def test_config_validation(self, silver_rates, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+        # the emitters' own checks run on the sampling threads above the gate
+        assert montecarlo._worker_count(silver_rates, 4, 6e6, 1.01) == 4
+        before = threading.active_count()
+        for n_emitters, duration, kwargs in [
+            (1, -1.0, {}),
+            (1, 0.0, {}),
+            (1, math.nan, {}),
+            (1, math.inf, {}),
+            (0, 1.0, {}),
+            (1.5, 1.0, {}),
+            (1, 1.0, {"efficiency": 1.1}),
+            (1, 1.0, {"efficiency": -0.1}),
+            (1, 1.0, {"background_rate": -0.1}),
+            (1, 1.0, {"background_rate": math.nan}),
+            (4, 6e6, {"efficiency": 1.01}),
+        ]:
+            with pytest.raises(ValueError):
+                simulate_ensemble(silver_rates, n_emitters, duration, 0, **kwargs)
+            assert threading.active_count() == before
 
 
 class TestTrajectoryReference:

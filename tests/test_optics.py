@@ -238,6 +238,35 @@ class TestRouting:
             if tags.size:
                 assert tags[0] >= 0 and tags[-1] <= r1.duration_ps
 
+    @pytest.mark.parametrize("share_a", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_jittered_routing_is_exact(self, share_a, seed):
+        # the direct formula: jitter, round, keep what lies in [0, duration],
+        # sort each channel
+        def direct(stream, sigma):
+            rng = np.random.default_rng(seed)
+            to_a = rng.random(len(stream)) < share_a
+            jittered = stream.times + rng.normal(0.0, sigma, len(stream))
+            tags = np.rint(jittered * 1000.0).astype(np.int64)
+            in_range = (tags >= 0) & (tags <= round(stream.duration * 1000.0))
+            return np.sort(tags[to_a & in_range]), np.sort(tags[~to_a & in_range])
+
+        duration = 50.0
+        rng = np.random.default_rng(seed + 100)
+        # events at both ends, and events on a 1 ns grid whose tiny jitter
+        # rounds many of them onto the same ps tag
+        times = np.sort(np.concatenate([[0.0, 0.0, duration, duration],
+                                        rng.uniform(0.0, duration, 400),
+                                        rng.integers(0, 51, 400).astype(float)]))
+        s = EventStream(times, duration)
+        for sigma in (2e-4, 0.35, 5.0):
+            r = route_events(s, share_a, seed, jitter_sigma_ns=sigma)
+            tags_a, tags_b = direct(s, sigma)
+            assert np.array_equal(r.tags_a, tags_a) and np.array_equal(r.tags_b, tags_b)
+            assert r.n_events == len(s) and r.duration_ps == 50_000
+            if sigma == 5.0:
+                assert tags_a.size + tags_b.size < len(s)  # jitter pushed tags out
+
     def test_empty_stream(self):
         s = EventStream(np.empty(0), 1e3)
         r = route_events(s, 0.5, seed=0)

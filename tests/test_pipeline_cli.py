@@ -692,8 +692,20 @@ class TestCli:
          ["fit", "--hist", "tiny_g2.csv"]),
         ("tiny.ttag.json", lambda d: dict(d, metadata=[d["metadata"]]),
          ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: dict(d, duration_ps="abc"),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny_fit.json", lambda d: dict(d, context=dict(d["context"], k12="fast")),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny.ttag.json", lambda d: dict(d, metadata=dict(d["metadata"], window_ps=[1])),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, metadata=dict(d["metadata"], rho_effective="x")),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_fit.json", lambda d: dict(d, context=dict(d["context"], inversion="fast")),
+         ["report", "--fit", "tiny_fit.json"]),
     ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list",
-            "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list"])
+            "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list",
+            "tag_duration_is_text", "context_k12_is_text", "tag_window_is_list",
+            "histogram_rho_is_text", "context_inversion_unknown"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
@@ -704,6 +716,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert artifact in err
+
+    @pytest.mark.parametrize("artifact,section,key,command,written", [
+        ("tiny.ttag.json", None, "duration_ps", ["correlate", "--tags", "tiny.ttag"],
+         ["tiny_g2.csv", "tiny_g2.csv.json"]),
+        ("tiny_g2.csv.json", "metadata", "n_emitters", ["fit", "--hist", "tiny_g2.csv"],
+         ["tiny_g2_fit.json"]),
+        ("tiny_fit.json", "context", "n_emitters", ["report", "--fit", "tiny_fit.json"], []),
+    ], ids=["tag_duration", "histogram_n_emitters", "context_n_emitters"])
+    def test_null_setting_reads_as_absent(self, cli_env, capsys, artifact, section, key,
+                                          command, written):
+        # a stored null is the key left out: same exit code, output and files
+        out, scenario = cli_env
+        assert main(["run", "--scenario", str(scenario)]) == 0
+        path = out / artifact
+        original = json.loads(path.read_text())
+        results = []
+        for value in ("null", "absent"):
+            payload = json.loads(json.dumps(original))
+            stored = payload if section is None else payload[section]
+            if value == "null":
+                stored[key] = None
+            else:
+                del stored[key]
+            path.write_text(json.dumps(payload))
+            capsys.readouterr()
+            code = main([*command[:2], str(out / command[2])])
+            results.append((code, capsys.readouterr(), [(out / n).read_bytes() for n in written]))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
 
     def test_missing_input_file_is_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
