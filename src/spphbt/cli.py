@@ -153,7 +153,7 @@ def _cmd_correlate(args) -> int:
     stem = Path(args.tags).stem
     used = dict(inner, correlation=kind, window_ps=window, bin_width_ps=bins)
     path = write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=used)
-    zero_bin = (0 - hist.lag_min) // hist.bin_width
+    zero_bin = hist.lag_max // hist.bin_width
     print(f"wrote {path} ({hist.n_bins} bins of {bins} ps, "
           f"g2(0) bin = {hist.g2[zero_bin]:.3f})")
     return 0
@@ -196,11 +196,9 @@ def _cmd_report(args) -> int:
         fit = fit_from_mapping(payload.get("fit"))
     except ValueError as exc:
         raise ValueError(f"{args.fit}: {exc}") from exc
-    report = report_photophysics(
-        fit, k12, _setting(None, ctx, "n_emitters", args.fit, int, 1),
-        _setting(None, ctx, "rho_effective", args.fit, float),
-        inversion=_setting(args.inversion, ctx, "inversion", args.fit, _one_of(*INVERSIONS),
-                           DEFAULT_INVERSION))
+    inversion = _setting(args.inversion, ctx, "inversion", args.fit, _one_of(*INVERSIONS),
+                         DEFAULT_INVERSION)
+    report = report_photophysics(fit, k12, inversion=inversion)
     print(report.format_table(payload.get("scenario", "stored fit")))
     return 0
 
@@ -208,7 +206,7 @@ def _cmd_report(args) -> int:
 def _cmd_run(args) -> int:
     scenario = _load_scenario_arg(args.scenario, args.seed)
     result = run_pipeline(scenario, _out_dir(args.out))
-    zero_bin = (0 - result.histogram.lag_min) // result.histogram.bin_width
+    zero_bin = result.histogram.lag_max // result.histogram.bin_width
     print(f"scenario {scenario.name}: {result.histogram.counts.sum()} pairs, "
           f"g2(0) bin = {result.histogram.g2[zero_bin]:.3f}")
     g1, g2, beta, c = result.fit.params

@@ -94,16 +94,16 @@ class TimeTagStream:
 
 @dataclass(frozen=True)
 class CorrelationHistogram:
-    """Binned pair counts plus their g2 normalisation.
+    """Binned pair counts over lags [-lag_max, lag_max), plus their g2 normalisation.
 
-    Bin k covers lags [lag_min + k*bin_width, lag_min + (k+1)*bin_width) ps.
+    The window holds a whole number of bins on each side.  Bin k covers
+    lags [-lag_max + k*bin_width, -lag_max + (k+1)*bin_width) ps.
     rate_a/rate_b are the channel rates in Hz used for normalisation; g2
     and sigma are always derived from the counts and these.
     """
 
     counts: np.ndarray
     bin_width: int
-    lag_min: int
     lag_max: int
     duration: int
     rate_a: float
@@ -112,17 +112,18 @@ class CorrelationHistogram:
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        if self.bin_width <= 0 or self.lag_max <= self.lag_min:
-            raise ValueError("need bin_width > 0 and lag_max > lag_min")
-        n_bins = (self.lag_max - self.lag_min) // self.bin_width
-        if (self.lag_max - self.lag_min) % self.bin_width:
-            raise ValueError("window must be an integer number of bins")
+        n_bins = 2 * _validate_window(self.lag_max, self.bin_width) // self.bin_width
         if counts.shape != (n_bins,):
             raise ValueError(f"expected {n_bins} bins, got shape {counts.shape}")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         if not self._uncorrelated_pairs > 0.0:
             raise ValueError("normalisation requires positive rates and duration")
+
+    @property
+    def lag_min(self) -> int:
+        """Left edge of the first bin in ps, always -lag_max."""
+        return -self.lag_max
 
     @property
     def _uncorrelated_pairs(self) -> float:
@@ -290,7 +291,6 @@ def cross_correlate(a: TimeTagStream, b: TimeTagStream, lag_max: int,
     return CorrelationHistogram(
         counts=counts,
         bin_width=bin_width,
-        lag_min=-lag_max,
         lag_max=lag_max,
         duration=duration,
         rate_a=len(a) / duration * _PS_PER_SECOND,
@@ -319,7 +319,6 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
     return CorrelationHistogram(
         counts=np.concatenate([backward[::-1], forward]),
         bin_width=bin_width,
-        lag_min=-lag_max,
         lag_max=lag_max,
         duration=a.duration,
         rate_a=a.rate_hz,

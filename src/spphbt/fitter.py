@@ -30,7 +30,6 @@ __all__ = [
     "INVERSIONS",
     "LOWER_BOUNDS",
     "UPPER_BOUNDS",
-    "FitConfig",
     "FitResult",
     "PhotophysicsReport",
     "model_jacobian",
@@ -69,41 +68,6 @@ def model_jacobian(tau, gamma1: float, gamma2: float, beta: float, c: float) -> 
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Initial point and iteration budget of the fit."""
-
-    initial: tuple[float, float, float, float]
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-
-    def __post_init__(self) -> None:
-        p0 = np.asarray(self.initial)
-        if p0.shape != (4,):
-            raise ValueError("initial must have four entries")
-        if np.any(p0 < LOWER_BOUNDS) or np.any(p0 > UPPER_BOUNDS):
-            raise ValueError("initial point must lie inside the bounds")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-    @classmethod
-    def from_histogram(cls, hist: CorrelationHistogram,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> "FitConfig":
-        """Data-driven starting point: contrast from the dip, gamma1 from its width."""
-        tau = np.abs(hist.lag_centers) / 1000.0  # ns
-        y = hist.g2
-        # light smoothing so single-bin noise does not drive the guesses
-        kernel = np.ones(5) / 5.0
-        ys = np.convolve(y, kernel, mode="same") if y.size >= 5 else y
-        c0 = float(np.clip(1.0 - ys.min(), 1e-3, 1.0))
-        half = 1.0 - 0.5 * c0
-        recovered = tau[ys >= half]
-        tau_half = float(recovered.min()) if recovered.size else float(tau.max()) / 10.0
-        g1 = float(np.clip(math.log(2.0) / max(tau_half, 1e-3), 1e-4, 10.0))
-        overshoot = max(float(ys.max()) - 1.0, 0.0)
-        b0 = float(np.clip(1.0 + overshoot / c0, 1.05, 50.0))
-        return cls(initial=(g1, g1 / 10.0, max(b0, 1.05), c0), max_iterations=max_iterations)
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Converged parameters with covariance and bookkeeping."""
 
@@ -136,12 +100,13 @@ class FitResult:
         return tuple(float(math.sqrt(max(v, 0.0))) for v in np.diag(self.covariance))
 
 
-def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
-    """Levenberg-Marquardt minimisation of sum(((y - m)/sigma)^2).
+def fit_curve(tau, y, sigma, initial, max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FitResult:
+    """Levenberg-Marquardt minimisation of sum(((y - m)/sigma)^2) from `initial`.
 
-    Steps are accepted only when they lower the objective, so the recorded
-    cost history is non-increasing; rejected steps raise the damping.
-    Bound handling is by projection of the trial point onto the box.
+    `initial` is (gamma1, gamma2, beta, c) inside the box.  Steps are
+    accepted only when they lower the objective, so the recorded cost
+    history is non-increasing; rejected steps raise the damping.  Bound
+    handling is by projection of the trial point onto the box.
     """
     tau = np.asarray(tau, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -155,7 +120,13 @@ def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
 
     lo = np.asarray(LOWER_BOUNDS)
     hi = np.asarray(UPPER_BOUNDS)
-    p = np.clip(np.asarray(config.initial, dtype=float), lo, hi)
+    p = np.array(initial, dtype=float)
+    if p.shape != (4,):
+        raise ValueError("initial must have four entries")
+    if np.any(p < lo) or np.any(p > hi):
+        raise ValueError("initial point must lie inside the bounds")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
 
     def cost_at(q: np.ndarray) -> tuple[float, np.ndarray]:
         r = (y - model_g2(tau, *q)) / sigma
@@ -169,7 +140,7 @@ def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
     singular = False
     n_iter = 0
 
-    for n_iter in range(1, config.max_iterations + 1):
+    for n_iter in range(1, max_iterations + 1):
         jac = -model_jacobian(tau, *p) / sigma[:, None]
         grad = jac.T @ resid
         # a parameter pinned at its bound whose descent direction points
@@ -250,19 +221,35 @@ def fit_curve(tau, y, sigma, config: FitConfig) -> FitResult:
     )
 
 
-def fit_g2(hist: CorrelationHistogram, config: FitConfig | None = None) -> FitResult:
+def _initial_guess(hist: CorrelationHistogram) -> tuple[float, float, float, float]:
+    """Data-driven starting point: contrast from the dip, gamma1 from its width."""
+    tau = np.abs(hist.lag_centers) / 1000.0  # ns
+    y = hist.g2
+    # light smoothing so single-bin noise does not drive the guesses
+    kernel = np.ones(5) / 5.0
+    ys = np.convolve(y, kernel, mode="same") if y.size >= 5 else y
+    c0 = float(np.clip(1.0 - ys.min(), 1e-3, 1.0))
+    half = 1.0 - 0.5 * c0
+    recovered = tau[ys >= half]
+    tau_half = float(recovered.min()) if recovered.size else float(tau.max()) / 10.0
+    g1 = float(np.clip(math.log(2.0) / max(tau_half, 1e-3), 1e-4, 10.0))
+    overshoot = max(float(ys.max()) - 1.0, 0.0)
+    b0 = float(np.clip(1.0 + overshoot / c0, 1.05, 50.0))
+    return (g1, g1 / 10.0, b0, c0)
+
+
+def fit_g2(hist: CorrelationHistogram, max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FitResult:
     """Fit the model to a histogram, weighting each bin by its Poisson error.
 
-    Only bins with at least one pair carry a defined error bar and enter the
-    fit; at least 8 such bins are required.
+    The fit starts from a guess read off the histogram.  Only bins with at
+    least one pair carry a defined error bar and enter the fit; at least 8
+    such bins are required.
     """
     keep = hist.counts > 0
     if int(keep.sum()) < 8:
         raise ValueError(f"need >= 8 bins with counts > 0, have {int(keep.sum())}")
     tau = hist.lag_centers[keep] / 1000.0  # ps -> ns
-    if config is None:
-        config = FitConfig.from_histogram(hist)
-    return fit_curve(tau, hist.g2[keep], hist.sigma[keep], config)
+    return fit_curve(tau, hist.g2[keep], hist.sigma[keep], _initial_guess(hist), max_iterations)
 
 
 _NO_SHELVING_EPS = 1e-9
@@ -275,16 +262,12 @@ class PhotophysicsReport:
     Times in ns; `errors` maps field name to one standard deviation
     (None when undefined, e.g. tau23 without shelving).  `no_shelving`
     marks fits with beta indistinguishable from 1, where tau23 is infinite.
-    The times, the quantum yield and the expected contrast rho^2/N are
-    derived from `rates`, `n_emitters` and `rho` (None when unknown).
+    The times and the quantum yield are derived from `rates`.
     """
 
     rates: RateSet
-    n_emitters: int
-    rho: float | None
     errors: dict
     no_shelving: bool
-    c_fitted: float
     inversion: str
 
     @property
@@ -306,10 +289,6 @@ class PhotophysicsReport:
     @property
     def quantum_yield(self) -> float:
         return quantum_yield(self.rates)
-
-    @property
-    def c_expected(self) -> float | None:
-        return None if self.rho is None else self.rho ** 2 / self.n_emitters
 
     def format_table(self, configuration: str = "recovered") -> str:
         def fmt(v: float, e) -> str:
@@ -372,14 +351,7 @@ def require_converged(fit: FitResult) -> None:
         raise NonConvergence(f"fit did not converge ({fit.diagnostics.get('reason', 'unknown')})")
 
 
-def report_photophysics(
-    fit: FitResult,
-    k12: float,
-    n_emitters: int = 1,
-    rho: float | None = None,
-    *,
-    inversion: str,
-) -> PhotophysicsReport:
+def report_photophysics(fit: FitResult, k12: float, *, inversion: str) -> PhotophysicsReport:
     """Translate a converged fit into rates, lifetimes and quantum yield.
 
     `inversion` selects the exact eigenvalue inversion ("exact") or the
@@ -421,12 +393,5 @@ def report_photophysics(
         q_grad = (grads["k21"] * rates.k23 - rates.k21 * grads["k23"]) / ksum ** 2
         errors["quantum_yield"] = sd(q_grad)
 
-    return PhotophysicsReport(
-        rates=rates,
-        n_emitters=n_emitters,
-        rho=rho,
-        errors=errors,
-        no_shelving=no_shelving,
-        c_fitted=fit.c,
-        inversion=inversion,
-    )
+    return PhotophysicsReport(rates=rates, errors=errors, no_shelving=no_shelving,
+                              inversion=inversion)

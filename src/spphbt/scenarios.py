@@ -189,6 +189,8 @@ def check_window(window_ps: int, bin_width_ps: int) -> list[str]:
 
 def _as_float(value, field: str, errs: list[str], *, lo=None, hi=None, positive=False):
     try:
+        if isinstance(value, bool):  # YAML's true/false are not numbers
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         errs.append(f"{field}: expected a number, got {value!r}")
@@ -208,6 +210,8 @@ def _as_float(value, field: str, errs: list[str], *, lo=None, hi=None, positive=
 def _as_int(value, field: str, errs: list[str], *, minimum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         try:
+            if isinstance(value, bool):  # YAML's true/false are not numbers
+                raise TypeError
             if float(value) != int(float(value)):
                 raise ValueError
             value = int(float(value))

@@ -4,14 +4,17 @@ Time tags go into a little-endian binary file: a 16-byte header (magic
 "TTAG", u16 version, 10 reserved zero bytes) followed by 16-byte records
 (u64 timestamp in ps, u8 channel with 0 = A and 1 = B, 7 zero pad bytes),
 sorted by timestamp with channel breaking ties.  The header has no room
-for metadata, so the acquisition duration and provenance travel in a JSON
-sidecar next to the file ("<file>.json").  Records are merged and written
-in blocks of a fixed number of tags per channel, so writing holds a few MB
-whatever the file's size; the bytes do not depend on the block size.
+for metadata, so the acquisition duration, the tag count of each channel
+and the provenance travel in a JSON sidecar next to the file
+("<file>.json"); the reader checks the records against those counts.
+Records are merged and written in blocks of a fixed number of tags per
+channel, so writing holds a few MB whatever the file's size; the bytes do
+not depend on the block size.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
-precision) plus a JSON sidecar holding the normalisation.  The reader parses
-lag_ps and counts only and derives g2 and sigma from the sidecar's rates.
+precision) plus a JSON sidecar holding the window and the normalisation.  The
+reader parses lag_ps and counts only, checks that lag_ps spans the sidecar's
+symmetric window, and derives g2 and sigma from the sidecar's rates.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .correlator import CorrelationHistogram, TimeTagStream
+from .correlator import CorrelationHistogram, TimeTagStream, _validate_window
+from .errors import UnsortedInput
 
 __all__ = [
     "TTAG_MAGIC",
@@ -115,13 +120,21 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
         duration = int(duration)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar}: bad duration_ps {duration!r} ({exc})") from exc
-    # split into arrays of the final sizes; the mask flips in place for A
     on_b = channel.view(bool)
     n_b = int(np.count_nonzero(on_b))
+    for key, count in (("n_a", tags.size - n_b), ("n_b", n_b)):
+        if meta.get(key) is not None and meta[key] != count:
+            raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
+    # split into arrays of the final sizes; the mask flips in place for A
     tags_b = np.compress(on_b, tags, out=np.empty(n_b, dtype=np.int64))
     tags_a = np.compress(np.logical_not(on_b, out=on_b), tags,
                          out=np.empty(tags.size - n_b, dtype=np.int64))
-    return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), meta
+    try:
+        return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), meta
+    except UnsortedInput as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the duration or the tags' range
+        raise ValueError(f"{sidecar}: {exc}") from exc
 
 
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:
@@ -153,24 +166,34 @@ def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
     if not sidecar.exists():
         raise FileNotFoundError(f"{sidecar}: histogram sidecar is required for normalisation")
     meta = read_json(sidecar)
-    edges, counts = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
-                               usecols=(0, 1), ndmin=2).T
     try:
-        hist = CorrelationHistogram(
-            counts=counts,
-            bin_width=int(meta["bin_width_ps"]),
-            lag_min=int(meta["lag_min_ps"]),
-            lag_max=int(meta["lag_max_ps"]),
-            duration=int(meta["duration_ps"]),
-            rate_a=float(meta["rate_a_hz"]),
-            rate_b=float(meta["rate_b_hz"]),
-        )
+        bin_width, lag_max = int(meta["bin_width_ps"]), int(meta["lag_max_ps"])
+        _validate_window(lag_max, bin_width)
+        if int(meta["lag_min_ps"]) != -lag_max:
+            raise ValueError(f"lag_min_ps must be -lag_max_ps, got {meta['lag_min_ps']!r}")
+        duration = int(meta["duration_ps"])
+        rate_a, rate_b = float(meta["rate_a_hz"]), float(meta["rate_b_hz"])
     except KeyError as exc:
         raise ValueError(f"{sidecar}: missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar}: {exc}") from exc
-    if edges.size and (edges[0] != hist.lag_min or edges.size != hist.n_bins):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a table without rows fails below
+        try:
+            edges, counts = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
+                                       usecols=(0, 1), ndmin=2).T
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    # the row count first, so that a vast sidecar window allocates nothing
+    if edges.size != 2 * lag_max // bin_width \
+            or not np.array_equal(edges, np.arange(-lag_max, lag_max, bin_width)):
         raise ValueError(f"{path}: lag column does not match the sidecar window")
+    if np.any(counts < 0):
+        raise ValueError(f"{path}: counts must be non-negative")
+    try:
+        hist = CorrelationHistogram(counts, bin_width, lag_max, duration, rate_a, rate_b)
+    except ValueError as exc:  # the rates or the duration
+        raise ValueError(f"{sidecar}: {exc}") from exc
     return hist, json_section(meta, "metadata", sidecar)
 
 

@@ -93,22 +93,17 @@ def swap_symmetry_check(h_ab: CorrelationHistogram, h_ba: CorrelationHistogram) 
     The identity is exact for 1 ps bins (each bin holds a single integer
     lag, and negation maps it onto its mirror bin).  For wider bins a pair
     sitting exactly on a bin edge legitimately lands one bin off after the
-    swap, so run this check on 1 ps binning.  The two lowest bins have no
-    mirror partner inside the window and are skipped; for a single-bin
-    histogram the bin is compared with itself.
+    swap, so run this check on 1 ps binning.  The lowest bin, lag -lag_max,
+    has no mirror partner inside the window and is skipped.
 
     Returns a small report dict; raises SymmetryViolation on mismatch.
     """
-    for attr in ("bin_width", "lag_min", "lag_max", "duration"):
+    for attr in ("bin_width", "lag_max", "duration"):
         if getattr(h_ab, attr) != getattr(h_ba, attr):
             raise ValueError(f"histograms disagree on {attr}")
     n = h_ab.n_bins
-    if n == 1:
-        ks = np.array([0])
-        mirrored = h_ba.counts
-    else:
-        ks = np.arange(1, n)
-        mirrored = h_ba.counts[n - ks]
+    ks = np.arange(1, n)
+    mirrored = h_ba.counts[n - ks]
     diff = h_ab.counts[ks] - mirrored
     bad = np.nonzero(diff)[0]
     if bad.size:

@@ -33,7 +33,7 @@ from rate_oracles import (
     swap_symmetry_check,
 )
 from spphbt.correlator import TimeTagStream, cross_correlate
-from spphbt.fitter import FitConfig, fit_curve, report_photophysics
+from spphbt.fitter import fit_curve, report_photophysics
 from spphbt.kinetics import (
     RateSet,
     derived_params,
@@ -117,7 +117,7 @@ def mean_report(entry, inversion):
     """Average recovered lifetimes / quantum yield over the cached seed fits."""
     rows = []
     for fit in entry["fits"]:
-        rep = report_photophysics(fit, entry["k12"], 10, None, inversion=inversion)
+        rep = report_photophysics(fit, entry["k12"], inversion=inversion)
         rows.append((rep.tau21, rep.tau23, rep.tau31, rep.quantum_yield * 100.0))
     return np.asarray(rows).mean(axis=0)
 
@@ -159,10 +159,8 @@ class TestLifetimeRoundtrip:
 def ratio_verdict(roundtrips, inversion):
     ratios = []
     for fg, fs in zip(roundtrips["glass"]["fits"], roundtrips["silver"]["fits"]):
-        rg = report_photophysics(fg, roundtrips["glass"]["k12"], 10, None,
-                                 inversion=inversion)
-        rs = report_photophysics(fs, roundtrips["silver"]["k12"], 10, None,
-                                 inversion=inversion)
+        rg = report_photophysics(fg, roundtrips["glass"]["k12"], inversion=inversion)
+        rs = report_photophysics(fs, roundtrips["silver"]["k12"], inversion=inversion)
         ratios.append(rg.tau21 / rs.tau21)
     mean = float(np.mean(ratios))
     ok = abs(mean - 6.2) <= 1.0
@@ -349,7 +347,7 @@ class TestFitMachinery:
         tau = np.linspace(-250.0, 250.0, 501)
         y = model_g2(tau, *truth)
         start = tuple(np.asarray(truth) * (1.4, 0.6, 1.3, 0.85))
-        fit = fit_curve(tau, y, np.full_like(tau, 1e-3), FitConfig(initial=start))
+        fit = fit_curve(tau, y, np.full_like(tau, 1e-3), start)
         refit_err = max(abs(g - w) / w for g, w in zip(fit.params, truth))
 
         ok = jac_err < 1e-5 and fit.converged and refit_err < 1e-6

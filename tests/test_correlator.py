@@ -362,7 +362,7 @@ class TestSwapSymmetry:
         bad = np.array(h1.counts)
         bad[20] += 1
         h2 = CorrelationHistogram(
-            counts=bad, bin_width=1, lag_min=-16, lag_max=16,
+            counts=bad, bin_width=1, lag_max=16,
             duration=300, rate_a=h1.rate_a, rate_b=h1.rate_b)
         with pytest.raises(SymmetryViolation):
             swap_symmetry_check(h1, h2)
@@ -451,17 +451,17 @@ class TestValidation:
     def test_histogram_shape_checks(self):
         with pytest.raises(ValueError):
             CorrelationHistogram(counts=np.zeros(3, dtype=np.int64), bin_width=1,
-                                 lag_min=-2, lag_max=2, duration=10,
-                                 rate_a=1.0, rate_b=1.0)
+                                 lag_max=2, duration=10, rate_a=1.0, rate_b=1.0)
+        with pytest.raises(ValueError):  # lag_max is not a whole number of bins
+            CorrelationHistogram(counts=np.zeros(3, dtype=np.int64), bin_width=2,
+                                 lag_max=3, duration=10, rate_a=1.0, rate_b=1.0)
         with pytest.raises(ValueError):
             CorrelationHistogram(counts=np.array([1, -1]), bin_width=1,
-                                 lag_min=-1, lag_max=1, duration=10,
-                                 rate_a=1.0, rate_b=1.0)
+                                 lag_max=1, duration=10, rate_a=1.0, rate_b=1.0)
 
     def test_lag_grid_properties(self):
         h = CorrelationHistogram(counts=np.zeros(4, dtype=np.int64), bin_width=5,
-                                 lag_min=-10, lag_max=10, duration=100,
-                                 rate_a=1e9, rate_b=1e9)
-        assert h.n_bins == 4
+                                 lag_max=10, duration=100, rate_a=1e9, rate_b=1e9)
+        assert h.n_bins == 4 and h.lag_min == -10
         assert h.lag_edges.tolist() == [-10, -5, 0, 5]
         assert h.lag_centers.tolist() == [-7.5, -2.5, 2.5, 7.5]

@@ -15,8 +15,8 @@ from spphbt.errors import InvalidInversion, NonConvergence
 from spphbt.fitter import (
     LOWER_BOUNDS,
     UPPER_BOUNDS,
-    FitConfig,
     FitResult,
+    _initial_guess,
     fit_curve,
     fit_g2,
     model_jacobian,
@@ -25,11 +25,12 @@ from spphbt.fitter import (
 from spphbt.kinetics import derived_params, exact_decay_params, model_g2, quantum_yield
 from spphbt.montecarlo import simulate_emitter
 from spphbt.optics import route_events
+from spphbt.pipeline import fit_payload
 
 SILVER_TRUTH = (0.1401298205421917, 0.01945009591577039, 1.98390978340858, 0.1)
 
 
-def clean_fit(truth, tau=None, start_scale=(1.4, 0.6, 1.3, 0.85), **config_overrides):
+def clean_fit(truth, tau=None, start_scale=(1.4, 0.6, 1.3, 0.85)):
     """Fit noiseless model data from a perturbed starting point."""
     g1, g2, b, c = truth
     if tau is None:
@@ -39,8 +40,7 @@ def clean_fit(truth, tau=None, start_scale=(1.4, 0.6, 1.3, 0.85), **config_overr
     sigma = np.full_like(tau, 1e-3)
     p0 = np.clip(np.asarray(truth) * np.asarray(start_scale),
                  np.asarray(LOWER_BOUNDS) * 1.01 + 1e-9, np.asarray(UPPER_BOUNDS) * 0.99)
-    cfg = FitConfig(initial=tuple(p0), **config_overrides)
-    return fit_curve(tau, y, sigma, cfg)
+    return fit_curve(tau, y, sigma, p0)
 
 
 def perfect_fit_result(params, c, sigma=1e-4):
@@ -62,8 +62,7 @@ class TestCleanRecovery:
         first = clean_fit(SILVER_TRUTH)
         tau = np.linspace(-250.0, 250.0, 501)
         y = model_g2(tau, *SILVER_TRUTH)
-        again = fit_curve(tau, y, np.full_like(tau, 1e-3),
-                          FitConfig(initial=first.params))
+        again = fit_curve(tau, y, np.full_like(tau, 1e-3), first.params)
         for got, want in zip(again.params, SILVER_TRUTH):
             assert got == pytest.approx(want, rel=1e-6)
 
@@ -94,8 +93,7 @@ class TestCleanRecovery:
         rng = np.random.default_rng(41)
         tau = np.linspace(-150.0, 150.0, 301)
         y = model_g2(tau, *SILVER_TRUTH) + rng.normal(0.0, 0.02, tau.size)
-        fit = fit_curve(tau, y, np.full_like(tau, 0.02),
-                        FitConfig(initial=(0.2, 0.01, 1.5, 0.2)))
+        fit = fit_curve(tau, y, np.full_like(tau, 0.02), (0.2, 0.01, 1.5, 0.2))
         history = np.array(fit.diagnostics["cost_history"])
         assert np.all(np.diff(history) <= 0.0)
         assert fit.diagnostics["reason"] in ("gradient", "step", "stalled")
@@ -133,7 +131,7 @@ class TestFlatData:
         tau = np.linspace(-300.0, 300.0, 120)
         y = counts / 1000.0
         sigma = np.sqrt(counts) / 1000.0
-        fit = fit_curve(tau, y, sigma, FitConfig(initial=(0.1, 0.01, 1.5, 0.05)))
+        fit = fit_curve(tau, y, sigma, (0.1, 0.01, 1.5, 0.05))
         assert fit.c < 0.05
         assert fit.diagnostics.get("non_identifiable") is True
 
@@ -142,32 +140,35 @@ class TestFitInputs:
     def test_fit_curve_validation(self):
         tau = np.linspace(0, 10, 20)
         y = np.ones(20)
-        cfg = FitConfig(initial=(0.1, 0.01, 1.5, 0.1))
+        start = (0.1, 0.01, 1.5, 0.1)
         with pytest.raises(ValueError):
-            fit_curve(tau, y[:-1], np.ones(20), cfg)
+            fit_curve(tau, y[:-1], np.ones(20), start)
         with pytest.raises(ValueError):
-            fit_curve(tau[:4], y[:4], np.ones(4), cfg)
+            fit_curve(tau[:4], y[:4], np.ones(4), start)
         bad_sigma = np.ones(20)
         bad_sigma[3] = 0.0
         with pytest.raises(ValueError):
-            fit_curve(tau, y, bad_sigma, cfg)
+            fit_curve(tau, y, bad_sigma, start)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig(initial=(0.1, 0.01, 1.5))
-        with pytest.raises(ValueError):
-            FitConfig(initial=(0.1, 0.01, 1.5, 2.0))   # above upper bound
-        with pytest.raises(ValueError):
-            FitConfig(initial=(0.1, 0.01, 0.5, 0.1))   # below the beta >= 1 bound
-        with pytest.raises(ValueError):
-            FitConfig(initial=(0.1, 0.01, 1.5, 0.1), max_iterations=0)
+        # the start point and the iteration budget are checked, never clipped
+        tau = np.linspace(0, 10, 20)
+        y = np.ones(20)
+        sigma = np.ones(20)
+        for start, message in [((0.1, 0.01, 1.5), "four entries"),
+                               ((0.1, 0.01, 1.5, 2.0), "inside the bounds"),   # c above 1
+                               ((0.1, 0.01, 0.5, 0.1), "inside the bounds")]:  # beta below 1
+            with pytest.raises(ValueError, match=message):
+                fit_curve(tau, y, sigma, start)
+        with pytest.raises(ValueError, match="max_iterations"):
+            fit_curve(tau, y, sigma, (0.1, 0.01, 1.5, 0.1), max_iterations=0)
+        assert fit_curve(tau, y, sigma, LOWER_BOUNDS, max_iterations=1).n_iterations <= 1
 
     def test_fit_g2_needs_populated_bins(self):
         counts = np.zeros(40, dtype=np.int64)
         counts[[1, 5, 9, 13, 17]] = 3
-        hist = CorrelationHistogram(counts=counts, bin_width=1000, lag_min=-20_000,
-                                    lag_max=20_000, duration=10_000_000,
-                                    rate_a=1e6, rate_b=1e6)
+        hist = CorrelationHistogram(counts=counts, bin_width=1000, lag_max=20_000,
+                                    duration=10_000_000, rate_a=1e6, rate_b=1e6)
         with pytest.raises(ValueError):
             fit_g2(hist)
 
@@ -178,16 +179,13 @@ class TestFitInputs:
         rng = np.random.default_rng(67)
         counts = rng.poisson(model * lam)
         # 1e7 Hz x 2e7 Hz over 10 ms in 1 ns bins: lam uncorrelated pairs per bin
-        hist = CorrelationHistogram(counts=counts, bin_width=1000, lag_min=-150_000,
-                                    lag_max=150_000, duration=10_000_000_000,
-                                    rate_a=1e7, rate_b=2e7)
+        hist = CorrelationHistogram(counts=counts, bin_width=1000, lag_max=150_000,
+                                    duration=10_000_000_000, rate_a=1e7, rate_b=2e7)
         assert hist.g2 == pytest.approx(counts / lam, rel=1e-12)
-        cfg = FitConfig.from_histogram(hist, max_iterations=150)
-        assert cfg.max_iterations == 150
-        initial = np.asarray(cfg.initial)
+        initial = np.asarray(_initial_guess(hist))
         assert np.all(initial >= LOWER_BOUNDS) and np.all(initial <= UPPER_BOUNDS)
-        fit = fit_g2(hist, cfg)
-        assert fit.converged
+        fit = fit_g2(hist, max_iterations=150)
+        assert fit.converged and fit.n_iterations <= 150
         assert fit.gamma1 == pytest.approx(SILVER_TRUTH[0], rel=0.2)
         assert fit.c == pytest.approx(0.1, abs=0.02)
 
@@ -252,11 +250,14 @@ class TestPhotophysicsReport:
             report_photophysics(fit, k12=silver_rates.k12, inversion="model")
 
     def test_expected_contrast_bookkeeping(self, silver_rates):
-        dp = derived_params(silver_rates)
-        rep = report_photophysics(perfect_fit_result(dp, 0.08), k12=silver_rates.k12,
-                                  n_emitters=10, rho=0.9, inversion="model")
-        assert rep.c_expected == pytest.approx(0.081)
-        assert rep.c_fitted == pytest.approx(0.08)
+        # the fit JSON's report records the fitted c beside rho^2/N
+        fit = perfect_fit_result(derived_params(silver_rates), 0.08)
+        payload, rep, _ = fit_payload(fit, "silver", silver_rates.k12, "model", 10, 0.9)
+        assert payload["report"]["c_expected"] == pytest.approx(0.081)
+        assert payload["report"]["c_fitted"] == pytest.approx(0.08)
+        assert payload["report"]["tau21_ns"] == rep.tau21
+        payload, _, _ = fit_payload(fit, "silver", silver_rates.k12, "model", 10, None)
+        assert payload["report"]["c_expected"] is None
 
     def test_bad_inversion_name(self, silver_rates):
         dp = derived_params(silver_rates)

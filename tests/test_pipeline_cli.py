@@ -221,6 +221,21 @@ class TestValidateConfig:
         scenario, diags = validate_config(str(path))
         assert scenario is None and len(diags) == 2
 
+    @pytest.mark.parametrize("key,value,expected", [
+        ("duration_ns", True, "duration_ns: expected a number, got True"),
+        ("n_emitters", True, "n_emitters: expected an integer, got True"),
+        ("seed", False, "seed: expected an integer, got False"),
+        ("bin_width_ps", True, "bin_width_ps: expected an integer, got True"),
+        ("fit", {"k12": True}, "fit.k12: expected a number, got True"),
+    ])
+    def test_yaml_booleans_are_not_numbers(self, tmp_path, capsys, key, value, expected):
+        path = tmp_path / "bools.yaml"
+        path.write_text(yaml.safe_dump(dict(MINIMAL, **{key: value})))
+        scenario, diags = validate_config(str(path))
+        assert scenario is None and diags == [expected]
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert expected in capsys.readouterr().err
+
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "absent.yaml")
@@ -234,6 +249,21 @@ def one_shot_ttag_bytes(tags_a: np.ndarray, tags_b: np.ndarray) -> bytes:
     records["t"] = times[order]
     records["ch"] = order >= tags_a.size
     return TTAG_MAGIC + b"\x01\x00" + bytes(10) + records.tobytes()
+
+
+def swap_first_and_last_b_records(data: bytes) -> bytes:
+    """A TTAG file whose first and last channel-B records trade places."""
+    records = np.frombuffer(data, dtype=TestTagIO.RECORD, offset=16).copy()
+    first, *_, last = np.flatnonzero(records["ch"] == 1)
+    records[[first, last]] = records[[last, first]]
+    return data[:16] + records.tobytes()
+
+
+def first_count_negative(data: bytes) -> bytes:
+    """A histogram CSV whose first row counts -1 pairs."""
+    header, first, rest = data.split(b"\r\n", 2)
+    lag, _, values = first.split(b",", 2)
+    return b"\r\n".join([header, b",".join([lag, b"-1", values]), rest])
 
 
 # few distinct values, so ties within and across channels are common
@@ -356,8 +386,8 @@ class TestTagIO:
                  "huge": (1e-140, 3e-141, 10**9)}
         for label, (rate_a, rate_b, duration) in cases.items():
             hist = CorrelationHistogram(
-                counts=np.array([0, 1, 2**40, 7, 0, 3]), bin_width=250, lag_min=-1000,
-                lag_max=500, duration=duration, rate_a=rate_a, rate_b=rate_b)
+                counts=np.array([0, 1, 2**40, 7, 0, 3]), bin_width=250, lag_max=750,
+                duration=duration, rate_a=rate_a, rate_b=rate_b)
             values = np.concatenate([hist.g2, hist.sigma])
             if label == "subnormal":
                 assert np.any((values > 0.0) & (values < np.finfo(float).tiny))
@@ -404,6 +434,22 @@ class TestTagIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="lag column"):
             read_histogram_csv(path)
+
+    @pytest.mark.parametrize("keep", [slice(1, None), slice(None, -1), slice(1, -1),
+                                      slice(None, -2)],
+                             ids=["odd_late_start", "odd_short", "even_late_start", "even_short"])
+    def test_histogram_lag_column_must_span_the_window(self, cli_env, capsys, keep):
+        # the sidecar's window always holds an even number of bins; a lag column
+        # that is odd, starts late or stops short of it is a malformed CSV
+        out, scenario = cli_env
+        assert main(["run", "--scenario", str(scenario)]) == 0
+        path = out / "tiny_g2.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *rows[keep]]) + "\n")
+        capsys.readouterr()
+        assert main(["fit", "--hist", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: lag column does not match the sidecar window\n"
 
     def test_write_json_is_deterministic(self, tmp_path):
         payload = {"b": 1, "a": [1, 2], "c": {"z": None}}
@@ -702,20 +748,37 @@ class TestCli:
          ["fit", "--hist", "tiny_g2.csv"]),
         ("tiny_fit.json", lambda d: dict(d, context=dict(d["context"], inversion="fast")),
          ["report", "--fit", "tiny_fit.json"]),
+        ("tiny.ttag.json", lambda d: dict(d, duration_ps=-5), ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: dict(d, duration_ps=1), ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag", swap_first_and_last_b_records, ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag", lambda data: data[:-3 * 16], ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny_g2.csv", lambda data: data.replace(b"\r\n-", b"\r\nabc", 1),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv", lambda data: data[:data.index(b"\n") + 1],
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv", first_count_negative, ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, lag_min_ps=d["lag_min_ps"] + d["bin_width_ps"]),
+         ["fit", "--hist", "tiny_g2.csv"]),
     ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list",
             "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list",
             "tag_duration_is_text", "context_k12_is_text", "tag_window_is_list",
-            "histogram_rho_is_text", "context_inversion_unknown"])
+            "histogram_rho_is_text", "context_inversion_unknown", "tag_duration_negative",
+            "tag_duration_before_last_tag", "tags_unsorted", "tag_records_cut",
+            "histogram_lag_is_text", "histogram_without_rows", "histogram_count_negative",
+            "histogram_window_asymmetric"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
         path = out / artifact
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        if artifact.endswith(".json"):
+            path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        else:
+            path.write_bytes(corrupt(path.read_bytes()))
         capsys.readouterr()
         assert main([*command[:2], str(out / command[2])]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert artifact in err
+        assert f"{artifact}: " in err  # the file itself, not only its sidecar
 
     @pytest.mark.parametrize("artifact,section,key,command,written", [
         ("tiny.ttag.json", None, "duration_ps", ["correlate", "--tags", "tiny.ttag"],
