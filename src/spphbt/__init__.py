@@ -1,110 +1,4 @@
 """Simulation and inference for two-detector intensity correlations of few-emitter sources."""
 
-__version__ = "0.10.0"
-
-from .correlator import (
-    CorrelationHistogram,
-    TimeTagStream,
-    auto_correlate,
-    cross_correlate,
-)
-from .fitter import (
-    FitResult,
-    PhotophysicsReport,
-    fit_curve,
-    fit_g2,
-    report_photophysics,
-)
-from .kinetics import (
-    DerivedParams,
-    EnsembleConfig,
-    Populations,
-    RateSet,
-    derived_params,
-    exact_decay_params,
-    exact_invert_rates,
-    g2_model,
-    invert_rates,
-    quantum_yield,
-    steady_emission_rate,
-    steady_state,
-)
-from .montecarlo import (
-    EventStream,
-    poisson_background,
-    simulate_emitter,
-    simulate_ensemble,
-)
-from .optics import (
-    DetectionGeometry,
-    DipoleMix,
-    EfficiencyBudget,
-    collection_fraction,
-    coupling_ratio,
-    expected_channel_efficiencies,
-    route_events,
-)
-from .pipeline import PipelineResult, run_pipeline
-from .scenarios import (
-    Scenario,
-    budget_preset,
-    builtin_scenario,
-    builtin_scenario_names,
-    geometry_preset,
-    load_scenario,
-    rate_preset,
-    scenario_from_mapping,
-    validate_config,
-)
-from .tagio import read_histogram_csv, read_time_tags, write_histogram_csv, write_time_tags
-
-__all__ = [
-    "__version__",
-    "CorrelationHistogram",
-    "DerivedParams",
-    "DetectionGeometry",
-    "DipoleMix",
-    "EfficiencyBudget",
-    "EnsembleConfig",
-    "EventStream",
-    "FitResult",
-    "PhotophysicsReport",
-    "PipelineResult",
-    "Populations",
-    "RateSet",
-    "Scenario",
-    "TimeTagStream",
-    "auto_correlate",
-    "budget_preset",
-    "builtin_scenario",
-    "builtin_scenario_names",
-    "collection_fraction",
-    "coupling_ratio",
-    "cross_correlate",
-    "derived_params",
-    "exact_decay_params",
-    "exact_invert_rates",
-    "expected_channel_efficiencies",
-    "fit_curve",
-    "fit_g2",
-    "g2_model",
-    "geometry_preset",
-    "invert_rates",
-    "load_scenario",
-    "poisson_background",
-    "quantum_yield",
-    "rate_preset",
-    "read_histogram_csv",
-    "read_time_tags",
-    "report_photophysics",
-    "route_events",
-    "run_pipeline",
-    "scenario_from_mapping",
-    "simulate_emitter",
-    "simulate_ensemble",
-    "steady_emission_rate",
-    "steady_state",
-    "validate_config",
-    "write_histogram_csv",
-    "write_time_tags",
-]
+__version__ = "0.11.0"
+__all__ = ["__version__"]

@@ -10,10 +10,14 @@ the chain writes what `run` writes; a flag overrides the stored value.  The
 default output directory comes from --out, falling back to the SPPHBT_OUT
 environment variable and then ./spphbt_out.
 
-Exit codes: 0 ok, 1 runtime failure (missing or malformed file, empty stream,
-fit that did not converge or that the rate inversion rejects), 2 configuration
-or usage error.  Fit-health flags print `warning:` lines on stderr without
-changing the exit code.
+Every setting is held to its scenario key's rule (`scenarios.check_setting`),
+whether it comes from the scenario, a flag or a value stored with the input.
+
+Exit codes: 0 ok, 1 runtime failure (missing or malformed file, a stored
+setting that breaks its rule, empty stream, fit that did not converge or that
+the rate inversion rejects), 2 configuration or usage error (a flag that
+breaks its rule included).  Fit-health flags print `warning:` lines on stderr
+without changing the exit code.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, EmptyStream, NonConvergence, UnknownScenario
+from .errors import ConfigError, EmptyStream, NonConvergence
 from .fitter import (
     DEFAULT_INVERSION,
     DEFAULT_MAX_ITERATIONS,
@@ -37,6 +41,7 @@ from .scenarios import (
     DEFAULT_BIN_WIDTH_PS,
     DEFAULT_WINDOW_PS,
     builtin_scenario_names,
+    check_setting,
     check_window,
     validate_config,
 )
@@ -58,11 +63,11 @@ def _out_dir(value: str | None) -> Path:
     return out
 
 
-def _setting(flag, stored: dict, key: str, path, convert, default=None):
+def _setting(flag, stored: dict, key: str, path, default=None, rule: str | None = None):
     """A flag given on the command line, else the value stored with the input, else default.
 
-    A stored null counts as absent.  A stored value that `convert` rejects is
-    a ValueError naming the file it came from.
+    A stored null counts as absent.  A stored value that breaks the rule of
+    setting `rule` (by default `key`) is a ValueError naming the file it came from.
     """
     if flag is not None:
         return flag
@@ -70,25 +75,19 @@ def _setting(flag, stored: dict, key: str, path, convert, default=None):
     if value is None:
         return default
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad {key} {value!r} ({exc})") from exc
+        return check_setting(rule or key, value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from exc
 
 
-def _one_of(*choices):
-    """A converter that passes one of `choices` through and rejects anything else."""
-    def convert(value):
-        if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}")
-        return value
+def _flag(rule: str):
+    """An argparse type holding a flag to the rule of setting `rule`."""
+    def convert(text: str):
+        try:
+            return check_setting(rule, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
     return convert
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def _conclude(fit, rejected) -> None:
@@ -110,12 +109,7 @@ def _load_scenario_arg(source: str, seed: int | None):
 
 
 def _cmd_validate(args) -> int:
-    scenario, diagnostics = validate_config(args.scenario)
-    if scenario is None:
-        print(f"invalid scenario {args.scenario!r}:", file=sys.stderr)
-        for line in diagnostics:
-            print(f"  - {line}", file=sys.stderr)
-        return 2
+    scenario = _load_scenario_arg(args.scenario, None)
     t12, t21, t23, t31 = scenario.rates.lifetimes
     print(f"ok: {scenario.name}")
     print(f"  rates: tau12={t12:g} tau21={t21:g} tau23={t23:g} tau31={t31:g} ns")
@@ -142,9 +136,9 @@ def _cmd_correlate(args) -> int:
     a, b, meta = read_time_tags(args.tags)
     inner = meta.get("metadata") or {}  # the reader checked it is an object
     sidecar = f"{args.tags}.json"
-    kind = _setting(args.kind, inner, "correlation", sidecar, _one_of("auto", "cross"), "cross")
-    window = _setting(args.window, inner, "window_ps", sidecar, int, DEFAULT_WINDOW_PS)
-    bins = _setting(args.bins, inner, "bin_width_ps", sidecar, int, DEFAULT_BIN_WIDTH_PS)
+    kind = _setting(args.kind, inner, "correlation", sidecar, "cross")
+    window = _setting(args.window, inner, "window_ps", sidecar, DEFAULT_WINDOW_PS)
+    bins = _setting(args.bins, inner, "bin_width_ps", sidecar, DEFAULT_BIN_WIDTH_PS)
     problems = check_window(window, bins)
     if problems:
         raise ConfigError(problems)
@@ -163,13 +157,13 @@ def _cmd_fit(args) -> int:
     hist, meta = read_histogram_csv(args.hist)
     sidecar = f"{args.hist}.json"
     stored = json_section(meta, "fit", sidecar)
-    max_iterations = _setting(args.max_iterations, stored, "max_iterations", sidecar, int,
-                              DEFAULT_MAX_ITERATIONS)
-    k12 = _setting(args.k12, stored, "k12", sidecar, float)
-    inversion = _setting(args.inversion, stored, "inversion", sidecar, _one_of(*INVERSIONS),
-                         DEFAULT_INVERSION)
-    n_emitters = _setting(None, meta, "n_emitters", sidecar, int, 1)
-    rho = _setting(None, meta, "rho_effective", sidecar, float)
+    max_iterations = _setting(args.max_iterations, stored, "max_iterations", sidecar,
+                              DEFAULT_MAX_ITERATIONS, rule="fit.max_iterations")
+    k12 = _setting(args.k12, stored, "k12", sidecar, rule="fit.k12")
+    inversion = _setting(args.inversion, stored, "inversion", sidecar, DEFAULT_INVERSION,
+                         rule="fit.inversion")
+    n_emitters = _setting(None, meta, "n_emitters", sidecar, 1)
+    rho = _setting(None, meta, "rho_effective", sidecar, rule="rho")
     fit = fit_histogram(hist, max_iterations)
     payload, report, rejected = fit_payload(
         fit, meta.get("scenario", Path(args.hist).stem), k12, inversion, n_emitters, rho)
@@ -188,7 +182,7 @@ def _cmd_fit(args) -> int:
 def _cmd_report(args) -> int:
     payload = read_json(args.fit)
     ctx = json_section(payload, "context", args.fit)
-    k12 = _setting(args.k12, ctx, "k12", args.fit, float)
+    k12 = _setting(args.k12, ctx, "k12", args.fit, rule="fit.k12")
     if k12 is None:
         print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)
         return 2
@@ -196,8 +190,8 @@ def _cmd_report(args) -> int:
         fit = fit_from_mapping(payload.get("fit"))
     except ValueError as exc:
         raise ValueError(f"{args.fit}: {exc}") from exc
-    inversion = _setting(args.inversion, ctx, "inversion", args.fit, _one_of(*INVERSIONS),
-                         DEFAULT_INVERSION)
+    inversion = _setting(args.inversion, ctx, "inversion", args.fit, DEFAULT_INVERSION,
+                         rule="fit.inversion")
     report = report_photophysics(fit, k12, inversion=inversion)
     print(report.format_table(payload.get("scenario", "stored fit")))
     return 0
@@ -230,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_args(p):
         p.add_argument("--scenario", required=True,
                        help="YAML scenario file or builtin scenario name")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_flag("seed"), default=None,
+                       help="override the scenario seed")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV_VAR} or ./spphbt_out)")
 
@@ -244,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="histogram a tag file into g2(tau)")
     p.add_argument("--tags", required=True, help="TTAG file from simulate")
-    p.add_argument("--bins", type=_positive_int, default=None,
+    p.add_argument("--bins", type=_flag("bin_width_ps"), default=None,
                    help="bin width in ps (default: the scenario's, stored with the tags)")
-    p.add_argument("--window", type=_positive_int, default=None,
+    p.add_argument("--window", type=_flag("window_ps"), default=None,
                    help="max |lag| in ps (default: the scenario's, stored with the tags)")
     p.add_argument("--kind", choices=("auto", "cross"), default=None,
                    help="override the correlation kind stored with the tags")
@@ -255,17 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the correlation model to a histogram")
     p.add_argument("--hist", required=True, help="histogram CSV from correlate")
-    p.add_argument("--k12", type=float, default=None,
+    p.add_argument("--k12", type=_flag("fit.k12"), default=None,
                    help="pump rate in ns^-1 for the rate inversion")
     p.add_argument("--inversion", choices=INVERSIONS, default=None)
-    p.add_argument("--max-iterations", type=_positive_int, default=None,
+    p.add_argument("--max-iterations", type=_flag("fit.max_iterations"), default=None,
                    help="default: the scenario's, stored with the histogram")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("report", help="recompute the photophysics table of a stored fit")
     p.add_argument("--fit", required=True, help="fit JSON file")
-    p.add_argument("--k12", type=float, default=None)
+    p.add_argument("--k12", type=_flag("fit.k12"), default=None)
     p.add_argument("--inversion", choices=INVERSIONS, default=None)
     p.set_defaults(func=_cmd_report)
 
@@ -280,13 +275,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownScenario) as exc:
-        if isinstance(exc, ConfigError):
-            print("configuration error:", file=sys.stderr)
-            for line in exc.diagnostics:
-                print(f"  - {line}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        print("configuration error:", file=sys.stderr)
+        for line in exc.diagnostics:
+            print(f"  - {line}", file=sys.stderr)
         return 2
     except (EmptyStream, NonConvergence, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

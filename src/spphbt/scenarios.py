@@ -10,6 +10,7 @@ reference lifetime table lives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ __all__ = [
     "DEFAULT_WINDOW_PS",
     "FitSettings",
     "Scenario",
+    "check_setting",
     "check_window",
     "rate_preset",
     "geometry_preset",
@@ -145,7 +147,7 @@ class Scenario:
     fit: FitSettings = FitSettings()
 
     def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=check_setting("seed", seed))
 
     @property
     def mix(self) -> DipoleMix:
@@ -187,41 +189,84 @@ def check_window(window_ps: int, bin_width_ps: int) -> list[str]:
     return []
 
 
-def _as_float(value, field: str, errs: list[str], *, lo=None, hi=None, positive=False):
+# The one rule of each setting, wherever it enters (scenario, stored value or
+# flag): a tuple of choices, or a mapping of the number rule's options.
+_RULES: dict[str, tuple | dict] = {
+    "duration_ns": {"positive": True},
+    "n_emitters": {"integer": True, "minimum": 1},
+    "seed": {"integer": True, "minimum": 0},  # SeedSequence takes no negative seed
+    "fiber_config": _FIBER_CONFIGS,
+    "fraction_vertical": {"minimum": 0.0, "maximum": 1.0},
+    "rho": {"positive": True, "minimum": 0.0, "maximum": 1.0},  # 0 needs infinite background
+    "jitter_sigma_ns": {"minimum": 0.0},
+    "bin_width_ps": {"integer": True, "minimum": 1},
+    "window_ps": {"integer": True, "minimum": 1},
+    "fit.k12": {"positive": True},
+    "fit.max_iterations": {"integer": True, "minimum": 1},
+    "fit.inversion": INVERSIONS,
+    "correlation": ("auto", "cross"),
+}
+
+
+def _number(value, *, integer=False, minimum=None, maximum=None, positive=False, finite=True):
+    """`value` as an int or float, or a ValueError saying what is wrong; text is parsed
+    (integers exactly), and YAML's true and false are not numbers."""
+    v = value
+    if isinstance(v, str):
+        try:
+            v = int(v) if v.strip().lstrip("+-").isdigit() else float(v)
+        except ValueError:
+            pass
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+    if not isinstance(v, numbers.Integral):
+        v = float(v)
+        if finite and not math.isfinite(v):
+            raise ValueError(f"must be finite, got {value!r}")
+        if integer and not v.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
     try:
-        if isinstance(value, bool):  # YAML's true/false are not numbers
-            raise TypeError
-        v = float(value)
-    except (TypeError, ValueError):
-        errs.append(f"{field}: expected a number, got {value!r}")
-        return None
-    if not math.isfinite(v):
-        errs.append(f"{field}: must be finite, got {value!r}")
-        return None
-    if positive and v <= 0.0:
-        errs.append(f"{field}: must be > 0, got {value!r}")
-        return None
-    if lo is not None and hi is not None and not (lo <= v <= hi):
-        errs.append(f"{field}: out of [{lo:g}, {hi:g}], got {value!r}")
-        return None
+        v = int(v) if integer else float(v)
+    except OverflowError:  # an integer beyond every float
+        raise ValueError(f"must be finite, got {value!r}") from None
+    if positive and v <= 0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    if maximum is not None and not minimum <= v <= maximum:
+        raise ValueError(f"out of [{minimum:g}, {maximum:g}], got {value!r}")
+    if minimum is not None and v < minimum:
+        raise ValueError(f"must be >= {minimum:g}, got {value!r}")
     return v
 
 
-def _as_int(value, field: str, errs: list[str], *, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        try:
-            if isinstance(value, bool):  # YAML's true/false are not numbers
-                raise TypeError
-            if float(value) != int(float(value)):
-                raise ValueError
-            value = int(float(value))
-        except (TypeError, ValueError):
-            errs.append(f"{field}: expected an integer, got {value!r}")
-            return None
-    if minimum is not None and value < minimum:
-        errs.append(f"{field}: must be >= {minimum}, got {value!r}")
+def check_setting(key: str, value):
+    """`value` held to the rule of setting `key` (`fit.k12` for a nested one, or the
+    stored `correlation`); a ValueError saying what is wrong if it breaks it."""
+    rule = _RULES[key]
+    if isinstance(rule, dict):
+        return _number(value, **rule)
+    if value not in rule:
+        raise ValueError(f"expected one of {', '.join(rule)}, got {value!r}")
+    return value
+
+
+def _rule(errs: list[str], key: str, value):
+    """check_setting(key, value), or None after appending `key: <problem>` to errs."""
+    try:
+        return check_setting(key, value)
+    except ValueError as exc:
+        errs.append(f"{key}: {exc}")
         return None
-    return int(value)
+
+
+def _numbers(raw: dict, key: str, errs: list[str], finite: bool = True) -> dict | None:
+    """Each value of the nested mapping `key` held to the number rule; None if one breaks it."""
+    values = {}
+    for k, v in raw.items():
+        try:
+            values[k] = _number(v, finite=finite)
+        except ValueError as exc:
+            errs.append(f"{key}.{k}: {exc}")
+    return values if len(values) == len(raw) else None
 
 
 def _unknown(mapping: dict, cls) -> list[str]:
@@ -238,17 +283,19 @@ def _resolve_rates(raw, errs: list[str]) -> RateSet | None:
     if isinstance(raw, dict):
         tau_keys = {"tau12", "tau21", "tau23", "tau31"}
         k_keys = {"k12", "k21", "k23", "k31"}
+        if set(raw) not in (tau_keys, k_keys):
+            errs.append(f"rates: mapping must have exactly keys {sorted(tau_keys)} "
+                        f"or {sorted(k_keys)}, got {sorted(raw)}")
+            return None
+        # an infinite lifetime is a zero rate
+        values = _numbers(raw, "rates", errs, finite=set(raw) == k_keys)
+        if values is None:
+            return None
         try:
-            if set(raw) == tau_keys:
-                return RateSet.from_lifetimes(**{k: float(raw[k]) for k in tau_keys})
-            if set(raw) == k_keys:
-                return RateSet(**{k: float(raw[k]) for k in k_keys})
-        except (TypeError, ValueError) as exc:
+            return RateSet(**values) if set(raw) == k_keys else RateSet.from_lifetimes(**values)
+        except ValueError as exc:
             errs.append(f"rates: {exc}")
             return None
-        errs.append(f"rates: mapping must have exactly keys {sorted(tau_keys)} "
-                    f"or {sorted(k_keys)}, got {sorted(raw)}")
-        return None
     errs.append(f"rates: expected preset name or mapping, got {raw!r}")
     return None
 
@@ -269,9 +316,12 @@ def _resolve_preset(key: str, raw, preset, errs: list[str]):
         if unknown:
             errs.append(f"{key}: unknown fields {unknown}")
             return None
+        values = _numbers(raw, key, errs)
+        if values is None:
+            return None
         try:
-            return type(default)(**raw)
-        except (TypeError, ValueError) as exc:
+            return type(default)(**values)
+        except ValueError as exc:
             errs.append(f"{key}: {exc}")
             return None
     errs.append(f"{key}: expected preset name or mapping, got {raw!r}")
@@ -288,16 +338,9 @@ def _resolve_fit(raw, errs: list[str]) -> FitSettings | None:
     unknown = _unknown(raw, FitSettings)
     if unknown:
         errs.append(f"fit: unknown fields {unknown}")
-    default = _DEFAULTS["fit"]
-    k12 = None
-    if raw.get("k12") is not None:
-        k12 = _as_float(raw["k12"], "fit.k12", errs, positive=True)
-    max_iterations = _as_int(raw.get("max_iterations", default.max_iterations),
-                             "fit.max_iterations", errs, minimum=1)
-    inversion = str(raw.get("inversion", default.inversion))
-    if inversion not in INVERSIONS:
-        errs.append(f"fit.inversion: expected one of {INVERSIONS}, got {inversion!r}")
-    return FitSettings(k12=k12, max_iterations=max_iterations, inversion=inversion)
+    # a null k12 is no pump rate
+    return FitSettings(**{k: _rule(errs, f"fit.{k}", v) for k, v in raw.items()
+                          if k not in unknown and not (k == "k12" and v is None)})
 
 
 def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> Scenario:
@@ -309,8 +352,8 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     if unknown:
         errs.append(f"top level: unknown fields {unknown}")
 
-    def get(key: str):
-        return mapping.get(key, _DEFAULTS[key])
+    def setting(key: str):
+        return _rule(errs, key, mapping.get(key, _DEFAULTS[key]))
 
     v = {"name": str(mapping.get("name", default_name))}
     if "rates" in mapping:
@@ -318,34 +361,24 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     else:
         errs.append("rates: required (preset name or mapping)")
     if "duration_ns" in mapping:
-        v["duration_ns"] = _as_float(mapping["duration_ns"], "duration_ns", errs, positive=True)
+        v["duration_ns"] = _rule(errs, "duration_ns", mapping["duration_ns"])
     else:
         errs.append("duration_ns: required")
-    v["n_emitters"] = _as_int(get("n_emitters"), "n_emitters", errs, minimum=1)
-    v["seed"] = _as_int(get("seed"), "seed", errs)
-
-    v["fiber_config"] = str(get("fiber_config"))
-    if v["fiber_config"] not in _FIBER_CONFIGS:
-        errs.append(f"fiber_config: expected one of {_FIBER_CONFIGS}, got {v['fiber_config']!r}")
+    for key in ("n_emitters", "seed", "fiber_config"):
+        v[key] = setting(key)
 
     v["geometry"] = _resolve_preset("geometry", mapping.get("geometry"), geometry_preset, errs)
     raw_budget = mapping.get("budget")
     v["budget"] = _resolve_preset("budget", raw_budget, lambda n: budget_preset(n)[0], errs)
 
-    v["fraction_vertical"] = _as_float(get("fraction_vertical"), "fraction_vertical", errs,
-                                       lo=0.0, hi=1.0)
+    v["fraction_vertical"] = setting("fraction_vertical")
     if mapping.get("rho") is not None:
-        # rho = 0 would need infinite background
-        v["rho"] = _as_float(mapping["rho"], "rho", errs, lo=0.0, hi=1.0, positive=True)
+        v["rho"] = setting("rho")
     elif isinstance(raw_budget, str) and v["budget"] is not None:
         v["rho"] = budget_preset(raw_budget)[1]
 
-    v["jitter_sigma_ns"] = _as_float(get("jitter_sigma_ns"), "jitter_sigma_ns", errs)
-    if v["jitter_sigma_ns"] is not None and v["jitter_sigma_ns"] < 0.0:
-        errs.append(f"jitter_sigma_ns: must be >= 0, got {v['jitter_sigma_ns']!r}")
-
-    v["bin_width_ps"] = _as_int(get("bin_width_ps"), "bin_width_ps", errs, minimum=1)
-    v["window_ps"] = _as_int(get("window_ps"), "window_ps", errs, minimum=1)
+    for key in ("jitter_sigma_ns", "bin_width_ps", "window_ps"):
+        v[key] = setting(key)
     if v["bin_width_ps"] and v["window_ps"]:
         errs.extend(check_window(v["window_ps"], v["bin_width_ps"]))
 

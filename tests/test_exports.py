@@ -1,4 +1,5 @@
-"""Every exported name resolves, and the command line imports no test-only dependency."""
+"""Every exported name resolves, the README's library example runs, and the command
+line imports no test-only dependency."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 import spphbt
 
 MODULES = ["spphbt"] + sorted(f"spphbt.{m.name}" for m in pkgutil.iter_modules(spphbt.__path__))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,7 +29,20 @@ def test_test_oracles_are_not_exported():
     # these serve only as references for the tests, which define them
     oracles = {"simulate_trajectory", "EmitterState", "swap_symmetry_check", "SymmetryViolation",
                "jacobian_check", "spp_ring_na", "SppRing", "g2_zero"}
-    assert oracles.isdisjoint(spphbt.__all__)
+    exported = {n for name in MODULES
+                for n in getattr(importlib.import_module(name), "__all__", ())}
+    assert oracles.isdisjoint(exported)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the documented imports must follow the API; the example writes no file
+    text = README.read_text()
+    code = text[text.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("```")]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+    assert "tau21 (ns)" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def modules_loaded_by_cli_import(package: str) -> str:

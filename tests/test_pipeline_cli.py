@@ -227,6 +227,9 @@ class TestValidateConfig:
         ("seed", False, "seed: expected an integer, got False"),
         ("bin_width_ps", True, "bin_width_ps: expected an integer, got True"),
         ("fit", {"k12": True}, "fit.k12: expected a number, got True"),
+        ("budget", {"p_bs": True}, "budget.p_bs: expected a number, got True"),
+        ("rates", {"k12": True, "k21": 0.1, "k23": 0.03, "k31": 0.01},
+         "rates.k12: expected a number, got True"),
     ])
     def test_yaml_booleans_are_not_numbers(self, tmp_path, capsys, key, value, expected):
         path = tmp_path / "bools.yaml"
@@ -235,6 +238,23 @@ class TestValidateConfig:
         assert scenario is None and diags == [expected]
         assert main(["validate", "--scenario", str(path)]) == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("seed", math.inf, "seed: must be finite, got inf"),
+        ("bin_width_ps", -math.inf, "bin_width_ps: must be finite, got -inf"),
+        ("seed", -1, "seed: must be >= 0, got -1"),
+        ("geometry", {"fiber_a_angle": "x"}, "geometry.fiber_a_angle: expected a number, got 'x'"),
+    ])
+    def test_yaml_values_follow_the_number_rule(self, tmp_path, capsys, key, value, expected):
+        # validate reports through the same printer as every other command
+        path = tmp_path / "numbers.yaml"
+        path.write_text(yaml.safe_dump(dict(MINIMAL, **{key: value})))
+        assert validate_config(str(path)) == (None, [expected])
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -264,6 +284,16 @@ def first_count_negative(data: bytes) -> bytes:
     header, first, rest = data.split(b"\r\n", 2)
     lag, _, values = first.split(b",", 2)
     return b"\r\n".join([header, b",".join([lag, b"-1", values]), rest])
+
+
+def stored(sidecar: dict, **values) -> dict:
+    """A sidecar whose stored run settings carry `values`."""
+    return dict(sidecar, metadata=dict(sidecar["metadata"], **values))
+
+
+def stored_fit(sidecar: dict, **values) -> dict:
+    """A sidecar whose stored fit settings carry `values`."""
+    return stored(sidecar, fit=dict(sidecar["metadata"]["fit"], **values))
 
 
 # few distinct values, so ties within and across channels are common
@@ -699,18 +729,30 @@ class TestCli:
         assert main(["report", "--fit", str(fit_path)]) == 0
         assert capsys.readouterr().out == (out / "tiny_report.txt").read_text()
 
-    @pytest.mark.parametrize("argv", [
-        ["correlate", "--tags", "x.ttag", "--bins", "0"],
-        ["correlate", "--tags", "x.ttag", "--window", "0"],
-        ["correlate", "--tags", "x.ttag", "--window", "-150000"],
-        ["fit", "--hist", "x.csv", "--max-iterations", "0"],
-    ])
-    def test_zero_settings_are_usage_errors(self, argv, capsys):
-        # a 0 must not fall back to the stored or default value
+    @pytest.mark.parametrize("argv,expected", [
+        (["correlate", "--tags", "x.ttag", "--bins", "0"], "must be >= 1, got '0'"),
+        (["correlate", "--tags", "x.ttag", "--window", "0"], "must be >= 1, got '0'"),
+        (["correlate", "--tags", "x.ttag", "--window", "-150000"],
+         "must be >= 1, got '-150000'"),
+        (["fit", "--hist", "x.csv", "--max-iterations", "0"], "must be >= 1, got '0'"),
+        (["fit", "--hist", "x.csv", "--k12", "-1"], "must be > 0, got '-1'"),
+        (["fit", "--hist", "x.csv", "--k12", "0"], "must be > 0, got '0'"),
+        (["fit", "--hist", "x.csv", "--k12", "nan"], "must be finite, got 'nan'"),
+        (["report", "--fit", "x.json", "--k12", "-1"], "must be > 0, got '-1'"),
+        (["report", "--fit", "x.json", "--k12", "0"], "must be > 0, got '0'"),
+        (["report", "--fit", "x.json", "--k12", "nan"], "must be finite, got 'nan'"),
+        (["simulate", "--scenario", "silver_ab", "--seed", "-1"], "must be >= 0, got '-1'"),
+        (["run", "--scenario", "silver_ab", "--seed", "-3"], "must be >= 0, got '-3'"),
+    ], ids=[f"argv{i}" for i in range(12)])
+    def test_zero_settings_are_usage_errors(self, argv, expected, capsys, tmp_path, monkeypatch):
+        # a 0 must not fall back to the stored or default value; a flag is held
+        # to its scenario key's rule before anything runs or is written
+        monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "must be a positive integer" in capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: {expected}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_without_k12_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
@@ -759,13 +801,31 @@ class TestCli:
         ("tiny_g2.csv", first_count_negative, ["fit", "--hist", "tiny_g2.csv"]),
         ("tiny_g2.csv.json", lambda d: dict(d, lag_min_ps=d["lag_min_ps"] + d["bin_width_ps"]),
          ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: stored(d, n_emitters=0), ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: stored(d, rho_effective=0.0),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: stored_fit(d, k12=True), ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: stored_fit(d, k12=-0.5), ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: stored_fit(d, max_iterations=2.7),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: stored_fit(d, max_iterations=0),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny.ttag.json", lambda d: stored(d, bin_width_ps=2500.7),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: stored(d, window_ps=True),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny_fit.json", lambda d: dict(d, context=dict(d["context"], k12=True)),
+         ["report", "--fit", "tiny_fit.json"]),
     ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list",
             "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list",
             "tag_duration_is_text", "context_k12_is_text", "tag_window_is_list",
             "histogram_rho_is_text", "context_inversion_unknown", "tag_duration_negative",
             "tag_duration_before_last_tag", "tags_unsorted", "tag_records_cut",
             "histogram_lag_is_text", "histogram_without_rows", "histogram_count_negative",
-            "histogram_window_asymmetric"])
+            "histogram_window_asymmetric", "histogram_n_emitters_zero", "histogram_rho_zero",
+            "histogram_k12_is_bool", "histogram_k12_negative", "histogram_iterations_fraction",
+            "histogram_iterations_zero", "tag_bin_width_fraction", "tag_window_is_bool",
+            "context_k12_is_bool"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
