@@ -2,7 +2,7 @@
 
 
 class DegenerateRates(ValueError):
-    """Rate combination outside the model's domain, e.g. a diverging bunching amplitude."""
+    """Rate combination outside the model's domain, e.g. an absorbing shelf."""
 
 
 class InvalidInversion(ValueError):
@@ -10,7 +10,7 @@ class InvalidInversion(ValueError):
 
 
 class SingularSystem(ValueError):
-    """Rate matrix has no unique stationary distribution."""
+    """Stationary excited population is zero, so the decay amplitudes are undefined."""
 
 
 class InvalidGeometry(ValueError):

@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_MAX_ITERATIONS",
     "INVERSIONS",
     "LOWER_BOUNDS",
+    "PARAM_NAMES",
     "UPPER_BOUNDS",
     "FitResult",
     "PhotophysicsReport",
@@ -46,7 +47,8 @@ _INVERTERS = {"exact": exact_invert_rates, "model": invert_rates}
 INVERSIONS = tuple(_INVERTERS)
 DEFAULT_INVERSION = INVERSIONS[0]
 DEFAULT_MAX_ITERATIONS = 200
-# box for (gamma1, gamma2, beta, c)
+# the fitted parameters, and the box that holds every fit
+PARAM_NAMES = ("gamma1", "gamma2", "beta", "c")
 LOWER_BOUNDS = (1e-6, 0.0, 1.0, 0.0)
 UPPER_BOUNDS = (100.0, 100.0, 1e3, 1.0)
 # stopping rules: projected gradient, and step relative to the parameter norm
@@ -106,7 +108,10 @@ def fit_curve(tau, y, sigma, initial, max_iterations: int = DEFAULT_MAX_ITERATIO
     `initial` is (gamma1, gamma2, beta, c) inside the box.  Steps are
     accepted only when they lower the objective, so the recorded cost
     history is non-increasing; rejected steps raise the damping.  Bound
-    handling is by projection of the trial point onto the box.
+    handling is by projection of the trial point onto the box, so the
+    result lies in it.  The result is not reordered: gamma1 < gamma2 is the
+    mirrored labeling of fast deshelving (`kinetics.exact_decay_params`),
+    and the rate inversion alone judges whether a rate set produces it.
     """
     tau = np.asarray(tau, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,13 +192,6 @@ def fit_curve(tau, y, sigma, initial, max_iterations: int = DEFAULT_MAX_ITERATIO
     diagnostics: dict = {"reason": reason, "cost_history": history}
     if singular:
         diagnostics["singular_jacobian"] = True
-
-    # canonical ordering gamma1 > gamma2; the swap maps beta to 1 - beta
-    if p[0] < p[1]:
-        p = np.array([p[1], p[0], 1.0 - p[2], p[3]])
-        diagnostics["order_swapped"] = True
-        if p[2] < 1.0:
-            diagnostics["outside_model_family"] = True
 
     dof = max(tau.size - 4, 1)
     chi2_red = cost / dof
@@ -334,8 +332,6 @@ def _numeric_rate_grads(params: DerivedParams, k12: float, inversion: str) -> di
 _HEALTH_FLAGS = {
     "singular_jacobian": "singular Jacobian, so the parameter errors are unreliable",
     "non_identifiable": "c is within two standard errors of 0, so the rates are undetermined",
-    "order_swapped": "the fit ended with gamma1 < gamma2 and was reordered, beta -> 1 - beta",
-    "outside_model_family": "beta < 1 after reordering, which no rate set produces",
 }
 
 
@@ -362,9 +358,6 @@ def report_photophysics(fit: FitResult, k12: float, *, inversion: str) -> Photop
     if inversion not in INVERSIONS:
         raise ValueError(f"inversion must be one of {INVERSIONS}, got {inversion!r}")
     require_converged(fit)
-    if fit.beta < 1.0:
-        # the bounds hold beta >= 1, so only a reordered fit gets here
-        raise InvalidInversion(f"beta={fit.beta!r} < 1, which no rate set produces")
     no_shelving = fit.beta <= 1.0 + _NO_SHELVING_EPS
     if no_shelving:
         params = DerivedParams(gamma1=fit.gamma1, gamma2=fit.gamma2, beta=1.0)

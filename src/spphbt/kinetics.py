@@ -59,6 +59,9 @@ class RateSet:
     k21: radiative decay excited -> ground
     k23: shelving excited -> dark state
     k31: deshelving dark state -> ground
+
+    k31 = 0 is allowed only without shelving (k23 = 0): otherwise the shelf
+    absorbs the population and no stationary state exists.
     """
 
     k12: float
@@ -73,6 +76,8 @@ class RateSet:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         if self.k21 <= 0.0:
             raise ValueError("k21 must be > 0: the excited state must decay radiatively")
+        if self.k31 == 0.0 < self.k23:
+            raise DegenerateRates("k31 = 0 with k23 > 0: the shelved state is absorbing")
 
     @classmethod
     def from_lifetimes(cls, tau12: float, tau21: float, tau23: float, tau31: float) -> "RateSet":
@@ -162,18 +167,13 @@ class Populations:
 def derived_params(rates: RateSet) -> DerivedParams:
     """Map rates to the (gamma1, gamma2, beta) shape parameters.
 
-    Raises DegenerateRates when k12 + k21 = 0 or when shelving occurs but
-    deshelving does not (k31 = 0 with k12*k23 > 0), where beta diverges.
+    A rate set without deshelving (k31 = 0, which `RateSet` allows only
+    with k23 = 0) has no bunching: gamma2 = 0 and beta = 1.
     """
     g1 = rates.k12 + rates.k21
-    if g1 <= 0.0:
-        raise DegenerateRates("k12 + k21 must be > 0")
-    shelf_flux = rates.k12 * rates.k23
     if rates.k31 == 0.0:
-        if shelf_flux > 0.0:
-            raise DegenerateRates(
-                "k31 = 0 with active shelving: bunching amplitude diverges")
         return DerivedParams(gamma1=g1, gamma2=0.0, beta=1.0)
+    shelf_flux = rates.k12 * rates.k23
     g2 = rates.k31 + shelf_flux / g1
     excess = shelf_flux / (rates.k31 * g1)
     return DerivedParams(gamma1=g1, gamma2=g2, beta=1.0 + excess, beta_excess=excess)
@@ -197,10 +197,7 @@ def g2_model(tau, params: DerivedParams, config: EnsembleConfig = EnsembleConfig
 
 def quantum_yield(rates: RateSet) -> float:
     """Probability that an excitation decays radiatively, k21/(k21 + k23)."""
-    tot = rates.k21 + rates.k23
-    if tot <= 0.0:
-        raise DegenerateRates("k21 + k23 must be > 0")
-    return rates.k21 / tot
+    return rates.k21 / (rates.k21 + rates.k23)
 
 
 def invert_rates(params: DerivedParams, k12: float) -> RateSet:
@@ -214,52 +211,31 @@ def invert_rates(params: DerivedParams, k12: float) -> RateSet:
         k31 = gamma2 / beta
         k23 = gamma1 * gamma2 * (beta - 1) / (beta * k12)
 
-    Raises InvalidInversion when k12 is outside (0, gamma1) or the shape
-    parameters are unphysical.
+    Raises InvalidInversion when k12 is outside (0, gamma1).
     """
     if not (math.isfinite(k12) and 0.0 < k12 < params.gamma1):
         raise InvalidInversion(
             f"k12 must lie in (0, gamma1={params.gamma1!r}), got {k12!r}")
-    if params.gamma2 < 0.0 or params.beta < 1.0:
-        raise InvalidInversion("gamma2 >= 0 and beta >= 1 required")
     k21 = params.gamma1 - k12
     k31 = params.gamma2 / params.beta
     k23 = params.gamma1 * params.gamma2 * params.beta_excess / (params.beta * k12)
     return RateSet(k12=k12, k21=k21, k23=k23, k31=k31)
 
 
-def _rate_matrix(rates: RateSet) -> np.ndarray:
-    """Generator Q of the master equation dp/dt = Q p, columns sum to zero."""
-    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
-    return np.array([
-        [-k12, k21, k31],
-        [k12, -(k21 + k23), 0.0],
-        [0.0, k23, -k31],
-    ])
-
-
 def steady_state(rates: RateSet) -> Populations:
     """Stationary occupation of the three levels under continuous pumping.
 
-    Raises SingularSystem when no unique stationary distribution exists,
-    e.g. population leaks irreversibly into the shelf (k23 > 0, k31 = 0).
+    The balance equations k12 p1 = (k21 + k23) p2 and k31 p3 = k23 p2 with
+    p1 + p2 + p3 = 1 give, in closed form,
+
+        p2 = k12 / (k12 (1 + k23/k31) + k21 + k23),   p3 = p2 k23/k31,
+
+    where k23/k31 = 0 without shelving (k23 = 0, any k31).
     """
-    if rates.k23 > 0.0 and rates.k31 == 0.0:
-        raise SingularSystem("k31 = 0 with k23 > 0: all population ends up shelved")
-    if rates.k23 == 0.0 and rates.k31 == 0.0:
-        # shelf unreachable from {1, 2}: effective two-level system
-        p2 = rates.k12 / (rates.k12 + rates.k21)
-        return Populations(p1=1.0 - p2, p2=p2, p3=0.0)
-    a = _rate_matrix(rates)
-    a[2, :] = 1.0  # replace the redundant row with normalisation
-    try:
-        p = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"stationary solve failed: {exc}") from exc
-    if not np.all(np.isfinite(p)):
-        raise SingularSystem("stationary solve produced non-finite populations")
-    p = np.clip(p, 0.0, 1.0)
-    return Populations(p1=float(p[0]), p2=float(p[1]), p3=float(p[2]))
+    shelved_per_excited = rates.k23 / rates.k31 if rates.k23 > 0.0 else 0.0
+    p2 = rates.k12 / (rates.k12 * (1.0 + shelved_per_excited) + rates.k21 + rates.k23)
+    p3 = p2 * shelved_per_excited
+    return Populations(p1=1.0 - p2 - p3, p2=p2, p3=p3)
 
 
 def steady_emission_rate(rates: RateSet) -> float:
@@ -291,8 +267,6 @@ def exact_decay_params(rates: RateSet) -> DerivedParams:
         raise DegenerateRates("oscillatory relaxation: no real two-exponential form")
     root = math.sqrt(disc)
     g_fast = (s + root) / 2.0
-    if g_fast <= 0.0:
-        raise DegenerateRates("relaxation rates must be positive")
     # the smaller root without the cancellation in (s - root) / 2
     g_slow = 2.0 * p / (s + root)
     p2_ss = steady_state(rates).p2

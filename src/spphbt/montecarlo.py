@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularSystem
 from .kinetics import RateSet, derived_params, steady_emission_rate
 
 __all__ = [
@@ -94,10 +93,7 @@ def _emission_times(rates: RateSet, efficiency: float, t_end: float,
     p_detect = r * efficiency
     # probability that an undetected cycle ended on the shelf
     p_shelf = (1.0 - r) / (1.0 - p_detect) if k23 > 0.0 else 0.0
-    mean_cycle = 1.0 / k12 + 1.0 / (k21 + k23)
-    if p_shelf > 0.0:
-        mean_cycle += (1.0 - r) / k31
-    mean_gap = mean_cycle / p_detect
+    mean_gap = 1.0 / (steady_emission_rate(rates) * efficiency)
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < t_end:
@@ -135,8 +131,6 @@ def simulate_emitter(
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency!r}")
-    if rates.k31 <= 0.0 < rates.k23:
-        raise ValueError("k31 = 0 with k23 > 0: the shelved state is absorbing")
     rng = np.random.default_rng(seed)
     burn = _burn_in(rates)
     times = _emission_times(rates, efficiency, duration + burn, rng)
@@ -179,11 +173,7 @@ def simulate_ensemble(
 
 def _worker_count(rates: RateSet, n_emitters: int, duration: float, efficiency: float) -> int:
     """Threads that sample the ensemble: one per usable core above the size gate."""
-    try:
-        per_emitter = steady_emission_rate(rates) * efficiency * duration
-    except SingularSystem:
-        return 1  # simulate_emitter rejects these rates with its own message
-    if per_emitter < _THREADED_MIN_DETECTIONS:
+    if steady_emission_rate(rates) * efficiency * duration < _THREADED_MIN_DETECTIONS:
         return 1
     return min(_usable_cores(), n_emitters)
 

@@ -21,6 +21,7 @@ from .correlator import CorrelationHistogram, TimeTagStream, auto_correlate, cro
 from .errors import InvalidInversion
 from .fitter import (
     DEFAULT_MAX_ITERATIONS,
+    PARAM_NAMES,
     FitResult,
     PhotophysicsReport,
     fit_g2,
@@ -29,7 +30,7 @@ from .fitter import (
 from .kinetics import steady_emission_rate
 from .montecarlo import simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
-from .scenarios import Scenario
+from .scenarios import Scenario, check_setting
 from .tagio import sha256_file, write_histogram_csv, write_json, write_time_tags
 
 __all__ = [
@@ -139,8 +140,8 @@ def _config_sha256(scenario: Scenario) -> str:
 
 def fit_to_mapping(fit: FitResult) -> dict:
     return {
-        "params": dict(zip(("gamma1", "gamma2", "beta", "c"), fit.params)),
-        "errors": dict(zip(("gamma1", "gamma2", "beta", "c"), fit.errors)),
+        "params": dict(zip(PARAM_NAMES, fit.params)),
+        "errors": dict(zip(PARAM_NAMES, fit.errors)),
         "covariance": [[float(v) for v in row] for row in fit.covariance],
         "chi2_reduced": fit.chi2_reduced,
         "converged": fit.converged,
@@ -150,17 +151,34 @@ def fit_to_mapping(fit: FitResult) -> dict:
     }
 
 
+def _stored(key: str, value):
+    """check_setting(key, value), its error naming `key`."""
+    try:
+        return check_setting(key, value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def fit_from_mapping(payload: dict) -> FitResult:
-    """Inverse of `fit_to_mapping`; raises ValueError on anything else, e.g. a null fit."""
+    """Inverse of `fit_to_mapping`; raises ValueError on anything else, e.g. a null fit.
+
+    Each parameter is held to the fitter's box and the covariance to four
+    rows of four finite numbers, so the rate inversion sees only parameters
+    `fit_curve` could have returned.
+    """
     try:
         params = payload["params"]
+        cov = payload["covariance"]
+        if not (isinstance(cov, list) and len(cov) == 4
+                and all(isinstance(row, list) and len(row) == 4 for row in cov)):
+            raise ValueError(f"covariance: expected 4 rows of 4 numbers, got {cov!r}")
         return FitResult(
-            params=tuple(float(params[k]) for k in ("gamma1", "gamma2", "beta", "c")),
-            covariance=np.asarray(payload["covariance"], dtype=float),
+            params=tuple(_stored(f"params.{k}", params[k]) for k in PARAM_NAMES),
+            covariance=np.array([[_stored("covariance", v) for v in row] for row in cov]),
             chi2_reduced=float(payload["chi2_reduced"]),
             converged=bool(payload["converged"]),
-            n_iterations=int(payload["n_iterations"]),
-            n_points=int(payload["n_points"]),
+            n_iterations=_stored("n_iterations", payload["n_iterations"]),
+            n_points=_stored("n_points", payload["n_points"]),
             diagnostics=dict(payload.get("diagnostics", {})),
         )
     except (KeyError, TypeError) as exc:

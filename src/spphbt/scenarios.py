@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError, UnknownScenario
-from .fitter import DEFAULT_INVERSION, DEFAULT_MAX_ITERATIONS, INVERSIONS
+from .fitter import (
+    DEFAULT_INVERSION,
+    DEFAULT_MAX_ITERATIONS,
+    INVERSIONS,
+    LOWER_BOUNDS,
+    PARAM_NAMES,
+    UPPER_BOUNDS,
+)
 from .kinetics import RateSet
 from .optics import DetectionGeometry, DipoleMix, EfficiencyBudget, coupling_ratio
 
@@ -190,8 +198,12 @@ def check_window(window_ps: int, bin_width_ps: int) -> list[str]:
 
 
 # The one rule of each setting, wherever it enters (scenario, stored value or
-# flag): a tuple of choices, or a mapping of the number rule's options.
-_RULES: dict[str, tuple | dict] = {
+# flag): a tuple of choices, a mapping of the number rule's options, or a
+# pattern the whole text must match.
+_RULES: dict[str, tuple | dict | re.Pattern] = {
+    # the stem of every artifact path: non-empty, no separator, no leading dot,
+    # so the artifacts stay inside the output directory
+    "name": re.compile(r"[^./\\\0][^/\\\0]*"),
     "duration_ns": {"positive": True},
     "n_emitters": {"integer": True, "minimum": 1},
     "seed": {"integer": True, "minimum": 0},  # SeedSequence takes no negative seed
@@ -205,6 +217,13 @@ _RULES: dict[str, tuple | dict] = {
     "fit.max_iterations": {"integer": True, "minimum": 1},
     "fit.inversion": INVERSIONS,
     "correlation": ("auto", "cross"),
+    # a stored fit record: each parameter in the fitter's box, every
+    # covariance entry a finite number
+    **{f"params.{name}": {"minimum": lo, "maximum": hi}
+       for name, lo, hi in zip(PARAM_NAMES, LOWER_BOUNDS, UPPER_BOUNDS)},
+    "covariance": {},
+    "n_iterations": {"integer": True, "minimum": 1},
+    "n_points": {"integer": True, "minimum": 1},
 }
 
 
@@ -244,6 +263,11 @@ def check_setting(key: str, value):
     rule = _RULES[key]
     if isinstance(rule, dict):
         return _number(value, **rule)
+    if isinstance(rule, re.Pattern):
+        if not (isinstance(value, str) and rule.fullmatch(value)):
+            raise ValueError("expected a non-empty file name without a path separator "
+                             f"or a leading dot, got {value!r}")
+        return value
     if value not in rule:
         raise ValueError(f"expected one of {', '.join(rule)}, got {value!r}")
     return value
@@ -355,7 +379,7 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     def setting(key: str):
         return _rule(errs, key, mapping.get(key, _DEFAULTS[key]))
 
-    v = {"name": str(mapping.get("name", default_name))}
+    v = {"name": _rule(errs, "name", str(mapping.get("name", default_name)))}
     if "rates" in mapping:
         v["rates"] = _resolve_rates(mapping["rates"], errs)
     else:

@@ -19,10 +19,17 @@ from spphbt.fitter import (
     _initial_guess,
     fit_curve,
     fit_g2,
+    fit_warnings,
     model_jacobian,
     report_photophysics,
 )
-from spphbt.kinetics import derived_params, exact_decay_params, model_g2, quantum_yield
+from spphbt.kinetics import (
+    RateSet,
+    derived_params,
+    exact_decay_params,
+    model_g2,
+    quantum_yield,
+)
 from spphbt.montecarlo import simulate_emitter
 from spphbt.optics import route_events
 from spphbt.pipeline import fit_payload
@@ -88,6 +95,23 @@ class TestCleanRecovery:
         assert np.allclose(cov, cov.T)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-20
         assert all(e >= 0.0 for e in fit.errors)
+
+    @pytest.mark.parametrize("start", [(3.0, 5.0, 1.1, 0.45), (5.0, 3.0, 1.1, 0.45)],
+                             ids=["mirrored_start", "ordered_start"])
+    def test_fast_deshelving_keeps_the_mirrored_labeling(self, start):
+        # deshelving faster than the optical cycle: the exact curve has
+        # gamma1 < gamma2 with beta >= 1, which the exact inversion maps back
+        rates = RateSet(1.0, 1.0, 1.0, 6.0)
+        exact = exact_decay_params(rates)
+        assert exact.gamma1 < exact.gamma2 and exact.beta > 1.0
+        truth = (exact.gamma1, exact.gamma2, exact.beta, 0.5)
+        tau = np.linspace(-3.0, 3.0, 600)
+        fit = fit_curve(tau, model_g2(tau, *truth), np.full_like(tau, 1e-3), start)
+        assert fit.converged and fit_warnings(fit) == []
+        assert fit.params == pytest.approx(truth, rel=1e-6)
+        rep = report_photophysics(fit, k12=rates.k12, inversion="exact")
+        for name in ("k12", "k21", "k23", "k31"):
+            assert getattr(rep.rates, name) == pytest.approx(getattr(rates, name), rel=1e-6)
 
     def test_cost_history_is_monotone(self):
         rng = np.random.default_rng(41)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from rate_oracles import conditional_intensity, rate_matrix
-from spphbt.errors import DegenerateRates, InvalidInversion, SingularSystem
+from spphbt.errors import DegenerateRates, InvalidInversion
 from spphbt.kinetics import (
     DerivedParams,
     EnsembleConfig,
@@ -206,8 +206,11 @@ class TestSteadyState:
         assert p.p3 == pytest.approx(r.k23 / r.k31 * p2, rel=1e-12)
 
     def test_absorbing_shelf_rejected(self):
-        with pytest.raises(SingularSystem):
-            steady_state(RateSet(0.1, 0.2, 0.05, 0.0))
+        # no stationary state exists, so no such rate set can be built
+        with pytest.raises(DegenerateRates, match="absorbing"):
+            RateSet(**{"k12": 0.1, "k21": 0.2, "k23": 0.05, "k31": 0.0})
+        with pytest.raises(DegenerateRates, match="absorbing"):
+            RateSet.from_lifetimes(27.0, 9.7, 27.4, math.inf)
 
     def test_population_validation(self):
         with pytest.raises(ValueError):

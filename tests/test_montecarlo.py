@@ -229,11 +229,13 @@ class TestSimulateEnsemble:
         # capped at n_emitters
         assert montecarlo._worker_count(silver_rates, 4, duration, 1.0) == (4 if above else 1)
         reference = sample()
-        sampled_on: set[int] = set()
+        # Thread objects, not idents: the system may reuse an exited thread's ident,
+        # and the set keeps each object alive
+        sampled_on: set[threading.Thread] = set()
         original = montecarlo.simulate_emitter
 
         def recording(*args, **kwargs):
-            sampled_on.add(threading.get_ident())
+            sampled_on.add(threading.current_thread())
             return original(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "simulate_emitter", recording)

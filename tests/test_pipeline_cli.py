@@ -244,6 +244,8 @@ class TestValidateConfig:
         ("bin_width_ps", -math.inf, "bin_width_ps: must be finite, got -inf"),
         ("seed", -1, "seed: must be >= 0, got -1"),
         ("geometry", {"fiber_a_angle": "x"}, "geometry.fiber_a_angle: expected a number, got 'x'"),
+        ("rates", {"tau12": 27.0, "tau21": 9.7, "tau23": 27.4, "tau31": math.inf},
+         "rates: k31 = 0 with k23 > 0: the shelved state is absorbing"),
     ])
     def test_yaml_values_follow_the_number_rule(self, tmp_path, capsys, key, value, expected):
         # validate reports through the same printer as every other command
@@ -255,6 +257,23 @@ class TestValidateConfig:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("file_name,name", [
+        ("named.yaml", "../escaped"), ("named.yaml", ""), ("named.yaml", ".hidden"),
+        ("named.yaml", "a/b"), (".hidden.yaml", None),
+    ], ids=["parent_dir", "empty", "hidden", "subdir", "hidden_file_stem"])
+    def test_name_stays_inside_the_output_directory(self, tmp_path, capsys, file_name, name):
+        # the name, from its key or the file stem, is the stem of every artifact path
+        path = tmp_path / file_name
+        path.write_text(yaml.safe_dump(dict(MINIMAL, **({} if name is None else {"name": name}))))
+        expected = ("name: expected a non-empty file name without a path separator or a "
+                    f"leading dot, got {Path(file_name).stem if name is None else name!r}")
+        assert validate_config(str(path)) == (None, [expected])
+        for command in ("validate", "simulate", "run"):
+            out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+            assert main([command, "--scenario", str(path), *out]) == 2
+            assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -294,6 +313,16 @@ def stored(sidecar: dict, **values) -> dict:
 def stored_fit(sidecar: dict, **values) -> dict:
     """A sidecar whose stored fit settings carry `values`."""
     return stored(sidecar, fit=dict(sidecar["metadata"]["fit"], **values))
+
+
+def fit_record(payload: dict, **values) -> dict:
+    """A fit JSON whose fit record carries `values`."""
+    return dict(payload, fit=dict(payload["fit"], **values))
+
+
+def fit_params(payload: dict, **values) -> dict:
+    """A fit JSON whose fitted parameters carry `values`."""
+    return fit_record(payload, params=dict(payload["fit"]["params"], **values))
 
 
 # few distinct values, so ties within and across channels are common
@@ -816,6 +845,17 @@ class TestCli:
          ["correlate", "--tags", "tiny.ttag"]),
         ("tiny_fit.json", lambda d: dict(d, context=dict(d["context"], k12=True)),
          ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_record(d, covariance=None),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_record(d, covariance=[]),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_params(d, beta=1e300), ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_params(d, gamma1=1e300),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_params(d, c=True), ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_params(d, beta=False), ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_record(d, n_iterations=math.inf),
+         ["report", "--fit", "tiny_fit.json"]),
     ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list",
             "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list",
             "tag_duration_is_text", "context_k12_is_text", "tag_window_is_list",
@@ -825,7 +865,9 @@ class TestCli:
             "histogram_window_asymmetric", "histogram_n_emitters_zero", "histogram_rho_zero",
             "histogram_k12_is_bool", "histogram_k12_negative", "histogram_iterations_fraction",
             "histogram_iterations_zero", "tag_bin_width_fraction", "tag_window_is_bool",
-            "context_k12_is_bool"])
+            "context_k12_is_bool", "fit_covariance_null", "fit_covariance_empty",
+            "fit_beta_huge", "fit_gamma1_huge", "fit_c_is_bool", "fit_beta_is_bool",
+            "fit_iterations_infinite"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
@@ -882,18 +924,14 @@ class TestCli:
                       "error: fit did not converge (max_iterations)\n"),
             # a pump rate above gamma1 leaves the inversion no rate set
             "pumped": ({"fit": {"k12": 5.0}}, "error: k21 + k23 would be non-positive\n"),
-            # ~1800 pairs: the fit ends order-swapped with beta = 0 < 1
-            "swapped": ({"n_emitters": 10, "duration_ns": 1.0e11, "fiber_config": "AB",
-                         "geometry": "fourier_default", "budget": "silver_filtered"},
-                        "warning: singular_jacobian: singular Jacobian, so the parameter "
-                        "errors are unreliable\n"
-                        "warning: non_identifiable: c is within two standard errors of 0, "
-                        "so the rates are undetermined\n"
-                        "warning: order_swapped: the fit ended with gamma1 < gamma2 and was "
-                        "reordered, beta -> 1 - beta\n"
-                        "warning: outside_model_family: beta < 1 after reordering, which no "
-                        "rate set produces\n"
-                        "error: beta=0.0 < 1, which no rate set produces\n"),
+            # ~1800 pairs: the fit ends in the box's gamma1 = 1e-6 corner
+            "cornered": ({"n_emitters": 10, "duration_ns": 1.0e11, "fiber_config": "AB",
+                          "geometry": "fourier_default", "budget": "silver_filtered"},
+                         "warning: singular_jacobian: singular Jacobian, so the parameter "
+                         "errors are unreliable\n"
+                         "warning: non_identifiable: c is within two standard errors of 0, "
+                         "so the rates are undetermined\n"
+                         "error: k12=0.037037037037037035 must be below gamma1=1e-06\n"),
         }
         for name, (overrides, err) in cases.items():
             path = tmp_path / f"{name}.yaml"
