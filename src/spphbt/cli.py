@@ -11,13 +11,13 @@ default output directory comes from --out, falling back to the SPPHBT_OUT
 environment variable and then ./spphbt_out.
 
 Every setting is held to its scenario key's rule (`scenarios.check_setting`),
-whether it comes from the scenario, a flag or a value stored with the input.
+and every value read back from an artifact to its rule by `stored_setting`.
 
-Exit codes: 0 ok, 1 runtime failure (missing or malformed file, a stored
-setting that breaks its rule, empty stream, fit that did not converge or that
-the rate inversion rejects), 2 configuration or usage error (a flag that
-breaks its rule included).  Fit-health flags print `warning:` lines on stderr
-without changing the exit code.
+Exit codes: 0 ok, 1 runtime failure (a missing, unreadable or malformed file
+or sidecar, a stored value or window that breaks its rule, empty stream, a
+histogram too large for memory, fit that did not converge or that the rate
+inversion rejects), 2 configuration or usage error (a flag that breaks its
+rule included).  Fit-health `warning:` lines leave the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, EmptyStream, NonConvergence
+from .errors import ConfigError, NonConvergence
 from .fitter import (
     DEFAULT_INVERSION,
     DEFAULT_MAX_ITERATIONS,
@@ -43,6 +43,7 @@ from .scenarios import (
     builtin_scenario_names,
     check_setting,
     check_window,
+    stored_setting,
     validate_config,
 )
 from .tagio import (
@@ -50,6 +51,7 @@ from .tagio import (
     read_histogram_csv,
     read_json,
     read_time_tags,
+    sidecar_path,
     write_histogram_csv,
     write_json,
 )
@@ -64,20 +66,8 @@ def _out_dir(value: str | None) -> Path:
 
 
 def _setting(flag, stored: dict, key: str, path, default=None, rule: str | None = None):
-    """A flag given on the command line, else the value stored with the input, else default.
-
-    A stored null counts as absent.  A stored value that breaks the rule of
-    setting `rule` (by default `key`) is a ValueError naming the file it came from.
-    """
-    if flag is not None:
-        return flag
-    value = stored.get(key)
-    if value is None:
-        return default
-    try:
-        return check_setting(rule or key, value)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {key}: {exc}") from exc
+    """A flag given on the command line, else `stored_setting(stored, key, path, rule, default)`."""
+    return flag if flag is not None else stored_setting(stored, key, path, rule, default=default)
 
 
 def _flag(rule: str):
@@ -135,13 +125,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_correlate(args) -> int:
     a, b, meta = read_time_tags(args.tags)
     inner = meta.get("metadata") or {}  # the reader checked it is an object
-    sidecar = f"{args.tags}.json"
+    sidecar = sidecar_path(args.tags)
     kind = _setting(args.kind, inner, "correlation", sidecar, "cross")
     window = _setting(args.window, inner, "window_ps", sidecar, DEFAULT_WINDOW_PS)
     bins = _setting(args.bins, inner, "bin_width_ps", sidecar, DEFAULT_BIN_WIDTH_PS)
-    problems = check_window(window, bins)
-    if problems:
-        raise ConfigError(problems)
+    problems = check_window(window, bins, a.duration)
+    if problems:  # a usage error if a flag is to blame, else the stored values'
+        raise (ConfigError(problems) if args.window or args.bins
+               else ValueError(f"{sidecar}: {'; '.join(problems)}"))
     hist = correlate_tags(a, b, kind, window, bins)
     out = _out_dir(args.out)
     stem = Path(args.tags).stem
@@ -155,18 +146,18 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_fit(args) -> int:
     hist, meta = read_histogram_csv(args.hist)
-    sidecar = f"{args.hist}.json"
+    sidecar = sidecar_path(args.hist)
     stored = json_section(meta, "fit", sidecar)
     max_iterations = _setting(args.max_iterations, stored, "max_iterations", sidecar,
                               DEFAULT_MAX_ITERATIONS, rule="fit.max_iterations")
     k12 = _setting(args.k12, stored, "k12", sidecar, rule="fit.k12")
     inversion = _setting(args.inversion, stored, "inversion", sidecar, DEFAULT_INVERSION,
                          rule="fit.inversion")
-    n_emitters = _setting(None, meta, "n_emitters", sidecar, 1)
-    rho = _setting(None, meta, "rho_effective", sidecar, rule="rho")
+    n_emitters = stored_setting(meta, "n_emitters", sidecar, default=1)
+    rho = stored_setting(meta, "rho_effective", sidecar, "rho", default=None)
+    name = stored_setting(meta, "scenario", sidecar, "name", default=Path(args.hist).stem)
     fit = fit_histogram(hist, max_iterations)
-    payload, report, rejected = fit_payload(
-        fit, meta.get("scenario", Path(args.hist).stem), k12, inversion, n_emitters, rho)
+    payload, report, rejected = fit_payload(fit, name, k12, inversion, n_emitters, rho)
     out = _out_dir(args.out)
     path = write_json(out / f"{Path(args.hist).stem}_fit.json", payload)
     g1, g2, beta, c = fit.params
@@ -186,14 +177,12 @@ def _cmd_report(args) -> int:
     if k12 is None:
         print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)
         return 2
-    try:
-        fit = fit_from_mapping(payload.get("fit"))
-    except ValueError as exc:
-        raise ValueError(f"{args.fit}: {exc}") from exc
+    fit = fit_from_mapping(json_section(payload, "fit", args.fit), args.fit)
     inversion = _setting(args.inversion, ctx, "inversion", args.fit, DEFAULT_INVERSION,
                          rule="fit.inversion")
+    name = stored_setting(payload, "scenario", args.fit, "name", default="stored fit")
     report = report_photophysics(fit, k12, inversion=inversion)
-    print(report.format_table(payload.get("scenario", "stored fit")))
+    print(report.format_table(name))
     return 0
 
 
@@ -280,7 +269,7 @@ def main(argv=None) -> int:
         for line in exc.diagnostics:
             print(f"  - {line}", file=sys.stderr)
         return 2
-    except (EmptyStream, NonConvergence, FileNotFoundError, ValueError) as exc:
+    except (NonConvergence, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

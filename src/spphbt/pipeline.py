@@ -30,8 +30,9 @@ from .fitter import (
 from .kinetics import steady_emission_rate
 from .montecarlo import simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
-from .scenarios import Scenario, check_setting
-from .tagio import sha256_file, write_histogram_csv, write_json, write_time_tags
+from .scenarios import Scenario, stored_setting
+from .tagio import (json_section, sha256_file, sidecar_path, write_histogram_csv, write_json,
+                    write_time_tags)
 
 __all__ = [
     "PipelineResult",
@@ -151,38 +152,26 @@ def fit_to_mapping(fit: FitResult) -> dict:
     }
 
 
-def _stored(key: str, value):
-    """check_setting(key, value), its error naming `key`."""
-    try:
-        return check_setting(key, value)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+def fit_from_mapping(payload: dict, path) -> FitResult:
+    """Inverse of `fit_to_mapping` for the record stored in `path`; ValueError naming it otherwise.
 
-
-def fit_from_mapping(payload: dict) -> FitResult:
-    """Inverse of `fit_to_mapping`; raises ValueError on anything else, e.g. a null fit.
-
-    Each parameter is held to the fitter's box and the covariance to four
-    rows of four finite numbers, so the rate inversion sees only parameters
-    `fit_curve` could have returned.
+    The parameters are held to the fitter's box and the covariance to four rows of
+    four finite numbers, so the rate inversion sees only what `fit_curve` could return.
     """
-    try:
-        params = payload["params"]
-        cov = payload["covariance"]
-        if not (isinstance(cov, list) and len(cov) == 4
-                and all(isinstance(row, list) and len(row) == 4 for row in cov)):
-            raise ValueError(f"covariance: expected 4 rows of 4 numbers, got {cov!r}")
-        return FitResult(
-            params=tuple(_stored(f"params.{k}", params[k]) for k in PARAM_NAMES),
-            covariance=np.array([[_stored("covariance", v) for v in row] for row in cov]),
-            chi2_reduced=float(payload["chi2_reduced"]),
-            converged=bool(payload["converged"]),
-            n_iterations=_stored("n_iterations", payload["n_iterations"]),
-            n_points=_stored("n_points", payload["n_points"]),
-            diagnostics=dict(payload.get("diagnostics", {})),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"no valid fit record ({type(exc).__name__}: {exc})") from exc
+    params, rows = json_section(payload, "params", path), payload.get("covariance")
+    if not (isinstance(rows, list) and len(rows) == 4
+            and all(isinstance(row, list) and len(row) == 4 for row in rows)):
+        raise ValueError(f"{path}: covariance: expected 4 rows of 4 numbers, got {rows!r}")
+    cov = {f"covariance[{i}][{j}]": v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return FitResult(
+        params=tuple(stored_setting(params, k, path, f"params.{k}") for k in PARAM_NAMES),
+        covariance=np.reshape([stored_setting(cov, k, path, "covariance") for k in cov], (4, 4)),
+        chi2_reduced=stored_setting(payload, "chi2_reduced", path),
+        converged=stored_setting(payload, "converged", path),
+        n_iterations=stored_setting(payload, "n_iterations", path),
+        n_points=stored_setting(payload, "n_points", path),
+        diagnostics=json_section(payload, "diagnostics", path),
+    )
 
 
 def report_to_mapping(report: PhotophysicsReport) -> dict:
@@ -218,7 +207,7 @@ def fit_payload(
     report = rejected = None
     if k12 is not None and fit.converged:
         try:
-            report = report_photophysics(fit, float(k12), inversion=inversion)
+            report = report_photophysics(fit, k12, inversion=inversion)
         except InvalidInversion as exc:
             rejected = exc
     payload = {
@@ -229,7 +218,7 @@ def fit_payload(
                     "rho_effective": rho_effective},
     }
     if report is not None:
-        c_expected = None if rho_effective is None else rho_effective ** 2 / int(n_emitters)
+        c_expected = None if rho_effective is None else rho_effective ** 2 / n_emitters
         payload["report"] = dict(report_to_mapping(report), c_fitted=fit.c, c_expected=c_expected)
     return payload, report, rejected
 
@@ -247,12 +236,12 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
 
     a, b, info = acquire(scenario)
     paths["tags"] = write_time_tags(out / f"{stem}.ttag", a, b, metadata=info)
-    paths["tags_sidecar"] = Path(str(paths["tags"]) + ".json")
+    paths["tags_sidecar"] = sidecar_path(paths["tags"])
 
     hist = correlate_tags(a, b, scenario.correlation_kind,
                           scenario.window_ps, scenario.bin_width_ps)
     paths["histogram"] = write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)
-    paths["histogram_sidecar"] = Path(str(paths["histogram"]) + ".json")
+    paths["histogram_sidecar"] = sidecar_path(paths["histogram"])
 
     fit = fit_histogram(hist, scenario.fit.max_iterations)
     payload, report, rejected = fit_payload(fit, scenario.name, scenario.fit.k12,

@@ -36,6 +36,7 @@ __all__ = [
     "Scenario",
     "check_setting",
     "check_window",
+    "stored_setting",
     "rate_preset",
     "geometry_preset",
     "budget_preset",
@@ -48,6 +49,7 @@ __all__ = [
 
 DEFAULT_BIN_WIDTH_PS = 1000
 DEFAULT_WINDOW_PS = 150_000  # max |lag| of the histogram
+_REQUIRED = object()  # the default of a value that must be stored
 
 # characteristic times in ns: (tau12, tau21, tau23, tau31) at the reference
 # excitation power, for emitters on bare glass and coupled to a silver film
@@ -187,20 +189,22 @@ class Scenario:
 _DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
 
 
-def check_window(window_ps: int, bin_width_ps: int) -> list[str]:
-    """Diagnostics for a histogram window: a multiple of the bin width, at least 4 bins per side."""
+def check_window(window_ps: int, bin_width_ps: int, duration_ps: float) -> list[str]:
+    """Diagnostics for a histogram window: whole bins, at least 4 a side, within the acquisition."""
     if window_ps % bin_width_ps:
         return [f"window_ps: must be a multiple of bin_width_ps "
                 f"({window_ps} % {bin_width_ps} != 0)"]
     if window_ps // bin_width_ps < 4:
         return ["window_ps: window must span at least 4 bins per side"]
+    if window_ps > duration_ps:
+        return [f"window_ps: must be <= the acquisition's {duration_ps:g} ps, got {window_ps}"]
     return []
 
 
-# The one rule of each setting, wherever it enters (scenario, stored value or
-# flag): a tuple of choices, a mapping of the number rule's options, or a
-# pattern the whole text must match.
-_RULES: dict[str, tuple | dict | re.Pattern] = {
+# The one rule of each setting and stored field, wherever it enters (scenario,
+# artifact or flag): a tuple of choices, a mapping of the number rule's options,
+# a pattern the whole text must match, or `bool` for true or false.
+_RULES: dict[str, tuple | dict | re.Pattern | type] = {
     # the stem of every artifact path: non-empty, no separator, no leading dot,
     # so the artifacts stay inside the output directory
     "name": re.compile(r"[^./\\\0][^/\\\0]*"),
@@ -217,13 +221,17 @@ _RULES: dict[str, tuple | dict | re.Pattern] = {
     "fit.max_iterations": {"integer": True, "minimum": 1},
     "fit.inversion": INVERSIONS,
     "correlation": ("auto", "cross"),
-    # a stored fit record: each parameter in the fitter's box, every
-    # covariance entry a finite number
+    # a stored fit record, its parameters in the fitter's box, then the sidecars' fields
     **{f"params.{name}": {"minimum": lo, "maximum": hi}
        for name, lo, hi in zip(PARAM_NAMES, LOWER_BOUNDS, UPPER_BOUNDS)},
     "covariance": {},
-    "n_iterations": {"integer": True, "minimum": 1},
-    "n_points": {"integer": True, "minimum": 1},
+    **dict.fromkeys(("n_iterations", "n_points"), {"integer": True, "minimum": 1}),
+    "chi2_reduced": {"minimum": 0.0},
+    "converged": bool,
+    "duration_ps": {"integer": True, "minimum": 1},
+    "lag_min_ps": {"integer": True},
+    **dict.fromkeys(("rate_a_hz", "rate_b_hz"), {"positive": True}),
+    **dict.fromkeys(("n_a", "n_b"), {"integer": True, "minimum": 0}),
 }
 
 
@@ -263,6 +271,10 @@ def check_setting(key: str, value):
     rule = _RULES[key]
     if isinstance(rule, dict):
         return _number(value, **rule)
+    if rule is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
     if isinstance(rule, re.Pattern):
         if not (isinstance(value, str) and rule.fullmatch(value)):
             raise ValueError("expected a non-empty file name without a path separator "
@@ -271,6 +283,20 @@ def check_setting(key: str, value):
     if value not in rule:
         raise ValueError(f"expected one of {', '.join(rule)}, got {value!r}")
     return value
+
+
+def stored_setting(stored: dict, key: str, path, rule: str | None = None, default=_REQUIRED):
+    """The value under `key` in the artifact at `path`, held to the rule `rule` (by default
+    `key`); null or absent is `default`, else a ValueError naming the file, as is a bad value."""
+    value = stored.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{path}: missing {key}")
+        return default
+    try:
+        return check_setting(rule or key, value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from None
 
 
 def _rule(errs: list[str], key: str, value):
@@ -404,7 +430,8 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     for key in ("jitter_sigma_ns", "bin_width_ps", "window_ps"):
         v[key] = setting(key)
     if v["bin_width_ps"] and v["window_ps"]:
-        errs.extend(check_window(v["window_ps"], v["bin_width_ps"]))
+        errs.extend(check_window(v["window_ps"], v["bin_width_ps"],
+                                 1000 * (v.get("duration_ns") or math.inf)))
 
     v["fit"] = _resolve_fit(mapping.get("fit"), errs)
 

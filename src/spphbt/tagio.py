@@ -12,9 +12,9 @@ channel, so writing holds a few MB whatever the file's size; the bytes do
 not depend on the block size.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
-precision) plus a JSON sidecar holding the window and the normalisation.  The
-reader parses lag_ps and counts only, checks that lag_ps spans the sidecar's
-symmetric window, and derives g2 and sigma from the sidecar's rates.
+precision) plus a JSON sidecar of the window and normalisation; the reader
+checks that lag_ps spans its window and derives g2 and sigma from its rates.
+Both readers need the sidecar and hold each field to its rule (`stored_setting`).
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlator import CorrelationHistogram, TimeTagStream, _validate_window
+from .correlator import CorrelationHistogram, TimeTagStream
 from .errors import UnsortedInput
+from .scenarios import stored_setting
 
 __all__ = [
     "TTAG_MAGIC",
@@ -40,6 +41,7 @@ __all__ = [
     "write_json",
     "read_json",
     "json_section",
+    "sidecar_path",
     "sha256_file",
 ]
 
@@ -50,8 +52,16 @@ _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")])
 _BLOCK = 1 << 16  # tags per channel and block that write_time_tags merges at once
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.name + ".json")
+def sidecar_path(path) -> Path:
+    """The JSON sidecar of a tag or histogram file: its name plus ".json"."""
+    return Path(f"{path}.json")
+
+
+def _read_sidecar(path: Path) -> tuple[Path, dict]:
+    sidecar = sidecar_path(path)
+    if not sidecar.exists():
+        raise FileNotFoundError(f"{sidecar}: the sidecar of {path.name} is required")
+    return sidecar, read_json(sidecar)
 
 
 def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | None = None) -> Path:
@@ -75,7 +85,7 @@ def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | N
     }
     if metadata:
         sidecar["metadata"] = metadata
-    write_json(_sidecar_path(path), sidecar)
+    write_json(sidecar_path(path), sidecar)
     return path
 
 
@@ -108,22 +118,15 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     top = int(channel.max(initial=0))
     if top > 1:
         raise ValueError(f"{path}: invalid channel byte {top}")
-    sidecar = _sidecar_path(path)
-    meta = read_json(sidecar) if sidecar.exists() else {}
+    sidecar, meta = _read_sidecar(path)
     json_section(meta, "metadata", sidecar)
+    duration = stored_setting(meta, "duration_ps", sidecar)
     tags = records["t"].astype(np.int64)
     del records, raw  # the tags and channels are copies; free the file image
-    duration = meta.get("duration_ps")
-    if duration is None:  # absent or null: up to the last tag
-        duration = tags[-1] if tags.size else 1
-    try:
-        duration = int(duration)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar}: bad duration_ps {duration!r} ({exc})") from exc
     on_b = channel.view(bool)
     n_b = int(np.count_nonzero(on_b))
     for key, count in (("n_a", tags.size - n_b), ("n_b", n_b)):
-        if meta.get(key) is not None and meta[key] != count:
+        if stored_setting(meta, key, sidecar) != count:
             raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
     # split into arrays of the final sizes; the mask flips in place for A
     tags_b = np.compress(on_b, tags, out=np.empty(n_b, dtype=np.int64))
@@ -133,7 +136,7 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
         return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), meta
     except UnsortedInput as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # the duration or the tags' range
+    except ValueError as exc:  # tags beyond the duration
         raise ValueError(f"{sidecar}: {exc}") from exc
 
 
@@ -155,28 +158,20 @@ def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None 
     }
     if metadata:
         sidecar["metadata"] = metadata
-    write_json(_sidecar_path(path), sidecar)
+    write_json(sidecar_path(path), sidecar)
     return path
 
 
 def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
     """Rebuild a histogram from the CSV and its sidecar."""
     path = Path(path)
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FileNotFoundError(f"{sidecar}: histogram sidecar is required for normalisation")
-    meta = read_json(sidecar)
-    try:
-        bin_width, lag_max = int(meta["bin_width_ps"]), int(meta["lag_max_ps"])
-        _validate_window(lag_max, bin_width)
-        if int(meta["lag_min_ps"]) != -lag_max:
-            raise ValueError(f"lag_min_ps must be -lag_max_ps, got {meta['lag_min_ps']!r}")
-        duration = int(meta["duration_ps"])
-        rate_a, rate_b = float(meta["rate_a_hz"]), float(meta["rate_b_hz"])
-    except KeyError as exc:
-        raise ValueError(f"{sidecar}: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar}: {exc}") from exc
+    sidecar, meta = _read_sidecar(path)
+    bin_width = stored_setting(meta, "bin_width_ps", sidecar)
+    lag_max = stored_setting(meta, "lag_max_ps", sidecar, "window_ps")
+    if stored_setting(meta, "lag_min_ps", sidecar) != -lag_max:
+        raise ValueError(f"{sidecar}: lag_min_ps must be -lag_max_ps, got {meta['lag_min_ps']!r}")
+    duration, rate_a, rate_b = (stored_setting(meta, key, sidecar)
+                                for key in ("duration_ps", "rate_a_hz", "rate_b_hz"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a table without rows fails below
         try:

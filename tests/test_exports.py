@@ -1,5 +1,5 @@
-"""Every exported name resolves, the README's library example runs, and the command
-line imports no test-only dependency."""
+"""Every exported name resolves, the README's library example runs, the command line
+imports no test-only dependency, and the package and its metadata agree on the version."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import spphbt
 
 MODULES = ["spphbt"] + sorted(f"spphbt.{m.name}" for m in pkgutil.iter_modules(spphbt.__path__))
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,6 +24,12 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert spphbt.__version__ == project["version"]
 
 
 def test_test_oracles_are_not_exported():

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -484,6 +485,25 @@ class TestTagIO:
         with pytest.raises(FileNotFoundError):
             read_histogram_csv(path)
 
+    def test_tags_need_sidecar(self, tmp_path):
+        a, b = self.make_streams(seed=4, n=200)
+        path = write_time_tags(tmp_path / "t.ttag", a, b)
+        tagio.sidecar_path(path).unlink()
+        with pytest.raises(FileNotFoundError, match="t.ttag.json: the sidecar of t.ttag"):
+            read_time_tags(path)
+
+    @pytest.mark.parametrize("key,value", [("n_a", True), ("n_b", False), ("n_a", "spam")])
+    def test_stored_tag_counts_follow_their_rule(self, tmp_path, key, value):
+        # one tag on A and none on B: a count compared with == takes true for 1
+        # and false for 0
+        a = TimeTagStream(np.array([5]), "A", 100)
+        b = TimeTagStream(np.array([], dtype=np.int64), "B", 100)
+        path = write_time_tags(tmp_path / "t.ttag", a, b)
+        sidecar = tagio.sidecar_path(path)
+        write_json(sidecar, dict(json.loads(sidecar.read_text()), **{key: value}))
+        with pytest.raises(ValueError, match=f"t.ttag.json: {key}: expected an integer"):
+            read_time_tags(path)
+
     def test_histogram_lag_column_checked(self, tmp_path):
         a, b = self.make_streams(seed=5, n=200)
         hist = cross_correlate(a, b, lag_max=10_000, bin_width=1000)
@@ -621,7 +641,7 @@ class TestRunPipeline:
         s = scenario_from_mapping(dict(SMALL_RUN))
         result = run_pipeline(s, tmp_path / "out")
         payload = json.loads(result.paths["fit"].read_text())
-        back = fit_from_mapping(payload["fit"])
+        back = fit_from_mapping(payload["fit"], result.paths["fit"])
         assert back.params == result.fit.params
         assert np.allclose(back.covariance, result.fit.covariance)
         assert fit_to_mapping(back)["params"] == payload["fit"]["params"]
@@ -721,7 +741,9 @@ class TestCli:
         out, scenario = cli_env
         main(["simulate", "--scenario", str(scenario)])
         # not a multiple of the bin width; only 2 bins per side
-        for bins, window in ((300, 1000), (500, 1000)):
+        # wider than the 1e9 ps acquisition: no pair has such a lag, and the
+        # histogram would not fit in memory
+        for bins, window in ((300, 1000), (500, 1000), (1, 10**30), (1, 10**14)):
             capsys.readouterr()
             assert main(["correlate", "--tags", str(out / "tiny.ttag"),
                          "--bins", str(bins), "--window", str(window)]) == 2
@@ -856,6 +878,30 @@ class TestCli:
         ("tiny_fit.json", lambda d: fit_params(d, beta=False), ["report", "--fit", "tiny_fit.json"]),
         ("tiny_fit.json", lambda d: fit_record(d, n_iterations=math.inf),
          ["report", "--fit", "tiny_fit.json"]),
+        ("tiny.ttag.json", lambda d: None, ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: dict(d, duration_ps=None),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: {k: v for k, v in d.items() if k != "duration_ps"},
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: dict(d, duration_ps=d["duration_ps"] + 0.6),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: stored(d, window_ps=3000),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: stored(d, window_ps=10**30),
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, bin_width_ps=d["bin_width_ps"] + 0.7),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, rate_a_hz=True), ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, duration_ps=True),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_g2.csv.json", lambda d: dict(d, duration_ps=d["duration_ps"] + 0.6),
+         ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny_fit.json", lambda d: fit_record(d, converged="false"),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_record(d, chi2_reduced=True),
+         ["report", "--fit", "tiny_fit.json"]),
+        ("tiny_fit.json", lambda d: fit_record(d, diagnostics=[["a", 1]]),
+         ["report", "--fit", "tiny_fit.json"]),
     ], ids=["zero_bin_width", "no_rate_a", "no_fit_key", "fit_is_list", "tag_sidecar_is_list",
             "context_is_list", "histogram_metadata_is_list", "tag_metadata_is_list",
             "tag_duration_is_text", "context_k12_is_text", "tag_window_is_list",
@@ -867,15 +913,23 @@ class TestCli:
             "histogram_iterations_zero", "tag_bin_width_fraction", "tag_window_is_bool",
             "context_k12_is_bool", "fit_covariance_null", "fit_covariance_empty",
             "fit_beta_huge", "fit_gamma1_huge", "fit_c_is_bool", "fit_beta_is_bool",
-            "fit_iterations_infinite"])
+            "fit_iterations_infinite", "tag_sidecar_deleted", "tag_duration_null",
+            "tag_duration_absent", "tag_duration_fraction", "tag_window_under_4_bins",
+            "tag_window_huge", "histogram_bin_width_fraction", "histogram_rate_a_is_bool",
+            "histogram_duration_is_bool", "histogram_duration_fraction", "fit_converged_is_text",
+            "fit_chi2_is_bool", "fit_diagnostics_is_list"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
         path = out / artifact
-        if artifact.endswith(".json"):
-            path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        new = corrupt(json.loads(path.read_text()) if path.suffix == ".json"
+                      else path.read_bytes())
+        if new is None:
+            path.unlink()
+        elif isinstance(new, bytes):
+            path.write_bytes(new)
         else:
-            path.write_bytes(corrupt(path.read_bytes()))
+            path.write_text(json.dumps(new))
         capsys.readouterr()
         assert main([*command[:2], str(out / command[2])]) == 1
         err = capsys.readouterr().err
@@ -883,12 +937,10 @@ class TestCli:
         assert f"{artifact}: " in err  # the file itself, not only its sidecar
 
     @pytest.mark.parametrize("artifact,section,key,command,written", [
-        ("tiny.ttag.json", None, "duration_ps", ["correlate", "--tags", "tiny.ttag"],
-         ["tiny_g2.csv", "tiny_g2.csv.json"]),
         ("tiny_g2.csv.json", "metadata", "n_emitters", ["fit", "--hist", "tiny_g2.csv"],
          ["tiny_g2_fit.json"]),
         ("tiny_fit.json", "context", "n_emitters", ["report", "--fit", "tiny_fit.json"], []),
-    ], ids=["tag_duration", "histogram_n_emitters", "context_n_emitters"])
+    ], ids=["histogram_n_emitters", "context_n_emitters"])
     def test_null_setting_reads_as_absent(self, cli_env, capsys, artifact, section, key,
                                           command, written):
         # a stored null is the key left out: same exit code, output and files
@@ -911,10 +963,26 @@ class TestCli:
         assert results[0] == results[1]
         assert results[0][0] == 0
 
+    def test_allocation_failure_is_exit_1(self, cli_env, capsys):
+        # a window that fits the acquisition but not memory
+        out, scenario = cli_env
+        assert main(["simulate", "--scenario", str(scenario)]) == 0
+        capsys.readouterr()
+        with mock.patch("spphbt.cli.correlate_tags",
+                        side_effect=MemoryError("Unable to allocate 16.0 GiB")):
+            assert main(["correlate", "--tags", str(out / "tiny.ttag")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 16.0 GiB\n"
+
     def test_missing_input_file_is_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         assert main(["fit", "--hist", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+        # a directory where a file should be
+        (tmp_path / "dir.ttag").mkdir()
+        for argv in (["correlate", "--tags"], ["report", "--fit"]):
+            assert main([*argv, str(tmp_path / "dir.ttag")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "dir.ttag" in err
 
     def test_non_converged_fit_is_exit_1(self, tmp_path, capsys):
         # both commands still write the fit, without a report, and the manifest
@@ -974,6 +1042,88 @@ class TestCli:
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         assert main(["run", "--scenario", "not_a_scenario"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+# every value a JSON leaf of an artifact is replaced with
+HOSTILE = [None, True, "spam", 2.5, -1, 0, 10**30, [], {}]
+
+# the command that reads each artifact, and the leaves it takes back
+READERS = {
+    "tiny.ttag.json": (["correlate", "--tags", "{out}/tiny.ttag", "--out", "{out}/stage"], {
+        "duration_ps", "n_a", "n_b", "metadata.correlation", "metadata.window_ps",
+        "metadata.bin_width_ps"}),
+    "tiny_g2.csv.json": (["fit", "--hist", "{out}/tiny_g2.csv", "--out", "{out}/stage"], {
+        "bin_width_ps", "lag_min_ps", "lag_max_ps", "duration_ps", "rate_a_hz", "rate_b_hz",
+        "metadata.scenario", "metadata.n_emitters", "metadata.rho_effective",
+        "metadata.fit.k12", "metadata.fit.max_iterations", "metadata.fit.inversion"}),
+    "tiny_fit.json": (["report", "--fit", "{out}/tiny_fit.json"], {
+        "scenario", "context.k12", "context.inversion", "fit.chi2_reduced", "fit.converged",
+        "fit.n_iterations", "fit.n_points",
+        *(f"fit.params.{k}" for k in ("gamma1", "gamma2", "beta", "c")),
+        *(f"fit.covariance.{i}.{j}" for i in range(4) for j in range(4))}),
+}
+
+
+def json_leaves(node, prefix=()):
+    """The key path of each leaf (a scalar or an empty container) of a JSON document."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)) and value:
+            yield from json_leaves(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+def json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@pytest.fixture(scope="module")
+def tiny_ab_run(tmp_path_factory):
+    """The directory of one short silver_ab-shaped run, and each artifact's JSON."""
+    out = tmp_path_factory.mktemp("contract")
+    (out / "tiny.yaml").write_text(yaml.safe_dump({
+        "name": "tiny", "rates": "silver", "n_emitters": 10, "duration_ns": 3.0e6, "seed": 7,
+        "fiber_config": "AB", "geometry": "fourier_default", "budget": "ideal",
+        "fit": {"k12": 1.0 / 27.0}}))
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", "--scenario", str(out / "tiny.yaml"), "--out", str(out)]) == 0
+    return out, {name: (out / name).read_text() for name in READERS}
+
+
+class TestReaderContract:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_stored_value_is_read_or_refused(self, tiny_ab_run, data):
+        # exit 0, or exit 1 with one `error:` line (after any `warning:` lines),
+        # never a traceback; a value of the wrong type where the reader takes
+        # one back is refused naming its file
+        out, original = tiny_ab_run
+        artifact = data.draw(st.sampled_from(sorted(READERS)))
+        command, read = READERS[artifact]
+        payload = json.loads(original[artifact])
+        *parents, key = data.draw(st.sampled_from(sorted(json_leaves(payload), key=str)))
+        value = data.draw(st.sampled_from(HOSTILE))
+        node = payload
+        for parent in parents:
+            node = node[parent]
+        before, node[key] = node[key], value
+        (out / artifact).write_text(json.dumps(payload))
+        err = io.StringIO()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([arg.format(out=out) for arg in command])
+        finally:
+            (out / artifact).write_text(original[artifact])
+        lines = err.getvalue().splitlines()
+        if (code, lines) == (2, ["stored fit has no pump rate; pass --k12 to compute a report"]):
+            return  # a null context.k12: the documented usage error
+        assert code in (0, 1), lines
+        if code == 1:
+            kinds = [line.split(": ")[0] for line in lines]
+            assert kinds == ["warning"] * (len(lines) - 1) + ["error"], lines
+        leaf = ".".join(map(str, (*parents, key)))
+        if leaf in read and value is not None and json_kind(value) != json_kind(before):
+            assert code == 1 and f"{artifact}: " in lines[-1], (leaf, value, lines)
 
 
 class TestStagesReproduceRun:
