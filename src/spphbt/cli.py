@@ -3,12 +3,13 @@
 Subcommands mirror the pipeline stages and pipe into each other through
 files: `simulate` writes time tags, `correlate` turns tags into a histogram,
 `fit` turns a histogram into model parameters and a photophysics report,
-`report` recomputes the photophysics table of a stored fit, `validate`
-checks a scenario without running it, and `run` does the whole chain.  Each
-stage takes its settings from the scenario values stored with its input, so
-the chain writes what `run` writes; a flag overrides the stored value.  The
-default output directory comes from --out, falling back to the SPPHBT_OUT
-environment variable and then ./spphbt_out.
+`validate` checks a scenario without running it, and `run` does the whole
+chain.  Each stage takes its settings from the scenario values stored with
+its input, so the chain writes what `run` writes; a flag overrides the
+stored value.  A new pump rate or inversion is a re-fit of the histogram
+(`fit --k12 ... --inversion ...`); the fit JSON is a record that no command
+reads.  The default output directory comes from --out, falling back to the
+SPPHBT_OUT environment variable and then ./spphbt_out.
 
 Every setting is held to its scenario key's rule (`scenarios.check_setting`),
 and every value read back from an artifact to its rule by `stored_setting`.
@@ -33,10 +34,10 @@ from .fitter import (
     DEFAULT_MAX_ITERATIONS,
     INVERSIONS,
     fit_warnings,
-    report_photophysics,
+    report_photophysics,  # noqa: F401  not called here; bench/tracing.py wraps it in cli
     require_converged,
 )
-from .pipeline import correlate_tags, fit_from_mapping, fit_histogram, fit_payload, run_pipeline
+from .pipeline import correlate_tags, fit_histogram, fit_payload, run_pipeline
 from .scenarios import (
     DEFAULT_BIN_WIDTH_PS,
     DEFAULT_WINDOW_PS,
@@ -49,7 +50,6 @@ from .scenarios import (
 from .tagio import (
     json_section,
     read_histogram_csv,
-    read_json,
     read_time_tags,
     sidecar_path,
     write_histogram_csv,
@@ -170,22 +170,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    payload = read_json(args.fit)
-    ctx = json_section(payload, "context", args.fit)
-    k12 = _setting(args.k12, ctx, "k12", args.fit, rule="fit.k12")
-    if k12 is None:
-        print("stored fit has no pump rate; pass --k12 to compute a report", file=sys.stderr)
-        return 2
-    fit = fit_from_mapping(json_section(payload, "fit", args.fit), args.fit)
-    inversion = _setting(args.inversion, ctx, "inversion", args.fit, DEFAULT_INVERSION,
-                         rule="fit.inversion")
-    name = stored_setting(payload, "scenario", args.fit, "name", default="stored fit")
-    report = report_photophysics(fit, k12, inversion=inversion)
-    print(report.format_table(name))
-    return 0
-
-
 def _cmd_run(args) -> int:
     scenario = _load_scenario_arg(args.scenario, args.seed)
     result = run_pipeline(scenario, _out_dir(args.out))
@@ -246,12 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: the scenario's, stored with the histogram")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("report", help="recompute the photophysics table of a stored fit")
-    p.add_argument("--fit", required=True, help="fit JSON file")
-    p.add_argument("--k12", type=_flag("fit.k12"), default=None)
-    p.add_argument("--inversion", choices=INVERSIONS, default=None)
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("validate", help="check a scenario file and echo resolved values")
     p.add_argument("--scenario", required=True)

@@ -30,9 +30,8 @@ from .fitter import (
 from .kinetics import steady_emission_rate
 from .montecarlo import simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
-from .scenarios import Scenario, stored_setting
-from .tagio import (json_section, sha256_file, sidecar_path, write_histogram_csv, write_json,
-                    write_time_tags)
+from .scenarios import Scenario
+from .tagio import sha256_file, sidecar_path, write_histogram_csv, write_json, write_time_tags
 
 __all__ = [
     "PipelineResult",
@@ -42,8 +41,6 @@ __all__ = [
     "fit_payload",
     "run_pipeline",
     "fit_to_mapping",
-    "fit_from_mapping",
-    "report_to_mapping",
 ]
 
 _ROUTE_SALT = 0x5EED
@@ -152,29 +149,7 @@ def fit_to_mapping(fit: FitResult) -> dict:
     }
 
 
-def fit_from_mapping(payload: dict, path) -> FitResult:
-    """Inverse of `fit_to_mapping` for the record stored in `path`; ValueError naming it otherwise.
-
-    The parameters are held to the fitter's box and the covariance to four rows of
-    four finite numbers, so the rate inversion sees only what `fit_curve` could return.
-    """
-    params, rows = json_section(payload, "params", path), payload.get("covariance")
-    if not (isinstance(rows, list) and len(rows) == 4
-            and all(isinstance(row, list) and len(row) == 4 for row in rows)):
-        raise ValueError(f"{path}: covariance: expected 4 rows of 4 numbers, got {rows!r}")
-    cov = {f"covariance[{i}][{j}]": v for i, row in enumerate(rows) for j, v in enumerate(row)}
-    return FitResult(
-        params=tuple(stored_setting(params, k, path, f"params.{k}") for k in PARAM_NAMES),
-        covariance=np.reshape([stored_setting(cov, k, path, "covariance") for k in cov], (4, 4)),
-        chi2_reduced=stored_setting(payload, "chi2_reduced", path),
-        converged=stored_setting(payload, "converged", path),
-        n_iterations=stored_setting(payload, "n_iterations", path),
-        n_points=stored_setting(payload, "n_points", path),
-        diagnostics=json_section(payload, "diagnostics", path),
-    )
-
-
-def report_to_mapping(report: PhotophysicsReport) -> dict:
+def _report_to_mapping(report: PhotophysicsReport) -> dict:
     return {
         "rates_per_ns": asdict(report.rates),
         "tau12_ns": report.tau12,
@@ -201,8 +176,8 @@ def fit_payload(
     The report needs a pump rate, a converged fit and an inversion that
     accepts it; otherwise it is None.  Its mapping adds the fitted contrast c
     and the rho^2/N it should read (None without rho).  The context records
-    the inputs `spphbt report` recomputes the table from, and the emitter
-    count and signal fraction of that expected contrast.
+    the pump rate and inversion the table came from, and the emitter count
+    and signal fraction of that expected contrast.
     """
     report = rejected = None
     if k12 is not None and fit.converged:
@@ -219,7 +194,7 @@ def fit_payload(
     }
     if report is not None:
         c_expected = None if rho_effective is None else rho_effective ** 2 / n_emitters
-        payload["report"] = dict(report_to_mapping(report), c_fitted=fit.c, c_expected=c_expected)
+        payload["report"] = dict(_report_to_mapping(report), c_fitted=fit.c, c_expected=c_expected)
     return payload, report, rejected
 
 

@@ -18,14 +18,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, UnknownScenario
-from .fitter import (
-    DEFAULT_INVERSION,
-    DEFAULT_MAX_ITERATIONS,
-    INVERSIONS,
-    LOWER_BOUNDS,
-    PARAM_NAMES,
-    UPPER_BOUNDS,
-)
+from .fitter import DEFAULT_INVERSION, DEFAULT_MAX_ITERATIONS, INVERSIONS
 from .kinetics import RateSet
 from .optics import DetectionGeometry, DipoleMix, EfficiencyBudget, coupling_ratio
 
@@ -203,8 +196,8 @@ def check_window(window_ps: int, bin_width_ps: int, duration_ps: float) -> list[
 
 # The one rule of each setting and stored field, wherever it enters (scenario,
 # artifact or flag): a tuple of choices, a mapping of the number rule's options,
-# a pattern the whole text must match, or `bool` for true or false.
-_RULES: dict[str, tuple | dict | re.Pattern | type] = {
+# or a pattern the whole text must match.
+_RULES: dict[str, tuple | dict | re.Pattern] = {
     # the stem of every artifact path: non-empty, no separator, no leading dot,
     # so the artifacts stay inside the output directory
     "name": re.compile(r"[^./\\\0][^/\\\0]*"),
@@ -221,13 +214,7 @@ _RULES: dict[str, tuple | dict | re.Pattern | type] = {
     "fit.max_iterations": {"integer": True, "minimum": 1},
     "fit.inversion": INVERSIONS,
     "correlation": ("auto", "cross"),
-    # a stored fit record, its parameters in the fitter's box, then the sidecars' fields
-    **{f"params.{name}": {"minimum": lo, "maximum": hi}
-       for name, lo, hi in zip(PARAM_NAMES, LOWER_BOUNDS, UPPER_BOUNDS)},
-    "covariance": {},
-    **dict.fromkeys(("n_iterations", "n_points"), {"integer": True, "minimum": 1}),
-    "chi2_reduced": {"minimum": 0.0},
-    "converged": bool,
+    # the sidecars' own fields
     "duration_ps": {"integer": True, "minimum": 1},
     "lag_min_ps": {"integer": True},
     **dict.fromkeys(("rate_a_hz", "rate_b_hz"), {"positive": True}),
@@ -235,11 +222,12 @@ _RULES: dict[str, tuple | dict | re.Pattern | type] = {
 }
 
 
-def _number(value, *, integer=False, minimum=None, maximum=None, positive=False, finite=True):
-    """`value` as an int or float, or a ValueError saying what is wrong; text is parsed
-    (integers exactly), and YAML's true and false are not numbers."""
+def _number(value, *, integer=False, minimum=None, maximum=None, positive=False, finite=True,
+            text=True):
+    """`value` as an int or float, or a ValueError saying what is wrong; with `text`, text is
+    parsed (integers exactly), and YAML's true and false are not numbers."""
     v = value
-    if isinstance(v, str):
+    if text and isinstance(v, str):
         try:
             v = int(v) if v.strip().lstrip("+-").isdigit() else float(v)
         except ValueError:
@@ -265,16 +253,13 @@ def _number(value, *, integer=False, minimum=None, maximum=None, positive=False,
     return v
 
 
-def check_setting(key: str, value):
+def check_setting(key: str, value, *, text: bool = True):
     """`value` held to the rule of setting `key` (`fit.k12` for a nested one, or the
-    stored `correlation`); a ValueError saying what is wrong if it breaks it."""
+    stored `correlation`); a ValueError saying what is wrong if it breaks it.  A number
+    may arrive as text (a flag, or YAML's `1e7`) only with `text`."""
     rule = _RULES[key]
     if isinstance(rule, dict):
-        return _number(value, **rule)
-    if rule is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"expected true or false, got {value!r}")
-        return value
+        return _number(value, **rule, text=text)
     if isinstance(rule, re.Pattern):
         if not (isinstance(value, str) and rule.fullmatch(value)):
             raise ValueError("expected a non-empty file name without a path separator "
@@ -287,14 +272,15 @@ def check_setting(key: str, value):
 
 def stored_setting(stored: dict, key: str, path, rule: str | None = None, default=_REQUIRED):
     """The value under `key` in the artifact at `path`, held to the rule `rule` (by default
-    `key`); null or absent is `default`, else a ValueError naming the file, as is a bad value."""
+    `key`); null or absent is `default`, else a ValueError naming the file, as is a bad value.
+    A writer stores every number as a JSON number, so text is no number here."""
     value = stored.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ValueError(f"{path}: missing {key}")
         return default
     try:
-        return check_setting(rule or key, value)
+        return check_setting(rule or key, value, text=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {key}: {exc}") from None
 

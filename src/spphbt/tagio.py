@@ -39,7 +39,6 @@ __all__ = [
     "write_histogram_csv",
     "read_histogram_csv",
     "write_json",
-    "read_json",
     "json_section",
     "sidecar_path",
     "sha256_file",
@@ -61,7 +60,7 @@ def _read_sidecar(path: Path) -> tuple[Path, dict]:
     sidecar = sidecar_path(path)
     if not sidecar.exists():
         raise FileNotFoundError(f"{sidecar}: the sidecar of {path.name} is required")
-    return sidecar, read_json(sidecar)
+    return sidecar, _read_json(sidecar)
 
 
 def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | None = None) -> Path:
@@ -199,7 +198,7 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def read_json(path) -> dict:
+def _read_json(path) -> dict:
     """A JSON object from a file; ValueError naming the file for anything else."""
     path = Path(path)
     try:

@@ -1,11 +1,15 @@
-"""Every exported name resolves, the README's library example runs, the command line
-imports no test-only dependency, and the package and its metadata agree on the version."""
+"""Every exported name resolves, the README's library example and command transcript
+run as printed, the command line imports no test-only dependency, and the package and
+its metadata agree on the version."""
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import spphbt
+from spphbt import cli
 
 MODULES = ["spphbt"] + sorted(f"spphbt.{m.name}" for m in pkgutil.iter_modules(spphbt.__path__))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,6 +55,32 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
     assert "tau21 (ns)" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_transcript_is_what_the_commands_print(tmp_path, monkeypatch, capsys):
+    # each `$ spphbt ...` line of the README's transcript, run in an empty directory,
+    # prints the lines under it byte for byte
+    text = README.read_text()
+    block = text[text.index("```text\n") + len("```text\n"):]
+    block = block[:block.index("```")]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
+    commands = block.split("$ spphbt ")[1:]
+    assert [c.split()[0] for c in commands] == ["validate", "run", "fit"]
+    for command in commands:
+        argv, _, expected = command.partition("\n")
+        assert cli.main(shlex.split(argv)) == 0, argv
+        assert capsys.readouterr().out == expected.rstrip("\n") + "\n", argv
+
+
+def test_readme_names_every_subcommand():
+    # the first sentence of "Command line" names each subcommand in backticks
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    named = set(re.findall(r"`([a-z]+)`", section[:section.index(". ")])) - {"spphbt"}
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert named == set(subparsers.choices)
 
 
 def modules_loaded_by_cli_import(package: str) -> str:
