@@ -3,8 +3,13 @@
 A scenario bundles everything one acquisition needs: emitter rates,
 ensemble size, acquisition length, detection geometry and budget, fiber
 placement, correlator binning and fit settings.  Scenarios come from YAML
-mappings (or files); the two photophysics presets are the only place the
-reference lifetime table lives.
+mappings (or files).
+
+Every preset is data: `_PRESETS` holds the mapping that each rate,
+geometry, budget and builtin scenario name stands for, and a name resolves
+exactly as that mapping written out would.  One rule matches every preset
+name: case-insensitive, ignoring '_' and '-'.  The two rate presets are the
+only place the reference lifetime table lives.
 """
 
 from __future__ import annotations
@@ -44,39 +49,84 @@ DEFAULT_BIN_WIDTH_PS = 1000
 DEFAULT_WINDOW_PS = 150_000  # max |lag| of the histogram
 _REQUIRED = object()  # the default of a value that must be stored
 
-# characteristic times in ns: (tau12, tau21, tau23, tau31) at the reference
-# excitation power, for emitters on bare glass and coupled to a silver film
-_LIFETIME_PRESETS: dict[str, tuple[float, float, float, float]] = {
-    "glass": (51.0, 60.0, 23.0, 300.0),
-    "silver": (27.0, 9.7, 27.4, 102.0),
-}
-
 _FIBER_CONFIGS = ("AA", "AB", "BB", "DirectPlane")
+
+_SILVER_BUDGET = {  # plasmon-coupled emitters (mode index 1.04) seen on the leakage ring
+    "p_couple_vertical": 0.48, "p_couple_horizontal": 0.48 / coupling_ratio(1.04),
+    "p_survive": 0.03, "p_leak": 0.25, "p_collect": 0.07, "p_bs": 0.5, "p_qe": 0.65}
+_SILVER_DEMO = {"rates": "silver", "n_emitters": 10, "duration_ns": 3.0e7, "seed": 7,
+                "geometry": "fourier_default", "budget": "ideal", "fit": {"k12": 1.0 / 27.0}}
+
+# Every preset, by kind: the mapping its name stands for, which resolves as the same
+# mapping written out in a scenario would.  `_preset` looks a name up.
+_PRESETS: dict[str, dict[str, dict]] = {
+    # characteristic times in ns at the reference excitation power, for emitters on
+    # bare glass and coupled to a silver film
+    "rates": {
+        "glass": {"tau12": 51.0, "tau21": 60.0, "tau23": 23.0, "tau31": 300.0},
+        "silver": {"tau12": 27.0, "tau21": 9.7, "tau23": 27.4, "tau31": 102.0},
+    },
+    # 7% pickup fibers at 0 and pi/2 on the leakage ring, or two half-ring fibers
+    # covering the full circle
+    "geometry": {
+        "fourier_default": {},
+        "ideal_split": {"fiber_a_angle": 0.0, "fiber_b_angle": math.pi,
+                        "fiber_effective_diameter": math.pi, "ring_radius_bfp": 1.0},
+    },
+    # lossless, direct collection on bare glass, and the silver chain with and
+    # without the Fourier-plane filter (see `budget_preset`)
+    "budget": {
+        "ideal": {},
+        "glass": {"p_collect": 0.047, "p_bs": 0.5, "p_qe": 0.65},
+        "silver_filtered": _SILVER_BUDGET,
+        "silver_unfiltered": _SILVER_BUDGET,
+    },
+    # Demo scenarios run with lossless detection so a single command produces a
+    # well-populated histogram in seconds; the realistic throughput budgets stay
+    # available through `budget_preset` for count-rate studies.
+    "scenario": {
+        "glass_direct": {
+            "rates": "glass", "n_emitters": 10, "duration_ns": 1.0e8, "seed": 7,
+            "fiber_config": "DirectPlane", "budget": "ideal", "fit": {"k12": 1.0 / 51.0},
+        },
+        "silver_aa": dict(_SILVER_DEMO, fiber_config="AA"),
+        "silver_ab": dict(_SILVER_DEMO, fiber_config="AB"),
+        "silver_unfiltered_ab": dict(_SILVER_DEMO, fiber_config="AB", rho=0.8),
+    },
+}
+# the signal fraction a budget preset sets; the others add no background
+_PRESET_RHO = {"silver_unfiltered": 0.8}
+_PRESET_LABELS = {"rates": "rate preset", "geometry": "geometry preset",
+                  "budget": "budget preset", "scenario": "scenario"}
+
+
+def _name_key(name) -> str:
+    """The one preset-name rule: case-insensitive, ignoring '_' and '-'."""
+    return str(name).replace("_", "").replace("-", "").lower()
+
+
+_PRESET_KEYS = {kind: {_name_key(n): n for n in table} for kind, table in _PRESETS.items()}
+
+
+def _preset(kind: str, name) -> tuple[str, dict]:
+    """The canonical name and the mapping of preset `name` of `kind`, or UnknownScenario."""
+    canonical = _PRESET_KEYS[kind].get(_name_key(name))
+    if canonical is None:
+        *names, last = _PRESETS[kind]
+        raise UnknownScenario(
+            f"unknown {_PRESET_LABELS[kind]} {name!r}; expected {', '.join(names)} or {last}")
+    return canonical, _PRESETS[kind][canonical]
 
 
 def rate_preset(name: str) -> RateSet:
     """Reference photophysics: 'glass' or 'silver'."""
-    key = str(name).lower()
-    if key not in _LIFETIME_PRESETS:
-        raise UnknownScenario(f"unknown rate preset {name!r}; expected glass or silver")
-    return RateSet.from_lifetimes(*_LIFETIME_PRESETS[key])
+    return RateSet.from_lifetimes(**_preset("rates", name)[1])
 
 
 def geometry_preset(name: str) -> DetectionGeometry:
     """'fourier_default': 7% pickup fibers at 0 and pi/2 on the leakage ring.
     'ideal_split': two half-ring fibers covering the full circle."""
-    key = str(name).lower()
-    if key == "fourier_default":
-        return DetectionGeometry()
-    if key == "ideal_split":
-        return DetectionGeometry(
-            fiber_a_angle=0.0,
-            fiber_b_angle=math.pi,
-            fiber_effective_diameter=math.pi,
-            ring_radius_bfp=1.0,
-        )
-    raise UnknownScenario(
-        f"unknown geometry preset {name!r}; expected fourier_default or ideal_split")
+    return DetectionGeometry(**_preset("geometry", name)[1])
 
 
 def budget_preset(name: str) -> tuple[EfficiencyBudget, float | None]:
@@ -94,26 +144,11 @@ def budget_preset(name: str) -> tuple[EfficiencyBudget, float | None]:
     'silver_unfiltered': the same chain without that filter, rho = 0.8
     whatever the emitter count, rates or fiber geometry.
 
-    Names match case-insensitively and ignore '_' and '-'.
+    Names follow the one preset-name rule of every preset: they match
+    case-insensitively and ignore '_' and '-'.
     """
-    key = str(name).replace("_", "").replace("-", "").lower()
-    if key == "ideal":
-        return EfficiencyBudget(), None
-    if key == "glass":
-        return EfficiencyBudget(p_collect=0.047, p_bs=0.5, p_qe=0.65), None
-    if key in ("silverfiltered", "silverunfiltered"):
-        budget = EfficiencyBudget(
-            p_couple_vertical=0.48,
-            p_couple_horizontal=0.48 / coupling_ratio(1.04),
-            p_survive=0.03,
-            p_leak=0.25,
-            p_collect=0.07,
-            p_bs=0.5,
-            p_qe=0.65,
-        )
-        return budget, (None if key == "silverfiltered" else 0.8)
-    raise UnknownScenario(f"unknown budget preset {name!r}; expected ideal, glass, "
-                          "silver_filtered or silver_unfiltered")
+    canonical, mapping = _preset("budget", name)
+    return EfficiencyBudget(**mapping), _PRESET_RHO.get(canonical)
 
 
 @dataclass(frozen=True)
@@ -180,6 +215,20 @@ class Scenario:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
+_SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))  # in diagnostic order
+_LIFETIME_KEYS = frozenset(("tau12", "tau21", "tau23", "tau31"))
+_RATE_KEYS = frozenset(("k12", "k21", "k23", "k31"))
+# the fields of each nested section, each with the key of its rule; rates take exactly
+# the lifetimes or exactly the rates
+_SECTION_FIELDS = {key: {name: f"{key}.{name}" for name in names} for key, names in {
+    "rates": sorted(_LIFETIME_KEYS | _RATE_KEYS),
+    "geometry": [f.name for f in fields(DetectionGeometry)],
+    "budget": [f.name for f in fields(EfficiencyBudget)],
+    "fit": [f.name for f in fields(FitSettings)],
+}.items()}
+# where a null means the key is left out: a whole optional section, the name (the file
+# stem), and the values whose default is none (no background, no pump rate)
+_NULL_IS_ABSENT = frozenset(("name", "geometry", "budget", "fit", "rho", "fit.k12"))
 
 
 def check_window(window_ps: int, bin_width_ps: int, duration_ps: float) -> list[str]:
@@ -210,6 +259,9 @@ _RULES: dict[str, tuple | dict | re.Pattern] = {
     "jitter_sigma_ns": {"minimum": 0.0},
     "bin_width_ps": {"integer": True, "minimum": 1},
     "window_ps": {"integer": True, "minimum": 1},
+    # a nested field without a rule of its own follows the plain number rule
+    **{rule: {} for names in _SECTION_FIELDS.values() for rule in names.values()},
+    **{f"rates.{name}": {"finite": False} for name in _LIFETIME_KEYS},  # .inf is a zero rate
     "fit.k12": {"positive": True},
     "fit.max_iterations": {"integer": True, "minimum": 1},
     "fit.inversion": INVERSIONS,
@@ -294,89 +346,42 @@ def _rule(errs: list[str], key: str, value):
         return None
 
 
-def _numbers(raw: dict, key: str, errs: list[str], finite: bool = True) -> dict | None:
-    """Each value of the nested mapping `key` held to the number rule; None if one breaks it."""
-    values = {}
-    for k, v in raw.items():
+def _section(errs: list[str], key: str, raw):
+    """The nested section `key` (rates, geometry, budget or fit) from a mapping of its
+    fields or a preset name, which stands for its mapping; None after appending each
+    problem to errs."""
+    if isinstance(raw, str) and key in _PRESETS:
         try:
-            values[k] = _number(v, finite=finite)
-        except ValueError as exc:
-            errs.append(f"{key}.{k}: {exc}")
-    return values if len(values) == len(raw) else None
-
-
-def _unknown(mapping: dict, cls) -> list[str]:
-    return sorted(set(mapping) - {f.name for f in fields(cls)})
-
-
-def _resolve_rates(raw, errs: list[str]) -> RateSet | None:
-    if isinstance(raw, str):
-        try:
-            return rate_preset(raw)
-        except UnknownScenario as exc:
-            errs.append(f"rates: {exc}")
-            return None
-    if isinstance(raw, dict):
-        tau_keys = {"tau12", "tau21", "tau23", "tau31"}
-        k_keys = {"k12", "k21", "k23", "k31"}
-        if set(raw) not in (tau_keys, k_keys):
-            errs.append(f"rates: mapping must have exactly keys {sorted(tau_keys)} "
-                        f"or {sorted(k_keys)}, got {sorted(raw)}")
-            return None
-        # an infinite lifetime is a zero rate
-        values = _numbers(raw, "rates", errs, finite=set(raw) == k_keys)
-        if values is None:
-            return None
-        try:
-            return RateSet(**values) if set(raw) == k_keys else RateSet.from_lifetimes(**values)
-        except ValueError as exc:
-            errs.append(f"rates: {exc}")
-            return None
-    errs.append(f"rates: expected preset name or mapping, got {raw!r}")
-    return None
-
-
-def _resolve_preset(key: str, raw, preset, errs: list[str]):
-    """The `key` field from a preset name, a mapping of its class's fields, or its default."""
-    default = _DEFAULTS[key]
-    if raw is None:
-        return default
-    if isinstance(raw, str):
-        try:
-            return preset(raw)
+            raw = _preset(key, raw)[1]
         except UnknownScenario as exc:
             errs.append(f"{key}: {exc}")
             return None
-    if isinstance(raw, dict):
-        unknown = _unknown(raw, type(default))
-        if unknown:
-            errs.append(f"{key}: unknown fields {unknown}")
-            return None
-        values = _numbers(raw, key, errs)
-        if values is None:
-            return None
-        try:
-            return type(default)(**values)
-        except ValueError as exc:
-            errs.append(f"{key}: {exc}")
-            return None
-    errs.append(f"{key}: expected preset name or mapping, got {raw!r}")
-    return None
-
-
-def _resolve_fit(raw, errs: list[str]) -> FitSettings | None:
-    """The `fit` section; only a missing key or null means the defaults."""
-    if raw is None:
-        return _DEFAULTS["fit"]
     if not isinstance(raw, dict):
-        errs.append(f"fit: expected a mapping, got {raw!r}")
+        expected = "preset name or mapping" if key in _PRESETS else "a mapping"
+        errs.append(f"{key}: expected {expected}, got {raw!r}")
         return None
-    unknown = _unknown(raw, FitSettings)
+    if key == "rates" and set(raw) not in (_LIFETIME_KEYS, _RATE_KEYS):
+        errs.append(f"rates: mapping must have exactly keys {sorted(_LIFETIME_KEYS)} "
+                    f"or {sorted(_RATE_KEYS)}, got {sorted(raw)}")
+        return None
+    n_errs = len(errs)
+    rules = _SECTION_FIELDS[key]
+    unknown = sorted(raw.keys() - rules.keys())
     if unknown:
-        errs.append(f"fit: unknown fields {unknown}")
-    # a null k12 is no pump rate
-    return FitSettings(**{k: _rule(errs, f"fit.{k}", v) for k, v in raw.items()
-                          if k not in unknown and not (k == "k12" and v is None)})
+        errs.append(f"{key}: unknown fields {unknown}")
+    values = {k: _rule(errs, rules[k], v) for k, v in raw.items()
+              if k in rules and not (v is None and rules[k] in _NULL_IS_ABSENT)}
+    if len(errs) > n_errs:
+        return None
+    if key != "rates":
+        build = type(_DEFAULTS[key])
+    else:
+        build = RateSet if set(raw) == _RATE_KEYS else RateSet.from_lifetimes
+    try:
+        return build(**values)
+    except ValueError as exc:
+        errs.append(f"{key}: {exc}")
+        return None
 
 
 def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> Scenario:
@@ -384,43 +389,26 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     if not isinstance(mapping, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(mapping).__name__}"])
     errs: list[str] = []
-    unknown = _unknown(mapping, Scenario)
+    unknown = sorted(mapping.keys() - _SCENARIO_KEYS)
     if unknown:
         errs.append(f"top level: unknown fields {unknown}")
-
-    def setting(key: str):
-        return _rule(errs, key, mapping.get(key, _DEFAULTS[key]))
-
-    v = {"name": _rule(errs, "name", str(mapping.get("name", default_name)))}
-    if "rates" in mapping:
-        v["rates"] = _resolve_rates(mapping["rates"], errs)
-    else:
-        errs.append("rates: required (preset name or mapping)")
-    if "duration_ns" in mapping:
-        v["duration_ns"] = _rule(errs, "duration_ns", mapping["duration_ns"])
-    else:
-        errs.append("duration_ns: required")
-    for key in ("n_emitters", "seed", "fiber_config"):
-        v[key] = setting(key)
-
-    v["geometry"] = _resolve_preset("geometry", mapping.get("geometry"), geometry_preset, errs)
-    raw_budget = mapping.get("budget")
-    v["budget"] = _resolve_preset("budget", raw_budget, lambda n: budget_preset(n)[0], errs)
-
-    v["fraction_vertical"] = setting("fraction_vertical")
-    if mapping.get("rho") is not None:
-        v["rho"] = setting("rho")
-    elif isinstance(raw_budget, str) and v["budget"] is not None:
-        v["rho"] = budget_preset(raw_budget)[1]
-
-    for key in ("jitter_sigma_ns", "bin_width_ps", "window_ps"):
-        v[key] = setting(key)
-    if v["bin_width_ps"] and v["window_ps"]:
-        errs.extend(check_window(v["window_ps"], v["bin_width_ps"],
-                                 1000 * (v.get("duration_ns") or math.inf)))
-
-    v["fit"] = _resolve_fit(mapping.get("fit"), errs)
-
+    v = {}
+    for key in _SCENARIO_KEYS:
+        raw = mapping.get(key)
+        if raw is not None or (key in mapping and key not in _NULL_IS_ABSENT):
+            v[key] = (_section if key in _SECTION_FIELDS else _rule)(errs, key, raw)
+        elif key == "name":
+            v[key] = _rule(errs, key, default_name)
+        elif key == "rho" and v["budget"] is not None and isinstance(mapping.get("budget"), str):
+            v[key] = _PRESET_RHO.get(_preset("budget", mapping["budget"])[0])
+        elif key in _DEFAULTS:
+            v[key] = _DEFAULTS[key]
+        else:  # rates and duration_ns
+            what = " (preset name or mapping)" if key in _PRESETS else ""
+            errs.append(f"{key}: required{what}")
+        if key == "window_ps" and v["bin_width_ps"] and v["window_ps"]:
+            errs.extend(check_window(v["window_ps"], v["bin_width_ps"],
+                                     1000 * (v.get("duration_ns") or math.inf)))
     if errs:
         raise ConfigError(errs)
     return Scenario(**v)
@@ -443,7 +431,7 @@ def load_scenario(path) -> Scenario:
 
 
 def validate_config(source) -> tuple[Scenario | None, list[str]]:
-    """Validate a path, mapping or builtin preset name without raising.
+    """Validate a path, mapping or builtin scenario name without raising.
 
     Returns (scenario, []) when valid or (None, diagnostics) otherwise.
     """
@@ -451,52 +439,22 @@ def validate_config(source) -> tuple[Scenario | None, list[str]]:
         if isinstance(source, dict):
             return scenario_from_mapping(source), []
         s = str(source)
-        if s in builtin_scenario_names():
+        try:
             return builtin_scenario(s), []
-        if not Path(s).exists():
-            return None, [f"{s}: not a builtin scenario and no such file; "
-                          f"builtins: {', '.join(builtin_scenario_names())}"]
+        except UnknownScenario:
+            if not Path(s).exists():
+                return None, [f"{s}: not a builtin scenario and no such file; "
+                              f"builtins: {', '.join(builtin_scenario_names())}"]
         return load_scenario(s), []
     except ConfigError as exc:
         return None, exc.diagnostics
 
 
-# Demo scenarios run with lossless detection so a single command produces a
-# well-populated histogram in seconds; the realistic throughput budgets stay
-# available through `budget_preset` for count-rate studies.
-_BUILTIN: dict[str, dict] = {
-    "silver_ab": {
-        "rates": "silver", "n_emitters": 10, "duration_ns": 3.0e7, "seed": 7,
-        "fiber_config": "AB", "geometry": "fourier_default", "budget": "ideal",
-        "fit": {"k12": 1.0 / 27.0},
-    },
-    "silver_aa": {
-        "rates": "silver", "n_emitters": 10, "duration_ns": 3.0e7, "seed": 7,
-        "fiber_config": "AA", "geometry": "fourier_default", "budget": "ideal",
-        "fit": {"k12": 1.0 / 27.0},
-    },
-    "silver_unfiltered_ab": {
-        "rates": "silver", "n_emitters": 10, "duration_ns": 3.0e7, "seed": 7,
-        "fiber_config": "AB", "geometry": "fourier_default", "budget": "ideal",
-        "rho": 0.8,
-        "fit": {"k12": 1.0 / 27.0},
-    },
-    "glass_direct": {
-        "rates": "glass", "n_emitters": 10, "duration_ns": 1.0e8, "seed": 7,
-        "fiber_config": "DirectPlane", "budget": "ideal",
-        "fit": {"k12": 1.0 / 51.0},
-    },
-}
-
-
 def builtin_scenario_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN))
+    return tuple(sorted(_PRESETS["scenario"]))
 
 
 def builtin_scenario(name: str) -> Scenario:
     """Ready-made demonstration scenarios mirroring the two sample types."""
-    key = str(name).lower()
-    if key not in _BUILTIN:
-        raise UnknownScenario(
-            f"unknown scenario {name!r}; builtins: {', '.join(builtin_scenario_names())}")
-    return scenario_from_mapping(dict(_BUILTIN[key]), default_name=key)
+    canonical, mapping = _preset("scenario", name)
+    return scenario_from_mapping(mapping, default_name=canonical)

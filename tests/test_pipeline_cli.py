@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -16,13 +18,13 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spphbt import tagio
+from spphbt import scenarios, tagio
 from spphbt.cli import OUT_ENV_VAR, main
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import ConfigError, UnknownScenario
 from spphbt.fitter import PARAM_NAMES, report_photophysics
 from spphbt.kinetics import steady_emission_rate
-from spphbt.optics import expected_channel_efficiencies
+from spphbt.optics import coupling_ratio, expected_channel_efficiencies
 from spphbt.pipeline import (
     acquire,
     expected_signal_rate,
@@ -31,9 +33,14 @@ from spphbt.pipeline import (
     run_pipeline,
 )
 from spphbt.scenarios import (
+    FitSettings,
+    Scenario,
+    budget_preset,
     builtin_scenario,
     builtin_scenario_names,
+    geometry_preset,
     load_scenario,
+    rate_preset,
     scenario_from_mapping,
     validate_config,
 )
@@ -61,6 +68,44 @@ SMALL_RUN = {
 }
 
 
+# Every preset with the values it stood for when each was written as code; the last
+# case of each kind spells its name another way, under the one preset-name rule.
+SILVER_LIFETIMES = {"tau12": 27.0, "tau21": 9.7, "tau23": 27.4, "tau31": 102.0}
+IDEAL_SPLIT = {"fiber_a_angle": 0.0, "fiber_b_angle": math.pi,
+               "fiber_effective_diameter": math.pi, "ring_radius_bfp": 1.0}
+SILVER_BUDGET = {"p_couple_vertical": 0.48, "p_couple_horizontal": 0.48 / coupling_ratio(1.04),
+                 "p_survive": 0.03, "p_leak": 0.25, "p_collect": 0.07, "p_bs": 0.5, "p_qe": 0.65}
+PRESETS_WRITTEN_OUT = [
+    ("rates", "glass", {"rates": {"tau12": 51.0, "tau21": 60.0, "tau23": 23.0, "tau31": 300.0}}),
+    ("rates", "silver", {"rates": SILVER_LIFETIMES}),
+    ("rates", "SILVER", {"rates": SILVER_LIFETIMES}),
+    ("geometry", "fourier_default", {"geometry": {
+        "fiber_a_angle": 0.0, "fiber_b_angle": math.pi / 2.0,
+        "fiber_effective_diameter": 0.44, "ring_radius_bfp": 1.0}}),
+    ("geometry", "ideal_split", {"geometry": IDEAL_SPLIT}),
+    ("geometry", "Ideal-Split", {"geometry": IDEAL_SPLIT}),
+    ("budget", "ideal", {"budget": {
+        "p_couple_vertical": 1.0, "p_couple_horizontal": 1.0, "p_survive": 1.0,
+        "p_leak": 1.0, "p_collect": 1.0, "p_bs": 0.5, "p_qe": 1.0}}),
+    ("budget", "glass", {"budget": {"p_collect": 0.047, "p_bs": 0.5, "p_qe": 0.65}}),
+    ("budget", "silver_filtered", {"budget": SILVER_BUDGET}),
+    ("budget", "silver_unfiltered", {"budget": SILVER_BUDGET, "rho": 0.8}),
+    ("budget", "Silver-Filtered", {"budget": SILVER_BUDGET}),
+]
+SILVER_DEMO = {"rates": "silver", "n_emitters": 10, "duration_ns": 3.0e7, "seed": 7,
+               "geometry": "fourier_default", "budget": "ideal", "fit": {"k12": 1.0 / 27.0}}
+BUILTINS_WRITTEN_OUT = [
+    ("glass_direct", {"name": "glass_direct", "rates": "glass", "n_emitters": 10,
+                      "duration_ns": 1.0e8, "seed": 7, "fiber_config": "DirectPlane",
+                      "budget": "ideal", "fit": {"k12": 1.0 / 51.0}}),
+    ("silver_aa", dict(SILVER_DEMO, name="silver_aa", fiber_config="AA")),
+    ("silver_ab", dict(SILVER_DEMO, name="silver_ab", fiber_config="AB")),
+    ("silver_unfiltered_ab", dict(SILVER_DEMO, name="silver_unfiltered_ab", fiber_config="AB",
+                                  rho=0.8)),
+    ("Silver-AB", dict(SILVER_DEMO, name="silver_ab", fiber_config="AB")),
+]
+
+
 def diagnostics_of(mapping) -> list[str]:
     with pytest.raises(ConfigError) as err:
         scenario_from_mapping(mapping)
@@ -85,6 +130,16 @@ class TestScenarioResolution:
             "duration_ns": 1.0e6,
         })
         assert s.rates == scenario_from_mapping(MINIMAL).rates
+
+    @pytest.mark.parametrize("kind,name,written_out", PRESETS_WRITTEN_OUT)
+    def test_preset_is_its_mapping(self, kind, name, written_out):
+        by_name = scenario_from_mapping(dict(MINIMAL, **{kind: name}))
+        assert by_name == scenario_from_mapping(dict(MINIMAL, **written_out))
+        if kind == "budget":
+            assert budget_preset(name) == (by_name.budget, by_name.rho)
+        else:
+            preset = rate_preset if kind == "rates" else geometry_preset
+            assert preset(name) == getattr(by_name, kind)
 
     def test_rate_constant_mapping(self):
         s = scenario_from_mapping({
@@ -188,6 +243,14 @@ class TestBuiltinScenarios:
         with pytest.raises(UnknownScenario):
             builtin_scenario("platinum_ab")
 
+    @pytest.mark.parametrize("name,written_out", BUILTINS_WRITTEN_OUT)
+    def test_builtin_is_its_mapping(self, capsys, name, written_out):
+        expected = scenario_from_mapping(written_out)
+        assert builtin_scenario(name) == expected
+        assert validate_config(name) == (expected, [])
+        assert main(["validate", "--scenario", name]) == 0
+        assert capsys.readouterr().out.startswith(f"ok: {expected.name}\n")
+
 
 class TestValidateConfig:
     def test_builtin_name(self):
@@ -262,8 +325,10 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("file_name,name", [
         ("named.yaml", "../escaped"), ("named.yaml", ""), ("named.yaml", ".hidden"),
-        ("named.yaml", "a/b"), (".hidden.yaml", None),
-    ], ids=["parent_dir", "empty", "hidden", "subdir", "hidden_file_stem"])
+        ("named.yaml", "a/b"), (".hidden.yaml", None), ("named.yaml", True),
+        ("named.yaml", ["a"]), ("named.yaml", {"x": 1}), ("named.yaml", 2024),
+    ], ids=["parent_dir", "empty", "hidden", "subdir", "hidden_file_stem", "boolean", "list",
+            "mapping", "number"])
     def test_name_stays_inside_the_output_directory(self, tmp_path, capsys, file_name, name):
         # the name, from its key or the file stem, is the stem of every artifact path
         path = tmp_path / file_name
@@ -276,6 +341,25 @@ class TestValidateConfig:
             assert main([command, "--scenario", str(path), *out]) == 2
             assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("line", ["name: null", "name:"])
+    def test_null_name_falls_back_to_the_file_stem(self, tmp_path, capsys, line):
+        path = tmp_path / "stem.yaml"
+        path.write_text(f"rates: silver\nn_emitters: 1\nduration_ns: 1.0e6\n{line}\n")
+        assert validate_config(str(path))[0].name == "stem"
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["stem.ttag", "stem.ttag.json"]
+
+    def test_example_config_documents_the_whole_schema(self):
+        # the README points to this file for the full scenario schema
+        path = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+        scenario, diags = validate_config(str(path))
+        assert scenario is not None and diags == []
+        names = [f.name for cls in (Scenario, FitSettings) for f in fields(cls)]
+        names += [name for table in scenarios._PRESETS.values() for name in table]
+        text = path.read_text()
+        assert [name for name in names if not re.search(rf"\b{name}\b", text)] == []
 
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
