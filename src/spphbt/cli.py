@@ -32,7 +32,6 @@ from .errors import ConfigError, NonConvergence
 from .fitter import (
     DEFAULT_INVERSION,
     DEFAULT_MAX_ITERATIONS,
-    INVERSIONS,
     fit_warnings,
     report_photophysics,  # noqa: F401  not called here; bench/tracing.py wraps it in cli
     require_converged,
@@ -123,8 +122,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    a, b, meta = read_time_tags(args.tags)
-    inner = meta.get("metadata") or {}  # the reader checked it is an object
+    a, b, inner = read_time_tags(args.tags)
     sidecar = sidecar_path(args.tags)
     kind = _setting(args.kind, inner, "correlation", sidecar, "cross")
     window = _setting(args.window, inner, "window_ps", sidecar, DEFAULT_WINDOW_PS)
@@ -216,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bin width in ps (default: the scenario's, stored with the tags)")
     p.add_argument("--window", type=_flag("window_ps"), default=None,
                    help="max |lag| in ps (default: the scenario's, stored with the tags)")
-    p.add_argument("--kind", choices=("auto", "cross"), default=None,
+    p.add_argument("--kind", type=_flag("correlation"), default=None, metavar="{auto,cross}",
                    help="override the correlation kind stored with the tags")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_correlate)
@@ -225,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist", required=True, help="histogram CSV from correlate")
     p.add_argument("--k12", type=_flag("fit.k12"), default=None,
                    help="pump rate in ns^-1 for the rate inversion")
-    p.add_argument("--inversion", choices=INVERSIONS, default=None)
+    p.add_argument("--inversion", type=_flag("fit.inversion"), default=None,
+                   metavar="{exact,model}")
     p.add_argument("--max-iterations", type=_flag("fit.max_iterations"), default=None,
                    help="default: the scenario's, stored with the histogram")
     p.add_argument("--out", default=None)

@@ -36,8 +36,6 @@ class NonConvergence(RuntimeError):
 class ConfigError(ValueError):
     """Scenario configuration failed validation."""
 
-    def __init__(self, diagnostics):
-        if isinstance(diagnostics, str):
-            diagnostics = [diagnostics]
+    def __init__(self, diagnostics: list[str]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))

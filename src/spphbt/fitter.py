@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlator import CorrelationHistogram
-from .errors import InvalidInversion, NonConvergence
+from .errors import NonConvergence
 from .kinetics import (
     DerivedParams,
     RateSet,
@@ -308,9 +308,8 @@ class PhotophysicsReport:
         return "\n".join(lines)
 
 
-def _numeric_rate_grads(params: DerivedParams, k12: float, inversion: str) -> dict:
-    """d(k21, k23, k31)/d(gamma1, gamma2, beta) by central differences."""
-    invert = _INVERTERS[inversion]
+def _numeric_rate_grads(params: DerivedParams, k12: float, invert) -> dict:
+    """d(k21, k23, k31)/d(gamma1, gamma2, beta) of `invert` by central differences."""
     base = np.array([params.gamma1, params.gamma2, params.beta])
     grads = {name: np.zeros(3) for name in ("k21", "k23", "k31")}
     for j in range(3):
@@ -321,7 +320,7 @@ def _numeric_rate_grads(params: DerivedParams, k12: float, inversion: str) -> di
         try:
             r_up = invert(DerivedParams(*up), k12)
             r_dn = invert(DerivedParams(*dn), k12)
-        except (InvalidInversion, ValueError):
+        except ValueError:  # InvalidInversion included
             continue  # gradient undefined at the boundary; leave zero
         for name in grads:
             grads[name][j] = (getattr(r_up, name) - getattr(r_dn, name)) / (2.0 * h)
@@ -352,24 +351,21 @@ def report_photophysics(fit: FitResult, k12: float, *, inversion: str) -> Photop
 
     `inversion` selects the exact eigenvalue inversion ("exact") or the
     closed-form slow-shelving maps ("model"); see kinetics for when they
-    differ.  Parameter uncertainties are propagated to the lifetimes and
-    the quantum yield to first order.
+    differ.  A fit without shelving takes the closed-form map under either
+    name, because it is then exact and gives k23 = 0.  Parameter
+    uncertainties are propagated to the lifetimes and the quantum yield to
+    first order.
     """
     if inversion not in INVERSIONS:
         raise ValueError(f"inversion must be one of {INVERSIONS}, got {inversion!r}")
     require_converged(fit)
     no_shelving = fit.beta <= 1.0 + _NO_SHELVING_EPS
-    if no_shelving:
-        params = DerivedParams(gamma1=fit.gamma1, gamma2=fit.gamma2, beta=1.0)
-        if fit.gamma1 - k12 <= 0.0:
-            raise InvalidInversion(f"k12={k12!r} must be below gamma1={fit.gamma1!r}")
-        rates = RateSet(k12=k12, k21=fit.gamma1 - k12, k23=0.0, k31=fit.gamma2)
-    else:
-        params = DerivedParams(gamma1=fit.gamma1, gamma2=fit.gamma2, beta=fit.beta)
-        rates = _INVERTERS[inversion](params, k12)
+    invert = invert_rates if no_shelving else _INVERTERS[inversion]
+    params = DerivedParams(fit.gamma1, fit.gamma2, 1.0 if no_shelving else fit.beta)
+    rates = invert(params, k12)
 
     cov3 = np.asarray(fit.covariance)[:3, :3]
-    grads = _numeric_rate_grads(params, k12, inversion)
+    grads = _numeric_rate_grads(params, k12, invert)
 
     def sd(vec: np.ndarray) -> float:
         return float(math.sqrt(max(vec @ cov3 @ vec, 0.0)))
@@ -377,7 +373,7 @@ def report_photophysics(fit: FitResult, k12: float, *, inversion: str) -> Photop
     errors: dict = {}
     errors["tau21"] = sd(grads["k21"]) / rates.k21 ** 2 if rates.k21 > 0 else None
     errors["tau31"] = sd(grads["k31"]) / rates.k31 ** 2 if rates.k31 > 0 else None
-    if no_shelving or rates.k23 <= 0.0:
+    if rates.k23 <= 0.0:
         errors["tau23"] = None
         errors["quantum_yield"] = None
     else:

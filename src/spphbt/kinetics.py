@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,24 +145,12 @@ class EnsembleConfig:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
 
 
-@dataclass(frozen=True)
-class Populations:
-    """Occupation probabilities of the three levels; must sum to one."""
+class Populations(NamedTuple):
+    """Occupation probabilities of the three levels; `steady_state` makes them sum to one."""
 
     p1: float
     p2: float
     p3: float
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p3"):
-            v = getattr(self, name)
-            if not (-1e-12 <= v <= 1.0 + 1e-12):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if abs(self.p1 + self.p2 + self.p3 - 1.0) > 1e-9:
-            raise ValueError("populations must sum to 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3])
 
 
 def derived_params(rates: RateSet) -> DerivedParams:

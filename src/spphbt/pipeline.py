@@ -30,7 +30,7 @@ from .fitter import (
 from .kinetics import steady_emission_rate
 from .montecarlo import simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
-from .scenarios import Scenario
+from .scenarios import Scenario, check_setting
 from .tagio import sha256_file, sidecar_path, write_histogram_csv, write_json, write_time_tags
 
 __all__ = [
@@ -114,10 +114,8 @@ def correlate_tags(
     bin_width_ps: int,
 ) -> CorrelationHistogram:
     """Histogram the two channels; same-point runs pool the channels first."""
-    if kind == "cross":
+    if check_setting("correlation", kind) == "cross":
         return cross_correlate(a, b, window_ps, bin_width_ps)
-    if kind != "auto":
-        raise ValueError(f"correlation kind must be 'auto' or 'cross', got {kind!r}")
     # a stable sort merges the two sorted runs instead of sorting from scratch
     tags = np.sort(np.concatenate([a.tags, b.tags]), kind="stable")
     pooled = TimeTagStream(tags, a.channel_label, min(a.duration, b.duration))

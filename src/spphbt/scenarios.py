@@ -261,8 +261,9 @@ _RULES: dict[str, tuple | dict | re.Pattern] = {
     "window_ps": {"integer": True, "minimum": 1},
     # a nested field without a rule of its own follows the plain number rule
     **{rule: {} for names in _SECTION_FIELDS.values() for rule in names.values()},
-    **{f"rates.{name}": {"finite": False} for name in _LIFETIME_KEYS},  # .inf is a zero rate
-    "fit.k12": {"positive": True},
+    # .inf is a zero rate, except the pump's: emitters that are never pumped never emit
+    **{f"rates.{name}": {"finite": False} for name in _LIFETIME_KEYS - {"tau12"}},
+    **dict.fromkeys(("rates.k12", "fit.k12"), {"positive": True}),
     "fit.max_iterations": {"integer": True, "minimum": 1},
     "fit.inversion": INVERSIONS,
     "correlation": ("auto", "cross"),
@@ -337,6 +338,11 @@ def stored_setting(stored: dict, key: str, path, rule: str | None = None, defaul
         raise ValueError(f"{path}: {key}: {exc}") from None
 
 
+def _listed(keys) -> list:
+    """Keys in the order of their text, whatever their YAML type, for a diagnostic."""
+    return sorted(keys, key=str)
+
+
 def _rule(errs: list[str], key: str, value):
     """check_setting(key, value), or None after appending `key: <problem>` to errs."""
     try:
@@ -361,12 +367,12 @@ def _section(errs: list[str], key: str, raw):
         errs.append(f"{key}: expected {expected}, got {raw!r}")
         return None
     if key == "rates" and set(raw) not in (_LIFETIME_KEYS, _RATE_KEYS):
-        errs.append(f"rates: mapping must have exactly keys {sorted(_LIFETIME_KEYS)} "
-                    f"or {sorted(_RATE_KEYS)}, got {sorted(raw)}")
+        errs.append(f"rates: mapping must have exactly keys {_listed(_LIFETIME_KEYS)} "
+                    f"or {_listed(_RATE_KEYS)}, got {_listed(raw)}")
         return None
     n_errs = len(errs)
     rules = _SECTION_FIELDS[key]
-    unknown = sorted(raw.keys() - rules.keys())
+    unknown = _listed(raw.keys() - rules.keys())
     if unknown:
         errs.append(f"{key}: unknown fields {unknown}")
     values = {k: _rule(errs, rules[k], v) for k, v in raw.items()
@@ -389,7 +395,7 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     if not isinstance(mapping, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(mapping).__name__}"])
     errs: list[str] = []
-    unknown = sorted(mapping.keys() - _SCENARIO_KEYS)
+    unknown = _listed(mapping.keys() - _SCENARIO_KEYS)
     if unknown:
         errs.append(f"top level: unknown fields {unknown}")
     v = {}

@@ -14,7 +14,8 @@ not depend on the block size.
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
 precision) plus a JSON sidecar of the window and normalisation; the reader
 checks that lag_ps spans its window and derives g2 and sigma from its rates.
-Both readers need the sidecar and hold each field to its rule (`stored_setting`).
+Both readers need the sidecar and hold each field to its rule (`stored_setting`),
+and both return the `metadata` their writer was given ({} without one).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _merged_records(tags_a: np.ndarray, tags_b: np.ndarray) -> np.ndarray:
 
 
 def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
-    """Read a TTAG file; returns (channel A, channel B, sidecar metadata)."""
+    """Read a TTAG file; returns (channel A, channel B, metadata)."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -118,7 +119,7 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     if top > 1:
         raise ValueError(f"{path}: invalid channel byte {top}")
     sidecar, meta = _read_sidecar(path)
-    json_section(meta, "metadata", sidecar)
+    metadata = json_section(meta, "metadata", sidecar)
     duration = stored_setting(meta, "duration_ps", sidecar)
     tags = records["t"].astype(np.int64)
     del records, raw  # the tags and channels are copies; free the file image
@@ -132,7 +133,7 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     tags_a = np.compress(np.logical_not(on_b, out=on_b), tags,
                          out=np.empty(tags.size - n_b, dtype=np.int64))
     try:
-        return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), meta
+        return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), metadata
     except UnsortedInput as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:  # tags beyond the duration
@@ -162,7 +163,7 @@ def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None 
 
 
 def read_histogram_csv(path) -> tuple[CorrelationHistogram, dict]:
-    """Rebuild a histogram from the CSV and its sidecar."""
+    """Rebuild a histogram from the CSV and its sidecar; returns (histogram, metadata)."""
     path = Path(path)
     sidecar, meta = _read_sidecar(path)
     bin_width = stored_setting(meta, "bin_width_ps", sidecar)

@@ -257,6 +257,17 @@ class TestPhotophysicsReport:
         assert rep.errors["tau23"] is None
         assert "inf" in rep.format_table()
 
+    @pytest.mark.parametrize("beta", [1.0, 1.0 + 5e-10])
+    def test_no_shelving_inverts_alike_under_both_names(self, beta):
+        # without shelving the closed-form map is exact, so both names give one answer
+        fit = FitResult(params=(0.14, 0.019, beta, 0.5),
+                        covariance=np.eye(4) * 1e-8, chi2_reduced=1.0,
+                        converged=True, n_iterations=3, n_points=100)
+        exact, model = (report_photophysics(fit, k12=0.04, inversion=name)
+                        for name in ("exact", "model"))
+        assert exact.rates == model.rates and exact.rates.k23 == 0.0
+        assert exact.errors == model.errors
+
     def test_pump_rate_must_stay_below_gamma1(self):
         fit = FitResult(params=(0.14, 0.019, 1.0, 0.5),
                         covariance=np.eye(4) * 1e-8, chi2_reduced=1.0,

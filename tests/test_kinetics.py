@@ -21,7 +21,6 @@ from spphbt.errors import DegenerateRates, InvalidInversion
 from spphbt.kinetics import (
     DerivedParams,
     EnsembleConfig,
-    Populations,
     RateSet,
     derived_params,
     exact_decay_params,
@@ -212,14 +211,10 @@ class TestSteadyState:
         with pytest.raises(DegenerateRates, match="absorbing"):
             RateSet.from_lifetimes(27.0, 9.7, 27.4, math.inf)
 
-    def test_population_validation(self):
-        with pytest.raises(ValueError):
-            Populations(0.7, 0.7, -0.4)
-
     @given(k12=rate_values, k21=rate_values, k23=rate_values, k31=rate_values)
     @settings(deadline=None)
     def test_simplex_property(self, k12, k21, k23, k31):
-        p = steady_state(RateSet(k12, k21, k23, k31)).as_array()
+        p = np.array(steady_state(RateSet(k12, k21, k23, k31)))
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
         # stationarity of the master equation

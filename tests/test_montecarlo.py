@@ -311,7 +311,7 @@ class TestTrajectoryReference:
         occ = np.array([dt[states[:-1] == lvl].sum() / span
                         for lvl in (EmitterState.GROUND, EmitterState.EXCITED,
                                     EmitterState.SHELVED)])
-        ss = steady_state(silver_rates).as_array()
+        ss = np.array(steady_state(silver_rates))
         # dwell sums over ~2e5 jumps: allow half a percent absolute per level
         assert np.max(np.abs(occ - ss)) < 5e-3
 

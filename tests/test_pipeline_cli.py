@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import datetime
 import io
 import json
 import math
@@ -55,6 +56,7 @@ from spphbt.tagio import (
 )
 
 MINIMAL = {"rates": "silver", "duration_ns": 1.0e6}
+ABSENT = object()  # a key left out of the mapping
 
 SMALL_RUN = {
     "name": "small",
@@ -311,17 +313,46 @@ class TestValidateConfig:
         ("geometry", {"fiber_a_angle": "x"}, "geometry.fiber_a_angle: expected a number, got 'x'"),
         ("rates", {"tau12": 27.0, "tau21": 9.7, "tau23": 27.4, "tau31": math.inf},
          "rates: k31 = 0 with k23 > 0: the shelved state is absorbing"),
+        # emitters that are never pumped never emit
+        ("rates", {"tau12": math.inf, "tau21": 9.7, "tau23": 27.4, "tau31": 102.0},
+         "rates.tau12: must be finite, got inf"),
+        ("rates", {"k12": 0, "k21": 0.1, "k23": 0.03, "k31": 0.01},
+         "rates.k12: must be > 0, got 0"),
+        ("rates", ABSENT, "rates: required (preset name or mapping)"),
+        ("duration_ns", ABSENT, "duration_ns: required"),
     ])
     def test_yaml_values_follow_the_number_rule(self, tmp_path, capsys, key, value, expected):
         # validate reports through the same printer as every other command
         path = tmp_path / "numbers.yaml"
-        path.write_text(yaml.safe_dump(dict(MINIMAL, **{key: value})))
+        mapping = dict(MINIMAL, **{key: value})
+        path.write_text(yaml.safe_dump({k: v for k, v in mapping.items() if v is not ABSENT}))
         assert validate_config(str(path)) == (None, [expected])
         assert main(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,diagnostic", [
+        ("rates: silver\n{key}: 2\nfoo: 3\n", "top level: unknown fields {listed}"),
+        ("rates: silver\ngeometry: {{{key}: 2, foo: 3}}\n", "geometry: unknown fields {listed}"),
+        ("rates: {{{key}: 2, foo: 3}}\n",
+         "rates: mapping must have exactly keys ['tau12', 'tau21', 'tau23', 'tau31'] "
+         "or ['k12', 'k21', 'k23', 'k31'], got {listed}"),
+    ], ids=["top", "geometry", "rates"])
+    @pytest.mark.parametrize("key,parsed", [
+        ("1", 1), ("1.5", 1.5), ("true", True), ("null", None),
+        ("2024-01-01", datetime.date(2024, 1, 1)),
+    ], ids=["int", "float", "bool", "null", "date"])
+    def test_keys_that_are_not_text_are_diagnosed(self, tmp_path, capsys, text, diagnostic,
+                                                  key, parsed):
+        # a key of another YAML type beside a text key is one diagnostic, not a traceback
+        expected = diagnostic.format(listed=f"[{parsed!r}, 'foo']")
+        path = tmp_path / "keys.yaml"
+        path.write_text(text.format(key=key) + "duration_ns: 1.0e6\n")
+        assert validate_config(str(path)) == (None, [expected])
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
 
     @pytest.mark.parametrize("file_name,name", [
         ("named.yaml", "../escaped"), ("named.yaml", ""), ("named.yaml", ".hidden"),
@@ -436,11 +467,12 @@ class TestTagIO:
         a, b, = self.make_streams()
         meta = {"scenario": "demo", "note": 7}
         path = write_time_tags(tmp_path / "x.ttag", a, b, metadata=meta)
-        a2, b2, sidecar = read_time_tags(path)
+        a2, b2, metadata = read_time_tags(path)
         assert np.array_equal(a.tags, a2.tags)
         assert np.array_equal(b.tags, b2.tags)
         assert a2.duration == a.duration
-        assert sidecar["metadata"] == meta
+        assert metadata == meta
+        sidecar = json.loads(tagio.sidecar_path(path).read_text())
         assert sidecar["n_a"] == len(a) and sidecar["n_b"] == len(b)
 
     def test_records_are_time_sorted(self, tmp_path):
@@ -484,8 +516,8 @@ class TestTagIO:
     def test_rewrite_gives_the_same_bytes(self, tmp_path):
         a, b = self.make_streams(seed=6)
         first = write_time_tags(tmp_path / "1.ttag", a, b, metadata={"note": 1})
-        a2, b2, sidecar = read_time_tags(first)
-        second = write_time_tags(tmp_path / "2.ttag", a2, b2, metadata=sidecar["metadata"])
+        a2, b2, metadata = read_time_tags(first)
+        second = write_time_tags(tmp_path / "2.ttag", a2, b2, metadata=metadata)
         assert first.read_bytes() == second.read_bytes()
         assert Path(f"{first}.json").read_bytes() == Path(f"{second}.json").read_bytes()
 
@@ -867,7 +899,11 @@ class TestCli:
         (["fit", "--hist", "x.csv", "--k12", "nan"], "must be finite, got 'nan'"),
         (["simulate", "--scenario", "silver_ab", "--seed", "-1"], "must be >= 0, got '-1'"),
         (["run", "--scenario", "silver_ab", "--seed", "-3"], "must be >= 0, got '-3'"),
-    ], ids=[f"argv{i}" for i in range(9)])
+        (["correlate", "--tags", "x.ttag", "--kind", "bogus"],
+         "expected one of auto, cross, got 'bogus'"),
+        (["fit", "--hist", "x.csv", "--inversion", "bogus"],
+         "expected one of exact, model, got 'bogus'"),
+    ], ids=[f"argv{i}" for i in range(11)])
     def test_zero_settings_are_usage_errors(self, argv, expected, capsys, tmp_path, monkeypatch):
         # a 0 must not fall back to the stored or default value; a flag is held
         # to its scenario key's rule before anything runs or is written
@@ -943,6 +979,11 @@ class TestCli:
          ["fit", "--hist", "tiny_g2.csv"]),
         ("tiny_g2.csv.json", lambda d: stored(d, n_emitters=str(d["metadata"]["n_emitters"])),
          ["fit", "--hist", "tiny_g2.csv"]),
+        ("tiny.ttag", lambda data: data[:10], ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag", lambda data: data[:4] + b"\x02\x00" + data[6:],
+         ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag.json", lambda d: json.dumps(d).encode()[:-1],
+         ["correlate", "--tags", "tiny.ttag"]),
     ], ids=["zero_bin_width", "no_rate_a", "tag_sidecar_is_list", "histogram_metadata_is_list",
             "tag_metadata_is_list", "tag_duration_is_text", "tag_window_is_list",
             "histogram_rho_is_text", "tag_duration_negative", "tag_duration_before_last_tag",
@@ -956,7 +997,8 @@ class TestCli:
             "histogram_bin_width_fraction", "histogram_rate_a_is_bool",
             "histogram_duration_is_bool", "histogram_duration_fraction",
             "tag_duration_is_numeric_text", "tag_n_a_is_numeric_text",
-            "histogram_rate_a_is_numeric_text", "histogram_n_emitters_is_numeric_text"])
+            "histogram_rate_a_is_numeric_text", "histogram_n_emitters_is_numeric_text",
+            "tag_header_cut", "tag_version_2", "tag_sidecar_not_json"])
     def test_malformed_artifact_is_exit_1(self, cli_env, capsys, artifact, corrupt, command):
         out, scenario = cli_env
         assert main(["run", "--scenario", str(scenario)]) == 0
@@ -1038,7 +1080,7 @@ class TestCli:
                          "errors are unreliable\n"
                          "warning: non_identifiable: c is within two standard errors of 0, "
                          "so the rates are undetermined\n"
-                         "error: k12=0.037037037037037035 must be below gamma1=1e-06\n"),
+                         "error: k12 must lie in (0, gamma1=1e-06), got 0.037037037037037035\n"),
         }
         for name, (overrides, err) in cases.items():
             path = tmp_path / f"{name}.yaml"
