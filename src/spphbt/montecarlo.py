@@ -187,20 +187,24 @@ def _usable_cores() -> int:
 def _map_on_threads(fn, items: list, n_threads: int) -> list:
     """[fn(item) for item in items], spread over n_threads including the caller.
 
-    Thread w takes items w, w + n_threads, ...; the first exception stops
-    every thread after its current item and is raised once all have joined.
+    Thread w takes items w, w + n_threads, ...  A failed item stops every
+    thread before any later item while earlier items still run, so the error
+    raised once all have joined is that of the lowest-index failing item,
+    whichever failed first.
     """
     results: list = [None] * len(items)
-    errors: list[BaseException] = []
+    errors: list[tuple[int, BaseException]] = []
 
     def work(first: int) -> None:
-        try:
-            for i in range(first, len(items), n_threads):
-                if errors:
-                    return
+        for i in range(first, len(items), n_threads):
+            # no lock: a stale read only lets a thread start an item it could skip
+            if errors and i > min(j for j, _ in errors):
+                return
+            try:
                 results[i] = fn(items[i])
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors.append((i, exc))
+                return
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_threads)]
     for thread in threads:
@@ -209,7 +213,7 @@ def _map_on_threads(fn, items: list, n_threads: int) -> list:
     for thread in threads:
         thread.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
     return results
 
 

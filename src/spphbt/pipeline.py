@@ -5,6 +5,10 @@ sampling consumes substreams of the scenario seed and detector routing uses
 a separately derived stream, so artifacts are byte-identical across reruns.
 The manifest records the config hash and artifact checksums instead of
 timestamps for exactly that reason.
+
+`run_pipeline` writes and hashes the tag file beside the analysis (correlate,
+fit, report) on a second core; the bytes do not depend on the thread count.
+A run in which either fails writes no manifest.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .fitter import (
     report_photophysics,
 )
 from .kinetics import steady_emission_rate
-from .montecarlo import simulate_ensemble
+from .montecarlo import _map_on_threads, _usable_cores, simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
 from .scenarios import Scenario, check_setting
 from .tagio import sha256_file, sidecar_path, write_histogram_csv, write_json, write_time_tags
@@ -200,36 +204,47 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     """Full chain: simulate -> route -> correlate -> fit -> report -> manifest.
 
     Writes all artifacts under out_dir using the scenario name as the stem
-    and returns the in-memory results alongside the manifest.
+    and returns the in-memory results alongside the manifest.  After
+    acquisition the work runs in two lanes on up to two cores: the tag lane
+    writes and hashes the tag file while the analysis lane correlates, fits
+    and writes the rest.  A failed lane raises once both have stopped, the
+    tag lane's error first, and no manifest is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = scenario.name
-    paths: dict[str, Path] = {}
 
     a, b, info = acquire(scenario)
-    paths["tags"] = write_time_tags(out / f"{stem}.ttag", a, b, metadata=info)
-    paths["tags_sidecar"] = sidecar_path(paths["tags"])
 
-    hist = correlate_tags(a, b, scenario.correlation_kind,
-                          scenario.window_ps, scenario.bin_width_ps)
-    paths["histogram"] = write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)
-    paths["histogram_sidecar"] = sidecar_path(paths["histogram"])
+    def tag_lane():
+        tags = write_time_tags(out / f"{stem}.ttag", a, b, metadata=info)
+        return {"tags": tags, "tags_sidecar": sidecar_path(tags)}, sha256_file(tags)
 
-    fit = fit_histogram(hist, scenario.fit.max_iterations)
-    payload, report, rejected = fit_payload(fit, scenario.name, scenario.fit.k12,
-                                            scenario.fit.inversion, scenario.n_emitters,
-                                            info["rho_effective"])
-    paths["fit"] = write_json(out / f"{stem}_fit.json", payload)
-    if report is not None:
-        paths["report"] = out / f"{stem}_report.txt"
-        paths["report"].write_text(report.format_table(scenario.name) + "\n")
+    def analysis_lane():
+        hist = correlate_tags(a, b, scenario.correlation_kind,
+                              scenario.window_ps, scenario.bin_width_ps)
+        paths = {"histogram": write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)}
+        paths["histogram_sidecar"] = sidecar_path(paths["histogram"])
+        fit = fit_histogram(hist, scenario.fit.max_iterations)
+        payload, report, rejected = fit_payload(fit, scenario.name, scenario.fit.k12,
+                                                scenario.fit.inversion, scenario.n_emitters,
+                                                info["rho_effective"])
+        paths["fit"] = write_json(out / f"{stem}_fit.json", payload)
+        if report is not None:
+            paths["report"] = out / f"{stem}_report.txt"
+            paths["report"].write_text(report.format_table(scenario.name) + "\n")
+        return paths, hist, fit, report, rejected
+
+    # the tag lane is item 0, so its error is the one raised when both lanes fail
+    (tag_paths, tags_sha256), (analysis_paths, hist, fit, report, rejected) = _map_on_threads(
+        lambda lane: lane(), [tag_lane, analysis_lane], min(2, _usable_cores()))
+    paths = {**tag_paths, **analysis_paths}
 
     artifact_records = {
         name: {
             "path": p.name,
             "bytes": p.stat().st_size,
-            "sha256": sha256_file(p),
+            "sha256": tags_sha256 if name == "tags" else sha256_file(p),
         }
         for name, p in sorted(paths.items())
     }

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -420,6 +421,31 @@ def scenario_from_mapping(mapping: dict, *, default_name: str = "scenario") -> S
     return Scenario(**v)
 
 
+class _RepeatedKey(yaml.constructor.ConstructorError):
+    """A key written twice in one mapping; its text is the one-line problem."""
+
+    def __str__(self) -> str:
+        return self.problem
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that refuses a key written twice in one mapping, at any depth."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        # merge keys ("<<") and unhashable keys are the base loader's to judge
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):
+                if key in seen:
+                    raise _RepeatedKey(problem=f"repeated key {key!r}",
+                                       problem_mark=key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path) -> Scenario:
     """Parse a YAML scenario file; raises ConfigError with field diagnostics."""
     p = Path(path)
@@ -428,7 +454,7 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ConfigError([f"{p}: {exc}"]) from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

@@ -265,6 +265,53 @@ class TestSimulateEnsemble:
             simulate_ensemble(silver_rates, 6, 1e5, 5)
         assert threading.active_count() == before
 
+    def test_lowest_index_error_is_raised_whichever_fails_first(self):
+        failed = threading.Event()
+        worker: list[threading.Thread] = []
+
+        def fn(i):
+            if i == 1:
+                worker.append(threading.current_thread())
+                failed.set()
+                raise RuntimeError("item 1 failed")
+            assert failed.wait(5)
+            worker[0].join(5)  # item 1's error is recorded before item 0 fails
+            assert not worker[0].is_alive()
+            raise ValueError("item 0 failed")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 0 failed"):
+            montecarlo._map_on_threads(fn, [0, 1], 2)
+        assert worker[0] is not threading.current_thread()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 5])
+    def test_a_failed_item_never_stops_an_earlier_one(self, n_threads):
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            if i in (7, 11, 30):
+                raise RuntimeError(f"item {i} failed")
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            for _ in range(20):
+                ran.clear()
+                before = threading.active_count()
+                with pytest.raises(RuntimeError, match="item 7 failed"):
+                    montecarlo._map_on_threads(fn, list(range(48)), n_threads)
+                assert threading.active_count() == before
+                # every earlier item ran; a thread starts no item once a lower one has failed
+                assert set(range(8)) <= set(ran)
+                if n_threads == 1:
+                    assert ran == list(range(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert montecarlo._map_on_threads(fn, [0, 1, 2], n_threads) == [0, 1, 2]
+
     def test_config_validation(self, silver_rates, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
         # the emitters' own checks run on the sampling threads above the gate

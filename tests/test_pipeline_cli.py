@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
 import io
 import json
 import math
 import re
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +21,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spphbt import scenarios, tagio
+from spphbt import pipeline, scenarios, tagio
 from spphbt.cli import OUT_ENV_VAR, main
 from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import ConfigError, UnknownScenario
@@ -353,6 +355,29 @@ class TestValidateConfig:
         assert validate_config(str(path)) == (None, [expected])
         assert main(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
+
+    @pytest.mark.parametrize("text,expected", [
+        ("rates: silver\nduration_ns: 1.0e6\nseed: 1\nseed: 2\n", "at line 4: invalid YAML: "
+         "repeated key 'seed'"),
+        ("rates:\n  tau12: 27.0\n  tau21: 9.7\n  tau23: 27.4\n  tau21: 9.8\n  tau31: 102.0\n"
+         "duration_ns: 1.0e6\n", "at line 5: invalid YAML: repeated key 'tau21'"),
+        ("rates: silver\nduration_ns: 1.0e6\nfit: {k12: 0.03, k12: 0.04}\n",
+         "at line 3: invalid YAML: repeated key 'k12'"),
+    ], ids=["top", "rates", "flow"])
+    def test_repeated_keys_are_refused(self, tmp_path, capsys, text, expected):
+        # YAML would keep the last value; which one was meant is unknowable
+        path = tmp_path / "twice.yaml"
+        path.write_text(text)
+        assert validate_config(str(path)) == (None, [f"twice.yaml {expected}"])
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error:\n  - twice.yaml {expected}\n"
+
+    def test_a_merged_key_may_be_overridden(self, tmp_path):
+        path = tmp_path / "merged.yaml"
+        path.write_text("rates:\n  <<: {tau12: 27.0, tau21: 9.7, tau23: 27.4, tau31: 102.0}\n"
+                        "  tau21: 9.8\nduration_ns: 1.0e6\n")
+        scenario, diags = validate_config(str(path))
+        assert diags == [] and scenario.rates.lifetimes[1] == pytest.approx(9.8)
 
     @pytest.mark.parametrize("file_name,name", [
         ("named.yaml", "../escaped"), ("named.yaml", ""), ("named.yaml", ".hidden"),
@@ -744,6 +769,33 @@ class TestRunPipeline:
         r2 = run_pipeline(s.with_seed(4), tmp_path / "d2")
         assert sha256_file(r1.paths["tags"]) != sha256_file(r2.paths["tags"])
 
+    def test_lanes_write_the_bytes_of_one_thread(self, tmp_path, monkeypatch):
+        # the tag lane and the analysis lane, on the caller alone and then on two threads
+        s = scenario_from_mapping(dict(SILVER_DEMO, name="silver_ab", fiber_config="AB",
+                                       duration_ns=3.0e6))
+        lane_threads: dict[str, set[threading.Thread]] = {}
+
+        def on_thread(name, fn):
+            def recording(*args, **kwargs):
+                lane_threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, recording)
+
+        on_thread("write_time_tags", pipeline.write_time_tags)
+        on_thread("correlate_tags", pipeline.correlate_tags)
+        files = {}
+        for n_cores in (1, 2):
+            lane_threads.clear()
+            monkeypatch.setattr(pipeline, "_usable_cores", lambda: n_cores)
+            result = run_pipeline(s, tmp_path / str(n_cores))
+            files[n_cores] = {p.name: p.read_bytes() for p in (tmp_path / str(n_cores)).iterdir()}
+            assert len(lane_threads["write_time_tags"] | lane_threads["correlate_tags"]) == n_cores
+            for record in result.manifest["artifacts"].values():
+                data = files[n_cores][record["path"]]
+                assert record["bytes"] == len(data)
+                assert record["sha256"] == hashlib.sha256(data).hexdigest()
+        assert len(files[1]) == 7 and files[2] == files[1]
+
     def test_fit_json_roundtrip(self, tmp_path):
         s = scenario_from_mapping(dict(SMALL_RUN))
         result = run_pipeline(s, tmp_path / "out")
@@ -811,6 +863,26 @@ class TestCli:
         text = capsys.readouterr().out
         assert "g2(0) bin" in text and "artifacts in" in text
         assert (out / "tiny_manifest.json").exists()
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    @pytest.mark.parametrize("lane", ["tags", "analysis"])
+    def test_a_failed_lane_writes_no_manifest(self, cli_env, capsys, monkeypatch, lane, n_cores):
+        out, scenario = cli_env
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: n_cores)
+        if lane == "tags":
+            (out / "tiny.ttag").mkdir(parents=True)
+        else:
+            def broken(*args):
+                raise ValueError("the correlator broke")
+            monkeypatch.setattr(pipeline, "correlate_tags", broken)
+        before = threading.active_count()
+        assert main(["run", "--scenario", str(scenario)]) == 1
+        assert threading.active_count() == before
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        expected = str(out / "tiny.ttag") if lane == "tags" else "the correlator broke"
+        assert len(errors) == 1 and expected in errors[0]
+        assert list(out.glob("*_manifest.json")) == []
 
     def test_seed_override_changes_output(self, cli_env):
         out, scenario = cli_env
