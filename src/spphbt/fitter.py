@@ -18,6 +18,8 @@ from .errors import NonConvergence
 from .kinetics import (
     DerivedParams,
     RateSet,
+    _exact_rate_map,
+    _model_rate_map,
     exact_invert_rates,
     invert_rates,
     model_g2,
@@ -41,9 +43,11 @@ __all__ = [
     "require_converged",
 ]
 
-# rate inversions by name, the default first: the exact eigenvalue inversion
-# is unbiased at any shelving rate, "model" assumes slow shelving
-_INVERTERS = {"exact": exact_invert_rates, "model": invert_rates}
+# rate inversions by name, the default first, each a validating inverter and its
+# bare arithmetic: the exact eigenvalue inversion is unbiased at any shelving
+# rate, "model" assumes slow shelving
+_INVERTERS = {"exact": (exact_invert_rates, _exact_rate_map),
+              "model": (invert_rates, _model_rate_map)}
 INVERSIONS = tuple(_INVERTERS)
 DEFAULT_INVERSION = INVERSIONS[0]
 DEFAULT_MAX_ITERATIONS = 200
@@ -308,25 +312,6 @@ class PhotophysicsReport:
         return "\n".join(lines)
 
 
-def _numeric_rate_grads(params: DerivedParams, k12: float, invert) -> dict:
-    """d(k21, k23, k31)/d(gamma1, gamma2, beta) of `invert` by central differences."""
-    base = np.array([params.gamma1, params.gamma2, params.beta])
-    grads = {name: np.zeros(3) for name in ("k21", "k23", "k31")}
-    for j in range(3):
-        h = 1e-7 * max(abs(base[j]), 1e-3)
-        up, dn = base.copy(), base.copy()
-        up[j] += h
-        dn[j] -= h
-        try:
-            r_up = invert(DerivedParams(*up), k12)
-            r_dn = invert(DerivedParams(*dn), k12)
-        except ValueError:  # InvalidInversion included
-            continue  # gradient undefined at the boundary; leave zero
-        for name in grads:
-            grads[name][j] = (getattr(r_up, name) - getattr(r_dn, name)) / (2.0 * h)
-    return grads
-
-
 # what each diagnostic flag `fit_curve` may set means for the fitted numbers
 _HEALTH_FLAGS = {
     "singular_jacobian": "singular Jacobian, so the parameter errors are unreliable",
@@ -354,33 +339,36 @@ def report_photophysics(fit: FitResult, k12: float, *, inversion: str) -> Photop
     differ.  A fit without shelving takes the closed-form map under either
     name, because it is then exact and gives k23 = 0.  Parameter
     uncertainties are propagated to the lifetimes and the quantum yield to
-    first order.
+    first order, sd = sqrt(g^T C g), through exact derivatives g of the
+    inversion's own arithmetic (complex step: Squire & Trapp, SIAM Rev. 40, 110).
     """
     if inversion not in INVERSIONS:
         raise ValueError(f"inversion must be one of {INVERSIONS}, got {inversion!r}")
     require_converged(fit)
     no_shelving = fit.beta <= 1.0 + _NO_SHELVING_EPS
-    invert = invert_rates if no_shelving else _INVERTERS[inversion]
+    invert, rate_map = _INVERTERS["model" if no_shelving else inversion]
     params = DerivedParams(fit.gamma1, fit.gamma2, 1.0 if no_shelving else fit.beta)
     rates = invert(params, k12)
 
+    def reported(gamma1, gamma2, excess) -> dict:
+        # the numbers with an error; none for a rate at 0, nor for Q without shelving
+        k21, k23, k31 = rate_map(gamma1, gamma2, excess, k12)
+        out = {"tau21": 1.0 / k21}
+        if rates.k31 > 0.0:
+            out["tau31"] = 1.0 / k31
+        if rates.k23 > 0.0:
+            out.update(tau23=1.0 / k23, quantum_yield=k21 / (k21 + k23))
+        return out
+
+    # one evaluation per fitted parameter at an imaginary step h: no difference
+    # of nearby values is taken, so imag / h is the derivative to rounding
+    h = 1e-30
+    shape = np.array([fit.gamma1, fit.gamma2, params.beta_excess])
+    stepped = [reported(*row) for row in shape + 1j * h * np.eye(3)]
     cov3 = np.asarray(fit.covariance)[:3, :3]
-    grads = _numeric_rate_grads(params, k12, invert)
-
-    def sd(vec: np.ndarray) -> float:
-        return float(math.sqrt(max(vec @ cov3 @ vec, 0.0)))
-
-    errors: dict = {}
-    errors["tau21"] = sd(grads["k21"]) / rates.k21 ** 2 if rates.k21 > 0 else None
-    errors["tau31"] = sd(grads["k31"]) / rates.k31 ** 2 if rates.k31 > 0 else None
-    if rates.k23 <= 0.0:
-        errors["tau23"] = None
-        errors["quantum_yield"] = None
-    else:
-        errors["tau23"] = sd(grads["k23"]) / rates.k23 ** 2
-        ksum = rates.k21 + rates.k23
-        q_grad = (grads["k21"] * rates.k23 - rates.k21 * grads["k23"]) / ksum ** 2
-        errors["quantum_yield"] = sd(q_grad)
-
+    errors = dict.fromkeys(("tau21", "tau31", "tau23", "quantum_yield"))
+    for name in stepped[0]:
+        grad = np.array([values[name] for values in stepped]).imag / h
+        errors[name] = float(math.sqrt(max(grad @ cov3 @ grad, 0.0)))
     return PhotophysicsReport(rates=rates, errors=errors, no_shelving=no_shelving,
                               inversion=inversion)

@@ -189,12 +189,18 @@ def quantum_yield(rates: RateSet) -> float:
     return rates.k21 / (rates.k21 + rates.k23)
 
 
+def _model_rate_map(gamma1, gamma2, excess, k12):
+    """(k21, k23, k31) of `invert_rates`, real or complex, without its checks."""
+    beta = 1.0 + excess
+    return gamma1 - k12, gamma1 * gamma2 * excess / (beta * k12), gamma2 / beta
+
+
 def invert_rates(params: DerivedParams, k12: float) -> RateSet:
     """Recover the rate set from shape parameters, given the pump rate k12.
 
     The pump rate is not identifiable from the correlation shape alone
     (it is fixed by excitation power), so it must be supplied.  Inverts the
-    closed-form maps exactly:
+    closed-form maps exactly (`_model_rate_map`):
 
         k21 = gamma1 - k12
         k31 = gamma2 / beta
@@ -205,9 +211,7 @@ def invert_rates(params: DerivedParams, k12: float) -> RateSet:
     if not (math.isfinite(k12) and 0.0 < k12 < params.gamma1):
         raise InvalidInversion(
             f"k12 must lie in (0, gamma1={params.gamma1!r}), got {k12!r}")
-    k21 = params.gamma1 - k12
-    k31 = params.gamma2 / params.beta
-    k23 = params.gamma1 * params.gamma2 * params.beta_excess / (params.beta * k12)
+    k21, k23, k31 = _model_rate_map(params.gamma1, params.gamma2, params.beta_excess, k12)
     return RateSet(k12=k12, k21=k21, k23=k23, k31=k31)
 
 
@@ -280,6 +284,20 @@ def exact_decay_params(rates: RateSet) -> DerivedParams:
     return DerivedParams(gamma1=g_fast, gamma2=g_slow, beta=1.0 + excess, beta_excess=excess)
 
 
+def _zero_lag_slope(gamma1, gamma2, excess):
+    """beta gamma1 + (1 - beta) gamma2, with beta - 1 at full precision."""
+    return gamma1 + excess * (gamma1 - gamma2)
+
+
+def _exact_rate_map(gamma1, gamma2, excess, k12):
+    """(k21, k23, k31) of `exact_invert_rates`, real or complex, without its checks."""
+    p = gamma1 * gamma2
+    k31 = p / _zero_lag_slope(gamma1, gamma2, excess)
+    k21_plus_k23 = gamma1 + gamma2 - k12 - k31
+    k23 = (p - k31 * (k12 + k21_plus_k23)) / k12
+    return k21_plus_k23 - k23, k23, k31
+
+
 def exact_invert_rates(params: DerivedParams, k12: float) -> RateSet:
     """Invert `exact_decay_params` in closed form, given the pump rate k12.
 
@@ -288,18 +306,11 @@ def exact_invert_rates(params: DerivedParams, k12: float) -> RateSet:
     """
     if not (math.isfinite(k12) and k12 > 0.0):
         raise InvalidInversion(f"k12 must be finite and > 0, got {k12!r}")
-    s = params.gamma1 + params.gamma2
-    p = params.gamma1 * params.gamma2
-    # beta gamma1 + (1 - beta) gamma2, with beta - 1 at full precision
-    slope0 = params.gamma1 + params.beta_excess * (params.gamma1 - params.gamma2)
-    if slope0 <= 0.0:
+    if _zero_lag_slope(params.gamma1, params.gamma2, params.beta_excess) <= 0.0:
         raise InvalidInversion("shape parameters imply non-positive zero-lag slope")
-    k31 = p / slope0
-    k21_plus_k23 = s - k12 - k31
-    if k21_plus_k23 <= 0.0:
+    k21, k23, k31 = _exact_rate_map(params.gamma1, params.gamma2, params.beta_excess, k12)
+    if k21 + k23 <= 0.0:
         raise InvalidInversion("k21 + k23 would be non-positive")
-    k23 = (p - k31 * (k12 + k21_plus_k23)) / k12
-    k21 = k21_plus_k23 - k23
     if k23 < -1e-12 or k21 <= 0.0:
         raise InvalidInversion("recovered rates are unphysical")
     return RateSet(k12=k12, k21=k21, k23=max(k23, 0.0), k31=k31)

@@ -152,12 +152,12 @@ def fit_to_mapping(fit: FitResult) -> dict:
 
 
 def _report_to_mapping(report: PhotophysicsReport) -> dict:
+    # JSON has no infinity: a lifetime whose rate is 0 is written as null
+    lifetimes = {f"tau{levels}_ns": None if t == float("inf") else t
+                 for levels, t in zip(("12", "21", "23", "31"), report.rates.lifetimes)}
     return {
         "rates_per_ns": asdict(report.rates),
-        "tau12_ns": report.tau12,
-        "tau21_ns": report.tau21,
-        "tau23_ns": None if report.tau23 == float("inf") else report.tau23,
-        "tau31_ns": report.tau31,
+        **lifetimes,
         "quantum_yield": report.quantum_yield,
         "errors": report.errors,
         "no_shelving": report.no_shelving,

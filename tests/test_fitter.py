@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -24,9 +25,12 @@ from spphbt.fitter import (
     report_photophysics,
 )
 from spphbt.kinetics import (
+    DerivedParams,
     RateSet,
     derived_params,
     exact_decay_params,
+    exact_invert_rates,
+    invert_rates,
     model_g2,
     quantum_yield,
 )
@@ -267,6 +271,64 @@ class TestPhotophysicsReport:
                         for name in ("exact", "model"))
         assert exact.rates == model.rates and exact.rates.k23 == 0.0
         assert exact.errors == model.errors
+
+    @pytest.mark.parametrize("inversion", ["exact", "model"])
+    def test_errors_hold_beta_variance_at_the_no_shelving_boundary(self, inversion):
+        # k31 = gamma2/beta depends on beta however close beta lies to 1, so beta's
+        # variance reaches the errors on both sides of the no-shelving switch
+        def errors(beta):
+            fit = FitResult(params=(0.14, 0.019, beta, 0.5),
+                            covariance=np.diag([1e-8, 1e-8, 0.25, 1e-8]), chi2_reduced=1.0,
+                            converged=True, n_iterations=3, n_points=100)
+            return report_photophysics(fit, k12=0.04, inversion=inversion).errors
+
+        near, far = errors(1.0 + 2e-9), errors(1.0 + 1e-6)
+        for name in ("tau21", "tau31", "quantum_yield"):
+            assert near[name] == pytest.approx(far[name], rel=1e-3), name
+        if inversion == "model":
+            at_one = errors(1.0)
+            for name in ("tau21", "tau31"):
+                assert at_one[name] == pytest.approx(far[name], rel=1e-3), name
+
+    @pytest.mark.parametrize("preset", ["silver_rates", "glass_rates"])
+    @pytest.mark.parametrize("inversion", ["exact", "model"])
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    def test_errors_are_derivatives_of_the_inversion(self, request, preset, inversion, beta):
+        # one fitted parameter with unit variance at a time: each error is the
+        # magnitude of that parameter's derivative, here by central difference
+        rates = request.getfixturevalue(preset)
+        forward, invert = {"exact": (exact_decay_params, exact_invert_rates),
+                           "model": (derived_params, invert_rates)}[inversion]
+        dp = forward(rates)
+        shape = np.array([dp.gamma1, dp.gamma2, dp.beta if beta is None else beta])
+
+        def reported(x):
+            r = invert(DerivedParams(*x), rates.k12)
+            return {"tau21": 1.0 / r.k21, "tau31": 1.0 / r.k31, "tau23": 1.0 / r.k23,
+                    "quantum_yield": quantum_yield(r)}
+
+        for j in range(3):
+            cov = np.zeros((4, 4))
+            cov[j, j] = 1.0
+            fit = FitResult(params=(*shape, 0.1), covariance=cov, chi2_reduced=1.0,
+                            converged=True, n_iterations=1, n_points=300)
+            rep = report_photophysics(fit, k12=rates.k12, inversion=inversion)
+            h = 1e-6 * shape[j]
+            up, down = reported(shape + h * np.eye(3)[j]), reported(shape - h * np.eye(3)[j])
+            for name, error in rep.errors.items():
+                slope = (up[name] - down[name]) / (2.0 * h)
+                assert error == pytest.approx(abs(slope), rel=1e-6), (name, j)
+
+    @pytest.mark.parametrize("inversion", ["exact", "model"])
+    def test_infinite_lifetimes_are_written_as_null(self, inversion):
+        # gamma2 at its bound 0 gives k31 = 0, and the fit JSON must stay JSON
+        fit = FitResult(params=(0.14, 0.0, 2.0, 0.5), covariance=np.eye(4) * 1e-8,
+                        chi2_reduced=1.0, converged=True, n_iterations=3, n_points=100)
+        payload, rep, _ = fit_payload(fit, "edge", 0.04, inversion, 2, None)
+        assert math.isinf(rep.tau31) and rep.errors["tau31"] is None
+        json.dumps(payload, allow_nan=False)
+        assert payload["report"]["tau31_ns"] is None
+        assert payload["report"]["errors"]["tau31"] is None
 
     def test_pump_rate_must_stay_below_gamma1(self):
         fit = FitResult(params=(0.14, 0.019, 1.0, 0.5),
