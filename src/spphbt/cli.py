@@ -122,16 +122,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    a, b, inner = read_time_tags(args.tags)
+    tags = read_time_tags(args.tags)
+    inner = tags.metadata
     sidecar = sidecar_path(args.tags)
     kind = _setting(args.kind, inner, "correlation", sidecar, "cross")
     window = _setting(args.window, inner, "window_ps", sidecar, DEFAULT_WINDOW_PS)
     bins = _setting(args.bins, inner, "bin_width_ps", sidecar, DEFAULT_BIN_WIDTH_PS)
-    problems = check_window(window, bins, a.duration)
+    problems = check_window(window, bins, tags.duration)
     if problems:  # a usage error if a flag is to blame, else the stored values'
         raise (ConfigError(problems) if args.window or args.bins
                else ValueError(f"{sidecar}: {'; '.join(problems)}"))
-    hist = correlate_tags(a, b, kind, window, bins)
+    hist = correlate_tags(tags, kind, window, bins)
     out = _out_dir(args.out)
     stem = Path(args.tags).stem
     used = dict(inner, correlation=kind, window_ps=window, bin_width_ps=bins)

@@ -36,6 +36,16 @@ bin 0 of the positive half holds G[0] + E[0].  Pairs at lag exactly k*w
 share t mod w, so E comes from the same kernel at unit bins over sorted
 keys (t mod w, t div w), restricted to the few keys that have a neighbour
 within the window.
+
+The auto-correlation runs in time blocks on every usable core.  The sorted
+stream is cut into blocks of whole chunks, a fixed number per thread; each
+block counts the pairs whose earlier tag lies in it, reading its partners
+past the block's end in the carried window, the tags within lag_max of the
+block's last.  Its share of E is E over the block and the carried window
+less E over the carried window alone, the pairs both of whose tags lie
+beyond the block.  The blocks' int64 histograms add up to the whole
+stream's whatever the order, so the counts do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -45,9 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyStream, UnsortedInput
+from .montecarlo import _map_on_threads, _usable_cores
 
 __all__ = [
     "TimeTagStream",
+    "ChannelPair",
     "CorrelationHistogram",
     "cross_correlate",
     "auto_correlate",
@@ -60,6 +72,8 @@ _CHUNK = 1 << 15
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
 _DENSE = 1 / 3
+# time blocks of an auto-correlation per thread; more than one evens out the threads' loads
+_BLOCKS_PER_THREAD = 4
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,21 @@ class TimeTagStream:
     @property
     def rate_hz(self) -> float:
         return self.tags.size / self.duration * _PS_PER_SECOND
+
+
+@dataclass(frozen=True)
+class ChannelPair:
+    """Channels A and B of one acquisition, held as two streams."""
+
+    a: TimeTagStream
+    b: TimeTagStream
+
+    @property
+    def pooled(self) -> TimeTagStream:
+        """Both channels' tags in one time-ordered stream."""
+        # a stable sort merges the two sorted runs instead of sorting from scratch
+        tags = np.sort(np.concatenate([self.a.tags, self.b.tags]), kind="stable")
+        return TimeTagStream(tags, "A+B", min(self.a.duration, self.b.duration))
 
 
 @dataclass(frozen=True)
@@ -201,12 +230,18 @@ def _step_ranks(tw: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarr
     counts += np.bincount(lags // bin_width, minlength=counts.size)
 
 
-def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int) -> np.ndarray:
-    """Histogram of lags t[j] - t[i], i < j, inside [0, lag_max) of sorted tags t."""
+def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int,
+                         first: int = 0, stop: int | None = None) -> np.ndarray:
+    """Histogram of lags t[j] - t[i], i < j, inside [0, lag_max) of sorted tags t.
+
+    Only the pairs whose earlier tag i lies in [first, stop) are counted;
+    their partners may lie past stop.
+    """
+    stop = t.size if stop is None else stop
     n_bins = lag_max // bin_width
     counts = np.zeros(n_bins, dtype=np.int64)
-    for i0 in range(0, t.size, _CHUNK):
-        i1 = min(i0 + _CHUNK, t.size)
+    for i0 in range(first, stop, _CHUNK):
+        i1 = min(i0 + _CHUNK, stop)
         # tag i's partner at rank k is tag i + k: while enough of the chunk
         # is still inside the window, rank k is one slice difference, and the
         # lags that have left it pile up in an overflow bin
@@ -241,8 +276,10 @@ def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int) -> np.ndarr
     quotient plus n_half, keys of different residues differ by more than
     n_half, so these are the pairs whose keys differ by k.  Only keys with
     a neighbour within n_half can pair.  The keys are built, tested and
-    compacted a chunk at a time, so they are the one tag-sized array.
+    compacted a chunk at a time, so they are the one array as long as tags.
     """
+    if tags.size == 0:
+        return np.zeros(n_half + 1, dtype=np.int64)
     stride = int(tags[-1]) // bin_width + n_half + 1
     keys = np.empty_like(tags)
     for i0 in range(0, tags.size, _CHUNK):
@@ -265,6 +302,18 @@ def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int) -> np.ndarr
         kept += block.size
     del near
     return _forward_pair_counts(keys[:kept], n_half + 1, 1)
+
+
+def _block_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
+                  bin_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and exact-lag counts of the pairs whose earlier tag lies in t[first:stop]."""
+    n_half = lag_max // bin_width
+    # the carried window: every tag past the block within lag_max of its last, lag_max included
+    carried = int(np.searchsorted(t, t[stop - 1] + lag_max, side="right"))
+    forward = _forward_pair_counts(t, lag_max, bin_width, first, stop)
+    exact = _exact_lag_counts(t[first:carried], n_half, bin_width) \
+        - _exact_lag_counts(t[stop:carried], n_half, bin_width)
+    return forward, exact
 
 
 def _validate_window(lag_max: int, bin_width: int) -> int:
@@ -305,13 +354,20 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
     happen to share a timestamp are kept.  The window must hold a whole
     number of bins on each side.  Only the pairs with lag in [0, lag_max)
     are counted; the negative half is their mirror image, corrected for the
-    pairs whose lag sits exactly on a bin edge.
+    pairs whose lag sits exactly on a bin edge.  The counting runs in time
+    blocks on every usable core, with counts that do not depend on their number.
     """
     if len(a) == 0:
         raise EmptyStream("channel has no tags")
     lag_max = _validate_window(lag_max, bin_width)
-    forward = _forward_pair_counts(a.tags, lag_max, bin_width)
-    exact = _exact_lag_counts(a.tags, lag_max // bin_width, bin_width)
+    t = a.tags
+    n_chunks = -(-t.size // _CHUNK)
+    n_threads = min(_usable_cores(), n_chunks)
+    block = -(-n_chunks // (n_threads * _BLOCKS_PER_THREAD)) * _CHUNK
+    parts = _map_on_threads(
+        lambda first: _block_counts(t, first, min(first + block, t.size), lag_max, bin_width),
+        list(range(0, t.size, block)), n_threads)
+    forward, exact = (np.sum(counts, axis=0) for counts in zip(*parts))
     # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
     # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w
     backward = forward - exact[:-1] + exact[1:]

@@ -336,17 +336,19 @@ def report_photophysics(fit: FitResult, k12: float, *, inversion: str) -> Photop
 
     `inversion` selects the exact eigenvalue inversion ("exact") or the
     closed-form slow-shelving maps ("model"); see kinetics for when they
-    differ.  A fit without shelving takes the closed-form map under either
-    name, because it is then exact and gives k23 = 0.  Parameter
+    differ.  A fit without shelving takes its rates from the closed-form map
+    under either name, because it is then exact and gives k23 = 0.  Parameter
     uncertainties are propagated to the lifetimes and the quantum yield to
     first order, sd = sqrt(g^T C g), through exact derivatives g of the
-    inversion's own arithmetic (complex step: Squire & Trapp, SIAM Rev. 40, 110).
+    requested inversion's own arithmetic (complex step: Squire & Trapp, SIAM
+    Rev. 40, 110), so they do not jump at the no-shelving switch.
     """
     if inversion not in INVERSIONS:
         raise ValueError(f"inversion must be one of {INVERSIONS}, got {inversion!r}")
     require_converged(fit)
     no_shelving = fit.beta <= 1.0 + _NO_SHELVING_EPS
-    invert, rate_map = _INVERTERS["model" if no_shelving else inversion]
+    invert = _INVERTERS["model" if no_shelving else inversion][0]
+    rate_map = _INVERTERS[inversion][1]
     params = DerivedParams(fit.gamma1, fit.gamma2, 1.0 if no_shelving else fit.beta)
     rates = invert(params, k12)
 

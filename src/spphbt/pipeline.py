@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlator import CorrelationHistogram, TimeTagStream, auto_correlate, cross_correlate
+from .correlator import (
+    ChannelPair,
+    CorrelationHistogram,
+    TimeTagStream,
+    auto_correlate,
+    cross_correlate,
+)
 from .errors import InvalidInversion
 from .fitter import (
     DEFAULT_MAX_ITERATIONS,
@@ -35,7 +41,14 @@ from .kinetics import steady_emission_rate
 from .montecarlo import _map_on_threads, _usable_cores, simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
 from .scenarios import Scenario, check_setting
-from .tagio import sha256_file, sidecar_path, write_histogram_csv, write_json, write_time_tags
+from .tagio import (
+    TagFile,
+    sha256_file,
+    sidecar_path,
+    write_histogram_csv,
+    write_json,
+    write_time_tags,
+)
 
 __all__ = [
     "PipelineResult",
@@ -110,20 +123,16 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
     return a, b, info
 
 
-def correlate_tags(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    kind: str,
-    window_ps: int,
-    bin_width_ps: int,
-) -> CorrelationHistogram:
-    """Histogram the two channels; same-point runs pool the channels first."""
+def correlate_tags(channels: ChannelPair | TagFile, kind: str, window_ps: int,
+                   bin_width_ps: int) -> CorrelationHistogram:
+    """Histogram two channels: one against the other, or pooled for a same-point run.
+
+    Either kind of `channels` gives the streams `a` and `b` and their
+    time-ordered union `pooled`; a tag file's is its time column.
+    """
     if check_setting("correlation", kind) == "cross":
-        return cross_correlate(a, b, window_ps, bin_width_ps)
-    # a stable sort merges the two sorted runs instead of sorting from scratch
-    tags = np.sort(np.concatenate([a.tags, b.tags]), kind="stable")
-    pooled = TimeTagStream(tags, a.channel_label, min(a.duration, b.duration))
-    return auto_correlate(pooled, window_ps, bin_width_ps)
+        return cross_correlate(channels.a, channels.b, window_ps, bin_width_ps)
+    return auto_correlate(channels.pooled, window_ps, bin_width_ps)
 
 
 # not an alias of fit_g2: the traced benchmark wraps this name in cli and
@@ -221,7 +230,7 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
         return {"tags": tags, "tags_sidecar": sidecar_path(tags)}, sha256_file(tags)
 
     def analysis_lane():
-        hist = correlate_tags(a, b, scenario.correlation_kind,
+        hist = correlate_tags(ChannelPair(a, b), scenario.correlation_kind,
                               scenario.window_ps, scenario.bin_width_ps)
         paths = {"histogram": write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)}
         paths["histogram_sidecar"] = sidecar_path(paths["histogram"])

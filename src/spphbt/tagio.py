@@ -9,7 +9,10 @@ and the provenance travel in a JSON sidecar next to the file
 ("<file>.json"); the reader checks the records against those counts.
 Records are merged and written in blocks of a fixed number of tags per
 channel, so writing holds a few MB whatever the file's size; the bytes do
-not depend on the block size.
+not depend on the block size.  The reader refuses records out of time
+order and keeps the time column whole, as the pooled stream of both
+channels, beside a mask of the records on channel B (`TagFile`); a channel
+is split off only when it is asked for.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
 precision) plus a JSON sidecar of the window and normalisation; the reader
@@ -24,6 +27,7 @@ import hashlib
 import json
 import struct
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,7 @@ from .scenarios import stored_setting
 __all__ = [
     "TTAG_MAGIC",
     "TTAG_VERSION",
+    "TagFile",
     "write_time_tags",
     "read_time_tags",
     "write_histogram_csv",
@@ -100,8 +105,35 @@ def _merged_records(tags_a: np.ndarray, tags_b: np.ndarray) -> np.ndarray:
     return records
 
 
-def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
-    """Read a TTAG file; returns (channel A, channel B, metadata)."""
+@dataclass(frozen=True)
+class TagFile:
+    """The tags of a TTAG file: both channels in time order, which are B's, and the metadata.
+
+    Unpacks as (channel A, channel B, metadata).
+    """
+
+    pooled: TimeTagStream
+    on_b: np.ndarray  # bool, one per tag of `pooled`
+    metadata: dict
+
+    @property
+    def duration(self) -> int:
+        return self.pooled.duration
+
+    @property
+    def a(self) -> TimeTagStream:
+        return TimeTagStream(self.pooled.tags[~self.on_b], "A", self.duration)
+
+    @property
+    def b(self) -> TimeTagStream:
+        return TimeTagStream(self.pooled.tags[self.on_b], "B", self.duration)
+
+    def __iter__(self):
+        return iter((self.a, self.b, self.metadata))
+
+
+def read_time_tags(path) -> TagFile:
+    """Read a TTAG file and its sidecar; the result unpacks as (channel A, channel B, metadata)."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -128,12 +160,9 @@ def read_time_tags(path) -> tuple[TimeTagStream, TimeTagStream, dict]:
     for key, count in (("n_a", tags.size - n_b), ("n_b", n_b)):
         if stored_setting(meta, key, sidecar) != count:
             raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
-    # split into arrays of the final sizes; the mask flips in place for A
-    tags_b = np.compress(on_b, tags, out=np.empty(n_b, dtype=np.int64))
-    tags_a = np.compress(np.logical_not(on_b, out=on_b), tags,
-                         out=np.empty(tags.size - n_b, dtype=np.int64))
     try:
-        return TimeTagStream(tags_a, "A", duration), TimeTagStream(tags_b, "B", duration), metadata
+        # the time column is sorted across both channels, so each channel is too
+        return TagFile(TimeTagStream(tags, "A+B", duration), on_b, metadata)
     except UnsortedInput as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:  # tags beyond the duration

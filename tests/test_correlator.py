@@ -7,6 +7,7 @@ the Poisson baseline tests.
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 from unittest.mock import patch
 
@@ -327,15 +328,71 @@ class TestDenseRankKernel:
         assert np.array_equal(h.counts, oracle)
 
 
+class TestTimeBlocks:
+    """The auto-correlation in time blocks on 1, 2 and 3 threads against the brute-force oracle."""
+
+    @staticmethod
+    def counts_on_threads(ta, lag_max, bin_width, chunk):
+        """auto_correlate's counts at 1, 2 and 3 usable cores, and the threads of its blocks."""
+        results = []
+        blocks = correlator._block_counts
+        a = stream(ta, int(max(ta[-1], 1)))
+        for n_cores in (1, 2, 3):
+            threads = set()
+
+            def recording(*args):
+                threads.add(threading.current_thread())
+                return blocks(*args)
+
+            with patch.object(correlator, "_CHUNK", chunk), \
+                    patch.object(correlator, "_usable_cores", lambda: n_cores), \
+                    patch.object(correlator, "_block_counts", recording):
+                results.append((auto_correlate(a, lag_max, bin_width).counts, threads))
+        return results
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=auto_cases())
+    def test_blocks_match_oracle_on_any_thread_count(self, case):
+        ta, lag_max, bin_width, chunk, _ = case
+        oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
+        for counts, _ in self.counts_on_threads(ta, lag_max, bin_width, chunk):
+            assert counts.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("ta,lag_max,bin_width,chunk", [
+        # shorter than one chunk: one block, on the calling thread
+        ([3, 5, 5, 9, 40], 20, 5, 8),
+        # blocks of 8 to 24 tags, at most 37 ps long, under a window of 60 ps
+        (sorted(np.random.default_rng(36).integers(0, 120, 90).tolist()), 60, 4, 2),
+        # a burst of 25 equal tags across several block edges
+        ([1, 4, 9, *[30] * 25, 33, 50, 58, 71], 12, 3, 3),
+        # each tag's partner at exactly lag_max lies in the next block
+        ([0, 10, 20, 30, 40, 50, 60, 70, 75, 80], 10, 5, 1),
+    ], ids=["shorter_than_a_block", "blocks_shorter_than_window", "burst_across_edges",
+            "partner_at_lag_max"])
+    def test_named_cases(self, ta, lag_max, bin_width, chunk):
+        ta = np.array(ta, dtype=np.int64)
+        oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
+        assert oracle.sum() > 0
+        for n_cores, (counts, threads) in enumerate(
+                self.counts_on_threads(ta, lag_max, bin_width, chunk), start=1):
+            assert counts.tobytes() == oracle.tobytes()
+            if ta.size <= chunk:
+                assert threads == {threading.current_thread()}
+            else:
+                assert len(threads) == n_cores
+
+
 class TestMemory:
-    def test_auto_peak_stays_near_the_tags(self):
-        # the exact-lag keys are the one tag-sized array auto_correlate holds
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_auto_peak_stays_near_the_tags(self, n_cores):
+        # each block's exact-lag keys are the largest arrays auto_correlate holds
         rng = np.random.default_rng(35)
         n = 1 << 18
         a = stream(np.sort(rng.integers(0, n * 1_000, n)), n * 1_000)
         tracemalloc.start()
         try:
-            auto_correlate(a, 50_000, 1_000)
+            with patch.object(correlator, "_usable_cores", lambda: n_cores):
+                auto_correlate(a, 50_000, 1_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

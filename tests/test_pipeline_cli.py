@@ -1272,6 +1272,49 @@ class TestReaderContract:
             assert code == 1 and f"{artifact}: " in lines[-1], (leaf, node[key], lines)
 
 
+@pytest.fixture(scope="module")
+def tiny_ttag(tmp_path_factory):
+    """The directory of a small two-channel tag file, and the file's bytes."""
+    out = tmp_path_factory.mktemp("records")
+    rng = np.random.default_rng(12)
+    a = TimeTagStream(np.sort(rng.integers(0, 200_000, 24)), "A", 1_000_000)
+    b = TimeTagStream(np.sort(rng.integers(0, 200_000, 16)), "B", 1_000_000)
+    path = write_time_tags(out / "small.ttag", a, b,
+                           metadata={"window_ps": 20_000, "bin_width_ps": 1000})
+    return out, path.read_bytes()
+
+
+class TestTagRecordContract:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_cut_or_flipped_record_is_read_or_refused(self, tiny_ttag, data):
+        # a tag file cut past its header, or with one record byte flipped, is
+        # correlated both ways: exit 0, or exit 1 with one `error:` line naming
+        # the tag file or its sidecar, never a traceback
+        out, original = tiny_ttag
+        offset = data.draw(st.integers(16, len(original) - 1), label="offset")
+        if data.draw(st.booleans(), label="cut"):
+            corrupt = original[:offset]
+        else:
+            flipped = original[offset] ^ data.draw(st.integers(1, 255), label="xor")
+            corrupt = original[:offset] + bytes([flipped]) + original[offset + 1:]
+        path = out / "small.ttag"
+        path.write_bytes(corrupt)
+        try:
+            for kind in ("auto", "cross"):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(["correlate", "--tags", str(path), "--kind", kind,
+                                 "--out", str(out / "stage")])
+                lines = err.getvalue().splitlines()
+                assert code in (0, 1), (kind, lines)
+                if code == 1:
+                    assert len(lines) == 1 and lines[0].startswith("error: "), (kind, lines)
+                    assert "small.ttag" in lines[0], (kind, lines)
+        finally:
+            path.write_bytes(original)
+
+
 class TestStagesReproduceRun:
     @pytest.mark.parametrize("max_iterations", [2, 40])
     def test_stage_chain_writes_what_run_writes(self, tmp_path, capsys, max_iterations):
