@@ -74,6 +74,8 @@ _TAIL = 64
 _DENSE = 1 / 3
 # time blocks of an auto-correlation per thread; more than one evens out the threads' loads
 _BLOCKS_PER_THREAD = 4
+# tags per block of a channel split; each block's index array is this long at most
+_SELECT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,22 @@ class ChannelPair:
         # a stable sort merges the two sorted runs instead of sorting from scratch
         tags = np.sort(np.concatenate([self.a.tags, self.b.tags]), kind="stable")
         return TimeTagStream(tags, "A+B", min(self.a.duration, self.b.duration))
+
+
+def _select(mask: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """tags[mask], copied block by block.
+
+    np.compress copies about 3x faster than boolean indexing, but it first
+    builds an int64 index of every selected tag; taken whole, that index
+    would raise a long acquisition's peak memory by half its tags.
+    """
+    out = np.empty(int(np.count_nonzero(mask)), dtype=tags.dtype)
+    k = 0
+    for i in range(0, tags.size, _SELECT_BLOCK):
+        part = np.compress(mask[i:i + _SELECT_BLOCK], tags[i:i + _SELECT_BLOCK])
+        out[k:k + part.size] = part
+        k += part.size
+    return out
 
 
 @dataclass(frozen=True)

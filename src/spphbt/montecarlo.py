@@ -5,14 +5,32 @@ ground/excited/shelved; a photon leaves at every radiative 2 -> 1
 transition and is detected with a fixed probability p, independently of
 every other photon.  The detected stream is therefore an independent
 thinning of the emission renewal process, and only detected photons are
-sampled: after a detection the emitter is in the ground state, and the
-next detection follows M ~ Geometric(r p) pump cycles (r = k21/(k21+k23)
-the radiative branching ratio), S ~ Binomial(M - 1, (1 - r)/(1 - r p)) of
-which end on the shelf, so the gap is
-Gamma(M, k12) + Gamma(M, k21 + k23) + Gamma(S, k31) (Neuts 1981; exact in
-distribution, O(1) work per detected photon).  Antibunching and
-shelving-induced bunching are emergent properties of the chain; nothing
-about the correlation function enters the sampler.
+sampled: after a detection the emitter is in the ground state, and the gap
+to the next detection is drawn whole (Neuts 1981; exact in distribution,
+O(1) work per detected photon).
+
+Write k2 = k21 + k23.  A pump cycle, Exp(k12) then Exp(k2), ends in a
+detection with probability p_det = k21 p / k2 and on the shelf with
+probability k23 / k2, whatever its duration; call a run of cycles up to
+the first that does either a segment, so p_end = (k21 p + k23) / k2.  One
+cycle has Laplace transform k12 k2 / ((s + k12)(s + k2)), and the
+Geometric(p_end) sum of cycles has
+
+    p_end k12 k2 / ((s + k12)(s + k2) - (1 - p_end) k12 k2)
+        = lam1 lam2 / ((s + lam1)(s + lam2)),
+
+with lam1 + lam2 = k12 + k2 and lam1 lam2 = p_end k12 k2: a segment is
+hypoexponential, Exp(lam1) + Exp(lam2).  The roots are real, since the
+discriminant is (k12 - k2)^2 + 4 (1 - p_end) k12 k2 >= 0.  A segment ends
+in a detection with probability q = p_det / p_end, independently of its
+duration, and each other segment is followed by a shelving, Exp(k31).  So
+with J ~ Geometric(q) the gap is
+
+    Gamma(J, 1/lam1) + Gamma(J, 1/lam2) + Gamma(J - 1, 1/k31),
+
+and without a shelf (k23 = 0) J = 1 and the gap is Exp(lam1) + Exp(lam2).
+Antibunching and shelving-induced bunching are emergent properties of the
+chain; nothing about the correlation function enters the sampler.
 
 A detected photon is a plain time: the detection stage routes signal and
 background alike, so nothing downstream needs to know where one came from.
@@ -83,28 +101,52 @@ def _burn_in(rates: RateSet) -> float:
     return 10.0 / (params.gamma2 if params.gamma2 > 0.0 else params.gamma1)
 
 
+def _segment_rates(rates: RateSet, efficiency: float) -> tuple[float, float]:
+    """Rates lam1 >= lam2 of a segment, Exp(lam1) + Exp(lam2): the time from the
+    ground state to the next detection or shelving."""
+    k12, k2 = rates.k12, rates.k21 + rates.k23
+    # (1 - p_end) k12 k2 and p_end k12 k2, each without a cancelling difference
+    undetected = rates.k21 * (1.0 - efficiency) * k12
+    lam1 = 0.5 * (k12 + k2 + math.sqrt((k12 - k2) ** 2 + 4.0 * undetected))
+    return lam1, k12 * (rates.k21 * efficiency + rates.k23) / lam1
+
+
 def _emission_times(rates: RateSet, efficiency: float, t_end: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Detected radiative transition times in [0, t_end], chunked over detections."""
-    k12, k21, k23, k31 = rates.k12, rates.k21, rates.k23, rates.k31
-    if k12 <= 0.0 or efficiency <= 0.0 or t_end <= 0.0:
+    k21, k23, k31 = rates.k21, rates.k23, rates.k31
+    if rates.k12 <= 0.0 or efficiency <= 0.0 or t_end <= 0.0:
         return np.empty(0)
-    r = k21 / (k21 + k23)
-    p_detect = r * efficiency
-    # probability that an undetected cycle ended on the shelf
-    p_shelf = (1.0 - r) / (1.0 - p_detect) if k23 > 0.0 else 0.0
-    mean_gap = 1.0 / (steady_emission_rate(rates) * efficiency)
+    lam1, lam2 = _segment_rates(rates, efficiency)
+    # a segment ends in a detection rather than on the shelf
+    q = k21 * efficiency / (k21 * efficiency + k23)
+    shelf = 1.0 / k31 if k23 > 0.0 else 0.0
+    # moments of the gap, J segments and J - 1 shelvings with J ~ Geometric(q)
+    segment = 1.0 / lam1 + 1.0 / lam2
+    mean_gap = (segment + (1.0 - q) * shelf) / q
+    var_gap = ((lam1 ** -2 + lam2 ** -2 + (1.0 - q) * shelf ** 2) / q
+               + (1.0 - q) / q ** 2 * (segment + shelf) ** 2)
+    # a renewal count of mean m has sd cv sqrt(m), cv the gap's variation coefficient
+    cv = math.sqrt(var_gap) / mean_gap
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < t_end:
-        n = int(np.clip(1.2 * (t_end - t) / mean_gap + 16, 256, 1 << 17))
-        cycles = rng.geometric(p_detect, n)
+        expected = (t_end - t) / mean_gap
+        # the expected count and four sd: a chunk falls short about once in 30 000
+        n = int(np.clip(expected + 4.0 * cv * math.sqrt(expected) + 16, 256, 1 << 17))
+        # float shapes: an integer array would be converted by every draw
+        segments = rng.geometric(q, n).astype(np.float64) if k23 > 0.0 else 1.0
         # gaps, then times, built in place in the first draw's array
-        times = rng.gamma(cycles, 1.0 / k12)
-        times += rng.gamma(cycles, 1.0 / (k21 + k23))
-        if p_shelf > 0.0:
-            cycles -= 1
-            times += rng.gamma(rng.binomial(cycles, p_shelf), 1.0 / k31)
+        times = rng.standard_gamma(segments, n)
+        times /= lam1
+        draw = rng.standard_gamma(segments, n)
+        draw /= lam2
+        times += draw
+        if k23 > 0.0:
+            segments -= 1.0
+            rng.standard_gamma(segments, out=draw)
+            draw /= k31
+            times += draw
         np.cumsum(times, out=times)
         times += t
         chunks.append(times[:np.searchsorted(times, t_end, side="right")])

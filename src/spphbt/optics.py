@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlator import _select
 from .errors import InvalidGeometry
 from .montecarlo import EventStream
 
@@ -188,7 +189,7 @@ def route_events(
     del scaled
     lo, hi = np.searchsorted(tags, [0, duration_ps + 1]).tolist()
     tags, to_a = tags[lo:hi], to_a[lo:hi]
-    return RoutedStreams(tags[to_a], tags[~to_a], duration_ps, n)
+    return RoutedStreams(_select(to_a, tags), _select(~to_a, tags), duration_ps, n)
 
 
 def expected_channel_efficiencies(

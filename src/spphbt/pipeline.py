@@ -261,6 +261,8 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
         "config_sha256": _config_sha256(scenario),
         "seed": scenario.seed,
         "package_version": __version__,
+        # numpy's generators may change their streams between versions (NEP 19)
+        "numpy_version": np.__version__,
         "artifacts": artifact_records,
     }
     paths["manifest"] = write_json(out / f"{stem}_manifest.json", manifest)

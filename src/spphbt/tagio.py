@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlator import CorrelationHistogram, TimeTagStream
+from .correlator import CorrelationHistogram, TimeTagStream, _select
 from .errors import UnsortedInput
 from .scenarios import stored_setting
 
@@ -122,11 +122,11 @@ class TagFile:
 
     @property
     def a(self) -> TimeTagStream:
-        return TimeTagStream(self.pooled.tags[~self.on_b], "A", self.duration)
+        return TimeTagStream(_select(~self.on_b, self.pooled.tags), "A", self.duration)
 
     @property
     def b(self) -> TimeTagStream:
-        return TimeTagStream(self.pooled.tags[self.on_b], "B", self.duration)
+        return TimeTagStream(_select(self.on_b, self.pooled.tags), "B", self.duration)
 
     def __iter__(self):
         return iter((self.a, self.b, self.metadata))

@@ -117,3 +117,24 @@ def swap_symmetry_check(h_ab: CorrelationHistogram, h_ba: CorrelationHistogram) 
         "total_pairs": int(h_ab.counts[ks].sum()),
         "ok": True,
     }
+
+
+def compound_geometric_gaps(rates: RateSet, efficiency: float, n: int, rng) -> np.ndarray:
+    """n gaps between detections, drawn cycle count first: the independent reference
+    for the sampler's segment decomposition.
+
+    After a detection the emitter is in the ground state.  The next detection
+    follows M ~ Geometric(r p) pump cycles, r = k21 / (k21 + k23) the
+    radiative branching ratio and p the detection efficiency; each of the
+    M - 1 undetected cycles ended on the shelf with probability
+    (1 - r) / (1 - r p), so S ~ Binomial(M - 1, that) of them did, and the
+    gap is Gamma(M, 1/k12) + Gamma(M, 1/(k21 + k23)) + Gamma(S, 1/k31).
+    """
+    k2 = rates.k21 + rates.k23
+    r = rates.k21 / k2
+    cycles = rng.geometric(r * efficiency, n)
+    gaps = rng.gamma(cycles, 1.0 / rates.k12) + rng.gamma(cycles, 1.0 / k2)
+    if rates.k23 > 0.0:
+        shelved = rng.binomial(cycles - 1, (1.0 - r) / (1.0 - r * efficiency))
+        gaps += rng.gamma(shelved, 1.0 / rates.k31)
+    return gaps

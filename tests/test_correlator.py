@@ -399,6 +399,18 @@ class TestMemory:
         assert peak < 1.5 * a.tags.nbytes
 
 
+class TestSelect:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 50])
+    def test_equals_boolean_indexing_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        tags = np.sort(rng.integers(0, 10**15, n))
+        mask = rng.random(n) < 0.4
+        with patch.object(correlator, "_SELECT_BLOCK", 8):
+            for m in (mask, ~mask, np.zeros(n, bool), np.ones(n, bool)):
+                got = correlator._select(m, tags)
+                assert got.dtype == tags.dtype and np.array_equal(got, tags[m])
+
+
 class TestSwapSymmetry:
     def test_mirror_identity_at_1ps_bins(self):
         rng = np.random.default_rng(11)

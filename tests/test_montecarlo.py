@@ -25,6 +25,8 @@ from spphbt.montecarlo import (
     simulate_ensemble,
 )
 
+from rate_oracles import compound_geometric_gaps
+
 
 class EmitterState(enum.IntEnum):
     """Levels of the emitter; values match the conventional numbering."""
@@ -187,6 +189,45 @@ class TestDetectedSampler:
                           + p * (1.0 - p) * emitted_mean)
         ens = simulate_ensemble(rates, n, duration, 53, efficiency=p)
         assert abs(len(ens) - p * emitted_mean) < 3.0 * sigma
+
+
+# the builtin rate sets, one without a shelf, and one whose correlation oscillates
+GAP_CASES = {
+    "silver": RateSet.from_lifetimes(tau12=27.0, tau21=9.7, tau23=27.4, tau31=102.0),
+    "glass": RateSet.from_lifetimes(tau12=51.0, tau21=60.0, tau23=23.0, tau31=300.0),
+    "no_shelf": RateSet.from_lifetimes(tau12=27.0, tau21=9.7, tau23=math.inf, tau31=math.inf),
+    "oscillatory": RateSet(0.5, 0.2, 0.8, 0.3),
+}
+EFFICIENCIES = [1.0, 0.14, 1e-3]
+
+
+@pytest.mark.parametrize("efficiency", EFFICIENCIES)
+@pytest.mark.parametrize("case", GAP_CASES)
+class TestSegmentSampler:
+    """Gaps drawn as segments between shelvings equal gaps drawn cycle by cycle."""
+
+    def test_segment_rates_factor_the_cycle_sum(self, case, efficiency):
+        rates = GAP_CASES[case]
+        lam1, lam2 = montecarlo._segment_rates(rates, efficiency)
+        k2 = rates.k21 + rates.k23
+        p_end = (rates.k21 * efficiency + rates.k23) / k2
+        assert lam1 >= lam2 > 0.0
+        assert lam1 + lam2 == pytest.approx(rates.k12 + k2, rel=1e-12)
+        assert lam1 * lam2 == pytest.approx(p_end * rates.k12 * k2, rel=1e-12)
+        if efficiency == 1.0:  # every cycle ends a segment
+            assert sorted((lam1, lam2)) == pytest.approx(sorted((rates.k12, k2)), rel=1e-12)
+
+    def test_gaps_match_the_compound_geometric_reference(self, case, efficiency):
+        rates = GAP_CASES[case]
+        seed = 100 * list(GAP_CASES).index(case) + EFFICIENCIES.index(efficiency)
+        mean_gap = 1.0 / (steady_emission_rate(rates) * efficiency)
+        gaps = np.diff(simulate_emitter(rates, 4e4 * mean_gap, seed,
+                                        efficiency=efficiency).times)
+        reference = compound_geometric_gaps(rates, efficiency, gaps.size,
+                                            np.random.default_rng(seed + 50))
+        assert stats.ks_2samp(gaps, reference).pvalue > 0.01
+        sem = gaps.std() / math.sqrt(gaps.size)
+        assert abs(gaps.mean() - mean_gap) < 3.0 * sem
 
 
 class TestSimulateEnsemble:

@@ -8,6 +8,7 @@ tolerances.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -158,6 +159,18 @@ class TestRouting:
         assert within_binomial(r.tags_a.size, n, 0.3)
         merged = np.sort(np.concatenate([r.tags_a, r.tags_b]))
         assert np.array_equal(merged, np.rint(s.times * 1000.0).astype(np.int64))
+
+    def test_split_peak_stays_near_boolean_indexing(self):
+        # the split's index arrays are one block long: whole, they would lift the
+        # peak from 2.25x to 2.75x the event times' bytes
+        s = signal_stream(1 << 20, 1e9, seed=21)
+        tracemalloc.start()
+        try:
+            route_events(s, 0.5, seed=22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * s.times.nbytes
 
     def test_full_ring_overlap_splits_at_beamsplitter(self):
         # both arcs cover the whole ring, so every photon is shared and split
