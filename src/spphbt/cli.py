@@ -114,10 +114,11 @@ def _cmd_simulate(args) -> int:
     from .pipeline import acquire
     from .tagio import write_time_tags
 
-    a, b, info = acquire(scenario)
-    path = write_time_tags(out / f"{scenario.name}.ttag", a, b, metadata=info)
-    print(f"wrote {path} ({len(a)} + {len(b)} tags, "
-          f"rates {a.rate_hz:.0f}/{b.rate_hz:.0f} Hz)")
+    tags = acquire(scenario)
+    path = write_time_tags(out / f"{scenario.name}.ttag", tags)
+    n_a, n_b = tags.counts
+    rate_a, rate_b = (n / tags.duration * 1e12 for n in (n_a, n_b))
+    print(f"wrote {path} ({n_a} + {n_b} tags, rates {rate_a:.0f}/{rate_b:.0f} Hz)")
     return 0
 
 

@@ -37,29 +37,36 @@ share t mod w, so E comes from the same kernel at unit bins over sorted
 keys (t mod w, t div w), restricted to the few keys that have a neighbour
 within the window.
 
-The auto-correlation runs in time blocks on every usable core.  The sorted
-stream is cut into blocks of whole chunks, a fixed number per thread; each
-block counts the pairs whose earlier tag lies in it, reading its partners
-past the block's end in the carried window, the tags within lag_max of the
-block's last.  Its share of E is E over the block and the carried window
-less E over the carried window alone, the pairs both of whose tags lie
-beyond the block.  The blocks' int64 histograms add up to the whole
-stream's whatever the order, so the counts do not depend on the thread
-count.
+Both correlators run in time blocks of the pooled stream of both channels
+on every usable core, under one rule (`montecarlo._time_blocks`): a fixed
+number of equal-duration blocks, or a single block on the calling thread
+for a stream of at most one chunk.  A cross block owns the pairs whose A
+tag lies in it: it copies out its A tags and the B tags within lag_max of
+them, so neither channel is copied whole.  An auto block owns the
+pairs whose earlier tag lies in it, reading its partners past the block's
+end in the carried window, the tags within lag_max of the block's last.  Its
+share of E is E over the block and the carried window less E over the
+carried window alone, the pairs both of whose tags lie beyond the block.
+The blocks' int64 histograms add up to the whole stream's whatever the
+order, so the counts do not depend on the thread count.
+
+An acquisition's two channels travel as one `ChannelTags`: the time-ordered
+tags of both, A's first at equal tags, and a mask of B's.  Both correlators
+read it as it is; a whole channel is copied out only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyStream, UnsortedInput
-from .montecarlo import _map_on_threads, _usable_cores
+from .montecarlo import _map_blocks, _time_blocks, _usable_cores
 
 __all__ = [
     "TimeTagStream",
-    "ChannelPair",
+    "ChannelTags",
     "CorrelationHistogram",
     "cross_correlate",
     "auto_correlate",
@@ -72,8 +79,6 @@ _CHUNK = 1 << 15
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
 _DENSE = 1 / 3
-# time blocks of an auto-correlation per thread; more than one evens out the threads' loads
-_BLOCKS_PER_THREAD = 4
 # tags per block of a channel split; each block's index array is this long at most
 _SELECT_BLOCK = 1 << 16
 
@@ -109,18 +114,46 @@ class TimeTagStream:
 
 
 @dataclass(frozen=True)
-class ChannelPair:
-    """Channels A and B of one acquisition, held as two streams."""
+class ChannelTags:
+    """Both channels of one acquisition: their tags in time order, which are B's, and metadata.
 
-    a: TimeTagStream
-    b: TimeTagStream
+    At equal tags A's come first, the order of a tag file's records.
+    Unpacks as (channel A, channel B, metadata).
+    """
+
+    pooled: TimeTagStream
+    on_b: np.ndarray  # bool, one per tag of `pooled`
+    metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def pool(cls, a: TimeTagStream, b: TimeTagStream) -> "ChannelTags":
+        """Channels A and B as one value."""
+        tags = np.concatenate([a.tags, b.tags])
+        # a stable sort merges the two sorted runs and keeps A's first at equal tags
+        order = np.argsort(tags, kind="stable")
+        return cls(TimeTagStream(tags[order], "A+B", min(a.duration, b.duration)),
+                   order >= a.tags.size)
 
     @property
-    def pooled(self) -> TimeTagStream:
-        """Both channels' tags in one time-ordered stream."""
-        # a stable sort merges the two sorted runs instead of sorting from scratch
-        tags = np.sort(np.concatenate([self.a.tags, self.b.tags]), kind="stable")
-        return TimeTagStream(tags, "A+B", min(self.a.duration, self.b.duration))
+    def duration(self) -> int:
+        return self.pooled.duration
+
+    @property
+    def counts(self) -> tuple[int, int]:
+        """Tags on channel A and on channel B."""
+        n_b = int(np.count_nonzero(self.on_b))
+        return len(self.pooled) - n_b, n_b
+
+    @property
+    def a(self) -> TimeTagStream:
+        return TimeTagStream(_select(~self.on_b, self.pooled.tags), "A", self.duration)
+
+    @property
+    def b(self) -> TimeTagStream:
+        return TimeTagStream(_select(self.on_b, self.pooled.tags), "B", self.duration)
+
+    def __iter__(self):
+        return iter((self.a, self.b, self.metadata))
 
 
 def _select(mask: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -343,25 +376,41 @@ def _validate_window(lag_max: int, bin_width: int) -> int:
     return int(lag_max)
 
 
-def cross_correlate(a: TimeTagStream, b: TimeTagStream, lag_max: int,
+def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag_max: int,
                     bin_width: int) -> CorrelationHistogram:
-    """Correlate two channels over lags [-lag_max, lag_max) ps.
+    """Correlate channel A against channel B over lags [-lag_max, lag_max) ps.
 
-    The window must hold a whole number of bins on each side.  Every pair in
-    the window is counted, which keeps the estimator unbiased at any rate.
+    `a` and `b` are the two channels' streams, or `a` is the ChannelTags of
+    both and `b` is None.  The window must hold a whole number of bins on
+    each side.  Every pair in the window is counted, which keeps the
+    estimator unbiased at any rate.  The counting runs in time blocks of the
+    pooled stream on every usable core, with counts that do not depend on
+    their number; each block copies out its own A tags and the B tags their
+    window reaches, so neither channel is copied whole.
     """
-    if len(a) == 0 or len(b) == 0:
+    tags = a if b is None else ChannelTags.pool(a, b)
+    n_a, n_b = tags.counts
+    if n_a == 0 or n_b == 0:
         raise EmptyStream("both channels need at least one tag")
     lag_max = _validate_window(lag_max, bin_width)
-    counts = _pair_counts(a.tags, b.tags, -lag_max, lag_max, bin_width)
-    duration = min(a.duration, b.duration)
+    t, on_b = tags.pooled.tags, tags.on_b
+
+    def count(first: int, stop: int) -> np.ndarray:
+        ta = _select(~on_b[first:stop], t[first:stop])
+        if ta.size == 0:
+            return np.zeros(2 * lag_max // bin_width, dtype=np.int64)
+        # the B tags in reach of the block's A tags
+        lo, hi = np.searchsorted(t, [ta[0] - lag_max, ta[-1] + lag_max]).tolist()
+        return _pair_counts(ta, _select(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
+
+    parts = _map_blocks(count, _time_blocks(t, tags.duration, _CHUNK), _usable_cores())
     return CorrelationHistogram(
-        counts=counts,
+        counts=np.sum(parts, axis=0),
         bin_width=bin_width,
         lag_max=lag_max,
-        duration=duration,
-        rate_a=len(a) / duration * _PS_PER_SECOND,
-        rate_b=len(b) / duration * _PS_PER_SECOND,
+        duration=tags.duration,
+        rate_a=n_a / tags.duration * _PS_PER_SECOND,
+        rate_b=n_b / tags.duration * _PS_PER_SECOND,
     )
 
 
@@ -379,12 +428,8 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
         raise EmptyStream("channel has no tags")
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
-    n_chunks = -(-t.size // _CHUNK)
-    n_threads = min(_usable_cores(), n_chunks)
-    block = -(-n_chunks // (n_threads * _BLOCKS_PER_THREAD)) * _CHUNK
-    parts = _map_on_threads(
-        lambda first: _block_counts(t, first, min(first + block, t.size), lag_max, bin_width),
-        list(range(0, t.size, block)), n_threads)
+    parts = _map_blocks(lambda first, stop: _block_counts(t, first, stop, lag_max, bin_width),
+                        _time_blocks(t, a.duration, _CHUNK), _usable_cores())
     forward, exact = (np.sum(counts, axis=0) for counts in zip(*parts))
     # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
     # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w

@@ -39,8 +39,17 @@ Emitters are independent and each draws from its own SeedSequence child, so
 `simulate_ensemble` samples them on one thread per usable core (numpy's
 generators release the GIL while they fill arrays).  Below about 8 k
 expected detections per emitter the hand-offs cost more than they gain and
-the calling thread samples alone.  Results are merged in emitter order on
-the calling thread, so the bytes do not depend on the thread count.
+the calling thread samples alone.  The emitters' sorted runs are merged in
+time blocks: each block of [0, duration] gathers its share of every run and
+sorts it into its own slice of the result, one block per thread at a time.
+A sorted union is unique, so the bytes do not depend on the thread count.
+
+The merge, the rounding to picoseconds and both correlators share one block
+rule, `_time_blocks`: a fixed number of equal-duration blocks, or one block
+on the calling thread below a size gate.  Every threaded stage runs on
+`_map_on_threads`, and a stage started inside another's worker thread (a
+correlation in a lane of `run`) takes only the cores the outer one left
+free, so the threads at work never outnumber the usable cores.
 """
 
 from __future__ import annotations
@@ -64,6 +73,14 @@ __all__ = [
 # expected detections per emitter below which the calling thread samples the
 # whole ensemble: smaller draws lose more to GIL hand-offs than threads gain
 _THREADED_MIN_DETECTIONS = 8192
+# equal-duration time blocks that a blocked stage cuts [0, duration] into;
+# more blocks than cores even out the threads' loads
+_TIME_BLOCKS = 8
+# events at or below which the merge and the rounding run whole on the calling thread
+_BLOCKED_MIN = 1 << 15
+# worker threads that _map_on_threads has started and not yet joined, callers not counted
+_running_workers = 0
+_workers_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -89,9 +106,22 @@ class EventStream:
 
     @staticmethod
     def merge(streams: "list[EventStream]", duration: float) -> "EventStream":
-        """Time-sorted union of the streams' detections."""
-        times = np.concatenate([np.empty(0)] + [s.times for s in streams])
-        times.sort()  # in place: a sorted copy would double the run's largest array
+        """Time-sorted union of the streams' detections, sorted in time blocks on every core."""
+        runs = [s.times for s in streams]
+        n = sum(run.size for run in runs)
+        edges = _block_edges(duration, n, _BLOCKED_MIN)
+        # where each block starts in each run, and in the union
+        cuts = [[0, *np.searchsorted(run, edges).tolist(), run.size] for run in runs]
+        starts = [sum(c[k] for c in cuts) for k in range(len(edges) + 2)]
+        times = np.empty(n)
+
+        def sort_block(k: int) -> None:
+            block = times[starts[k]:starts[k + 1]]
+            np.concatenate([np.empty(0)] + [run[c[k]:c[k + 1]] for run, c in zip(runs, cuts)],
+                           out=block)
+            block.sort()
+
+        _map_blocks(sort_block, [(k,) for k in range(len(edges) + 1)], _usable_cores())
         return EventStream(times, duration, _validate=False)
 
 
@@ -221,9 +251,40 @@ def _worker_count(rates: RateSet, n_emitters: int, duration: float, efficiency: 
 
 
 def _usable_cores() -> int:
+    """Cores that no worker thread of _map_on_threads holds, at least 1.
+
+    A stage started inside another's worker thread, such as a correlation in
+    a lane of `run`, so spreads over the cores the outer stage left free.
+    """
+    return max(1, _process_cores() - _running_workers)
+
+
+def _process_cores() -> int:
     if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _block_edges(duration, n_items: int, gate: int) -> list:
+    """Inner edges of the _TIME_BLOCKS equal-duration blocks of [0, duration].
+
+    None at or below `gate` items, whose stage is then one block.
+    """
+    if n_items <= gate:
+        return []
+    return [duration * k // _TIME_BLOCKS for k in range(1, _TIME_BLOCKS)]
+
+
+def _time_blocks(times: np.ndarray, duration, gate: int) -> list[tuple[int, int]]:
+    """[start, stop) of the non-empty equal-duration time blocks of sorted `times`."""
+    cuts = [0, *np.searchsorted(times, _block_edges(duration, times.size, gate)).tolist(),
+            times.size]
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if stop > start]
+
+
+def _map_blocks(fn, blocks: list[tuple], n_cores: int) -> list:
+    """[fn(*block) for block in blocks] on up to n_cores threads, the caller's included."""
+    return _map_on_threads(lambda block: fn(*block), blocks, max(1, min(n_cores, len(blocks))))
 
 
 def _map_on_threads(fn, items: list, n_threads: int) -> list:
@@ -248,12 +309,19 @@ def _map_on_threads(fn, items: list, n_threads: int) -> list:
                 errors.append((i, exc))
                 return
 
+    global _running_workers
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_threads)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
+    with _workers_lock:
+        _running_workers += len(threads)
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        with _workers_lock:
+            _running_workers -= len(threads)
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return results

@@ -17,6 +17,11 @@ The emission sampler draws only detected photons (at eff_A + eff_B), and
 `route_events` assigns each of them a channel with the one share
 eff_A / (eff_A + eff_B).  Background counts bypass the loss chain but share
 the signal's split, so every detector sees the same signal fraction rho.
+
+The routed tags stay one time-ordered stream with a mask of channel B's
+(`ChannelTags`).  The channel draw and any jitter run once over the events
+in order; the rounding to picoseconds then runs in time blocks on every
+usable core, each block into its own slice of the tags.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlator import _select
+from .correlator import ChannelTags, TimeTagStream
 from .errors import InvalidGeometry
-from .montecarlo import EventStream
+from .montecarlo import _BLOCKED_MIN, EventStream, _map_blocks, _time_blocks, _usable_cores
 
 __all__ = [
     "DetectionGeometry",
@@ -42,6 +47,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# events whose channel uniforms route_events draws at once
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,16 +124,14 @@ class DipoleMix:
 
 @dataclass(frozen=True)
 class RoutedStreams:
-    """Detected tags per channel; n_events counts the routed events."""
+    """The detected tags of both channels; n_events counts the routed events."""
 
-    tags_a: np.ndarray  # int64 ps, sorted
-    tags_b: np.ndarray
-    duration_ps: int
+    channels: ChannelTags
     n_events: int
 
     @property
     def n_detected(self) -> int:
-        return int(self.tags_a.size + self.tags_b.size)
+        return len(self.channels.pooled)
 
 
 def coupling_ratio(n_spp: float) -> float:
@@ -168,28 +173,52 @@ def route_events(
     One uniform draw per event sends it to A with probability share_a
     (eff_A / (eff_A + eff_B)) and otherwise to B.  Timestamps are jittered
     (Gaussian, ns) and quantised to integer ps; jittered events outside
-    [0, duration] are dropped.
+    [0, duration] are dropped.  Equal tags list channel A's first.
     """
     if jitter_sigma_ns < 0.0:
         raise ValueError("jitter_sigma_ns must be >= 0")
     rng = np.random.default_rng(seed)
     n = len(stream)
-    to_a = rng.random(n) < share_a
+    tags = np.empty(n, dtype=np.int64)
+    # the uniforms are drawn a block at a time: the same stream as one draw, in less memory
+    on_b = np.empty(n, dtype=bool)
+    for first in range(0, n, _DRAW_BLOCK):
+        part = on_b[first:first + _DRAW_BLOCK]
+        np.greater_equal(rng.random(part.size), share_a, out=part)
     duration_ps = int(round(stream.duration * 1000.0))
     times = stream.times
     if jitter_sigma_ns > 0.0:
         times = times + rng.normal(0.0, jitter_sigma_ns, n)
         # jittered times reorder; each keeps its channel
         order = np.argsort(times, kind="stable")
-        times, to_a = times[order], to_a[order]
+        times, on_b = times[order], on_b[order]
+    ties = np.concatenate([np.empty(0, np.int64), *_map_blocks(
+        lambda first, stop: _round_block(times, tags, first, stop),
+        _time_blocks(times, stream.duration, _BLOCKED_MIN), _usable_cores())])
+    if ties.size:
+        # each run of equal tags lists A's before B's
+        run = np.union1d(ties, ties + 1)
+        on_b[run] = on_b[run][np.lexsort((on_b[run], tags[run]))]
     # rounding is monotone: sorted times give sorted tags, and only their
     # ends can round out of [0, duration_ps]
-    scaled = times * 1000.0
-    tags = np.rint(scaled, out=scaled).astype(np.int64)
-    del scaled
     lo, hi = np.searchsorted(tags, [0, duration_ps + 1]).tolist()
-    tags, to_a = tags[lo:hi], to_a[lo:hi]
-    return RoutedStreams(_select(to_a, tags), _select(~to_a, tags), duration_ps, n)
+    return RoutedStreams(
+        ChannelTags(TimeTagStream(tags[lo:hi], "A+B", duration_ps), on_b[lo:hi]), n)
+
+
+def _round_block(times: np.ndarray, tags: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """Round times[first:stop] ns to whole ps into tags[first:stop].
+
+    Returns the indices i in [first, stop) whose tag equals the next one,
+    the next block's first tag included.
+    """
+    block = tags[first:stop]
+    np.rint(times[first:stop] * 1000.0, out=block, casting="unsafe")
+    ties = np.flatnonzero(block[1:] == block[:-1])
+    ties += first
+    if stop < times.size and np.rint(times[stop] * 1000.0) == block[-1]:
+        ties = np.append(ties, stop - 1)
+    return ties
 
 
 def expected_channel_efficiencies(

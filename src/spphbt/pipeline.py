@@ -6,28 +6,25 @@ a separately derived stream, so artifacts are byte-identical across reruns.
 The manifest records the config hash and artifact checksums instead of
 timestamps for exactly that reason.
 
-`run_pipeline` writes and hashes the tag file beside the analysis (correlate,
-fit, report) on a second core; the bytes do not depend on the thread count.
-A run in which either fails writes no manifest.
+Acquisition gives one `ChannelTags`: both channels' tags in one time-ordered
+stream plus a mask of channel B's, unsplit from the router to the tag file
+and the correlator.  `run_pipeline` writes the tag file, hashing it as it is
+written, beside the analysis (correlate, fit, report) on a second core; the
+bytes do not depend on the thread count.  A run in which either fails
+writes no manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .correlator import (
-    ChannelPair,
-    CorrelationHistogram,
-    TimeTagStream,
-    auto_correlate,
-    cross_correlate,
-)
+from .correlator import ChannelTags, CorrelationHistogram, auto_correlate, cross_correlate
 from .errors import InvalidInversion
 from .fitter import (
     DEFAULT_MAX_ITERATIONS,
@@ -42,7 +39,6 @@ from .montecarlo import _map_on_threads, _usable_cores, simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
 from .scenarios import Scenario, check_setting
 from .tagio import (
-    TagFile,
     sha256_file,
     sidecar_path,
     write_histogram_csv,
@@ -82,8 +78,8 @@ def expected_signal_rate(scenario: Scenario) -> float:
     return scenario.n_emitters * steady_emission_rate(scenario.rates) * eff_a
 
 
-def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
-    """Simulate the detected photons and route them; returns both channels plus run info.
+def acquire(scenario: Scenario) -> ChannelTags:
+    """Simulate the detected photons and route them: both channels, with the run info as metadata.
 
     Background b is detector-level and splits like the signal s, so the
     b = s (1 - rho) / rho that leaves s the fraction rho in total leaves it
@@ -105,8 +101,6 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
         np.random.SeedSequence(entropy=(scenario.seed, _ROUTE_SALT)),
         jitter_sigma_ns=scenario.jitter_sigma_ns,
     )
-    a = TimeTagStream(routed.tags_a, "A", routed.duration_ps)
-    b = TimeTagStream(routed.tags_b, "B", routed.duration_ps)
     info = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -120,18 +114,14 @@ def acquire(scenario: Scenario) -> tuple[TimeTagStream, TimeTagStream, dict]:
         "fit": asdict(scenario.fit),
         "n_emitters": scenario.n_emitters,
     }
-    return a, b, info
+    return replace(routed.channels, metadata=info)
 
 
-def correlate_tags(channels: ChannelPair | TagFile, kind: str, window_ps: int,
+def correlate_tags(channels: ChannelTags, kind: str, window_ps: int,
                    bin_width_ps: int) -> CorrelationHistogram:
-    """Histogram two channels: one against the other, or pooled for a same-point run.
-
-    Either kind of `channels` gives the streams `a` and `b` and their
-    time-ordered union `pooled`; a tag file's is its time column.
-    """
+    """Histogram two channels: one against the other, or pooled for a same-point run."""
     if check_setting("correlation", kind) == "cross":
-        return cross_correlate(channels.a, channels.b, window_ps, bin_width_ps)
+        return cross_correlate(channels, None, window_ps, bin_width_ps)
     return auto_correlate(channels.pooled, window_ps, bin_width_ps)
 
 
@@ -215,22 +205,24 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     Writes all artifacts under out_dir using the scenario name as the stem
     and returns the in-memory results alongside the manifest.  After
     acquisition the work runs in two lanes on up to two cores: the tag lane
-    writes and hashes the tag file while the analysis lane correlates, fits
-    and writes the rest.  A failed lane raises once both have stopped, the
-    tag lane's error first, and no manifest is written.
+    writes the tag file, hashing it as it goes, while the analysis lane
+    correlates, fits and writes the rest.  A failed lane raises once both
+    have stopped, the tag lane's error first, and no manifest is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = scenario.name
 
-    a, b, info = acquire(scenario)
+    tags = acquire(scenario)
+    info = tags.metadata
 
     def tag_lane():
-        tags = write_time_tags(out / f"{stem}.ttag", a, b, metadata=info)
-        return {"tags": tags, "tags_sidecar": sidecar_path(tags)}, sha256_file(tags)
+        digest = hashlib.sha256()
+        path = write_time_tags(out / f"{stem}.ttag", tags, digest=digest)
+        return {"tags": path, "tags_sidecar": sidecar_path(path)}, digest.hexdigest()
 
     def analysis_lane():
-        hist = correlate_tags(ChannelPair(a, b), scenario.correlation_kind,
+        hist = correlate_tags(tags, scenario.correlation_kind,
                               scenario.window_ps, scenario.bin_width_ps)
         paths = {"histogram": write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)}
         paths["histogram_sidecar"] = sidecar_path(paths["histogram"])

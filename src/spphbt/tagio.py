@@ -7,11 +7,13 @@ sorted by timestamp with channel breaking ties.  The header has no room
 for metadata, so the acquisition duration, the tag count of each channel
 and the provenance travel in a JSON sidecar next to the file
 ("<file>.json"); the reader checks the records against those counts.
-Records are merged and written in blocks of a fixed number of tags per
-channel, so writing holds a few MB whatever the file's size; the bytes do
-not depend on the block size.  The reader refuses records out of time
-order and keeps the time column whole, as the pooled stream of both
-channels, beside a mask of the records on channel B (`TagFile`); a channel
+Writer and reader both hold the tags as one `ChannelTags`: the pooled,
+time-ordered tags of both channels, which are the records' time column,
+and a mask of the records on channel B.  The writer builds records straight
+from them, a block of a fixed number of tags at a time, so writing holds a
+few MB whatever the file's size and the bytes do not depend on the block
+size; it can hash each block as it writes it, so the file need not be read
+back to be hashed.  The reader refuses records out of time order; a channel
 is split off only when it is asked for.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
@@ -27,19 +29,17 @@ import hashlib
 import json
 import struct
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .correlator import CorrelationHistogram, TimeTagStream, _select
+from .correlator import ChannelTags, CorrelationHistogram, TimeTagStream
 from .errors import UnsortedInput
 from .scenarios import stored_setting
 
 __all__ = [
     "TTAG_MAGIC",
     "TTAG_VERSION",
-    "TagFile",
     "write_time_tags",
     "read_time_tags",
     "write_histogram_csv",
@@ -54,7 +54,7 @@ TTAG_MAGIC = b"TTAG"
 TTAG_VERSION = 1
 _HEADER = struct.Struct("<4sH10x")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")])
-_BLOCK = 1 << 16  # tags per channel and block that write_time_tags merges at once
+_BLOCK = 1 << 16  # tags per block of records that write_time_tags builds at once
 
 
 def sidecar_path(path) -> Path:
@@ -69,70 +69,49 @@ def _read_sidecar(path: Path) -> tuple[Path, dict]:
     return sidecar, _read_json(sidecar)
 
 
-def write_time_tags(path, a: TimeTagStream, b: TimeTagStream, metadata: dict | None = None) -> Path:
-    """Write both channels into one TTAG file plus its JSON sidecar."""
+def write_time_tags(path, *channels, metadata: dict | None = None, digest=None) -> Path:
+    """Write both channels into one TTAG file plus its JSON sidecar.
+
+    `channels` is one ChannelTags, whose metadata is written unless
+    `metadata` is given, or the TimeTagStreams of channels A and B.  A
+    hashlib object passed as `digest` is fed the file's bytes as they are
+    written.
+    """
     path = Path(path)
-    # cut both channels at the same times, each tie on one side of every cut,
-    # so that no block holds more than about _BLOCK tags of either channel
-    cuts = np.sort(np.concatenate([a.tags[_BLOCK::_BLOCK], b.tags[_BLOCK::_BLOCK]]))
-    ends_a = np.append(np.searchsorted(a.tags, cuts), len(a)).tolist()
-    ends_b = np.append(np.searchsorted(b.tags, cuts), len(b)).tolist()
+    tags = channels[0] if len(channels) == 1 else ChannelTags.pool(*channels)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(TTAG_MAGIC, TTAG_VERSION))
-        for start_a, end_a, start_b, end_b in zip([0, *ends_a], ends_a, [0, *ends_b], ends_b):
-            fh.write(_merged_records(a.tags[start_a:end_a], b.tags[start_b:end_b]).data)
+        for data in _ttag_bytes(tags):
+            fh.write(data)
+            if digest is not None:
+                digest.update(data)
+    n_a, n_b = tags.counts
     sidecar = {
         "format": "ttag",
         "version": TTAG_VERSION,
-        "duration_ps": int(min(a.duration, b.duration)),
-        "n_a": len(a),
-        "n_b": len(b),
+        "duration_ps": tags.duration,
+        "n_a": n_a,
+        "n_b": n_b,
     }
+    metadata = tags.metadata if metadata is None else metadata
     if metadata:
         sidecar["metadata"] = metadata
     write_json(sidecar_path(path), sidecar)
     return path
 
 
-def _merged_records(tags_a: np.ndarray, tags_b: np.ndarray) -> np.ndarray:
-    """TTAG records of one block's tags of channels A and B."""
-    times = np.concatenate([tags_a, tags_b])
-    # a stable sort merges the two sorted runs and keeps A before B at equal times
-    order = np.argsort(times, kind="stable")
-    records = np.zeros(times.size, dtype=_RECORD_DTYPE)
-    np.take(times.view(np.uint64), order, out=records["t"])
-    records["ch"] = order >= tags_a.size
-    return records
+def _ttag_bytes(tags: ChannelTags):
+    """The header, then the records a block at a time, each valid until the next is asked for."""
+    yield _HEADER.pack(TTAG_MAGIC, TTAG_VERSION)
+    times, on_b = tags.pooled.tags.view(np.uint64), tags.on_b
+    records = np.zeros(min(_BLOCK, times.size), dtype=_RECORD_DTYPE)  # the pad bytes stay 0
+    for first in range(0, times.size, _BLOCK):
+        block = records[:min(_BLOCK, times.size - first)]
+        block["t"] = times[first:first + _BLOCK]
+        block["ch"] = on_b[first:first + _BLOCK]
+        yield block.data
 
 
-@dataclass(frozen=True)
-class TagFile:
-    """The tags of a TTAG file: both channels in time order, which are B's, and the metadata.
-
-    Unpacks as (channel A, channel B, metadata).
-    """
-
-    pooled: TimeTagStream
-    on_b: np.ndarray  # bool, one per tag of `pooled`
-    metadata: dict
-
-    @property
-    def duration(self) -> int:
-        return self.pooled.duration
-
-    @property
-    def a(self) -> TimeTagStream:
-        return TimeTagStream(_select(~self.on_b, self.pooled.tags), "A", self.duration)
-
-    @property
-    def b(self) -> TimeTagStream:
-        return TimeTagStream(_select(self.on_b, self.pooled.tags), "B", self.duration)
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.metadata))
-
-
-def read_time_tags(path) -> TagFile:
+def read_time_tags(path) -> ChannelTags:
     """Read a TTAG file and its sidecar; the result unpacks as (channel A, channel B, metadata)."""
     path = Path(path)
     raw = path.read_bytes()
@@ -162,7 +141,7 @@ def read_time_tags(path) -> TagFile:
             raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
     try:
         # the time column is sorted across both channels, so each channel is too
-        return TagFile(TimeTagStream(tags, "A+B", duration), on_b, metadata)
+        return ChannelTags(TimeTagStream(tags, "A+B", duration), on_b, metadata)
     except UnsortedInput as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:  # tags beyond the duration

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # a subset run would cut the tracked report down to its own lines
     if {label.split()[0] for label in ACCEPTANCE_LINES} >= criterion_ids():
         (Path(config.rootpath) / "acceptance_report.txt").write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running: every block thread must be joined."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

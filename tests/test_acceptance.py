@@ -32,7 +32,7 @@ from rate_oracles import (
     jacobian_check,
     swap_symmetry_check,
 )
-from spphbt.correlator import ChannelPair, TimeTagStream, cross_correlate
+from spphbt.correlator import TimeTagStream, cross_correlate
 from spphbt.fitter import fit_curve, report_photophysics
 from spphbt.kinetics import (
     RateSet,
@@ -60,8 +60,7 @@ MODEL_INVERSION_XFAIL = pytest.mark.xfail(
 def run_fit(mapping, *, kind="cross", max_iterations=200):
     """Scenario mapping -> (fit, histogram): the canonical analysis chain."""
     sc = scenario_from_mapping(mapping)
-    a, b, _ = acquire(sc)
-    hist = correlate_tags(ChannelPair(a, b), kind, sc.window_ps, sc.bin_width_ps)
+    hist = correlate_tags(acquire(sc), kind, sc.window_ps, sc.bin_width_ps)
     return fit_histogram(hist, max_iterations), hist
 
 
@@ -188,8 +187,7 @@ class TestOracleAgreement:
             "rates": "silver", "n_emitters": 1, "duration_ns": 3e7, "seed": 11,
             "fiber_config": "DirectPlane", "budget": "ideal",
         })
-        a, b, _ = acquire(sc)
-        hist = correlate_tags(ChannelPair(a, b), "cross", sc.window_ps, sc.bin_width_ps)
+        hist = correlate_tags(acquire(sc), "cross", sc.window_ps, sc.bin_width_ps)
         centers_ns = np.abs(hist.lag_centers) / 1000.0
         grid = np.unique(centers_ns)
         oracle = np.interp(centers_ns, grid, conditional_intensity(silver_rates, grid))

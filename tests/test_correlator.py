@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rate_oracles import SymmetryViolation, swap_symmetry_check
-from spphbt import correlator
+from spphbt import correlator, montecarlo
 from spphbt.correlator import (
     CorrelationHistogram,
     TimeTagStream,
@@ -328,8 +328,29 @@ class TestDenseRankKernel:
         assert np.array_equal(h.counts, oracle)
 
 
+@st.composite
+def cross_cases(draw):
+    """Two channels sharing some tags, a symmetric window with partners on its ends, a chunk
+    size and a number of time blocks."""
+    span = draw(st.integers(0, 300))
+    ta = np.sort(draw(st.lists(st.integers(0, span), min_size=1, max_size=100)))
+    tb = draw(st.lists(st.sampled_from(ta.tolist()) | st.integers(0, span), min_size=1,
+                       max_size=100))
+    bin_width = draw(st.integers(1, 16))
+    n_half = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        # B tags exactly lag_max before and after some A tags: -lag_max is in
+        # the window, +lag_max is not
+        near = draw(st.lists(st.sampled_from(ta.tolist()), min_size=1, max_size=10))
+        tb += [t + sign * n_half * bin_width for t in near for sign in (-1, 1)]
+    tb = np.sort(np.clip(tb, 0, None))
+    chunk = draw(st.integers(1, ta.size))
+    n_blocks = draw(st.sampled_from([2, montecarlo._TIME_BLOCKS, 40]))
+    return ta, tb, n_half * bin_width, bin_width, chunk, n_blocks
+
+
 class TestTimeBlocks:
-    """The auto-correlation in time blocks on 1, 2 and 3 threads against the brute-force oracle."""
+    """Both correlations in time blocks on 1, 2 and 3 threads against the brute-force oracle."""
 
     @staticmethod
     def counts_on_threads(ta, lag_max, bin_width, chunk):
@@ -361,9 +382,9 @@ class TestTimeBlocks:
     @pytest.mark.parametrize("ta,lag_max,bin_width,chunk", [
         # shorter than one chunk: one block, on the calling thread
         ([3, 5, 5, 9, 40], 20, 5, 8),
-        # blocks of 8 to 24 tags, at most 37 ps long, under a window of 60 ps
+        # eight blocks about 15 ps long, under a window of 60 ps
         (sorted(np.random.default_rng(36).integers(0, 120, 90).tolist()), 60, 4, 2),
-        # a burst of 25 equal tags across several block edges
+        # a burst of 25 equal tags across several chunk edges
         ([1, 4, 9, *[30] * 25, 33, 50, 58, 71], 12, 3, 3),
         # each tag's partner at exactly lag_max lies in the next block
         ([0, 10, 20, 30, 40, 50, 60, 70, 75, 80], 10, 5, 1),
@@ -380,6 +401,71 @@ class TestTimeBlocks:
                 assert threads == {threading.current_thread()}
             else:
                 assert len(threads) == n_cores
+
+
+    @staticmethod
+    def cross_on_threads(ta, tb, lag_max, bin_width, chunk, n_blocks=montecarlo._TIME_BLOCKS):
+        """cross_correlate's counts at 1, 2 and 3 usable cores, the threads of its blocks, and
+        how many blocks counted pairs."""
+        results = []
+        select, pair_counts = correlator._select, correlator._pair_counts
+        duration = int(max(ta[-1], tb[-1], 1))
+        a, b = stream(ta, duration), stream(tb, duration, "b")
+        for n_cores in (1, 2, 3):
+            threads, counted = set(), []
+
+            def selecting(*args):
+                threads.add(threading.current_thread())
+                return select(*args)
+
+            def counting(*args):
+                counted.append(1)
+                return pair_counts(*args)
+
+            with patch.object(correlator, "_CHUNK", chunk), \
+                    patch.object(montecarlo, "_TIME_BLOCKS", n_blocks), \
+                    patch.object(correlator, "_usable_cores", lambda: n_cores), \
+                    patch.object(correlator, "_select", selecting), \
+                    patch.object(correlator, "_pair_counts", counting):
+                counts = cross_correlate(a, b, lag_max, bin_width).counts
+            results.append((counts, threads, len(counted)))
+        return results
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=cross_cases())
+    def test_cross_blocks_match_oracle_on_any_thread_count(self, case):
+        ta, tb, lag_max, bin_width, chunk, n_blocks = case
+        oracle = brute_force_counts(ta, tb, -lag_max, lag_max, bin_width)
+        one_shot = correlator._pair_counts(ta, tb, -lag_max, lag_max, bin_width)
+        assert one_shot.tobytes() == oracle.tobytes()
+        for counts, *_ in self.cross_on_threads(ta, tb, lag_max, bin_width, chunk, n_blocks):
+            assert counts.dtype == np.int64 and counts.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("ta,tb,lag_max,bin_width,blocks_with_a", [
+        # one A tag per block of 10 ps, each with B partners exactly lag_max
+        # before it (counted) and after it (not counted), in the next blocks
+        ([0, 10, 20, 30, 40, 50, 60, 70], [0, 10, 20, 30, 40, 50, 60, 70, 80], 10, 5, 8),
+        # equal A and B tags on the block edges at 20 and 40
+        ([3, 20, 20, 29, 40, 55, 80], [20, 20, 31, 40, 40, 61, 79], 12, 4, 5),
+        # A tags only in the first and last of eight blocks; B tags in every block
+        ([1, 2, 3, 75, 80], list(range(0, 81, 4)), 16, 2, 2),
+    ], ids=["partners_at_lag_max_across_edges", "equal_tags_on_edges", "blocks_without_a_tags"])
+    def test_cross_named_cases(self, ta, tb, lag_max, bin_width, blocks_with_a):
+        ta, tb = np.array(ta, dtype=np.int64), np.array(tb, dtype=np.int64)
+        oracle = brute_force_counts(ta, tb, -lag_max, lag_max, bin_width)
+        assert oracle.sum() > 0
+        for n_cores, (counts, threads, counted) in enumerate(
+                self.cross_on_threads(ta, tb, lag_max, bin_width, chunk=1), start=1):
+            assert counts.tobytes() == oracle.tobytes()
+            assert len(threads) == n_cores
+            assert counted == blocks_with_a  # a block without A tags counts nothing
+
+    def test_lag_max_partner_counts_once(self):
+        # the first case by hand: every A tag pairs at -lag_max, the one B tag
+        # past the last A tag only at +lag_max, outside the window
+        ta, tb = np.arange(0, 80, 10), np.arange(0, 90, 10)
+        for counts, *_ in self.cross_on_threads(ta, tb, 10, 5, chunk=1):
+            assert counts.tolist() == [7, 0, 8, 0]
 
 
 class TestMemory:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rate_oracles import jacobian_check
-from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
+from spphbt.correlator import CorrelationHistogram, cross_correlate
 from spphbt.errors import InvalidInversion, NonConvergence
 from spphbt.fitter import (
     LOWER_BOUNDS,
@@ -378,19 +378,21 @@ class TestPhotophysicsReport:
 
 def _single_emitter_fit(rates, duration_ns, seed):
     stream = simulate_emitter(rates, duration_ns, seed)
-    routed = route_events(stream, 0.5, seed=seed + 7919)
-    a = TimeTagStream(routed.tags_a, "A", routed.duration_ps)
-    b = TimeTagStream(routed.tags_b, "B", routed.duration_ps)
-    hist = cross_correlate(a, b, lag_max=150_000, bin_width=1_000)
+    channels = route_events(stream, 0.5, seed=seed + 7919).channels
+    hist = cross_correlate(channels.a, channels.b, lag_max=150_000, bin_width=1_000)
     return fit_g2(hist)
 
 
 class TestEstimatorConsistency:
     def test_spread_shrinks_with_acquisition_time(self, silver_rates):
         # quadrupling the record should roughly halve the contrast scatter;
-        # short records sit a bit above the asymptotic factor 2 because the
-        # estimator is still mildly nonlinear there, hence the wide band
-        short = [_single_emitter_fit(silver_rates, 2.5e5, s).c for s in range(20)]
-        long = [_single_emitter_fit(silver_rates, 1.0e6, 100 + s).c for s in range(20)]
+        # short records sit above the asymptotic factor 2 because the
+        # estimator is still nonlinear there and c often rests on its bound
+        # of 1 (about 40 % of short and 60 % of long fits), hence the wide
+        # band.  The ratio of two sample sds of so skewed a c scatters
+        # widely, so each side takes 150 fits: over 50 seed sets the ratio
+        # read 2.06 to 4.13
+        short = [_single_emitter_fit(silver_rates, 2.5e5, s).c for s in range(150)]
+        long = [_single_emitter_fit(silver_rates, 1.0e6, 500 + s).c for s in range(150)]
         ratio = np.std(short, ddof=1) / np.std(long, ddof=1)
         assert 1.5 < ratio < 4.5

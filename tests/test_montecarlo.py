@@ -376,6 +376,30 @@ class TestSimulateEnsemble:
             assert threading.active_count() == before
 
 
+class TestCoreBudget:
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_workers_hold_their_cores_until_joined(self, monkeypatch, cores):
+        monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
+        n_threads = min(2, cores)
+        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], n_threads)
+        # inside, every item sees the cores less the workers started beside its caller
+        assert seen == [max(1, cores - (n_threads - 1))] * 2
+        assert montecarlo._usable_cores() == cores
+
+    @pytest.mark.parametrize("failing", ["item", "thread_start"])
+    def test_a_failed_map_releases_its_cores(self, monkeypatch, failing):
+        monkeypatch.setattr(montecarlo, "_process_cores", lambda: 3)
+
+        def fail(*args):
+            raise RuntimeError(f"{failing} failed")
+
+        if failing == "thread_start":
+            monkeypatch.setattr(threading.Thread, "start", fail)
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            montecarlo._map_on_threads(fail, [0, 1, 2], 3)
+        assert montecarlo._usable_cores() == 3
+
+
 class TestTrajectoryReference:
     def test_ground_dwell_times_are_exponential(self, silver_rates):
         # Kolmogorov-Smirnov at the 1% level on >= 1e4 dwell samples

@@ -8,13 +8,18 @@ tolerances.
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 from typing import NamedTuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from spphbt import montecarlo, optics
 from spphbt.errors import InvalidGeometry, UnknownScenario
 from spphbt.montecarlo import EventStream, poisson_background
 from spphbt.optics import (
@@ -146,23 +151,22 @@ class TestCollectionFraction:
 class TestRouting:
     def test_deterministic_given_seed(self):
         s = signal_stream(5_000, 1e5, seed=1)
-        r1 = route_events(s, 0.3, seed=9)
-        r2 = route_events(s, 0.3, seed=9)
-        assert np.array_equal(r1.tags_a, r2.tags_a)
-        assert np.array_equal(r1.tags_b, r2.tags_b)
+        r1 = route_events(s, 0.3, seed=9).channels
+        r2 = route_events(s, 0.3, seed=9).channels
+        assert np.array_equal(r1.pooled.tags, r2.pooled.tags)
+        assert np.array_equal(r1.on_b, r2.on_b)
 
     def test_routes_every_event_at_share_a(self):
         n = 20_000
         s = signal_stream(n, 1e5, seed=2)
         r = route_events(s, 0.3, seed=3)
         assert r.n_detected == r.n_events == n
-        assert within_binomial(r.tags_a.size, n, 0.3)
-        merged = np.sort(np.concatenate([r.tags_a, r.tags_b]))
-        assert np.array_equal(merged, np.rint(s.times * 1000.0).astype(np.int64))
+        assert within_binomial(r.channels.counts[0], n, 0.3)
+        assert np.array_equal(r.channels.pooled.tags, np.rint(s.times * 1000.0).astype(np.int64))
 
     def test_split_peak_stays_near_boolean_indexing(self):
-        # the split's index arrays are one block long: whole, they would lift the
-        # peak from 2.25x to 2.75x the event times' bytes
+        # routing holds the times, the tags, the channel mask and a few blocks'
+        # temporaries, nothing else as long as the events
         s = signal_stream(1 << 20, 1e9, seed=21)
         tracemalloc.start()
         try:
@@ -224,9 +228,9 @@ class TestRouting:
         bg = poisson_background(0.01, 1e5, seed=15)
         s = EventStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 1e5)
         r = route_events(s, 1.0, seed=16)
-        assert r.tags_a.size == len(s) and r.tags_b.size == 0
+        assert r.channels.counts == (len(s), 0)
         r = route_events(s, 0.3, seed=16)
-        assert within_binomial(r.tags_a.size, len(s), 0.3)
+        assert within_binomial(r.channels.counts[0], len(s), 0.3)
 
     def test_thinned_poisson_stays_poisson(self):
         # channel-A inter-arrivals of a routed Poisson stream stay exponential
@@ -234,7 +238,7 @@ class TestRouting:
         s = poisson_background(rate, duration, seed=17)
         r = route_events(s, 0.5, seed=18)
         # channel A holds ~ rate/2
-        gaps = np.diff(r.tags_a)
+        gaps = np.diff(r.channels.a.tags)
         ks = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (rate / 2.0) * 1000.0))
         assert ks.pvalue > 0.01
 
@@ -243,13 +247,13 @@ class TestRouting:
         s = signal_stream(n, 1e3, seed=19)
         r0 = route_events(s, 0.5, seed=20)
         r1 = route_events(s, 0.5, seed=20, jitter_sigma_ns=5.0)
-        assert not np.array_equal(np.sort(np.concatenate([r0.tags_a, r0.tags_b])),
-                                  np.sort(np.concatenate([r1.tags_a, r1.tags_b])))
+        assert not np.array_equal(r0.channels.pooled.tags, r1.channels.pooled.tags)
         assert r1.n_detected <= n  # edge events may jitter out of the window
-        for tags in (r1.tags_a, r1.tags_b):
+        for stream in (r1.channels.a, r1.channels.b):
+            tags = stream.tags
             assert np.all(np.diff(tags) >= 0)
             if tags.size:
-                assert tags[0] >= 0 and tags[-1] <= r1.duration_ps
+                assert tags[0] >= 0 and tags[-1] <= r1.channels.duration
 
     @pytest.mark.parametrize("share_a", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -275,8 +279,9 @@ class TestRouting:
         for sigma in (2e-4, 0.35, 5.0):
             r = route_events(s, share_a, seed, jitter_sigma_ns=sigma)
             tags_a, tags_b = direct(s, sigma)
-            assert np.array_equal(r.tags_a, tags_a) and np.array_equal(r.tags_b, tags_b)
-            assert r.n_events == len(s) and r.duration_ps == 50_000
+            a, b, _ = r.channels
+            assert np.array_equal(a.tags, tags_a) and np.array_equal(b.tags, tags_b)
+            assert r.n_events == len(s) and r.channels.duration == 50_000
             if sigma == 5.0:
                 assert tags_a.size + tags_b.size < len(s)  # jitter pushed tags out
 
@@ -284,12 +289,110 @@ class TestRouting:
         s = EventStream(np.empty(0), 1e3)
         r = route_events(s, 0.5, seed=0)
         assert r.n_events == 0 and r.n_detected == 0
-        assert r.duration_ps == 1_000_000
+        assert r.channels.duration == 1_000_000
 
     def test_invalid_arguments(self):
         s = signal_stream(10, 1e3, seed=0)
         with pytest.raises(ValueError):
             route_events(s, 0.5, seed=0, jitter_sigma_ns=-1.0)
+
+
+@st.composite
+def emitter_runs(draw):
+    """Sorted runs of event times over [0, duration] ns, often on the 1 ps lattice so
+    that tags tie within and across runs, and whether Poisson background joins them."""
+    duration = draw(st.sampled_from([0.05, 1.0, 40.0]))
+    last_ps = round(duration * 1000.0)
+    if draw(st.booleans()):
+        times = st.integers(0, last_ps).map(lambda ps: ps / 1000.0)
+    else:
+        times = st.floats(0.0, duration)
+    runs = [np.sort(np.array(draw(st.lists(times, max_size=60)), dtype=float))
+            for _ in range(draw(st.integers(1, 4)))]
+    return runs, duration, draw(st.booleans())
+
+
+class TestBlockedMergeAndRound:
+    """The merge and the rounding in time blocks against one sort and one rint of the whole."""
+
+    @staticmethod
+    def one_shot(times, duration, share_a, seed, sigma):
+        """route_events' draws on the sorted union, rounded whole, A's first at equal tags."""
+        rng = np.random.default_rng(seed)
+        on_b = rng.random(times.size) >= share_a
+        if sigma > 0.0:
+            times = times + rng.normal(0.0, sigma, times.size)
+            order = np.argsort(times, kind="stable")
+            times, on_b = times[order], on_b[order]
+        tags = np.rint(times * 1000.0).astype(np.int64)
+        keep = (tags >= 0) & (tags <= round(duration * 1000.0))
+        tags, on_b = tags[keep], on_b[keep]
+        order = np.lexsort((on_b, tags))
+        return tags[order], on_b[order]
+
+    @staticmethod
+    def blocked(streams, duration, share_a, seed, sigma, n_blocks, n_cores):
+        """EventStream.merge, then route_events, with every stream cut into n_blocks blocks."""
+        rounded_on = set()
+        round_block = optics._round_block
+
+        def recording(*args):
+            rounded_on.add(threading.current_thread())
+            return round_block(*args)
+
+        with patch.object(montecarlo, "_BLOCKED_MIN", 0), \
+                patch.object(optics, "_BLOCKED_MIN", 0), \
+                patch.object(montecarlo, "_TIME_BLOCKS", n_blocks), \
+                patch.object(montecarlo, "_usable_cores", lambda: n_cores), \
+                patch.object(optics, "_usable_cores", lambda: n_cores), \
+                patch.object(optics, "_round_block", recording):
+            merged = EventStream.merge(streams, duration)
+            routed = route_events(merged, share_a, seed, jitter_sigma_ns=sigma)
+        return merged, routed, rounded_on
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=emitter_runs(), share_a=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           sigma=st.sampled_from([0.0, 2e-4, 0.35]), n_blocks=st.sampled_from([2, 8, 40]))
+    def test_blocks_match_one_shot_sort_and_rint(self, case, share_a, sigma, n_blocks):
+        runs, duration, background = case
+        streams = [EventStream(run, duration) for run in runs]
+        if background:
+            streams.append(poisson_background(20.0 / duration, duration, seed=len(runs)))
+        times = np.sort(np.concatenate([s.times for s in streams]))
+        tags, on_b = self.one_shot(times, duration, share_a, 5, sigma)
+        for n_cores in (1, 2, 3):
+            merged, routed, _ = self.blocked(streams, duration, share_a, 5, sigma, n_blocks,
+                                             n_cores)
+            assert merged.times.tobytes() == times.tobytes()
+            assert routed.channels.pooled.tags.tobytes() == tags.tobytes()
+            assert routed.channels.on_b.tobytes() == on_b.tobytes()
+            assert routed.n_events == times.size
+
+    @pytest.mark.parametrize("n_cores", [1, 2, 3])
+    def test_equal_tags_across_block_edges_list_a_first(self, n_cores):
+        # one pair of events 0.2 ps apart across every edge of eight 5 ns
+        # blocks: each pair rounds to one tag, the earlier event in one block
+        # and the later one in the next
+        duration = 40.0
+        edges = np.arange(5.0, 40.0, 5.0)
+        times = np.sort(np.concatenate([edges - 1e-7, edges + 1e-7]))
+        stream = EventStream(times, duration)
+        tags, on_b = self.one_shot(times, duration, 0.5, 8, 0.0)
+        assert tags.tolist() == np.repeat(np.arange(5_000, 40_000, 5_000), 2).tolist()
+        # the draws put channel B first in event order on some edges
+        drawn = np.random.default_rng(8).random(times.size) >= 0.5
+        assert np.any(drawn[0::2] & ~drawn[1::2])
+        _, routed, rounded_on = self.blocked([stream], duration, 0.5, 8, 0.0, 8, n_cores)
+        assert routed.channels.pooled.tags.tobytes() == tags.tobytes()
+        assert routed.channels.on_b.tobytes() == on_b.tobytes()
+        assert len(rounded_on) == n_cores
+
+    def test_small_streams_stay_on_the_calling_thread(self):
+        s = signal_stream(montecarlo._BLOCKED_MIN, 1e5, seed=4)
+        with patch.object(optics, "_round_block", wraps=optics._round_block) as rounded, \
+                patch.object(optics, "_usable_cores", lambda: 4):
+            route_events(s, 0.5, seed=4)
+        assert rounded.call_count == 1
 
 
 class TestAnalyticEfficiencies:

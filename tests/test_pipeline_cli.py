@@ -9,6 +9,9 @@ import io
 import json
 import math
 import re
+import shutil
+import subprocess
+import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -21,9 +24,9 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spphbt import pipeline, scenarios, tagio
+from spphbt import correlator, montecarlo, pipeline, scenarios, tagio
 from spphbt.cli import OUT_ENV_VAR, main
-from spphbt.correlator import CorrelationHistogram, TimeTagStream, cross_correlate
+from spphbt.correlator import ChannelTags, CorrelationHistogram, TimeTagStream, cross_correlate
 from spphbt.errors import ConfigError, UnknownScenario
 from spphbt.fitter import PARAM_NAMES, report_photophysics
 from spphbt.kinetics import steady_emission_rate
@@ -432,6 +435,28 @@ def one_shot_ttag_bytes(tags_a: np.ndarray, tags_b: np.ndarray) -> bytes:
     return TTAG_MAGIC + b"\x01\x00" + bytes(10) + records.tobytes()
 
 
+def channel_merged_ttag_bytes(tags_a: np.ndarray, tags_b: np.ndarray, block: int) -> bytes:
+    """A TTAG file merged from the two channels block by block, an oracle for the writer.
+
+    Both channels are cut at the same times, each tie on one side of every
+    cut, so that no block holds more than about `block` tags of either
+    channel; each block's records are the stable argsort of its A tags then
+    its B tags.
+    """
+    cuts = np.sort(np.concatenate([tags_a[block::block], tags_b[block::block]]))
+    ends_a = np.append(np.searchsorted(tags_a, cuts), tags_a.size).tolist()
+    ends_b = np.append(np.searchsorted(tags_b, cuts), tags_b.size).tolist()
+    parts = [TTAG_MAGIC + b"\x01\x00" + bytes(10)]
+    for start_a, end_a, start_b, end_b in zip([0, *ends_a], ends_a, [0, *ends_b], ends_b):
+        times = np.concatenate([tags_a[start_a:end_a], tags_b[start_b:end_b]])
+        order = np.argsort(times, kind="stable")
+        records = np.zeros(times.size, dtype=TestTagIO.RECORD)
+        np.take(times.view(np.uint64), order, out=records["t"])
+        records["ch"] = order >= end_a - start_a
+        parts.append(records.tobytes())
+    return b"".join(parts)
+
+
 def swap_first_and_last_b_records(data: bytes) -> bytes:
     """A TTAG file whose first and last channel-B records trade places."""
     records = np.frombuffer(data, dtype=TestTagIO.RECORD, offset=16).copy()
@@ -481,6 +506,41 @@ class TestTagIO:
         assert path.read_bytes() == one_shot_ttag_bytes(sa.tags, sb.tags)
         a2, b2, _ = read_time_tags(path)
         assert a2.tags.tolist() == a and b2.tags.tolist() == b
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=sorted_tags, b=sorted_tags)
+    @example(a=[3, 3, 3], b=[3, 3])  # one run of equal tags across every block edge
+    @example(a=[1, 4, 4, 4, 9], b=[0, 4, 4, 9, 9])
+    def test_pooled_writer_matches_the_channel_merge(self, tmp_path, block, a, b):
+        # the pooled tags and channel mask, built without the writer: sorted by
+        # (tag, channel), so A's come first at equal tags
+        times = np.array(a + b, dtype=np.int64)
+        on_b = np.arange(times.size) >= len(a)
+        order = np.lexsort((on_b, times))
+        tags = ChannelTags(TimeTagStream(times[order], "A+B", 12), on_b[order])
+        digest = hashlib.sha256()
+        with mock.patch.object(tagio, "_BLOCK", block):
+            path = write_time_tags(tmp_path / "pooled.ttag", tags, digest=digest)
+        data = path.read_bytes()
+        assert data == channel_merged_ttag_bytes(np.array(a, dtype=np.int64),
+                                                 np.array(b, dtype=np.int64), block)
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        sidecar = json.loads(tagio.sidecar_path(path).read_text())
+        assert (sidecar["n_a"], sidecar["n_b"]) == (len(a), len(b))
+
+    def test_written_value_reads_back_whole(self, tmp_path):
+        a, b = self.make_streams(seed=8)
+        tags = ChannelTags.pool(a, b)
+        path = write_time_tags(tmp_path / "v.ttag", ChannelTags(tags.pooled, tags.on_b, {"k": 1}))
+        back = read_time_tags(path)
+        assert back.pooled.tags.tobytes() == tags.pooled.tags.tobytes()
+        assert back.on_b.tobytes() == tags.on_b.tobytes()
+        assert back.metadata == {"k": 1} and back.counts == (len(a), len(b))
+        # an explicit metadata argument replaces the value's own
+        write_time_tags(path, back, metadata={"k": 2})
+        assert read_time_tags(path).metadata == {"k": 2}
 
     def make_streams(self, seed=0, n=500, duration=1_000_000):
         rng = np.random.default_rng(seed)
@@ -685,11 +745,11 @@ class TestBackgroundResolution:
     def test_unfiltered_budget_sets_rho_for_any_scenario(self):
         for extra in ({"n_emitters": 2}, {"rates": "glass"}):
             s = scenario_from_mapping(dict(MINIMAL, budget="silver_unfiltered", **extra))
-            assert acquire(s)[2]["rho_effective"] == 0.8, extra
+            assert acquire(s).metadata["rho_effective"] == 0.8, extra
         # the ten-emitter silver AB default keeps its background bit for bit
         s = scenario_from_mapping(dict(MINIMAL, budget="silver_unfiltered",
                                        geometry="fourier_default"))
-        info = acquire(s)[2]
+        info = acquire(s).metadata
         assert (info["background_rate_per_ns"], info["rho_effective"]) == \
             (1.908017771385414e-06, 0.8)
 
@@ -798,6 +858,25 @@ class TestRunPipeline:
                 assert record["sha256"] == hashlib.sha256(data).hexdigest()
         assert len(files[1]) == 7 and files[2] == files[1]
 
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_correlation_in_a_lane_takes_the_cores_left(self, tmp_path, monkeypatch, cores):
+        # the tag lane holds one core, so on two the cross blocks stay on the analysis lane
+        s = scenario_from_mapping(dict(SILVER_DEMO, name="silver_ab", fiber_config="AB",
+                                       duration_ns=3.0e6))
+        monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
+        monkeypatch.setattr(correlator, "_CHUNK", 1024)
+        block_threads: set[threading.Thread] = set()
+        select = correlator._select
+
+        def recording(*args):
+            block_threads.add(threading.current_thread())
+            return select(*args)
+
+        monkeypatch.setattr(correlator, "_select", recording)
+        run_pipeline(s, tmp_path)
+        assert len(block_threads) == max(1, cores - 1)
+        assert (threading.current_thread() in block_threads) == (cores == 1)
+
     def test_fit_json_roundtrip(self, tmp_path):
         s = scenario_from_mapping(dict(SMALL_RUN))
         result = run_pipeline(s, tmp_path / "out")
@@ -822,6 +901,64 @@ def cli_env(tmp_path, monkeypatch):
         "  k12: 0.037037\n"
     )
     return out, scenario
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def git_status(repo: Path) -> str | None:
+    """`git status --porcelain` of the checkout the tests run from; None outside one."""
+    if not (repo / ".git").exists() or shutil.which("git") is None:
+        return None
+    return subprocess.run(["git", "status", "--porcelain"], cwd=repo,
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestWritesOnlyUnderOut:
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    def test_every_command_writes_under_out_and_nowhere_else(self, tmp_path, monkeypatch,
+                                                             capsys, via):
+        # the working directory, the scenario's directory, HOME and the temporary
+        # directory are each their own directory, all apart from the output one
+        out = tmp_path / "out"
+        watched = tmp_path / "watched"
+        cwd, inputs, home, temp = (watched / name for name in ("cwd", "inputs", "home", "tmp"))
+        for directory in (cwd, inputs, home, temp):
+            directory.mkdir(parents=True)
+        scenario = inputs / "tiny.yaml"
+        scenario.write_text("rates: silver\nn_emitters: 1\nduration_ns: 1.0e6\nseed: 5\n"
+                            "fiber_config: DirectPlane\nbudget: ideal\nfit:\n  k12: 0.037037\n")
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("HOME", str(home))
+        for name in ("TMPDIR", "TEMP", "TMP"):
+            monkeypatch.setenv(name, str(temp))
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        if via == "flag":
+            monkeypatch.delenv(OUT_ENV_VAR, raising=False)
+            out_args = ["--out", str(out)]
+        else:
+            monkeypatch.setenv(OUT_ENV_VAR, str(out))
+            out_args = []
+        repo = Path(__file__).resolve().parent.parent
+        before, status = tree(watched), git_status(repo)
+
+        assert main(["validate", "--scenario", str(scenario)]) == 0
+        assert not out.exists()  # validate writes nothing at all
+        assert main(["simulate", "--scenario", str(scenario), *out_args]) == 0
+        assert main(["correlate", "--tags", str(out / "tiny.ttag"), *out_args]) == 0
+        assert main(["fit", "--hist", str(out / "tiny_g2.csv"), *out_args]) == 0
+        assert main(["run", "--scenario", str(scenario), *out_args]) == 0
+        capsys.readouterr()
+
+        assert tree(watched) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "watched"]
+        assert sorted(tree(out)) == [
+            "tiny.ttag", "tiny.ttag.json", "tiny_fit.json", "tiny_g2.csv", "tiny_g2.csv.json",
+            "tiny_g2_fit.json", "tiny_manifest.json", "tiny_report.txt"]
+        assert git_status(repo) == status
 
 
 class TestCli:
