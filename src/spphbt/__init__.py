@@ -1,4 +1,4 @@
 """Simulation and inference for two-detector intensity correlations of few-emitter sources."""
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 __all__ = ["__version__"]

@@ -61,8 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyStream, UnsortedInput
-from .montecarlo import _map_blocks, _time_blocks, _usable_cores
+from .errors import EmptyStream
+from .montecarlo import _map_blocks, _ps_stream, _time_blocks, _usable_cores
 
 __all__ = [
     "TimeTagStream",
@@ -92,18 +92,9 @@ class TimeTagStream:
     duration: int  # ps
 
     def __post_init__(self) -> None:
-        tags = np.asarray(self.tags, dtype=np.int64)
+        tags, duration = _ps_stream(self.tags, self.duration, f"channel {self.channel_label}")
         object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "duration", int(self.duration))
-        if tags.ndim != 1:
-            raise ValueError("tags must be a 1-d array")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0 ps, got {self.duration!r}")
-        if tags.size:
-            if np.any(tags[1:] < tags[:-1]):
-                raise UnsortedInput(f"channel {self.channel_label}: tags are not sorted")
-            if tags[0] < 0 or tags[-1] > self.duration:
-                raise ValueError("tags must lie within [0, duration]")
+        object.__setattr__(self, "duration", duration)
 
     def __len__(self) -> int:
         return int(self.tags.size)

@@ -32,8 +32,11 @@ and without a shelf (k23 = 0) J = 1 and the gap is Exp(lam1) + Exp(lam2).
 Antibunching and shelving-induced bunching are emergent properties of the
 chain; nothing about the correlation function enters the sampler.
 
-A detected photon is a plain time: the detection stage routes signal and
-background alike, so nothing downstream needs to know where one came from.
+A detected photon is an integer picosecond, the clock of a time-tagger, and
+the detection stage routes signal and background alike.  No absolute time
+is held in a float: each chunk's gaps are summed from its start as whole
+picoseconds, exactly, and fractions, rounded once, then added to the int64
+time of the detection before the chunk.
 
 Emitters are independent and each draws from its own SeedSequence child, so
 `simulate_ensemble` samples them on one thread per usable core (numpy's
@@ -44,12 +47,12 @@ time blocks: each block of [0, duration] gathers its share of every run and
 sorts it into its own slice of the result, one block per thread at a time.
 A sorted union is unique, so the bytes do not depend on the thread count.
 
-The merge, the rounding to picoseconds and both correlators share one block
-rule, `_time_blocks`: a fixed number of equal-duration blocks, or one block
-on the calling thread below a size gate.  Every threaded stage runs on
-`_map_on_threads`, and a stage started inside another's worker thread (a
-correlation in a lane of `run`) takes only the cores the outer one left
-free, so the threads at work never outnumber the usable cores.
+The merge and both correlators share one block rule, `_time_blocks`: a
+fixed number of equal-duration blocks, or one block on the calling thread
+below a size gate.  Every threaded stage runs on `_map_on_threads`, and a
+stage started inside another's worker thread (a correlation in a lane of
+`run`) takes only the cores the outer one left free, so the threads at work
+never outnumber the usable cores.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UnsortedInput
 from .kinetics import RateSet, derived_params, steady_emission_rate
 
 __all__ = [
@@ -76,8 +80,11 @@ _THREADED_MIN_DETECTIONS = 8192
 # equal-duration time blocks that a blocked stage cuts [0, duration] into;
 # more blocks than cores even out the threads' loads
 _TIME_BLOCKS = 8
-# events at or below which the merge and the rounding run whole on the calling thread
+# events at or below which the merge runs whole on the calling thread
 _BLOCKED_MIN = 1 << 15
+# the expected span of one chunk's gaps at most, in ps: float64 sums whole ps
+# exactly below 2^53.  It binds below ~60 detections per second per emitter
+_CHUNK_SPAN_PS = 1 << 51
 # worker threads that _map_on_threads has started and not yet joined, callers not counted
 _running_workers = 0
 _workers_lock = threading.Lock()
@@ -85,27 +92,23 @@ _workers_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class EventStream:
-    """Time-sorted detection times in float64 ns over [0, duration]."""
+    """Time-sorted detection times in int64 ps over [0, duration] ps."""
 
     times: np.ndarray
-    duration: float
+    duration: int  # ps
+    # False skips the O(n) order and range check, for runs sorted by construction
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        if self.times.ndim != 1:
-            raise ValueError("times must be a 1-d array")
-        if self._validate and self.times.size:
-            if np.any(self.times[1:] < self.times[:-1]):
-                raise ValueError("event times must be non-decreasing")
-            if self.times[0] < 0.0 or self.times[-1] > self.duration:
-                raise ValueError("event times must lie within [0, duration]")
+        times, duration = _ps_stream(self.times, self.duration, "events", self._validate)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "duration", duration)
 
     def __len__(self) -> int:
         return int(self.times.size)
 
     @staticmethod
-    def merge(streams: "list[EventStream]", duration: float) -> "EventStream":
+    def merge(streams: "list[EventStream]", duration: int) -> "EventStream":
         """Time-sorted union of the streams' detections, sorted in time blocks on every core."""
         runs = [s.times for s in streams]
         n = sum(run.size for run in runs)
@@ -113,12 +116,12 @@ class EventStream:
         # where each block starts in each run, and in the union
         cuts = [[0, *np.searchsorted(run, edges).tolist(), run.size] for run in runs]
         starts = [sum(c[k] for c in cuts) for k in range(len(edges) + 2)]
-        times = np.empty(n)
+        times = np.empty(n, np.int64)
 
         def sort_block(k: int) -> None:
             block = times[starts[k]:starts[k + 1]]
-            np.concatenate([np.empty(0)] + [run[c[k]:c[k + 1]] for run, c in zip(runs, cuts)],
-                           out=block)
+            np.concatenate([np.empty(0, np.int64)]
+                           + [run[c[k]:c[k + 1]] for run, c in zip(runs, cuts)], out=block)
             block.sort()
 
         _map_blocks(sort_block, [(k,) for k in range(len(edges) + 1)], _usable_cores())
@@ -141,13 +144,15 @@ def _segment_rates(rates: RateSet, efficiency: float) -> tuple[float, float]:
     return lam1, k12 * (rates.k21 * efficiency + rates.k23) / lam1
 
 
-def _emission_times(rates: RateSet, efficiency: float, t_end: float,
+def _emission_times(rates: RateSet, efficiency: float, start: int, end: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Detected radiative transition times in [0, t_end], chunked over detections."""
-    k21, k23, k31 = rates.k21, rates.k23, rates.k31
-    if rates.k12 <= 0.0 or efficiency <= 0.0 or t_end <= 0.0:
-        return np.empty(0)
-    lam1, lam2 = _segment_rates(rates, efficiency)
+    """Detected radiative transition times in (start, end] int64 ps, from the ground state
+    at `start`, chunked over detections."""
+    if rates.k12 <= 0.0 or efficiency <= 0.0:
+        return np.empty(0, np.int64)
+    # every rate per ps, so the gaps are drawn in ps
+    lam1, lam2 = (lam / 1000.0 for lam in _segment_rates(rates, efficiency))
+    k21, k23, k31 = rates.k21, rates.k23, rates.k31 / 1000.0
     # a segment ends in a detection rather than on the shelf
     q = k21 * efficiency / (k21 * efficiency + k23)
     shelf = 1.0 / k31 if k23 > 0.0 else 0.0
@@ -159,14 +164,16 @@ def _emission_times(rates: RateSet, efficiency: float, t_end: float,
     # a renewal count of mean m has sd cv sqrt(m), cv the gap's variation coefficient
     cv = math.sqrt(var_gap) / mean_gap
     chunks: list[np.ndarray] = []
-    t = 0.0
-    while t < t_end:
-        expected = (t_end - t) / mean_gap
+    base = start  # the last detection before the chunk
+    while True:
+        left = end - base
+        expected = left / mean_gap
         # the expected count and four sd: a chunk falls short about once in 30 000
-        n = int(np.clip(expected + 4.0 * cv * math.sqrt(expected) + 16, 256, 1 << 17))
+        n = max(1, int(min(np.clip(expected + 4.0 * cv * math.sqrt(expected) + 16,
+                                   256, 1 << 17), _CHUNK_SPAN_PS / mean_gap)))
         # float shapes: an integer array would be converted by every draw
         segments = rng.geometric(q, n).astype(np.float64) if k23 > 0.0 else 1.0
-        # gaps, then times, built in place in the first draw's array
+        # the gaps, built in place in the first draw's array
         times = rng.standard_gamma(segments, n)
         times /= lam1
         draw = rng.standard_gamma(segments, n)
@@ -177,11 +184,20 @@ def _emission_times(rates: RateSet, efficiency: float, t_end: float,
             rng.standard_gamma(segments, out=draw)
             draw /= k31
             times += draw
+        # times from the chunk's start: the whole ps' sum plus the fractions' sum, rounded
+        np.floor(times, out=draw)
+        times -= draw
+        np.cumsum(draw, out=draw)
         np.cumsum(times, out=times)
-        times += t
-        chunks.append(times[:np.searchsorted(times, t_end, side="right")])
-        t = times[-1]
-    return np.concatenate(chunks)
+        np.rint(times, out=times)
+        draw += times
+        kept = int(np.searchsorted(draw, left, side="right"))
+        tags = draw[:kept].astype(np.int64)
+        tags += base
+        chunks.append(tags)
+        if kept < n:
+            return np.concatenate(chunks)
+        base = int(tags[-1])
 
 
 def simulate_emitter(
@@ -191,23 +207,23 @@ def simulate_emitter(
     *,
     efficiency: float = 1.0,
 ) -> EventStream:
-    """Detected photon times of one emitter over [0, duration] ns.
+    """Detected photon times of one emitter over [0, duration] ns, as int64 ps.
 
     Each emitted photon is detected with probability `efficiency`; the
     default 1 records every emission.  A burn-in interval (ten times the
     slowest relaxation timescale) is simulated and discarded so the
-    recorded window is stationary.  `seed` may be an int, a SeedSequence or
-    an existing Generator.
+    recorded window is stationary; duration plus burn-in must fit the int64
+    clock, 2^63 - 1 ps.  `seed` may be an int, a SeedSequence or an existing
+    Generator.
     """
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    burn = round(_burn_in(rates) * 1000.0)
+    duration_ps = _duration_ps(duration, burn)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency!r}")
     rng = np.random.default_rng(seed)
-    burn = _burn_in(rates)
-    times = _emission_times(rates, efficiency, duration + burn, rng)
-    kept = times[np.searchsorted(times, burn, side="right"):]
-    return EventStream(kept - burn, duration, _validate=False)
+    times = _emission_times(rates, efficiency, -burn, duration_ps, rng)
+    return EventStream(times[np.searchsorted(times, 0, side="right"):], duration_ps,
+                       _validate=False)
 
 
 def simulate_ensemble(
@@ -240,7 +256,7 @@ def simulate_ensemble(
                               _worker_count(rates, n_emitters, duration, efficiency))
     if background_rate != 0.0:  # NaN and negative rates reach poisson_background's check
         streams.append(poisson_background(background_rate, duration, children[-1]))
-    return EventStream.merge(streams, duration)
+    return EventStream.merge(streams, streams[0].duration)
 
 
 def _worker_count(rates: RateSet, n_emitters: int, duration: float, efficiency: float) -> int:
@@ -328,11 +344,49 @@ def _map_on_threads(fn, items: list, n_threads: int) -> list:
 
 
 def poisson_background(rate: float, duration: float, seed) -> EventStream:
-    """Homogeneous Poisson detection times over [0, duration] ns."""
+    """Homogeneous Poisson detection times over [0, duration] ns, as int64 ps."""
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    duration_ps = _duration_ps(duration)
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(rate * duration))
-    return EventStream(np.sort(rng.uniform(0.0, duration, n)), duration, _validate=False)
+    times = rng.integers(0, duration_ps, n, endpoint=True)
+    times.sort()
+    return EventStream(times, duration_ps, _validate=False)
+
+
+def _duration_ps(duration: float, burn_in: int = 0) -> int:
+    """A duration in ns as whole ps, which must be > 0 and end within the int64 clock after
+    `burn_in` ps; else a ValueError."""
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    ps = round(duration * 1000.0)
+    if ps > (1 << 63) - 1 - burn_in:
+        raise ValueError(f"duration {duration!r} ns plus {burn_in} ps of burn-in exceeds "
+                         f"the int64 clock's 2^63 - 1 ps (about 9.22e15 ns)")
+    return ps
+
+
+def _ps_stream(times, duration, label: str, check_order: bool = True) -> tuple[np.ndarray, int]:
+    """`times` as a 1-d int64 array and `duration` as an int > 0, both whole ps, and with
+    `check_order` the times sorted within [0, duration]; else a ValueError, an
+    UnsortedInput for the order.  A time in ns is never read as ps."""
+    whole = np.asarray(times)
+    if whole.dtype != np.int64:
+        with np.errstate(invalid="ignore"):  # NaN, an infinity or an overflow fails the check
+            whole = whole.astype(np.int64)
+        if not np.array_equal(whole, times):
+            raise ValueError(f"{label}: times must be whole picoseconds")
+    if not (isinstance(duration, (int, np.integer)) or float(duration).is_integer()):
+        raise ValueError(f"{label}: duration must be whole picoseconds, got {duration!r}")
+    duration = int(duration)
+    if whole.ndim != 1:
+        raise ValueError(f"{label}: times must be a 1-d array")
+    if duration <= 0:
+        raise ValueError(f"duration must be > 0 ps, got {duration!r}")
+    if check_order and whole.size:
+        if np.any(whole[1:] < whole[:-1]):
+            raise UnsortedInput(f"{label}: tags are not sorted")
+        if whole[0] < 0 or whole[-1] > duration:
+            raise ValueError("tags must lie within [0, duration]")
+    return whole, duration

@@ -18,10 +18,10 @@ The emission sampler draws only detected photons (at eff_A + eff_B), and
 eff_A / (eff_A + eff_B).  Background counts bypass the loss chain but share
 the signal's split, so every detector sees the same signal fraction rho.
 
-The routed tags stay one time-ordered stream with a mask of channel B's
-(`ChannelTags`).  The channel draw and any jitter run once over the events
-in order; the rounding to picoseconds then runs in time blocks on every
-usable core, each block into its own slice of the tags.
+The sampler's detections are already integer picoseconds, so the routed
+tags are those times, jittered by whole picoseconds if at all, and stay one
+time-ordered stream with a mask of channel B's (`ChannelTags`).  The channel
+draw and any jitter run once over the events in order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .correlator import ChannelTags, TimeTagStream
 from .errors import InvalidGeometry
-from .montecarlo import _BLOCKED_MIN, EventStream, _map_blocks, _time_blocks, _usable_cores
+from .montecarlo import EventStream
 
 __all__ = [
     "DetectionGeometry",
@@ -171,54 +171,35 @@ def route_events(
     """Assign each detected event of a stream to channel A or B and tag it.
 
     One uniform draw per event sends it to A with probability share_a
-    (eff_A / (eff_A + eff_B)) and otherwise to B.  Timestamps are jittered
-    (Gaussian, ns) and quantised to integer ps; jittered events outside
-    [0, duration] are dropped.  Equal tags list channel A's first.
+    (eff_A / (eff_A + eff_B)) and otherwise to B.  Tags are the events' ps
+    times, each moved by a Gaussian jitter (sigma in ns) rounded to whole ps;
+    jittered tags outside [0, duration] are dropped.  Equal tags list
+    channel A's first.
     """
     if jitter_sigma_ns < 0.0:
         raise ValueError("jitter_sigma_ns must be >= 0")
     rng = np.random.default_rng(seed)
     n = len(stream)
-    tags = np.empty(n, dtype=np.int64)
     # the uniforms are drawn a block at a time: the same stream as one draw, in less memory
     on_b = np.empty(n, dtype=bool)
     for first in range(0, n, _DRAW_BLOCK):
         part = on_b[first:first + _DRAW_BLOCK]
         np.greater_equal(rng.random(part.size), share_a, out=part)
-    duration_ps = int(round(stream.duration * 1000.0))
-    times = stream.times
+    tags = stream.times
     if jitter_sigma_ns > 0.0:
-        times = times + rng.normal(0.0, jitter_sigma_ns, n)
-        # jittered times reorder; each keeps its channel
-        order = np.argsort(times, kind="stable")
-        times, on_b = times[order], on_b[order]
-    ties = np.concatenate([np.empty(0, np.int64), *_map_blocks(
-        lambda first, stop: _round_block(times, tags, first, stop),
-        _time_blocks(times, stream.duration, _BLOCKED_MIN), _usable_cores())])
+        tags = tags + np.rint(rng.normal(0.0, jitter_sigma_ns * 1000.0, n)).astype(np.int64)
+        # jittered tags reorder; each keeps its channel
+        order = np.argsort(tags, kind="stable")
+        tags, on_b = tags[order], on_b[order]
+    ties = np.flatnonzero(tags[1:] == tags[:-1])
     if ties.size:
         # each run of equal tags lists A's before B's
         run = np.union1d(ties, ties + 1)
         on_b[run] = on_b[run][np.lexsort((on_b[run], tags[run]))]
-    # rounding is monotone: sorted times give sorted tags, and only their
-    # ends can round out of [0, duration_ps]
-    lo, hi = np.searchsorted(tags, [0, duration_ps + 1]).tolist()
+    # only jitter moves tags out of [0, duration], and only at the sorted ends
+    lo, hi = np.searchsorted(tags, [0, stream.duration + 1]).tolist()
     return RoutedStreams(
-        ChannelTags(TimeTagStream(tags[lo:hi], "A+B", duration_ps), on_b[lo:hi]), n)
-
-
-def _round_block(times: np.ndarray, tags: np.ndarray, first: int, stop: int) -> np.ndarray:
-    """Round times[first:stop] ns to whole ps into tags[first:stop].
-
-    Returns the indices i in [first, stop) whose tag equals the next one,
-    the next block's first tag included.
-    """
-    block = tags[first:stop]
-    np.rint(times[first:stop] * 1000.0, out=block, casting="unsafe")
-    ties = np.flatnonzero(block[1:] == block[:-1])
-    ties += first
-    if stop < times.size and np.rint(times[stop] * 1000.0) == block[-1]:
-        ties = np.append(ties, stop - 1)
-    return ties
+        ChannelTags(TimeTagStream(tags[lo:hi], "A+B", stream.duration), on_b[lo:hi]), n)
 
 
 def expected_channel_efficiencies(

@@ -251,7 +251,8 @@ _RULES: dict[str, tuple | dict | re.Pattern] = {
     # the stem of every artifact path: non-empty, no separator, no leading dot,
     # so the artifacts stay inside the output directory
     "name": re.compile(r"[^./\\\0][^/\\\0]*"),
-    "duration_ns": {"positive": True},
+    # a tag is an int64 count of ps, so no acquisition reaches 2^63 ps
+    "duration_ns": {"positive": True, "minimum": 0.0, "maximum": 2.0 ** 63 / 1000.0},
     "n_emitters": {"integer": True, "minimum": 1},
     "seed": {"integer": True, "minimum": 0},  # SeedSequence takes no negative seed
     "fiber_config": _FIBER_CONFIGS,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spphbt import montecarlo
 from spphbt.kinetics import RateSet
 
 # One verdict line per acceptance criterion, filled in by test_acceptance.py
@@ -38,12 +39,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread running: every block thread must be joined."""
+    """Fail a test that leaves a thread running or a core reserved: every block thread
+    must be joined, and release its core, or each later blocked stage runs on fewer."""
     before = set(threading.enumerate())
+    workers = montecarlo._running_workers
     yield
     left = [thread for thread in threading.enumerate()
             if thread not in before and thread.is_alive()]
     assert not left, f"threads still running after the test: {left}"
+    assert montecarlo._running_workers == workers, "worker cores still reserved after the test"
 
 
 @pytest.fixture(scope="session")

@@ -73,6 +73,17 @@ class TestTimeTagStream:
     def test_empty_stream_is_constructible(self):
         assert len(stream([], 10)) == 0
 
+    def test_rejects_fractional_picoseconds(self):
+        # truncating would read a time in ns as a ps tag without a word
+        for tags, duration in [([1.7, 2.9, 5.5], 10), ([1, 2, 5], 10.9), ([1.0, np.nan], 10),
+                               ([1.0, np.inf], 10), ([1e30], 10)]:
+            with pytest.raises(ValueError, match="whole picoseconds"):
+                TimeTagStream(np.array(tags), "A", duration)
+        whole = TimeTagStream(np.array([1.0, 2.0, 5.0]), "A", 10.0)
+        assert whole.tags.dtype == np.int64 and whole.tags.tolist() == [1, 2, 5]
+        assert whole.duration == 10 and isinstance(whole.duration, int)
+        assert len(TimeTagStream(np.array([]), "A", 10)) == 0
+
 
 class TestWorkedExample:
     """Three tags against two at 1 ns bins over a +-6 ns window."""

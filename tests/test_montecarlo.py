@@ -25,7 +25,7 @@ from spphbt.montecarlo import (
     simulate_ensemble,
 )
 
-from rate_oracles import compound_geometric_gaps
+from rate_oracles import compound_geometric_gaps, float_clock_tags
 
 
 class EmitterState(enum.IntEnum):
@@ -98,19 +98,31 @@ def count_sigma(rates: RateSet, duration: float, n_emitters: int = 1) -> float:
 
 class TestEventStream:
     def test_merge_sorts_and_keeps_all_events(self):
-        a = EventStream(np.array([1.0, 5.0]), 10.0)
-        b = EventStream(np.array([2.0, 5.0, 9.0]), 10.0)
-        m = EventStream.merge([a, b], 10.0)
-        assert m.times.tolist() == [1.0, 2.0, 5.0, 5.0, 9.0]  # equal times both kept
-        assert len(EventStream.merge([], 10.0)) == 0
+        a = EventStream(np.array([1, 5]), 10)
+        b = EventStream(np.array([2, 5, 9]), 10)
+        m = EventStream.merge([a, b], 10)
+        assert m.times.tolist() == [1, 2, 5, 5, 9]  # equal times both kept
+        assert m.times.dtype == np.int64
+        assert len(EventStream.merge([], 10)) == 0
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
-            EventStream(np.array([2.0, 1.0]), 10.0)
+            EventStream(np.array([2, 1]), 10)
 
     def test_rejects_out_of_range_times(self):
         with pytest.raises(ValueError):
-            EventStream(np.array([1.0, 11.0]), 10.0)
+            EventStream(np.array([1, 11]), 10)
+
+    def test_rejects_fractional_picoseconds(self):
+        # a time or duration in ns read as ps would otherwise be truncated silently
+        for times, duration in [([1.7, 2.9, 5.5], 10), ([1, 2, 5], 10.9),
+                                ([1.0, math.nan], 10), ([1.0, math.inf], 10), ([1, 2], math.inf)]:
+            with pytest.raises(ValueError, match="whole picoseconds"):
+                EventStream(np.array(times), duration)
+        whole = EventStream(np.array([1.0, 2.0, 5.0]), 10.0)
+        assert whole.times.dtype == np.int64 and whole.times.tolist() == [1, 2, 5]
+        assert whole.duration == 10 and isinstance(whole.duration, int)
+        assert len(EventStream(np.empty(0), 10)) == 0
 
 
 class TestSimulateEmitter:
@@ -131,8 +143,9 @@ class TestSimulateEmitter:
 
     def test_times_within_window_and_sorted(self, silver_rates):
         s = simulate_emitter(silver_rates, 1e5, seed=3)
-        assert np.all(np.diff(s.times) >= 0.0)
-        assert s.times[0] >= 0.0 and s.times[-1] <= 1e5
+        assert s.times.dtype == np.int64 and s.duration == 100_000_000
+        assert np.all(np.diff(s.times) >= 0)
+        assert s.times[0] >= 0 and s.times[-1] <= 100_000_000
 
     def test_symmetric_two_level_rate(self):
         # k23 = 0, k12 = k21 = 0.1 -> stationary emission rate 0.05 per ns
@@ -163,6 +176,12 @@ class TestSimulateEmitter:
                 simulate_emitter(silver_rates, 1e4, seed=0, efficiency=efficiency)
         with pytest.raises(ValueError, match="absorbing"):
             simulate_emitter(RateSet(0.1, 0.1, 0.2, 0.0), 1e4, seed=0)
+        # tags are int64 ps: the duration alone, or with its burn-in, must fit
+        for duration in (1e16, 9.2233720368547e15):
+            with pytest.raises(ValueError, match=r"2\^63 - 1 ps"):
+                simulate_emitter(silver_rates, duration, seed=0)
+        with pytest.raises(ValueError, match=r"2\^63 - 1 ps"):
+            poisson_background(1e-12, 1e16, seed=0)
 
 
 @pytest.mark.parametrize("preset", ["silver_rates", "glass_rates"])
@@ -222,12 +241,41 @@ class TestSegmentSampler:
         seed = 100 * list(GAP_CASES).index(case) + EFFICIENCIES.index(efficiency)
         mean_gap = 1.0 / (steady_emission_rate(rates) * efficiency)
         gaps = np.diff(simulate_emitter(rates, 4e4 * mean_gap, seed,
-                                        efficiency=efficiency).times)
+                                        efficiency=efficiency).times) / 1000.0
         reference = compound_geometric_gaps(rates, efficiency, gaps.size,
                                             np.random.default_rng(seed + 50))
         assert stats.ks_2samp(gaps, reference).pvalue > 0.01
         sem = gaps.std() / math.sqrt(gaps.size)
         assert abs(gaps.mean() - mean_gap) < 3.0 * sem
+
+
+class TestPicosecondClock:
+    """Detections are int64 ps from the sampler on; no absolute time is held in a float."""
+
+    def test_late_tags_keep_every_picosecond(self, silver_rates):
+        # on a float64 ns clock every tag past 5e13 ns lies on a lattice of 8 ps or more
+        late = 5 * 10**16  # ps
+        for stream in (simulate_emitter(silver_rates, 1e14, 71, efficiency=1e-7),
+                       poisson_background(1.2e-9, 1e14, 72)):
+            tags = stream.times[stream.times > late]
+            assert tags.size > 40_000
+            assert np.gcd.reduce(np.diff(tags)) == 1
+            odd = np.count_nonzero(tags % 2) / tags.size
+            assert abs(odd - 0.5) < 3.0 * math.sqrt(0.25 / tags.size)
+
+    @pytest.mark.parametrize("efficiency", [1.0, 0.14])
+    @pytest.mark.parametrize("preset", ["silver_rates", "glass_rates"])
+    def test_tags_stay_within_a_picosecond_of_the_float_clock(self, preset, efficiency,
+                                                               request):
+        rates = request.getfixturevalue(preset)
+        # ~2e4 detections: one chunk, whose draws the float clock repeats
+        duration = 2e4 / (efficiency * steady_emission_rate(rates))
+        tags = simulate_emitter(rates, duration, 81, efficiency=efficiency).times
+        reference = float_clock_tags(rates, efficiency, duration, 81)
+        assert tags.size == reference.size
+        assert np.all(np.abs(tags - reference) <= 1)
+        # the int clock rounds the burn-in and the times apart, so about a third move
+        assert 0.1 < np.mean(tags != reference) < 0.5
 
 
 class TestSimulateEnsemble:
@@ -430,7 +478,7 @@ class TestTrajectoryReference:
     def test_fast_sampler_agrees_with_reference(self, silver_rates):
         # compare the chunked sampler's inter-emission law against radiative
         # intervals extracted from the jump-by-jump reference
-        fast = simulate_emitter(silver_rates, 2e6, seed=101).times
+        fast = simulate_emitter(silver_rates, 2e6, seed=101).times / 1000.0
         times, states = simulate_trajectory(silver_rates, 300_000, seed=202)
         radiative = (states[:-1] == EmitterState.EXCITED) & (states[1:] == EmitterState.GROUND)
         ref = times[1:][radiative]
@@ -451,11 +499,11 @@ class TestPoissonBackground:
     def test_count_statistics(self):
         s = poisson_background(0.01, 1e6, seed=13)
         assert abs(len(s) - 10_000) < 300  # 3 sigma of Poisson(1e4)
-        assert np.all(np.diff(s.times) >= 0.0)
+        assert np.all(np.diff(s.times) >= 0)
 
     def test_uniform_conditional_law(self):
         s = poisson_background(0.01, 1e6, seed=29)
-        ks = stats.kstest(s.times / 1e6, "uniform")
+        ks = stats.kstest(s.times / s.duration, "uniform")
         assert ks.pvalue > 0.01
 
     def test_rejects_negative_rate(self):

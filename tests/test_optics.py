@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spphbt import montecarlo, optics
+from spphbt import montecarlo
 from spphbt.errors import InvalidGeometry, UnknownScenario
 from spphbt.montecarlo import EventStream, poisson_background
 from spphbt.optics import (
@@ -35,9 +35,10 @@ from spphbt.scenarios import budget_preset, geometry_preset
 
 
 def signal_stream(n, duration, seed):
+    """n uniform event times over [0, duration] ns, in ps."""
     rng = np.random.default_rng(seed)
-    times = np.sort(rng.uniform(0.0, duration, n))
-    return EventStream(times, duration)
+    duration_ps = round(duration * 1000.0)
+    return EventStream(np.sort(rng.integers(0, duration_ps, n, endpoint=True)), duration_ps)
 
 
 class SppRing(NamedTuple):
@@ -162,11 +163,11 @@ class TestRouting:
         r = route_events(s, 0.3, seed=3)
         assert r.n_detected == r.n_events == n
         assert within_binomial(r.channels.counts[0], n, 0.3)
-        assert np.array_equal(r.channels.pooled.tags, np.rint(s.times * 1000.0).astype(np.int64))
+        assert np.array_equal(r.channels.pooled.tags, s.times)
 
     def test_split_peak_stays_near_boolean_indexing(self):
-        # routing holds the times, the tags, the channel mask and a few blocks'
-        # temporaries, nothing else as long as the events
+        # routing holds the channel mask and its tie check's temporaries, nothing
+        # else as long as the events: the tags are the events' times
         s = signal_stream(1 << 20, 1e9, seed=21)
         tracemalloc.start()
         try:
@@ -226,7 +227,7 @@ class TestRouting:
         # background is routed like signal: at share_a = 1 every event,
         # background included, lands on A
         bg = poisson_background(0.01, 1e5, seed=15)
-        s = EventStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 1e5)
+        s = EventStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 100_000_000)
         r = route_events(s, 1.0, seed=16)
         assert r.channels.counts == (len(s), 0)
         r = route_events(s, 0.3, seed=16)
@@ -258,23 +259,23 @@ class TestRouting:
     @pytest.mark.parametrize("share_a", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_jittered_routing_is_exact(self, share_a, seed):
-        # the direct formula: jitter, round, keep what lies in [0, duration],
+        # the direct formula: jitter by whole ps, keep what lies in [0, duration],
         # sort each channel
         def direct(stream, sigma):
             rng = np.random.default_rng(seed)
             to_a = rng.random(len(stream)) < share_a
-            jittered = stream.times + rng.normal(0.0, sigma, len(stream))
-            tags = np.rint(jittered * 1000.0).astype(np.int64)
-            in_range = (tags >= 0) & (tags <= round(stream.duration * 1000.0))
+            jitter = np.rint(rng.normal(0.0, sigma * 1000.0, len(stream))).astype(np.int64)
+            tags = stream.times + jitter
+            in_range = (tags >= 0) & (tags <= stream.duration)
             return np.sort(tags[to_a & in_range]), np.sort(tags[~to_a & in_range])
 
-        duration = 50.0
+        duration = 50_000
         rng = np.random.default_rng(seed + 100)
-        # events at both ends, and events on a 1 ns grid whose tiny jitter
-        # rounds many of them onto the same ps tag
-        times = np.sort(np.concatenate([[0.0, 0.0, duration, duration],
-                                        rng.uniform(0.0, duration, 400),
-                                        rng.integers(0, 51, 400).astype(float)]))
+        # events at both ends, and events on a 1 ns grid whose sub-ps jitter
+        # leaves many of them on the same ps tag
+        times = np.sort(np.concatenate([[0, 0, duration, duration],
+                                        rng.integers(0, duration, 400, endpoint=True),
+                                        1000 * rng.integers(0, 51, 400)]))
         s = EventStream(times, duration)
         for sigma in (2e-4, 0.35, 5.0):
             r = route_events(s, share_a, seed, jitter_sigma_ns=sigma)
@@ -286,7 +287,7 @@ class TestRouting:
                 assert tags_a.size + tags_b.size < len(s)  # jitter pushed tags out
 
     def test_empty_stream(self):
-        s = EventStream(np.empty(0), 1e3)
+        s = EventStream(np.empty(0, np.int64), 1_000_000)
         r = route_events(s, 0.5, seed=0)
         assert r.n_events == 0 and r.n_detected == 0
         assert r.channels.duration == 1_000_000
@@ -299,56 +300,54 @@ class TestRouting:
 
 @st.composite
 def emitter_runs(draw):
-    """Sorted runs of event times over [0, duration] ns, often on the 1 ps lattice so
-    that tags tie within and across runs, and whether Poisson background joins them."""
-    duration = draw(st.sampled_from([0.05, 1.0, 40.0]))
-    last_ps = round(duration * 1000.0)
-    if draw(st.booleans()):
-        times = st.integers(0, last_ps).map(lambda ps: ps / 1000.0)
-    else:
-        times = st.floats(0.0, duration)
-    runs = [np.sort(np.array(draw(st.lists(times, max_size=60)), dtype=float))
+    """Sorted runs of event times over [0, duration] ps, often on a coarse lattice so
+    that times tie within and across runs, and whether Poisson background joins them."""
+    duration = draw(st.sampled_from([50, 1_000, 40_000]))
+    step = draw(st.sampled_from([1, 250]))
+    times = st.integers(0, duration // step).map(lambda k: k * step)
+    runs = [np.sort(np.array(draw(st.lists(times, max_size=60)), dtype=np.int64))
             for _ in range(draw(st.integers(1, 4)))]
     return runs, duration, draw(st.booleans())
 
 
 class TestBlockedMergeAndRound:
-    """The merge and the rounding in time blocks against one sort and one rint of the whole."""
+    """The merge in time blocks, then routing with its whole-ps jitter, against one sort
+    of the whole and one pass of the routing's draws."""
 
     @staticmethod
     def one_shot(times, duration, share_a, seed, sigma):
-        """route_events' draws on the sorted union, rounded whole, A's first at equal tags."""
+        """route_events' draws on the sorted union, A's first at equal tags."""
         rng = np.random.default_rng(seed)
         on_b = rng.random(times.size) >= share_a
+        tags = times
         if sigma > 0.0:
-            times = times + rng.normal(0.0, sigma, times.size)
-            order = np.argsort(times, kind="stable")
-            times, on_b = times[order], on_b[order]
-        tags = np.rint(times * 1000.0).astype(np.int64)
-        keep = (tags >= 0) & (tags <= round(duration * 1000.0))
+            tags = tags + np.rint(rng.normal(0.0, sigma * 1000.0, times.size)).astype(np.int64)
+        keep = (tags >= 0) & (tags <= duration)
         tags, on_b = tags[keep], on_b[keep]
         order = np.lexsort((on_b, tags))
         return tags[order], on_b[order]
 
     @staticmethod
     def blocked(streams, duration, share_a, seed, sigma, n_blocks, n_cores):
-        """EventStream.merge, then route_events, with every stream cut into n_blocks blocks."""
-        rounded_on = set()
-        round_block = optics._round_block
+        """EventStream.merge with every stream cut into n_blocks blocks, then route_events;
+        also the threads that merged a block."""
+        merged_on = set()
+        map_blocks = montecarlo._map_blocks
 
-        def recording(*args):
-            rounded_on.add(threading.current_thread())
-            return round_block(*args)
+        def recording(fn, blocks, cores):
+            def block(*args):
+                merged_on.add(threading.current_thread())
+                return fn(*args)
+
+            return map_blocks(block, blocks, cores)
 
         with patch.object(montecarlo, "_BLOCKED_MIN", 0), \
-                patch.object(optics, "_BLOCKED_MIN", 0), \
                 patch.object(montecarlo, "_TIME_BLOCKS", n_blocks), \
                 patch.object(montecarlo, "_usable_cores", lambda: n_cores), \
-                patch.object(optics, "_usable_cores", lambda: n_cores), \
-                patch.object(optics, "_round_block", recording):
+                patch.object(montecarlo, "_map_blocks", recording):
             merged = EventStream.merge(streams, duration)
             routed = route_events(merged, share_a, seed, jitter_sigma_ns=sigma)
-        return merged, routed, rounded_on
+        return merged, routed, merged_on
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=emitter_runs(), share_a=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
@@ -357,7 +356,8 @@ class TestBlockedMergeAndRound:
         runs, duration, background = case
         streams = [EventStream(run, duration) for run in runs]
         if background:
-            streams.append(poisson_background(20.0 / duration, duration, seed=len(runs)))
+            streams.append(poisson_background(20.0 / duration * 1000.0, duration / 1000.0,
+                                              seed=len(runs)))
         times = np.sort(np.concatenate([s.times for s in streams]))
         tags, on_b = self.one_shot(times, duration, share_a, 5, sigma)
         for n_cores in (1, 2, 3):
@@ -370,29 +370,30 @@ class TestBlockedMergeAndRound:
 
     @pytest.mark.parametrize("n_cores", [1, 2, 3])
     def test_equal_tags_across_block_edges_list_a_first(self, n_cores):
-        # one pair of events 0.2 ps apart across every edge of eight 5 ns
-        # blocks: each pair rounds to one tag, the earlier event in one block
-        # and the later one in the next
-        duration = 40.0
-        edges = np.arange(5.0, 40.0, 5.0)
-        times = np.sort(np.concatenate([edges - 1e-7, edges + 1e-7]))
-        stream = EventStream(times, duration)
+        # two emitters detect at every edge of eight 5 ns blocks, one ps before
+        # it and on it: each time is held twice, merged by the threads of two blocks
+        duration = 40_000
+        edges = np.arange(5_000, 40_000, 5_000)
+        run = np.sort(np.concatenate([edges - 1, edges]))
+        streams = [EventStream(run, duration), EventStream(run, duration)]
+        times = np.sort(np.concatenate([run, run]))
         tags, on_b = self.one_shot(times, duration, 0.5, 8, 0.0)
-        assert tags.tolist() == np.repeat(np.arange(5_000, 40_000, 5_000), 2).tolist()
-        # the draws put channel B first in event order on some edges
+        assert tags.tolist() == np.repeat(run, 2).tolist()
+        # the draws put channel B first in event order on some pairs
         drawn = np.random.default_rng(8).random(times.size) >= 0.5
         assert np.any(drawn[0::2] & ~drawn[1::2])
-        _, routed, rounded_on = self.blocked([stream], duration, 0.5, 8, 0.0, 8, n_cores)
+        _, routed, merged_on = self.blocked(streams, duration, 0.5, 8, 0.0, 8, n_cores)
         assert routed.channels.pooled.tags.tobytes() == tags.tobytes()
         assert routed.channels.on_b.tobytes() == on_b.tobytes()
-        assert len(rounded_on) == n_cores
+        assert len(merged_on) == n_cores
 
     def test_small_streams_stay_on_the_calling_thread(self):
-        s = signal_stream(montecarlo._BLOCKED_MIN, 1e5, seed=4)
-        with patch.object(optics, "_round_block", wraps=optics._round_block) as rounded, \
-                patch.object(optics, "_usable_cores", lambda: 4):
-            route_events(s, 0.5, seed=4)
-        assert rounded.call_count == 1
+        s = signal_stream(montecarlo._BLOCKED_MIN // 2, 1e5, seed=4)
+        with patch.object(montecarlo, "_map_blocks", wraps=montecarlo._map_blocks) as mapped, \
+                patch.object(montecarlo, "_usable_cores", lambda: 4):
+            merged = EventStream.merge([s, s], s.duration)
+        assert mapped.call_args.args[1] == [(0,)]
+        assert np.array_equal(merged.times, np.sort(np.concatenate([s.times, s.times])))
 
 
 class TestAnalyticEfficiencies:

@@ -325,6 +325,8 @@ class TestValidateConfig:
          "rates.k12: must be > 0, got 0"),
         ("rates", ABSENT, "rates: required (preset name or mapping)"),
         ("duration_ns", ABSENT, "duration_ns: required"),
+        # tags are int64 ps: no acquisition reaches 2^63 ps
+        ("duration_ns", 1.0e16, "duration_ns: out of [0, 9.22337e+15], got 1e+16"),
     ])
     def test_yaml_values_follow_the_number_rule(self, tmp_path, capsys, key, value, expected):
         # validate reports through the same printer as every other command
