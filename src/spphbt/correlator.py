@@ -51,8 +51,9 @@ The blocks' int64 histograms add up to the whole stream's whatever the
 order, so the counts do not depend on the thread count.
 
 An acquisition's two channels travel as one `ChannelTags`: the time-ordered
-tags of both, A's first at equal tags, and a mask of B's.  Both correlators
-read it as it is; a whole channel is copied out only when asked for.
+tags of both and a mask of B's, A's first at equal tags (`_a_first_at_ties`,
+the one rule for the router and `ChannelTags.pool`).  Both correlators read
+it as it is; a whole channel is copied out only when asked for.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyStream
-from .montecarlo import _map_blocks, _ps_stream, _time_blocks, _usable_cores
+from .montecarlo import _map_on_threads, _ps_stream, _time_blocks, _usable_cores
 
 __all__ = [
     "TimeTagStream",
@@ -79,8 +80,6 @@ _CHUNK = 1 << 15
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
 _DENSE = 1 / 3
-# tags per block of a channel split; each block's index array is this long at most
-_SELECT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class TimeTagStream:
 class ChannelTags:
     """Both channels of one acquisition: their tags in time order, which are B's, and metadata.
 
-    At equal tags A's come first, the order of a tag file's records.
+    At equal tags A's come first (`_a_first_at_ties`).
     Unpacks as (channel A, channel B, metadata).
     """
 
@@ -116,14 +115,20 @@ class ChannelTags:
     on_b: np.ndarray  # bool, one per tag of `pooled`
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        on_b = self.on_b
+        if not (isinstance(on_b, np.ndarray) and on_b.dtype == bool
+                and on_b.shape == (len(self.pooled),)):
+            raise ValueError(f"on_b must be a 1-d bool array of {len(self.pooled)} entries")
+
     @classmethod
     def pool(cls, a: TimeTagStream, b: TimeTagStream) -> "ChannelTags":
         """Channels A and B as one value."""
         tags = np.concatenate([a.tags, b.tags])
-        # a stable sort merges the two sorted runs and keeps A's first at equal tags
-        order = np.argsort(tags, kind="stable")
-        return cls(TimeTagStream(tags[order], "A+B", min(a.duration, b.duration)),
-                   order >= a.tags.size)
+        order = np.argsort(tags)
+        tags, on_b = tags[order], order >= a.tags.size
+        _a_first_at_ties(tags, on_b)
+        return cls(TimeTagStream(tags, "A+B", min(a.duration, b.duration)), on_b)
 
     @property
     def duration(self) -> int:
@@ -137,30 +142,23 @@ class ChannelTags:
 
     @property
     def a(self) -> TimeTagStream:
-        return TimeTagStream(_select(~self.on_b, self.pooled.tags), "A", self.duration)
+        return TimeTagStream(np.compress(~self.on_b, self.pooled.tags), "A", self.duration)
 
     @property
     def b(self) -> TimeTagStream:
-        return TimeTagStream(_select(self.on_b, self.pooled.tags), "B", self.duration)
+        return TimeTagStream(np.compress(self.on_b, self.pooled.tags), "B", self.duration)
 
     def __iter__(self):
         return iter((self.a, self.b, self.metadata))
 
 
-def _select(mask: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """tags[mask], copied block by block.
-
-    np.compress copies about 3x faster than boolean indexing, but it first
-    builds an int64 index of every selected tag; taken whole, that index
-    would raise a long acquisition's peak memory by half its tags.
-    """
-    out = np.empty(int(np.count_nonzero(mask)), dtype=tags.dtype)
-    k = 0
-    for i in range(0, tags.size, _SELECT_BLOCK):
-        part = np.compress(mask[i:i + _SELECT_BLOCK], tags[i:i + _SELECT_BLOCK])
-        out[k:k + part.size] = part
-        k += part.size
-    return out
+def _a_first_at_ties(tags: np.ndarray, on_b: np.ndarray) -> None:
+    """Reorder the channel mask of sorted tags in place so that each run of equal tags
+    lists channel A's first: the one record order of `ChannelTags`."""
+    ties = np.flatnonzero(tags[1:] == tags[:-1])
+    if ties.size:
+        run = np.union1d(ties, ties + 1)
+        on_b[run] = on_b[run][np.lexsort((on_b[run], tags[run]))]
 
 
 @dataclass(frozen=True)
@@ -386,15 +384,16 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
     lag_max = _validate_window(lag_max, bin_width)
     t, on_b = tags.pooled.tags, tags.on_b
 
-    def count(first: int, stop: int) -> np.ndarray:
-        ta = _select(~on_b[first:stop], t[first:stop])
+    def count(block: tuple[int, int]) -> np.ndarray:
+        first, stop = block
+        ta = np.compress(~on_b[first:stop], t[first:stop])
         if ta.size == 0:
             return np.zeros(2 * lag_max // bin_width, dtype=np.int64)
         # the B tags in reach of the block's A tags
         lo, hi = np.searchsorted(t, [ta[0] - lag_max, ta[-1] + lag_max]).tolist()
-        return _pair_counts(ta, _select(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
+        return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
 
-    parts = _map_blocks(count, _time_blocks(t, tags.duration, _CHUNK), _usable_cores())
+    parts = _map_on_threads(count, _time_blocks(t, tags.duration, _CHUNK), _usable_cores())
     return CorrelationHistogram(
         counts=np.sum(parts, axis=0),
         bin_width=bin_width,
@@ -419,8 +418,8 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
         raise EmptyStream("channel has no tags")
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
-    parts = _map_blocks(lambda first, stop: _block_counts(t, first, stop, lag_max, bin_width),
-                        _time_blocks(t, a.duration, _CHUNK), _usable_cores())
+    parts = _map_on_threads(lambda block: _block_counts(t, *block, lag_max, bin_width),
+                            _time_blocks(t, a.duration, _CHUNK), _usable_cores())
     forward, exact = (np.sum(counts, axis=0) for counts in zip(*parts))
     # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
     # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w

@@ -124,7 +124,7 @@ class EventStream:
                            + [run[c[k]:c[k + 1]] for run, c in zip(runs, cuts)], out=block)
             block.sort()
 
-        _map_blocks(sort_block, [(k,) for k in range(len(edges) + 1)], _usable_cores())
+        _map_on_threads(sort_block, list(range(len(edges) + 1)), _usable_cores())
         return EventStream(times, duration, _validate=False)
 
 
@@ -253,17 +253,17 @@ def simulate_ensemble(
         return simulate_emitter(rates, duration, child, efficiency=efficiency)
 
     streams = _map_on_threads(emitter, children[:-1],
-                              _worker_count(rates, n_emitters, duration, efficiency))
+                              _worker_count(rates, duration, efficiency))
     if background_rate != 0.0:  # NaN and negative rates reach poisson_background's check
         streams.append(poisson_background(background_rate, duration, children[-1]))
     return EventStream.merge(streams, streams[0].duration)
 
 
-def _worker_count(rates: RateSet, n_emitters: int, duration: float, efficiency: float) -> int:
+def _worker_count(rates: RateSet, duration: float, efficiency: float) -> int:
     """Threads that sample the ensemble: one per usable core above the size gate."""
     if steady_emission_rate(rates) * efficiency * duration < _THREADED_MIN_DETECTIONS:
         return 1
-    return min(_usable_cores(), n_emitters)
+    return _usable_cores()
 
 
 def _usable_cores() -> int:
@@ -298,19 +298,15 @@ def _time_blocks(times: np.ndarray, duration, gate: int) -> list[tuple[int, int]
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if stop > start]
 
 
-def _map_blocks(fn, blocks: list[tuple], n_cores: int) -> list:
-    """[fn(*block) for block in blocks] on up to n_cores threads, the caller's included."""
-    return _map_on_threads(lambda block: fn(*block), blocks, max(1, min(n_cores, len(blocks))))
-
-
 def _map_on_threads(fn, items: list, n_threads: int) -> list:
-    """[fn(item) for item in items], spread over n_threads including the caller.
+    """[fn(item) for item in items] on up to n_threads, the caller's included, one per item.
 
     Thread w takes items w, w + n_threads, ...  A failed item stops every
     thread before any later item while earlier items still run, so the error
     raised once all have joined is that of the lowest-index failing item,
     whichever failed first.
     """
+    n_threads = max(1, min(n_threads, len(items)))
     results: list = [None] * len(items)
     errors: list[tuple[int, BaseException]] = []
 

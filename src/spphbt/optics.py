@@ -20,8 +20,9 @@ the signal's split, so every detector sees the same signal fraction rho.
 
 The sampler's detections are already integer picoseconds, so the routed
 tags are those times, jittered by whole picoseconds if at all, and stay one
-time-ordered stream with a mask of channel B's (`ChannelTags`).  The channel
-draw and any jitter run once over the events in order.
+time-ordered stream with a mask of channel B's (`ChannelTags`), A's first at
+equal tags (`correlator._a_first_at_ties`).  The channel draw and any jitter
+run once over the events in order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlator import ChannelTags, TimeTagStream
+from .correlator import ChannelTags, TimeTagStream, _a_first_at_ties
 from .errors import InvalidGeometry
 from .montecarlo import EventStream
 
@@ -188,14 +189,11 @@ def route_events(
     tags = stream.times
     if jitter_sigma_ns > 0.0:
         tags = tags + np.rint(rng.normal(0.0, jitter_sigma_ns * 1000.0, n)).astype(np.int64)
-        # jittered tags reorder; each keeps its channel
+        # jittered tags reorder; each keeps its channel.  A stable sort is the fast
+        # one on nearly sorted tags; the order at equal tags is set below
         order = np.argsort(tags, kind="stable")
         tags, on_b = tags[order], on_b[order]
-    ties = np.flatnonzero(tags[1:] == tags[:-1])
-    if ties.size:
-        # each run of equal tags lists A's before B's
-        run = np.union1d(ties, ties + 1)
-        on_b[run] = on_b[run][np.lexsort((on_b[run], tags[run]))]
+    _a_first_at_ties(tags, on_b)
     # only jitter moves tags out of [0, duration], and only at the sorted ends
     lo, hi = np.searchsorted(tags, [0, stream.duration + 1]).tolist()
     return RoutedStreams(

@@ -238,7 +238,7 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
 
     # the tag lane is item 0, so its error is the one raised when both lanes fail
     (tag_paths, tags_sha256), (analysis_paths, hist, fit, report, rejected) = _map_on_threads(
-        lambda lane: lane(), [tag_lane, analysis_lane], min(2, _usable_cores()))
+        lambda lane: lane(), [tag_lane, analysis_lane], _usable_cores())
     paths = {**tag_paths, **analysis_paths}
 
     artifact_records = {

@@ -302,7 +302,8 @@ def _number(value, *, integer=False, minimum=None, maximum=None, positive=False,
     if positive and v <= 0:
         raise ValueError(f"must be > 0, got {value!r}")
     if maximum is not None and not minimum <= v <= maximum:
-        raise ValueError(f"out of [{minimum:g}, {maximum:g}], got {value!r}")
+        raise ValueError(f"out of {'(' if positive else '['}{minimum:g}, {maximum:g}], "
+                         f"got {value!r}")
     if minimum is not None and v < minimum:
         raise ValueError(f"must be >= {minimum:g}, got {value!r}")
     return v

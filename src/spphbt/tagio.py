@@ -3,10 +3,11 @@
 Time tags go into a little-endian binary file: a 16-byte header (magic
 "TTAG", u16 version, 10 reserved zero bytes) followed by 16-byte records
 (u64 timestamp in ps, u8 channel with 0 = A and 1 = B, 7 zero pad bytes),
-sorted by timestamp with channel breaking ties.  The header has no room
-for metadata, so the acquisition duration, the tag count of each channel
-and the provenance travel in a JSON sidecar next to the file
-("<file>.json"); the reader checks the records against those counts.
+sorted by timestamp with A's first at equal timestamps, the order of
+`correlator._a_first_at_ties`.  The header has no room for metadata, so the
+acquisition duration, the tag count of each channel and the provenance
+travel in a JSON sidecar next to the file ("<file>.json"); the reader
+checks the records against those counts.
 Writer and reader both hold the tags as one `ChannelTags`: the pooled,
 time-ordered tags of both channels, which are the records' time column,
 and a mask of the records on channel B.  The writer builds records straight
@@ -69,13 +70,12 @@ def _read_sidecar(path: Path) -> tuple[Path, dict]:
     return sidecar, _read_json(sidecar)
 
 
-def write_time_tags(path, *channels, metadata: dict | None = None, digest=None) -> Path:
+def write_time_tags(path, *channels, digest=None) -> Path:
     """Write both channels into one TTAG file plus its JSON sidecar.
 
-    `channels` is one ChannelTags, whose metadata is written unless
-    `metadata` is given, or the TimeTagStreams of channels A and B.  A
-    hashlib object passed as `digest` is fed the file's bytes as they are
-    written.
+    `channels` is one ChannelTags, whose metadata is written, or the
+    TimeTagStreams of channels A and B.  A hashlib object passed as `digest`
+    is fed the file's bytes as they are written.
     """
     path = Path(path)
     tags = channels[0] if len(channels) == 1 else ChannelTags.pool(*channels)
@@ -92,9 +92,8 @@ def write_time_tags(path, *channels, metadata: dict | None = None, digest=None) 
         "n_a": n_a,
         "n_b": n_b,
     }
-    metadata = tags.metadata if metadata is None else metadata
-    if metadata:
-        sidecar["metadata"] = metadata
+    if tags.metadata:
+        sidecar["metadata"] = tags.metadata
     write_json(sidecar_path(path), sidecar)
     return path
 

@@ -5,9 +5,14 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from spphbt import montecarlo
 from spphbt.kinetics import RateSet
+
+# every property test draws the same examples on every run; each keeps its own max_examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # One verdict line per acceptance criterion, filled in by test_acceptance.py
 # and echoed after the test summary so a plain `pytest` run shows them.

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from rate_oracles import SymmetryViolation, swap_symmetry_check
 from spphbt import correlator, montecarlo
 from spphbt.correlator import (
+    ChannelTags,
     CorrelationHistogram,
     TimeTagStream,
     auto_correlate,
@@ -382,7 +383,7 @@ class TestTimeBlocks:
                 results.append((auto_correlate(a, lag_max, bin_width).counts, threads))
         return results
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(case=auto_cases())
     def test_blocks_match_oracle_on_any_thread_count(self, case):
         ta, lag_max, bin_width, chunk, _ = case
@@ -419,15 +420,18 @@ class TestTimeBlocks:
         """cross_correlate's counts at 1, 2 and 3 usable cores, the threads of its blocks, and
         how many blocks counted pairs."""
         results = []
-        select, pair_counts = correlator._select, correlator._pair_counts
+        map_on_threads, pair_counts = correlator._map_on_threads, correlator._pair_counts
         duration = int(max(ta[-1], tb[-1], 1))
         a, b = stream(ta, duration), stream(tb, duration, "b")
         for n_cores in (1, 2, 3):
             threads, counted = set(), []
 
-            def selecting(*args):
-                threads.add(threading.current_thread())
-                return select(*args)
+            def mapping(fn, blocks, n_threads):
+                def block(item):
+                    threads.add(threading.current_thread())
+                    return fn(item)
+
+                return map_on_threads(block, blocks, n_threads)
 
             def counting(*args):
                 counted.append(1)
@@ -436,13 +440,13 @@ class TestTimeBlocks:
             with patch.object(correlator, "_CHUNK", chunk), \
                     patch.object(montecarlo, "_TIME_BLOCKS", n_blocks), \
                     patch.object(correlator, "_usable_cores", lambda: n_cores), \
-                    patch.object(correlator, "_select", selecting), \
+                    patch.object(correlator, "_map_on_threads", mapping), \
                     patch.object(correlator, "_pair_counts", counting):
                 counts = cross_correlate(a, b, lag_max, bin_width).counts
             results.append((counts, threads, len(counted)))
         return results
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(case=cross_cases())
     def test_cross_blocks_match_oracle_on_any_thread_count(self, case):
         ta, tb, lag_max, bin_width, chunk, n_blocks = case
@@ -496,16 +500,24 @@ class TestMemory:
         assert peak < 1.5 * a.tags.nbytes
 
 
-class TestSelect:
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 50])
-    def test_equals_boolean_indexing_across_blocks(self, n):
-        rng = np.random.default_rng(n)
-        tags = np.sort(rng.integers(0, 10**15, n))
-        mask = rng.random(n) < 0.4
-        with patch.object(correlator, "_SELECT_BLOCK", 8):
-            for m in (mask, ~mask, np.zeros(n, bool), np.ones(n, bool)):
-                got = correlator._select(m, tags)
-                assert got.dtype == tags.dtype and np.array_equal(got, tags[m])
+class TestChannelTags:
+    @pytest.mark.parametrize("on_b", [
+        np.array([0, 1, 0, 1]),          # an int mask: ~ of it selects every tag
+        np.array([False, True, False]),  # one entry short
+        np.zeros((2, 2), dtype=bool),    # one entry per tag, but 2-d
+        [False, True, False, True],      # not an array
+    ], ids=["int", "short", "2d", "list"])
+    def test_mask_must_be_one_bool_per_tag(self, on_b):
+        with pytest.raises(ValueError, match="on_b must be a 1-d bool array of 4 entries"):
+            ChannelTags(stream([1, 2, 2, 3], 10), on_b)
+
+    def test_pool_lists_a_first_at_equal_tags(self):
+        a, b = stream([5, 5, 9], 10), stream([0, 5, 9, 9], 10, "b")
+        tags = ChannelTags.pool(a, b)
+        assert tags.pooled.tags.tolist() == [0, 5, 5, 5, 9, 9, 9]
+        assert tags.on_b.tolist() == [True, False, False, True, False, True, True]
+        assert tags.a.tags.tolist() == [5, 5, 9] and tags.b.tags.tolist() == [0, 5, 9, 9]
+        assert tags.counts == (3, 4)
 
 
 class TestSwapSymmetry:

@@ -77,7 +77,7 @@ class TestCleanRecovery:
         for got, want in zip(again.params, SILVER_TRUTH):
             assert got == pytest.approx(want, rel=1e-6)
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20, deadline=None)
     @given(
         gamma1=st.floats(0.05, 5.0),
         ratio=st.floats(3.0, 30.0),

@@ -315,8 +315,8 @@ class TestSimulateEnsemble:
         above = steady_emission_rate(silver_rates) * duration >= montecarlo._THREADED_MIN_DETECTIONS
         assert above == (duration > 1e6)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
-        # capped at n_emitters
-        assert montecarlo._worker_count(silver_rates, 4, duration, 1.0) == (4 if above else 1)
+        # every usable core above the gate; the map caps it at the 4 emitters
+        assert montecarlo._worker_count(silver_rates, duration, 1.0) == (8 if above else 1)
         reference = sample()
         # Thread objects, not idents: the system may reuse an exited thread's ident,
         # and the set keeps each object alive
@@ -331,11 +331,11 @@ class TestSimulateEnsemble:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
         try:
-            for n_threads in (1, 2, 3):
+            for n_threads in (1, 2, 3, 8):
                 sampled_on.clear()
                 monkeypatch.setattr(montecarlo, "_worker_count", lambda *args: n_threads)
                 assert np.array_equal(sample(), reference)
-                assert len(sampled_on) == n_threads
+                assert len(sampled_on) == min(n_threads, 4)
         finally:
             sys.setswitchinterval(interval)
 
@@ -404,7 +404,7 @@ class TestSimulateEnsemble:
     def test_config_validation(self, silver_rates, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
         # the emitters' own checks run on the sampling threads above the gate
-        assert montecarlo._worker_count(silver_rates, 4, 6e6, 1.01) == 4
+        assert montecarlo._worker_count(silver_rates, 6e6, 1.01) == 4
         before = threading.active_count()
         for n_emitters, duration, kwargs in [
             (1, -1.0, {}),
@@ -428,10 +428,10 @@ class TestCoreBudget:
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     def test_workers_hold_their_cores_until_joined(self, monkeypatch, cores):
         monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
-        n_threads = min(2, cores)
-        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], n_threads)
-        # inside, every item sees the cores less the workers started beside its caller
-        assert seen == [max(1, cores - (n_threads - 1))] * 2
+        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], cores)
+        # one thread per item at most: inside, every item sees the cores less the
+        # workers started beside its caller
+        assert seen == [max(1, cores - (min(2, cores) - 1))] * 2
         assert montecarlo._usable_cores() == cores
 
     @pytest.mark.parametrize("failing", ["item", "thread_start"])
