@@ -40,17 +40,20 @@ within the window.
 Both correlators run in time blocks of the pooled stream of both channels
 on every usable core, under one rule (`montecarlo._time_blocks`): a fixed
 number of equal-duration blocks, or a single block on the calling thread
-for a stream of at most one chunk.  A cross block owns the pairs whose A
-tag lies in it: it copies out its A tags and the B tags within lag_max of
-them, so neither channel is copied whole.  An auto block owns the
-pairs whose earlier tag lies in it, reading its partners past the block's
-end in the carried window, the tags within lag_max of the block's last.  Its
-share of E is E over the block and the carried window less E over the
-carried window alone, the pairs both of whose tags lie beyond the block.
-The blocks' int64 histograms add up to the whole stream's whatever the
-order, so the counts do not depend on the thread count.
+for a stream of at most one chunk (`montecarlo._BLOCKED_MIN`).  A cross
+block owns the pairs whose A tag lies in it: it copies out its A tags and
+the B tags within lag_max of them, so neither channel is copied whole.  An
+auto block owns the pairs whose earlier tag lies in it, reading its
+partners past the block's end in the carried window, the tags within
+lag_max of the block's last.  Its share of E is E over the block and the
+carried window less E over the carried window alone, the pairs both of
+whose tags lie beyond the block.  The blocks' int64 histograms add up to
+the whole stream's whatever the order, so the counts do not depend on the
+thread count.
 
-An acquisition's two channels travel as one `ChannelTags`: the time-ordered
+A channel is the one stream type of the whole run, `montecarlo.TimeTagStream`
+(sorted int64 ps over [0, duration]), which this module exports.  An
+acquisition's two channels travel as one `ChannelTags`: the time-ordered
 tags of both and a mask of B's, A's first at equal tags (`_a_first_at_ties`,
 the one rule for the router and `ChannelTags.pool`).  Both correlators read
 it as it is; a whole channel is copied out only when asked for.
@@ -63,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyStream
-from .montecarlo import _map_on_threads, _ps_stream, _time_blocks, _usable_cores
+from .montecarlo import _PS_PER_SECOND, TimeTagStream, _map_on_threads, _time_blocks, _usable_cores
 
 __all__ = [
     "TimeTagStream",
@@ -73,34 +76,12 @@ __all__ = [
     "auto_correlate",
 ]
 
-_PS_PER_SECOND = 1_000_000_000_000
 # tags of ta correlated per pass; the per-step arrays are this long at most
 _CHUNK = 1 << 15
 # below this many tags left in a rank step, their remaining pairs are expanded at once
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
 _DENSE = 1 / 3
-
-
-@dataclass(frozen=True)
-class TimeTagStream:
-    """Non-decreasing int64 tags in ps from one detector channel."""
-
-    tags: np.ndarray
-    channel_label: str
-    duration: int  # ps
-
-    def __post_init__(self) -> None:
-        tags, duration = _ps_stream(self.tags, self.duration, f"channel {self.channel_label}")
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "duration", duration)
-
-    def __len__(self) -> int:
-        return int(self.tags.size)
-
-    @property
-    def rate_hz(self) -> float:
-        return self.tags.size / self.duration * _PS_PER_SECOND
 
 
 @dataclass(frozen=True)
@@ -393,7 +374,7 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
         lo, hi = np.searchsorted(t, [ta[0] - lag_max, ta[-1] + lag_max]).tolist()
         return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
 
-    parts = _map_on_threads(count, _time_blocks(t, tags.duration, _CHUNK), _usable_cores())
+    parts = _map_on_threads(count, _time_blocks(t, tags.duration), _usable_cores())
     return CorrelationHistogram(
         counts=np.sum(parts, axis=0),
         bin_width=bin_width,
@@ -419,7 +400,7 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
     parts = _map_on_threads(lambda block: _block_counts(t, *block, lag_max, bin_width),
-                            _time_blocks(t, a.duration, _CHUNK), _usable_cores())
+                            _time_blocks(t, a.duration), _usable_cores())
     forward, exact = (np.sum(counts, axis=0) for counts in zip(*parts))
     # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
     # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w

@@ -33,8 +33,10 @@ Antibunching and shelving-induced bunching are emergent properties of the
 chain; nothing about the correlation function enters the sampler.
 
 A detected photon is an integer picosecond, the clock of a time-tagger, and
-the detection stage routes signal and background alike.  No absolute time
-is held in a float: each chunk's gaps are summed from its start as whole
+the detection stage routes signal and background alike.  One stream type,
+`TimeTagStream` (sorted int64 ps over [0, duration]), carries a run from the
+sampler through the router and the tag file to the correlators.  No absolute
+time is held in a float: each chunk's gaps are summed from its start as whole
 picoseconds, exactly, and fractions, rounded once, then added to the int64
 time of the detection before the chunk.
 
@@ -49,10 +51,10 @@ A sorted union is unique, so the bytes do not depend on the thread count.
 
 The merge and both correlators share one block rule, `_time_blocks`: a
 fixed number of equal-duration blocks, or one block on the calling thread
-below a size gate.  Every threaded stage runs on `_map_on_threads`, and a
-stage started inside another's worker thread (a correlation in a lane of
-`run`) takes only the cores the outer one left free, so the threads at work
-never outnumber the usable cores.
+at or below `_BLOCKED_MIN` items.  Every threaded stage runs on
+`_map_on_threads`, and a stage started inside another's worker thread (a
+correlation in a lane of `run`) takes only the cores the outer one left
+free, so the threads at work never outnumber the usable cores.
 """
 
 from __future__ import annotations
@@ -68,19 +70,21 @@ from .errors import UnsortedInput
 from .kinetics import RateSet, derived_params, steady_emission_rate
 
 __all__ = [
-    "EventStream",
+    "TimeTagStream",
     "simulate_emitter",
     "simulate_ensemble",
     "poisson_background",
 ]
 
+_PS_PER_SECOND = 1_000_000_000_000
 # expected detections per emitter below which the calling thread samples the
 # whole ensemble: smaller draws lose more to GIL hand-offs than threads gain
 _THREADED_MIN_DETECTIONS = 8192
 # equal-duration time blocks that a blocked stage cuts [0, duration] into;
 # more blocks than cores even out the threads' loads
 _TIME_BLOCKS = 8
-# events at or below which the merge runs whole on the calling thread
+# items (merged events, correlated tags) at or below which a blocked stage runs
+# whole on the calling thread: one correlator chunk
 _BLOCKED_MIN = 1 << 15
 # the expected span of one chunk's gaps at most, in ps: float64 sums whole ps
 # exactly below 2^53.  It binds below ~60 detections per second per emitter
@@ -91,41 +95,70 @@ _workers_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
-class EventStream:
-    """Time-sorted detection times in int64 ps over [0, duration] ps."""
+class TimeTagStream:
+    """Time-sorted int64 tags in ps over [0, duration] ps: detected events, or one channel.
 
-    times: np.ndarray
+    Tags and duration must be whole ps, so a time in ns is never read as ps."""
+
+    tags: np.ndarray
+    channel_label: str
     duration: int  # ps
-    # False skips the O(n) order and range check, for runs sorted by construction
+    # False skips the O(n) order and range check, for streams sorted by construction
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
-        times, duration = _ps_stream(self.times, self.duration, "events", self._validate)
-        object.__setattr__(self, "times", times)
+        label, tags, duration = self.channel_label, np.asarray(self.tags), self.duration
+        if tags.dtype != np.int64:
+            with np.errstate(invalid="ignore"):  # NaN, an infinity or an overflow fails the check
+                whole = tags.astype(np.int64)
+            if not np.array_equal(whole, tags):
+                raise ValueError(f"stream {label}: tags must be whole picoseconds")
+            tags = whole
+        if not (isinstance(duration, (int, np.integer)) or float(duration).is_integer()):
+            raise ValueError(f"stream {label}: duration must be whole picoseconds, "
+                             f"got {duration!r}")
+        duration = int(duration)
+        if tags.ndim != 1:
+            raise ValueError(f"stream {label}: tags must be a 1-d array")
+        if duration <= 0:
+            raise ValueError(f"duration must be > 0 ps, got {duration!r}")
+        if self._validate and tags.size:
+            if np.any(tags[1:] < tags[:-1]):
+                raise UnsortedInput(f"stream {label}: tags are not sorted")
+            if tags[0] < 0 or tags[-1] > duration:
+                raise ValueError("tags must lie within [0, duration]")
+        object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "duration", duration)
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return int(self.tags.size)
+
+    @property
+    def rate_hz(self) -> float:
+        return self.tags.size / self.duration * _PS_PER_SECOND
 
     @staticmethod
-    def merge(streams: "list[EventStream]", duration: int) -> "EventStream":
-        """Time-sorted union of the streams' detections, sorted in time blocks on every core."""
-        runs = [s.times for s in streams]
+    def merge(streams: "list[TimeTagStream]", duration: int) -> "TimeTagStream":
+        """Time-sorted union of the streams' tags, sorted in time blocks on every core."""
+        runs = [s.tags for s in streams]
         n = sum(run.size for run in runs)
-        edges = _block_edges(duration, n, _BLOCKED_MIN)
+        edges = _block_edges(duration, n)
         # where each block starts in each run, and in the union
         cuts = [[0, *np.searchsorted(run, edges).tolist(), run.size] for run in runs]
         starts = [sum(c[k] for c in cuts) for k in range(len(edges) + 2)]
-        times = np.empty(n, np.int64)
+        tags = np.empty(n, np.int64)
 
         def sort_block(k: int) -> None:
-            block = times[starts[k]:starts[k + 1]]
+            block = tags[starts[k]:starts[k + 1]]
             np.concatenate([np.empty(0, np.int64)]
                            + [run[c[k]:c[k + 1]] for run, c in zip(runs, cuts)], out=block)
             block.sort()
 
         _map_on_threads(sort_block, list(range(len(edges) + 1)), _usable_cores())
-        return EventStream(times, duration, _validate=False)
+        return TimeTagStream(tags, "events", duration, _validate=False)
+
+
+EventStream = TimeTagStream  # the name bench/tracing.py wraps the merge under
 
 
 def _burn_in(rates: RateSet) -> float:
@@ -206,7 +239,7 @@ def simulate_emitter(
     seed,
     *,
     efficiency: float = 1.0,
-) -> EventStream:
+) -> TimeTagStream:
     """Detected photon times of one emitter over [0, duration] ns, as int64 ps.
 
     Each emitted photon is detected with probability `efficiency`; the
@@ -222,8 +255,8 @@ def simulate_emitter(
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency!r}")
     rng = np.random.default_rng(seed)
     times = _emission_times(rates, efficiency, -burn, duration_ps, rng)
-    return EventStream(times[np.searchsorted(times, 0, side="right"):], duration_ps,
-                       _validate=False)
+    return TimeTagStream(times[np.searchsorted(times, 0, side="right"):], "events",
+                         duration_ps, _validate=False)
 
 
 def simulate_ensemble(
@@ -234,7 +267,7 @@ def simulate_ensemble(
     *,
     efficiency: float = 1.0,
     background_rate: float = 0.0,
-) -> EventStream:
+) -> TimeTagStream:
     """Merged, time-sorted detections of N independent emitters plus background.
 
     Each emitted photon is detected with probability `efficiency`
@@ -249,14 +282,14 @@ def simulate_ensemble(
         raise ValueError(f"n_emitters must be an integer >= 1, got {n_emitters!r}")
     children = np.random.SeedSequence(seed).spawn(n_emitters + 1)
 
-    def emitter(child: np.random.SeedSequence) -> EventStream:
+    def emitter(child: np.random.SeedSequence) -> TimeTagStream:
         return simulate_emitter(rates, duration, child, efficiency=efficiency)
 
     streams = _map_on_threads(emitter, children[:-1],
                               _worker_count(rates, duration, efficiency))
     if background_rate != 0.0:  # NaN and negative rates reach poisson_background's check
         streams.append(poisson_background(background_rate, duration, children[-1]))
-    return EventStream.merge(streams, streams[0].duration)
+    return TimeTagStream.merge(streams, streams[0].duration)
 
 
 def _worker_count(rates: RateSet, duration: float, efficiency: float) -> int:
@@ -281,20 +314,19 @@ def _process_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _block_edges(duration, n_items: int, gate: int) -> list:
+def _block_edges(duration, n_items: int) -> list:
     """Inner edges of the _TIME_BLOCKS equal-duration blocks of [0, duration].
 
-    None at or below `gate` items, whose stage is then one block.
+    None at or below _BLOCKED_MIN items, whose stage is then one block.
     """
-    if n_items <= gate:
+    if n_items <= _BLOCKED_MIN:
         return []
     return [duration * k // _TIME_BLOCKS for k in range(1, _TIME_BLOCKS)]
 
 
-def _time_blocks(times: np.ndarray, duration, gate: int) -> list[tuple[int, int]]:
+def _time_blocks(times: np.ndarray, duration) -> list[tuple[int, int]]:
     """[start, stop) of the non-empty equal-duration time blocks of sorted `times`."""
-    cuts = [0, *np.searchsorted(times, _block_edges(duration, times.size, gate)).tolist(),
-            times.size]
+    cuts = [0, *np.searchsorted(times, _block_edges(duration, times.size)).tolist(), times.size]
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if stop > start]
 
 
@@ -339,7 +371,7 @@ def _map_on_threads(fn, items: list, n_threads: int) -> list:
     return results
 
 
-def poisson_background(rate: float, duration: float, seed) -> EventStream:
+def poisson_background(rate: float, duration: float, seed) -> TimeTagStream:
     """Homogeneous Poisson detection times over [0, duration] ns, as int64 ps."""
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
@@ -348,7 +380,7 @@ def poisson_background(rate: float, duration: float, seed) -> EventStream:
     n = int(rng.poisson(rate * duration))
     times = rng.integers(0, duration_ps, n, endpoint=True)
     times.sort()
-    return EventStream(times, duration_ps, _validate=False)
+    return TimeTagStream(times, "background", duration_ps, _validate=False)
 
 
 def _duration_ps(duration: float, burn_in: int = 0) -> int:
@@ -361,28 +393,3 @@ def _duration_ps(duration: float, burn_in: int = 0) -> int:
         raise ValueError(f"duration {duration!r} ns plus {burn_in} ps of burn-in exceeds "
                          f"the int64 clock's 2^63 - 1 ps (about 9.22e15 ns)")
     return ps
-
-
-def _ps_stream(times, duration, label: str, check_order: bool = True) -> tuple[np.ndarray, int]:
-    """`times` as a 1-d int64 array and `duration` as an int > 0, both whole ps, and with
-    `check_order` the times sorted within [0, duration]; else a ValueError, an
-    UnsortedInput for the order.  A time in ns is never read as ps."""
-    whole = np.asarray(times)
-    if whole.dtype != np.int64:
-        with np.errstate(invalid="ignore"):  # NaN, an infinity or an overflow fails the check
-            whole = whole.astype(np.int64)
-        if not np.array_equal(whole, times):
-            raise ValueError(f"{label}: times must be whole picoseconds")
-    if not (isinstance(duration, (int, np.integer)) or float(duration).is_integer()):
-        raise ValueError(f"{label}: duration must be whole picoseconds, got {duration!r}")
-    duration = int(duration)
-    if whole.ndim != 1:
-        raise ValueError(f"{label}: times must be a 1-d array")
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0 ps, got {duration!r}")
-    if check_order and whole.size:
-        if np.any(whole[1:] < whole[:-1]):
-            raise UnsortedInput(f"{label}: tags are not sorted")
-        if whole[0] < 0 or whole[-1] > duration:
-            raise ValueError("tags must lie within [0, duration]")
-    return whole, duration

@@ -18,10 +18,11 @@ The emission sampler draws only detected photons (at eff_A + eff_B), and
 eff_A / (eff_A + eff_B).  Background counts bypass the loss chain but share
 the signal's split, so every detector sees the same signal fraction rho.
 
-The sampler's detections are already integer picoseconds, so the routed
-tags are those times, jittered by whole picoseconds if at all, and stay one
-time-ordered stream with a mask of channel B's (`ChannelTags`), A's first at
-equal tags (`correlator._a_first_at_ties`).  The channel draw and any jitter
+The sampler's detections arrive as the run's one stream type,
+`TimeTagStream` (sorted int64 ps), so the routed tags are those tags,
+jittered by whole picoseconds if at all, and stay one time-ordered stream
+with a mask of channel B's (`ChannelTags`), A's first at equal tags
+(`correlator._a_first_at_ties`).  The channel draw and any jitter
 run once over the events in order.
 """
 
@@ -34,7 +35,6 @@ import numpy as np
 
 from .correlator import ChannelTags, TimeTagStream, _a_first_at_ties
 from .errors import InvalidGeometry
-from .montecarlo import EventStream
 
 __all__ = [
     "DetectionGeometry",
@@ -163,7 +163,7 @@ def _arc_overlap(a: float, wa: float, b: float, wb: float) -> float:
 
 
 def route_events(
-    stream: EventStream,
+    stream: TimeTagStream,
     share_a: float,
     seed,
     *,
@@ -172,8 +172,8 @@ def route_events(
     """Assign each detected event of a stream to channel A or B and tag it.
 
     One uniform draw per event sends it to A with probability share_a
-    (eff_A / (eff_A + eff_B)) and otherwise to B.  Tags are the events' ps
-    times, each moved by a Gaussian jitter (sigma in ns) rounded to whole ps;
+    (eff_A / (eff_A + eff_B)) and otherwise to B.  Tags are the events' own
+    ps tags, each moved by a Gaussian jitter (sigma in ns) rounded to whole ps;
     jittered tags outside [0, duration] are dropped.  Equal tags list
     channel A's first.
     """
@@ -186,7 +186,7 @@ def route_events(
     for first in range(0, n, _DRAW_BLOCK):
         part = on_b[first:first + _DRAW_BLOCK]
         np.greater_equal(rng.random(part.size), share_a, out=part)
-    tags = stream.times
+    tags = stream.tags
     if jitter_sigma_ns > 0.0:
         tags = tags + np.rint(rng.normal(0.0, jitter_sigma_ns * 1000.0, n)).astype(np.int64)
         # jittered tags reorder; each keeps its channel.  A stable sort is the fast

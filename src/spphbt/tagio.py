@@ -9,13 +9,15 @@ acquisition duration, the tag count of each channel and the provenance
 travel in a JSON sidecar next to the file ("<file>.json"); the reader
 checks the records against those counts.
 Writer and reader both hold the tags as one `ChannelTags`: the pooled,
-time-ordered tags of both channels, which are the records' time column,
-and a mask of the records on channel B.  The writer builds records straight
-from them, a block of a fixed number of tags at a time, so writing holds a
-few MB whatever the file's size and the bytes do not depend on the block
-size; it can hash each block as it writes it, so the file need not be read
-back to be hashed.  The reader refuses records out of time order; a channel
-is split off only when it is asked for.
+time-ordered tags of both channels as the run's one stream type,
+`TimeTagStream`, which are the records' time column, and a mask of the
+records on channel B.  The writer builds records straight from them, a
+block of a fixed number of tags at a time, so writing holds a few MB
+whatever the file's size and the bytes do not depend on the block size; it
+can hash each block as it writes it, so the file need not be read back to
+be hashed.  The reader refuses records out of time order, or with a B
+record before an A record at an equal timestamp; a channel is split off
+only when it is asked for.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
 precision) plus a JSON sidecar of the window and normalisation; the reader
@@ -140,11 +142,16 @@ def read_time_tags(path) -> ChannelTags:
             raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
     try:
         # the time column is sorted across both channels, so each channel is too
-        return ChannelTags(TimeTagStream(tags, "A+B", duration), on_b, metadata)
+        pooled = TimeTagStream(tags, "A+B", duration)
     except UnsortedInput as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:  # tags beyond the duration
         raise ValueError(f"{sidecar}: {exc}") from exc
+    ties = np.flatnonzero(tags[1:] == tags[:-1])
+    if np.any(on_b[ties] & ~on_b[ties + 1]):
+        raise ValueError(f"{path}: a channel B record comes before a channel A record "
+                         "at an equal timestamp")
+    return ChannelTags(pooled, on_b, metadata)
 
 
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:

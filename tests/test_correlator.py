@@ -77,7 +77,7 @@ class TestTimeTagStream:
     def test_rejects_fractional_picoseconds(self):
         # truncating would read a time in ns as a ps tag without a word
         for tags, duration in [([1.7, 2.9, 5.5], 10), ([1, 2, 5], 10.9), ([1.0, np.nan], 10),
-                               ([1.0, np.inf], 10), ([1e30], 10)]:
+                               ([1.0, np.inf], 10), ([1e30], 10), ([1, 2], np.inf)]:
             with pytest.raises(ValueError, match="whole picoseconds"):
                 TimeTagStream(np.array(tags), "A", duration)
         whole = TimeTagStream(np.array([1.0, 2.0, 5.0]), "A", 10.0)
@@ -378,6 +378,7 @@ class TestTimeBlocks:
                 return blocks(*args)
 
             with patch.object(correlator, "_CHUNK", chunk), \
+                    patch.object(montecarlo, "_BLOCKED_MIN", chunk), \
                     patch.object(correlator, "_usable_cores", lambda: n_cores), \
                     patch.object(correlator, "_block_counts", recording):
                 results.append((auto_correlate(a, lag_max, bin_width).counts, threads))
@@ -438,6 +439,7 @@ class TestTimeBlocks:
                 return pair_counts(*args)
 
             with patch.object(correlator, "_CHUNK", chunk), \
+                    patch.object(montecarlo, "_BLOCKED_MIN", chunk), \
                     patch.object(montecarlo, "_TIME_BLOCKS", n_blocks), \
                     patch.object(correlator, "_usable_cores", lambda: n_cores), \
                     patch.object(correlator, "_map_on_threads", mapping), \

@@ -105,11 +105,35 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     assert modules_loaded_by_cli_import("concurrent.futures") == "[]"
 
 
+def traced_bench_env() -> dict:
+    """The environment of a process that imports spphbt and bench/tracing.py."""
+    src = Path(spphbt.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(src.parent / "bench")])}
+
+
 def test_traced_bench_finds_every_name_it_wraps():
     # `bench/run.py --trace 1` wraps functions where spphbt's modules look them
     # up; a renamed or dropped name must fail here, not only in a traced run
-    src = Path(spphbt.__file__).resolve().parent.parent
     code = "import time, tracing; tracing.install(tracing.Tracer(time.perf_counter))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(src.parent / "bench")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=traced_bench_env())
     assert out.returncode == 0, out.stderr
+
+
+def test_traced_merge_is_the_one_the_program_calls(tmp_path):
+    # the tracer wraps the merge under its old name, montecarlo.EventStream: if
+    # the program merged by another name, `montecarlo.merge_s` would read 0
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text("name: tiny\nrates: silver\nn_emitters: 3\nduration_ns: 1.0e6\n"
+                        "seed: 7\nfiber_config: AB\ngeometry: fourier_default\n")
+    code = ("import sys, time, tracing\n"
+            "from spphbt import cli, correlator, montecarlo\n"
+            "tracer = tracing.Tracer(time.perf_counter)\n"
+            "tracing.install(tracer)\n"
+            "assert cli.main(['simulate', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(montecarlo.EventStream is correlator.TimeTagStream)\n"
+            "print(sum(span.name == 'montecarlo.merge' for span in tracer.spans))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(scenario), str(tmp_path / "out")],
+                         capture_output=True, text=True, env=traced_bench_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["True", "1"]

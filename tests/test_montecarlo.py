@@ -19,7 +19,7 @@ from scipy import stats
 from spphbt import montecarlo
 from spphbt.kinetics import RateSet, derived_params, steady_emission_rate, steady_state
 from spphbt.montecarlo import (
-    EventStream,
+    TimeTagStream,
     poisson_background,
     simulate_emitter,
     simulate_ensemble,
@@ -96,46 +96,27 @@ def count_sigma(rates: RateSet, duration: float, n_emitters: int = 1) -> float:
     return math.sqrt(n_emitters * rate * duration * fano)
 
 
-class TestEventStream:
+class TestMerge:
     def test_merge_sorts_and_keeps_all_events(self):
-        a = EventStream(np.array([1, 5]), 10)
-        b = EventStream(np.array([2, 5, 9]), 10)
-        m = EventStream.merge([a, b], 10)
-        assert m.times.tolist() == [1, 2, 5, 5, 9]  # equal times both kept
-        assert m.times.dtype == np.int64
-        assert len(EventStream.merge([], 10)) == 0
-
-    def test_rejects_unsorted_times(self):
-        with pytest.raises(ValueError):
-            EventStream(np.array([2, 1]), 10)
-
-    def test_rejects_out_of_range_times(self):
-        with pytest.raises(ValueError):
-            EventStream(np.array([1, 11]), 10)
-
-    def test_rejects_fractional_picoseconds(self):
-        # a time or duration in ns read as ps would otherwise be truncated silently
-        for times, duration in [([1.7, 2.9, 5.5], 10), ([1, 2, 5], 10.9),
-                                ([1.0, math.nan], 10), ([1.0, math.inf], 10), ([1, 2], math.inf)]:
-            with pytest.raises(ValueError, match="whole picoseconds"):
-                EventStream(np.array(times), duration)
-        whole = EventStream(np.array([1.0, 2.0, 5.0]), 10.0)
-        assert whole.times.dtype == np.int64 and whole.times.tolist() == [1, 2, 5]
-        assert whole.duration == 10 and isinstance(whole.duration, int)
-        assert len(EventStream(np.empty(0), 10)) == 0
+        a = TimeTagStream(np.array([1, 5]), "a", 10)
+        b = TimeTagStream(np.array([2, 5, 9]), "b", 10)
+        m = TimeTagStream.merge([a, b], 10)
+        assert m.tags.tolist() == [1, 2, 5, 5, 9]  # equal tags both kept
+        assert m.tags.dtype == np.int64 and (m.duration, m.channel_label) == (10, "events")
+        assert len(TimeTagStream.merge([], 10)) == 0
 
 
 class TestSimulateEmitter:
     def test_deterministic_given_seed(self, silver_rates):
         s1 = simulate_emitter(silver_rates, 1e5, seed=42)
         s2 = simulate_emitter(silver_rates, 1e5, seed=42)
-        assert np.array_equal(s1.times, s2.times)
+        assert np.array_equal(s1.tags, s2.tags)
         assert len(s1) > 0
 
     def test_different_seeds_differ(self, silver_rates):
         s1 = simulate_emitter(silver_rates, 1e5, seed=1)
         s2 = simulate_emitter(silver_rates, 1e5, seed=2)
-        assert not np.array_equal(s1.times, s2.times)
+        assert not np.array_equal(s1.tags, s2.tags)
 
     def test_no_pumping_gives_no_events(self, silver_rates):
         rates = RateSet(0.0, silver_rates.k21, silver_rates.k23, silver_rates.k31)
@@ -143,9 +124,9 @@ class TestSimulateEmitter:
 
     def test_times_within_window_and_sorted(self, silver_rates):
         s = simulate_emitter(silver_rates, 1e5, seed=3)
-        assert s.times.dtype == np.int64 and s.duration == 100_000_000
-        assert np.all(np.diff(s.times) >= 0)
-        assert s.times[0] >= 0 and s.times[-1] <= 100_000_000
+        assert s.tags.dtype == np.int64 and s.duration == 100_000_000
+        assert np.all(np.diff(s.tags) >= 0)
+        assert s.tags[0] >= 0 and s.tags[-1] <= 100_000_000
 
     def test_symmetric_two_level_rate(self):
         # k23 = 0, k12 = k21 = 0.1 -> stationary emission rate 0.05 per ns
@@ -193,9 +174,9 @@ class TestDetectedSampler:
     def test_gaps_match_bernoulli_thinned_emission(self, preset, request):
         rates = request.getfixturevalue(preset)
         duration = 2e4 / (self.P * steady_emission_rate(rates))  # ~2e4 detections
-        emitted = simulate_emitter(rates, duration, seed=41).times
+        emitted = simulate_emitter(rates, duration, seed=41).tags
         kept = np.random.default_rng(43).random(emitted.size) < self.P
-        detected = simulate_emitter(rates, duration, seed=47, efficiency=self.P).times
+        detected = simulate_emitter(rates, duration, seed=47, efficiency=self.P).tags
         ks = stats.ks_2samp(np.diff(detected), np.diff(emitted[kept]))
         assert ks.pvalue > 0.01
 
@@ -241,7 +222,7 @@ class TestSegmentSampler:
         seed = 100 * list(GAP_CASES).index(case) + EFFICIENCIES.index(efficiency)
         mean_gap = 1.0 / (steady_emission_rate(rates) * efficiency)
         gaps = np.diff(simulate_emitter(rates, 4e4 * mean_gap, seed,
-                                        efficiency=efficiency).times) / 1000.0
+                                        efficiency=efficiency).tags) / 1000.0
         reference = compound_geometric_gaps(rates, efficiency, gaps.size,
                                             np.random.default_rng(seed + 50))
         assert stats.ks_2samp(gaps, reference).pvalue > 0.01
@@ -257,7 +238,7 @@ class TestPicosecondClock:
         late = 5 * 10**16  # ps
         for stream in (simulate_emitter(silver_rates, 1e14, 71, efficiency=1e-7),
                        poisson_background(1.2e-9, 1e14, 72)):
-            tags = stream.times[stream.times > late]
+            tags = stream.tags[stream.tags > late]
             assert tags.size > 40_000
             assert np.gcd.reduce(np.diff(tags)) == 1
             odd = np.count_nonzero(tags % 2) / tags.size
@@ -270,7 +251,7 @@ class TestPicosecondClock:
         rates = request.getfixturevalue(preset)
         # ~2e4 detections: one chunk, whose draws the float clock repeats
         duration = 2e4 / (efficiency * steady_emission_rate(rates))
-        tags = simulate_emitter(rates, duration, 81, efficiency=efficiency).times
+        tags = simulate_emitter(rates, duration, 81, efficiency=efficiency).tags
         reference = float_clock_tags(rates, efficiency, duration, 81)
         assert tags.size == reference.size
         assert np.all(np.abs(tags - reference) <= 1)
@@ -283,13 +264,13 @@ class TestSimulateEnsemble:
         ens = simulate_ensemble(silver_rates, 1, 1e5, 9)
         child = np.random.SeedSequence(9).spawn(2)[0]
         solo = simulate_emitter(silver_rates, 1e5, child)
-        assert np.array_equal(ens.times, solo.times)
+        assert np.array_equal(ens.tags, solo.tags)
 
     def test_deterministic_and_sorted(self, silver_rates):
         e1 = simulate_ensemble(silver_rates, 5, 1e5, 21)
         e2 = simulate_ensemble(silver_rates, 5, 1e5, 21)
-        assert np.array_equal(e1.times, e2.times)
-        assert np.all(np.diff(e1.times) >= 0.0)
+        assert np.array_equal(e1.tags, e2.tags)
+        assert np.all(np.diff(e1.tags) >= 0.0)
 
     def test_rate_scales_with_n(self, silver_rates):
         duration, n = 1e6, 10
@@ -303,14 +284,14 @@ class TestSimulateEnsemble:
         clean = simulate_ensemble(silver_rates, 1, duration, 4)
         ens = simulate_ensemble(silver_rates, 1, duration, 4, background_rate=rate)
         background = poisson_background(rate, duration, np.random.SeedSequence(4).spawn(2)[1])
-        assert np.array_equal(ens.times, np.sort(np.concatenate([clean.times, background.times])))
+        assert np.array_equal(ens.tags, np.sort(np.concatenate([clean.tags, background.tags])))
         expected = rate * duration
         assert abs(len(background) - expected) < 3.0 * math.sqrt(expected)
 
     @pytest.mark.parametrize("duration", [6e6, 1e5], ids=["above_gate", "below_gate"])
     def test_thread_count_never_changes_the_result(self, silver_rates, monkeypatch, duration):
         def sample():
-            return simulate_ensemble(silver_rates, 4, duration, 31, background_rate=1e-3).times
+            return simulate_ensemble(silver_rates, 4, duration, 31, background_rate=1e-3).tags
 
         above = steady_emission_rate(silver_rates) * duration >= montecarlo._THREADED_MIN_DETECTIONS
         assert above == (duration > 1e6)
@@ -478,7 +459,7 @@ class TestTrajectoryReference:
     def test_fast_sampler_agrees_with_reference(self, silver_rates):
         # compare the chunked sampler's inter-emission law against radiative
         # intervals extracted from the jump-by-jump reference
-        fast = simulate_emitter(silver_rates, 2e6, seed=101).times / 1000.0
+        fast = simulate_emitter(silver_rates, 2e6, seed=101).tags / 1000.0
         times, states = simulate_trajectory(silver_rates, 300_000, seed=202)
         radiative = (states[:-1] == EmitterState.EXCITED) & (states[1:] == EmitterState.GROUND)
         ref = times[1:][radiative]
@@ -499,11 +480,11 @@ class TestPoissonBackground:
     def test_count_statistics(self):
         s = poisson_background(0.01, 1e6, seed=13)
         assert abs(len(s) - 10_000) < 300  # 3 sigma of Poisson(1e4)
-        assert np.all(np.diff(s.times) >= 0)
+        assert np.all(np.diff(s.tags) >= 0)
 
     def test_uniform_conditional_law(self):
         s = poisson_background(0.01, 1e6, seed=29)
-        ks = stats.kstest(s.times / s.duration, "uniform")
+        ks = stats.kstest(s.tags / s.duration, "uniform")
         assert ks.pvalue > 0.01
 
     def test_rejects_negative_rate(self):

@@ -22,7 +22,7 @@ from scipy import stats
 from spphbt import montecarlo
 from spphbt.correlator import ChannelTags
 from spphbt.errors import InvalidGeometry, UnknownScenario
-from spphbt.montecarlo import EventStream, poisson_background
+from spphbt.montecarlo import TimeTagStream, poisson_background
 from spphbt.optics import (
     DetectionGeometry,
     DipoleMix,
@@ -40,7 +40,8 @@ def signal_stream(n, duration, seed):
     """n uniform event times over [0, duration] ns, in ps."""
     rng = np.random.default_rng(seed)
     duration_ps = round(duration * 1000.0)
-    return EventStream(np.sort(rng.integers(0, duration_ps, n, endpoint=True)), duration_ps)
+    return TimeTagStream(np.sort(rng.integers(0, duration_ps, n, endpoint=True)), "events",
+                         duration_ps)
 
 
 class SppRing(NamedTuple):
@@ -165,7 +166,7 @@ class TestRouting:
         r = route_events(s, 0.3, seed=3)
         assert r.n_detected == r.n_events == n
         assert within_binomial(r.channels.counts[0], n, 0.3)
-        assert np.array_equal(r.channels.pooled.tags, s.times)
+        assert np.array_equal(r.channels.pooled.tags, s.tags)
 
     def test_split_peak_stays_near_boolean_indexing(self):
         # routing holds the channel mask and its tie check's temporaries, nothing
@@ -177,7 +178,7 @@ class TestRouting:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * s.times.nbytes
+        assert peak < 2.5 * s.tags.nbytes
 
     def test_full_ring_overlap_splits_at_beamsplitter(self):
         # both arcs cover the whole ring, so every photon is shared and split
@@ -229,7 +230,7 @@ class TestRouting:
         # background is routed like signal: at share_a = 1 every event,
         # background included, lands on A
         bg = poisson_background(0.01, 1e5, seed=15)
-        s = EventStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 100_000_000)
+        s = TimeTagStream.merge([bg, signal_stream(2_000, 1e5, seed=14)], 100_000_000)
         r = route_events(s, 1.0, seed=16)
         assert r.channels.counts == (len(s), 0)
         r = route_events(s, 0.3, seed=16)
@@ -267,7 +268,7 @@ class TestRouting:
             rng = np.random.default_rng(seed)
             to_a = rng.random(len(stream)) < share_a
             jitter = np.rint(rng.normal(0.0, sigma * 1000.0, len(stream))).astype(np.int64)
-            tags = stream.times + jitter
+            tags = stream.tags + jitter
             in_range = (tags >= 0) & (tags <= stream.duration)
             return np.sort(tags[to_a & in_range]), np.sort(tags[~to_a & in_range])
 
@@ -278,7 +279,7 @@ class TestRouting:
         times = np.sort(np.concatenate([[0, 0, duration, duration],
                                         rng.integers(0, duration, 400, endpoint=True),
                                         1000 * rng.integers(0, 51, 400)]))
-        s = EventStream(times, duration)
+        s = TimeTagStream(times, "events", duration)
         for sigma in (2e-4, 0.35, 5.0):
             r = route_events(s, share_a, seed, jitter_sigma_ns=sigma)
             tags_a, tags_b = direct(s, sigma)
@@ -289,7 +290,7 @@ class TestRouting:
                 assert tags_a.size + tags_b.size < len(s)  # jitter pushed tags out
 
     def test_empty_stream(self):
-        s = EventStream(np.empty(0, np.int64), 1_000_000)
+        s = TimeTagStream(np.empty(0, np.int64), "events", 1_000_000)
         r = route_events(s, 0.5, seed=0)
         assert r.n_events == 0 and r.n_detected == 0
         assert r.channels.duration == 1_000_000
@@ -331,7 +332,7 @@ class TestBlockedMergeAndRound:
 
     @staticmethod
     def blocked(streams, duration, share_a, seed, sigma, n_blocks, n_cores):
-        """EventStream.merge with every stream cut into n_blocks blocks, then route_events;
+        """TimeTagStream.merge with every stream cut into n_blocks blocks, then route_events;
         also the threads that merged a block."""
         merged_on = set()
         map_on_threads = montecarlo._map_on_threads
@@ -347,7 +348,7 @@ class TestBlockedMergeAndRound:
                 patch.object(montecarlo, "_TIME_BLOCKS", n_blocks), \
                 patch.object(montecarlo, "_usable_cores", lambda: n_cores), \
                 patch.object(montecarlo, "_map_on_threads", recording):
-            merged = EventStream.merge(streams, duration)
+            merged = TimeTagStream.merge(streams, duration)
             routed = route_events(merged, share_a, seed, jitter_sigma_ns=sigma)
         return merged, routed, merged_on
 
@@ -356,16 +357,16 @@ class TestBlockedMergeAndRound:
            sigma=st.sampled_from([0.0, 2e-4, 0.35]), n_blocks=st.sampled_from([2, 8, 40]))
     def test_blocks_match_one_shot_sort_and_rint(self, case, share_a, sigma, n_blocks):
         runs, duration, background = case
-        streams = [EventStream(run, duration) for run in runs]
+        streams = [TimeTagStream(run, "events", duration) for run in runs]
         if background:
             streams.append(poisson_background(20.0 / duration * 1000.0, duration / 1000.0,
                                               seed=len(runs)))
-        times = np.sort(np.concatenate([s.times for s in streams]))
+        times = np.sort(np.concatenate([s.tags for s in streams]))
         tags, on_b = self.one_shot(times, duration, share_a, 5, sigma)
         for n_cores in (1, 2, 3):
             merged, routed, _ = self.blocked(streams, duration, share_a, 5, sigma, n_blocks,
                                              n_cores)
-            assert merged.times.tobytes() == times.tobytes()
+            assert merged.tags.tobytes() == times.tobytes()
             assert routed.channels.pooled.tags.tobytes() == tags.tobytes()
             assert routed.channels.on_b.tobytes() == on_b.tobytes()
             assert routed.n_events == times.size
@@ -377,7 +378,7 @@ class TestBlockedMergeAndRound:
         duration = 40_000
         edges = np.arange(5_000, 40_000, 5_000)
         run = np.sort(np.concatenate([edges - 1, edges]))
-        streams = [EventStream(run, duration), EventStream(run, duration)]
+        streams = [TimeTagStream(run, "events", duration), TimeTagStream(run, "events", duration)]
         times = np.sort(np.concatenate([run, run]))
         tags, on_b = self.one_shot(times, duration, 0.5, 8, 0.0)
         assert tags.tolist() == np.repeat(run, 2).tolist()
@@ -394,9 +395,9 @@ class TestBlockedMergeAndRound:
         with patch.object(montecarlo, "_map_on_threads",
                           wraps=montecarlo._map_on_threads) as mapped, \
                 patch.object(montecarlo, "_usable_cores", lambda: 4):
-            merged = EventStream.merge([s, s], s.duration)
+            merged = TimeTagStream.merge([s, s], s.duration)
         assert mapped.call_args.args[1] == [0]
-        assert np.array_equal(merged.times, np.sort(np.concatenate([s.times, s.times])))
+        assert np.array_equal(merged.tags, np.sort(np.concatenate([s.tags, s.tags])))
 
 
 class TestTieOrder:
@@ -411,11 +412,11 @@ class TestTieOrder:
     def test_router_and_pool_give_one_value(self, tmp_path, case, share_a, sigma, seed):
         # a lattice of 250 ps, and jitter of 0.2 ps or none, leave many equal tags
         runs, duration, background = case
-        streams = [EventStream(run, duration) for run in runs]
+        streams = [TimeTagStream(run, "events", duration) for run in runs]
         if background:
             streams.append(poisson_background(20.0 / duration * 1000.0, duration / 1000.0,
                                               seed=len(runs)))
-        routed = route_events(EventStream.merge(streams, duration), share_a, seed,
+        routed = route_events(TimeTagStream.merge(streams, duration), share_a, seed,
                               jitter_sigma_ns=sigma).channels
         a, b, _ = routed
         pooled = ChannelTags.pool(a, b)

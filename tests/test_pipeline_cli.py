@@ -467,6 +467,15 @@ def swap_first_and_last_b_records(data: bytes) -> bytes:
     return data[:16] + records.tobytes()
 
 
+def b_before_a_at_equal_tags(data: bytes) -> bytes:
+    """A TTAG file in time order whose first channel-A record after a channel-B record
+    takes that record's timestamp, so B comes first at an equal timestamp."""
+    records = np.frombuffer(data, dtype=TestTagIO.RECORD, offset=16).copy()
+    first = np.flatnonzero((records["ch"][:-1] == 1) & (records["ch"][1:] == 0))[0]
+    records["t"][first + 1] = records["t"][first]
+    return data[:16] + records.tobytes()
+
+
 def first_count_negative(data: bytes) -> bytes:
     """A histogram CSV whose first row counts -1 pairs."""
     header, first, rest = data.split(b"\r\n", 2)
@@ -869,6 +878,7 @@ class TestRunPipeline:
                                        duration_ns=3.0e6))
         monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
         monkeypatch.setattr(correlator, "_CHUNK", 1024)
+        monkeypatch.setattr(montecarlo, "_BLOCKED_MIN", 1024)
         block_threads: set[threading.Thread] = set()
         map_on_threads = correlator._map_on_threads
 
@@ -1150,6 +1160,7 @@ class TestCli:
         ("tiny.ttag.json", lambda d: dict(d, duration_ps=-5), ["correlate", "--tags", "tiny.ttag"]),
         ("tiny.ttag.json", lambda d: dict(d, duration_ps=1), ["correlate", "--tags", "tiny.ttag"]),
         ("tiny.ttag", swap_first_and_last_b_records, ["correlate", "--tags", "tiny.ttag"]),
+        ("tiny.ttag", b_before_a_at_equal_tags, ["correlate", "--tags", "tiny.ttag"]),
         ("tiny.ttag", lambda data: data[:-3 * 16], ["correlate", "--tags", "tiny.ttag"]),
         ("tiny_g2.csv", lambda data: data.replace(b"\r\n-", b"\r\nabc", 1),
          ["fit", "--hist", "tiny_g2.csv"]),
@@ -1205,7 +1216,7 @@ class TestCli:
     ], ids=["zero_bin_width", "no_rate_a", "tag_sidecar_is_list", "histogram_metadata_is_list",
             "tag_metadata_is_list", "tag_duration_is_text", "tag_window_is_list",
             "histogram_rho_is_text", "tag_duration_negative", "tag_duration_before_last_tag",
-            "tags_unsorted", "tag_records_cut", "histogram_lag_is_text",
+            "tags_unsorted", "tags_b_first_at_a_tie", "tag_records_cut", "histogram_lag_is_text",
             "histogram_without_rows", "histogram_count_negative", "histogram_window_asymmetric",
             "histogram_n_emitters_zero", "histogram_rho_zero", "histogram_k12_is_bool",
             "histogram_k12_negative", "histogram_iterations_fraction",
@@ -1414,6 +1425,55 @@ class TestReaderContract:
         leaf = ".".join(map(str, (*parents, key)))
         if leaf in read and value is not None and json_kind(node[key]) != json_kind(before):
             assert code == 1 and f"{artifact}: " in lines[-1], (leaf, node[key], lines)
+
+
+# what one cell of a histogram CSV is changed to: each takes the cell's text
+CELL_CHANGES = {
+    "digit": lambda cell, k: cell[:k % (len(cell) + 1)] + str(k % 10) + cell[k % (len(cell) + 1):],
+    "sign": lambda cell, k: "-+"[k % 2] + cell.lstrip("-"),
+    "empty": lambda cell, k: "",
+    "huge": lambda cell, k: str(10 ** (18 + k % 15)),
+    "float": lambda cell, k: f"{cell}.{k % 10}",
+    "extra": lambda cell, k: f"{cell},{k}",
+}
+
+
+class TestHistogramCsvContract:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_changed_cell_is_read_or_refused(self, tiny_ab_run, data):
+        # one cell of the histogram CSV changed: `fit` exits 0, or exits 1 with one
+        # `error:` line (after any `warning:` lines), never a traceback; a CSV the
+        # reader refuses is exit 1 naming the CSV
+        out, _ = tiny_ab_run
+        path = out / "tiny_g2.csv"
+        original = path.read_bytes()
+        header, *rows = original.decode().split("\r\n")
+        row = data.draw(st.integers(0, len(rows) - 2), label="row")  # the last is ""
+        cells = rows[row].split(",")
+        column = data.draw(st.integers(0, len(cells) - 1), label="column")
+        change = data.draw(st.sampled_from(sorted(CELL_CHANGES)), label="change")
+        cells[column] = CELL_CHANGES[change](cells[column], data.draw(st.integers(0, 99)))
+        rows[row] = ",".join(cells)
+        path.write_bytes("\r\n".join([header, *rows]).encode())
+        err = io.StringIO()
+        try:
+            try:
+                read_histogram_csv(path)
+                refused = False
+            except ValueError:
+                refused = True
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["fit", "--hist", str(path), "--out", str(out / "stage")])
+        finally:
+            path.write_bytes(original)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1), lines
+        if code == 1:
+            kinds = [line.split(": ")[0] for line in lines]
+            assert kinds == ["warning"] * (len(lines) - 1) + ["error"], lines
+        if refused:
+            assert code == 1 and "tiny_g2.csv: " in lines[-1], lines
 
 
 @pytest.fixture(scope="module")
