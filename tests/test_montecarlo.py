@@ -106,6 +106,29 @@ class TestMerge:
         assert len(TimeTagStream.merge([], 10)) == 0
 
 
+class TestEventStream:
+    """The sampler's detection stream: a TimeTagStream labelled "events"."""
+
+    def test_rejects_unsorted_times(self):
+        with pytest.raises(ValueError):
+            TimeTagStream(np.array([2, 1]), "events", 10)
+
+    def test_rejects_out_of_range_times(self):
+        with pytest.raises(ValueError):
+            TimeTagStream(np.array([1, 11]), "events", 10)
+
+    def test_rejects_fractional_picoseconds(self):
+        # a time or duration in ns read as ps would otherwise be truncated silently
+        for times, duration in [([1.7, 2.9, 5.5], 10), ([1, 2, 5], 10.9),
+                                ([1.0, math.nan], 10), ([1.0, math.inf], 10), ([1, 2], math.inf)]:
+            with pytest.raises(ValueError, match="whole picoseconds"):
+                TimeTagStream(np.array(times), "events", duration)
+        whole = TimeTagStream(np.array([1.0, 2.0, 5.0]), "events", 10.0)
+        assert whole.tags.dtype == np.int64 and whole.tags.tolist() == [1, 2, 5]
+        assert whole.duration == 10 and isinstance(whole.duration, int)
+        assert len(TimeTagStream(np.empty(0), "events", 10)) == 0
+
+
 class TestSimulateEmitter:
     def test_deterministic_given_seed(self, silver_rates):
         s1 = simulate_emitter(silver_rates, 1e5, seed=42)
