@@ -1,4 +1,4 @@
 """Simulation and inference for two-detector intensity correlations of few-emitter sources."""
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 __all__ = ["__version__"]

@@ -19,7 +19,9 @@ prefix: one gather, one subtraction, one floor division and one bincount per
 rank k.  Once fewer than a small fixed number of tags remain, their
 remaining pairs are listed in one go, so a burst tag with many partners
 costs no more Python steps than the ranks before it.  The cost is O(pairs),
-and each step holds O(chunk) memory whatever the window.
+and each step holds O(chunk) memory whatever the window.  A tag's reach,
+t + lag, saturates at the int64 clock's top (`_ahead`), so tags near
+2^63 - 1 ps pair like any others.
 
 An auto-correlation counts each pair once, in one sorted stream t where
 tag i's partner at rank k is tag i + k.  While at least a fixed share of a
@@ -82,6 +84,8 @@ _CHUNK = 1 << 15
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
 _DENSE = 1 / 3
+# the int64 clock's last picosecond
+_CLOCK_TOP = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -205,18 +209,25 @@ class CorrelationHistogram:
         return self.lag_edges + 0.5 * self.bin_width
 
 
+def _ahead(t, lag: int):
+    """t + lag ps for a tag or an array of tags, saturated at the int64 clock's top;
+    lag <= 2^63 - 1."""
+    return np.minimum(t, _CLOCK_TOP - lag) + lag if lag > 0 else t + lag
+
+
 def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
                  bin_width: int) -> np.ndarray:
     """Histogram of lags tb[j] - ta[i] inside [lag_min, lag_max)."""
     counts = np.zeros((lag_max - lag_min) // bin_width, dtype=np.int64)
     for i0 in range(0, ta.size, _CHUNK):
         start = ta[i0:i0 + _CHUNK] + lag_min
+        last = _ahead(ta[i0:i0 + _CHUNK], lag_max - 1)  # the latest partner of each tag
         # the chunk's partners all lie in tb[j0:j1]; search only there
         j0 = int(np.searchsorted(tb, start[0], side="left"))
-        j1 = int(np.searchsorted(tb, start[-1] + (lag_max - lag_min), side="left"))
+        j1 = int(np.searchsorted(tb, last[-1], side="right"))
         tw = tb[j0:j1]
         lo = np.searchsorted(tw, start, side="left")
-        per = np.searchsorted(tw, start + (lag_max - lag_min), side="left") - lo
+        per = np.searchsorted(tw, last, side="right") - lo
         _step_ranks(tw, start, lo, per, bin_width, counts)
     return counts
 
@@ -281,10 +292,10 @@ def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int,
         # the tags still inside after rank k go on by rank steps over the
         # slice their partners can reach
         inside = np.arange(i1 - i0) if k == 0 else np.flatnonzero(lags < n_bins)
-        tw = t[i0:int(np.searchsorted(t, t[i1 - 1] + lag_max, side="left"))]
+        tw = t[i0:int(np.searchsorted(t, _ahead(t[i1 - 1], lag_max - 1), side="right"))]
         start = tw[inside]
         lo = inside + (k + 1)
-        per = np.searchsorted(tw, start + lag_max, side="left") - lo
+        per = np.searchsorted(tw, _ahead(start, lag_max - 1), side="right") - lo
         _step_ranks(tw, start, lo, per, bin_width, counts)
     return counts
 
@@ -293,20 +304,33 @@ def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int) -> np.ndarr
     """Pairs i < j with lag exactly k * w (w = bin_width), k = 0..n_half.
 
     Such pairs share their residue t mod w and differ by k in t div w.  On
-    the keys (t mod w) * stride + (t div w), with stride above the largest
-    quotient plus n_half, keys of different residues differ by more than
-    n_half, so these are the pairs whose keys differ by k.  Only keys with
-    a neighbour within n_half can pair.  The keys are built, tested and
-    compacted a chunk at a time, so they are the one array as long as tags.
+    the keys (t mod w) * stride + (t div w - first), with `first` the first
+    tag's quotient and stride above the quotients' span plus n_half, keys of
+    different residues differ by more than n_half, so these are the pairs
+    whose keys differ by k.  Only keys with a neighbour within n_half can
+    pair.  The keys are built, tested and compacted a chunk at a time, so
+    they are the one array as long as tags.  Tags too far apart for int64
+    keys are counted apart between the gaps wider than the window.
     """
     if tags.size == 0:
         return np.zeros(n_half + 1, dtype=np.int64)
-    stride = int(tags[-1]) // bin_width + n_half + 1
+    first = int(tags[0]) // bin_width
+    span = int(tags[-1]) // bin_width - first
+    stride = span + n_half + 1
+    if (bin_width - 1) * stride + span > _CLOCK_TOP:
+        # no pair spans a gap wider than the window
+        cuts = np.flatnonzero(np.diff(tags) > n_half * bin_width) + 1
+        if cuts.size == 0:
+            raise ValueError(f"a window of {n_half} bins of {bin_width} ps over tags "
+                             f"{int(tags[0])} to {int(tags[-1])} ps overflows int64 keys")
+        return np.sum([_exact_lag_counts(run, n_half, bin_width)
+                       for run in np.split(tags, cuts)], axis=0)
     keys = np.empty_like(tags)
     for i0 in range(0, tags.size, _CHUNK):
         block = keys[i0:i0 + _CHUNK]
         np.remainder(tags[i0:i0 + _CHUNK], bin_width, out=block)
         block *= stride
+        block -= first
         block += tags[i0:i0 + _CHUNK] // bin_width
     keys.sort()
     near = np.zeros(keys.size, dtype=bool)
@@ -330,7 +354,7 @@ def _block_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
     """Forward and exact-lag counts of the pairs whose earlier tag lies in t[first:stop]."""
     n_half = lag_max // bin_width
     # the carried window: every tag past the block within lag_max of its last, lag_max included
-    carried = int(np.searchsorted(t, t[stop - 1] + lag_max, side="right"))
+    carried = int(np.searchsorted(t, _ahead(t[stop - 1], lag_max), side="right"))
     forward = _forward_pair_counts(t, lag_max, bin_width, first, stop)
     exact = _exact_lag_counts(t[first:carried], n_half, bin_width) \
         - _exact_lag_counts(t[stop:carried], n_half, bin_width)
@@ -371,7 +395,8 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
         if ta.size == 0:
             return np.zeros(2 * lag_max // bin_width, dtype=np.int64)
         # the B tags in reach of the block's A tags
-        lo, hi = np.searchsorted(t, [ta[0] - lag_max, ta[-1] + lag_max]).tolist()
+        lo = int(np.searchsorted(t, ta[0] - lag_max, side="left"))
+        hi = int(np.searchsorted(t, _ahead(ta[-1], lag_max - 1), side="right"))
         return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
 
     parts = _map_on_threads(count, _time_blocks(t, tags.duration), _usable_cores())

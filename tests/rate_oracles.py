@@ -145,18 +145,20 @@ def float_clock_tags(rates: RateSet, efficiency: float, duration: float, seed) -
     """One emitter's detections on an absolute float64 ns clock, rounded to ps at the end:
     the sampler's earlier clock, the reference for its int64 ps clock.
 
-    The draws are the sampler's, chunk for chunk while no chunk is cut short
-    (a short run is one chunk): each chunk's gaps are summed, shifted by the
-    float time of the chunk's start and cut at duration plus burn-in; the
-    times past the burn-in become rint((t - burn) * 1000) ps.
+    The rates must give the gap three real poles.  The draws are the
+    sampler's, chunk for chunk while no chunk is cut short (a short run is one
+    chunk): three exponentials per gap on the poles.  Each chunk's gaps are
+    summed, shifted by the float time of the chunk's start and cut at duration
+    plus burn-in; the times past the burn-in become rint((t - burn) * 1000) ps.
     """
     rng = np.random.default_rng(seed)
     burn = montecarlo._burn_in(rates)
     t_end = duration + burn
     lam1, lam2 = montecarlo._segment_rates(rates, efficiency)
+    mu_a, mu_b, mu_c = montecarlo._gap_poles(rates, efficiency)
     k21, k23, k31 = rates.k21, rates.k23, rates.k31
     q = k21 * efficiency / (k21 * efficiency + k23)
-    shelf = 1.0 / k31 if k23 > 0.0 else 0.0
+    shelf = 1.0 / k31
     segment = 1.0 / lam1 + 1.0 / lam2
     mean_gap = (segment + (1.0 - q) * shelf) / q
     var_gap = ((lam1 ** -2 + lam2 ** -2 + (1.0 - q) * shelf ** 2) / q
@@ -167,10 +169,8 @@ def float_clock_tags(rates: RateSet, efficiency: float, duration: float, seed) -
     while t < t_end:
         expected = (t_end - t) / mean_gap
         n = int(min(expected + 4.0 * cv * np.sqrt(expected) + 16, 1 << 17))
-        segments = rng.geometric(q, n).astype(np.float64) if k23 > 0.0 else 1.0
-        gaps = rng.standard_gamma(segments, n) / lam1 + rng.standard_gamma(segments, n) / lam2
-        if k23 > 0.0:
-            gaps += rng.standard_gamma(segments - 1.0) / k31
+        gaps = rng.standard_exponential(n) / mu_a + rng.standard_exponential(n) / mu_b
+        gaps += np.maximum(rng.standard_exponential(n) + np.log1p(-mu_c / k31), 0.0) / mu_c
         times = np.cumsum(gaps)
         times += t
         chunks.append(times[:np.searchsorted(times, t_end, side="right")])

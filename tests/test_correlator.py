@@ -48,6 +48,10 @@ def brute_force_counts(ta, tb, lag_min, lag_max, bin_width, drop_diagonal=False,
     return np.bincount((lags - lag_min) // bin_width, minlength=n_bins)
 
 
+# the int64 clock's last picosecond
+CLOCK_TOP = (1 << 63) - 1
+
+
 def stream(tags, duration, label="a"):
     return TimeTagStream(np.asarray(tags, dtype=np.int64), label, duration)
 
@@ -148,6 +152,32 @@ class TestAgainstBruteForce:
         fixed = h_cross.counts.copy()
         fixed[50 // 5] -= len(a)
         assert np.array_equal(h_auto.counts, fixed)
+
+    @pytest.mark.parametrize("tags", [
+        [CLOCK_TOP - 5_000, CLOCK_TOP - 3_000, CLOCK_TOP - 2_000, CLOCK_TOP],
+        # lags on bin edges, the window's edge included
+        [CLOCK_TOP - 5_000, CLOCK_TOP - 4_000, CLOCK_TOP - 1_000, CLOCK_TOP],
+        # at both ends of the clock: the tags' quotients span it
+        [0, 1_000, 2_500, CLOCK_TOP - 2_000, CLOCK_TOP - 1_000, CLOCK_TOP],
+    ], ids=["top", "edges", "both_ends"])
+    def test_counts_hold_at_the_int64_clock_top(self, tags):
+        # a reach t + lag_max past 2^63 - 1 ps wrapped round and miscounted
+        tags = np.array(tags, dtype=np.int64)
+        on_b = np.arange(tags.size) % 2 == 1
+        h = auto_correlate(stream(tags, CLOCK_TOP), lag_max=4_000, bin_width=1_000)
+        oracle = brute_force_counts(tags, tags, -4_000, 4_000, 1_000, drop_diagonal=True)
+        assert np.array_equal(h.counts, oracle)
+        h = cross_correlate(ChannelTags(stream(tags, CLOCK_TOP), on_b), None,
+                            lag_max=4_000, bin_width=1_000)
+        oracle = brute_force_counts(tags[~on_b], tags[on_b], -4_000, 4_000, 1_000)
+        assert oracle.sum() > 0
+        assert np.array_equal(h.counts, oracle)
+
+    def test_exact_lag_keys_that_cannot_fit_int64_are_refused(self):
+        # bins of 2^59 ps over the whole clock, with no gap wider than the window
+        tags = [0, 1 << 61, 1 << 62, 3 << 61, CLOCK_TOP]
+        with pytest.raises(ValueError, match="overflows int64 keys"):
+            auto_correlate(stream(tags, CLOCK_TOP), lag_max=1 << 62, bin_width=1 << 59)
 
     def test_duplicate_timestamps_pair_with_each_other(self):
         # three tags at the same instant give 3*2 ordered cross-pairs at lag 0

@@ -221,13 +221,14 @@ GAP_CASES = {
     "no_shelf": RateSet.from_lifetimes(tau12=27.0, tau21=9.7, tau23=math.inf, tau31=math.inf),
     "oscillatory": RateSet(0.5, 0.2, 0.8, 0.3),
 }
-EFFICIENCIES = [1.0, 0.14, 1e-3]
+EFFICIENCIES = [1.0, 0.14, 1e-3, 1e-5]
 
 
 @pytest.mark.parametrize("efficiency", EFFICIENCIES)
 @pytest.mark.parametrize("case", GAP_CASES)
 class TestSegmentSampler:
-    """Gaps drawn as segments between shelvings equal gaps drawn cycle by cycle."""
+    """The sampler's gaps, from the poles or as segments between shelvings, equal gaps
+    drawn cycle by cycle."""
 
     def test_segment_rates_factor_the_cycle_sum(self, case, efficiency):
         rates = GAP_CASES[case]
@@ -251,6 +252,59 @@ class TestSegmentSampler:
         assert stats.ks_2samp(gaps, reference).pvalue > 0.01
         sem = gaps.std() / math.sqrt(gaps.size)
         assert abs(gaps.mean() - mean_gap) < 3.0 * sem
+
+
+class TestGapPoles:
+    """The gap's three real poles, E1/mu_a + E2/mu_b + max(E3 - t0, 0)/mu_c, carry its law."""
+
+    # 1.26e-4 is the paper budget's efficiency
+    @pytest.mark.parametrize("efficiency", [1.0, 0.14, 1e-3, 1.26e-4, 1e-7])
+    @pytest.mark.parametrize("case", ["silver", "glass"])
+    def test_poles_give_the_moments_of_the_gap(self, case, efficiency):
+        rates = GAP_CASES[case]
+        mu_a, mu_b, mu_c = montecarlo._gap_poles(rates, efficiency)
+        assert mu_a >= mu_b >= mu_c > 0.0
+        assert mu_c < rates.k31
+        # J ~ Geometric(q) segments, Exp(lam1) + Exp(lam2), and J - 1 shelvings, Exp(k31)
+        lam1, lam2 = montecarlo._segment_rates(rates, efficiency)
+        q = rates.k21 * efficiency / (rates.k21 * efficiency + rates.k23)
+        segment, shelf = 1.0 / lam1 + 1.0 / lam2, 1.0 / rates.k31
+        mean_gap = (segment + (1.0 - q) * shelf) / q
+        var_gap = ((lam1 ** -2 + lam2 ** -2 + (1.0 - q) * shelf ** 2) / q
+                   + (1.0 - q) / q ** 2 * (segment + shelf) ** 2)
+        assert mean_gap == pytest.approx(
+            1.0 / (steady_emission_rate(rates) * efficiency), rel=1e-12)
+        p = 1.0 - mu_c / rates.k31  # the shelf factor's weight off 0
+        assert 1.0 / mu_a + 1.0 / mu_b + p / mu_c == pytest.approx(mean_gap, rel=1e-12)
+        assert (mu_a ** -2 + mu_b ** -2 + p * (2.0 - p) / mu_c ** 2
+                == pytest.approx(var_gap, rel=1e-12))
+
+    @pytest.mark.parametrize("efficiency", EFFICIENCIES)
+    @pytest.mark.parametrize("case", ["no_shelf", "oscillatory"])
+    def test_without_three_real_poles_the_segments_are_drawn(self, case, efficiency):
+        assert montecarlo._gap_poles(GAP_CASES[case], efficiency) is None
+
+
+class ShortGaps:
+    """A generator whose every standard exponential is 1e-3: gaps far below their mean."""
+
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            return np.full(size, 1e-3)
+        out.fill(1e-3)
+        return out
+
+
+def test_a_run_past_its_expected_count_keeps_every_tag(silver_rates):
+    # the run's array holds its expected count and four sd; ~2500 times that grows it
+    times = montecarlo._emission_times(silver_rates, 0.14, 0, 10**9, ShortGaps())
+    lam1, lam2, _ = (mu / 1000.0 for mu in montecarlo._gap_poles(silver_rates, 0.14))
+    gap = 1e-3 / lam1 + 1e-3 / lam2  # ps; 1e-3 is below t0, so the shelf adds 0
+    expected = 10**9 * 0.14 * steady_emission_rate(silver_rates) / 1000.0
+    assert times.size > 2000 * expected
+    # no tag lost at a growth: every step is one gap, from the first to the last
+    assert set(np.diff(times).tolist()) <= {math.floor(gap), math.ceil(gap)}
+    assert 0 < times[0] <= math.ceil(gap) and 10**9 - gap < times[-1] <= 10**9
 
 
 class TestPicosecondClock:

@@ -1343,6 +1343,20 @@ class TestCli:
                          "--out", str(out)]) == 0
             assert capsys.readouterr().err == "", seed
 
+    @pytest.mark.parametrize("overrides", [
+        # (k12 - k2) ** 2 overflows in the segment rates
+        {"rates": {"k12": 1.0e300, "k21": 0.1, "k23": 0.03, "k31": 0.01}},
+        # q ** 2 underflows to 0 in the gap's variance
+        {"budget": {"p_qe": 1.0e-320}},
+    ], ids=["k12_1e300", "p_qe_1e-320"])
+    def test_rates_out_of_float_range_are_exit_1(self, tmp_path, capsys, overrides):
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_RUN, name="extreme", **overrides)))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the gap between detections is out of float64 range at ")
+        assert err.count("\n") == 1
+
     def test_config_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         assert main(["run", "--scenario", "not_a_scenario"]) == 2
