@@ -24,6 +24,7 @@ rule included).  Fit-health `warning:` lines leave the exit code unchanged.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -239,8 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one tree per process: building it costs about 15 times parsing with it, and a parse
+# leaves nothing in it, so repeated in-process calls share it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

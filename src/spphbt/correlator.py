@@ -327,11 +327,14 @@ def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int) -> np.ndarr
                        for run in np.split(tags, cuts)], axis=0)
     keys = np.empty_like(tags)
     for i0 in range(0, tags.size, _CHUNK):
-        block = keys[i0:i0 + _CHUNK]
-        np.remainder(tags[i0:i0 + _CHUNK], bin_width, out=block)
+        block, chunk = keys[i0:i0 + _CHUNK], tags[i0:i0 + _CHUNK]
+        # the residue from the quotient: a floor division costs a fifth of np.remainder
+        quotient = chunk // bin_width
+        np.multiply(quotient, bin_width, out=block)
+        np.subtract(chunk, block, out=block)
         block *= stride
         block -= first
-        block += tags[i0:i0 + _CHUNK] // bin_width
+        block += quotient
     keys.sort()
     near = np.zeros(keys.size, dtype=bool)
     for i0 in range(0, keys.size - 1, _CHUNK):

@@ -276,8 +276,8 @@ def _emission_times(rates: RateSet, efficiency: float, start: int, end: int,
         left = end - base
         expected = left / mean_gap
         # the expected count and four sd: a chunk falls short about once in 30 000
-        n = max(1, int(min(np.clip(expected + 4.0 * cv * math.sqrt(expected) + 16,
-                                   256, 1 << 17), _CHUNK_SPAN_PS / mean_gap)))
+        n = max(1, int(min(max(expected + 4.0 * cv * math.sqrt(expected) + 16, 256.0),
+                           float(1 << 17), _CHUNK_SPAN_PS / mean_gap)))
         # the gaps, built in place in the first draw's array
         if poles is not None:
             # E1 / mu_a + E2 / mu_b + max(E3 - t0, 0) / mu_c

@@ -253,7 +253,9 @@ _RULES: dict[str, tuple | dict | re.Pattern] = {
     "name": re.compile(r"[^./\\\0][^/\\\0]*"),
     # a tag is an int64 count of ps, so no acquisition reaches 2^63 ps
     "duration_ns": {"positive": True, "minimum": 0.0, "maximum": 2.0 ** 63 / 1000.0},
-    "n_emitters": {"integer": True, "minimum": 1},
+    # each emitter draws from its own SeedSequence child, all spawned before the first
+    # draw: 1e4 take about 0.1 s, 1e9 would take hours and hundreds of GB
+    "n_emitters": {"integer": True, "minimum": 1, "maximum": 10_000},
     "seed": {"integer": True, "minimum": 0},  # SeedSequence takes no negative seed
     "fiber_config": _FIBER_CONFIGS,
     "fraction_vertical": {"minimum": 0.0, "maximum": 1.0},
@@ -430,22 +432,41 @@ class _RepeatedKey(yaml.constructor.ConstructorError):
         return self.problem
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """A safe loader that refuses a key written twice in one mapping, at any depth."""
+class _UniqueKeys:
+    """A safe loader's mixin that refuses a key written twice in one mapping, at any depth,
+    a mapping merged in by "<<" included."""
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        # merge keys ("<<") and unhashable keys are the base loader's to judge
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node, deep=deep)
-            if isinstance(key, Hashable):
-                if key in seen:
-                    raise _RepeatedKey(problem=f"repeated key {key!r}",
-                                       problem_mark=key_node.start_mark)
-                seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._checked = set()
+
+    def flatten_mapping(self, node):
+        # every mapping passes here before the mappings it merges are spliced into it, and
+        # so does each merged one; once spliced, a key it overrides is there twice, so each
+        # mapping is checked on its first pass only
+        if node not in self._checked:
+            self._checked.add(node)
+            seen = set()
+            # merge keys ("<<") and unhashable keys are the base loader's to judge
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node)
+                if isinstance(key, Hashable):
+                    if key in seen:
+                        raise _RepeatedKey(problem=f"repeated key {key!r}",
+                                           problem_mark=key_node.start_mark)
+                    seen.add(key)
+        super().flatten_mapping(node)
+
+
+# libyaml's parser (about 7 times as fast on a scenario) where PyYAML was built with it; both
+# bases share the Python resolver and constructor, so every value resolves to the same type
+_SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+class _UniqueKeyLoader(_UniqueKeys, _SAFE_LOADER):
+    pass
 
 
 def load_scenario(path) -> Scenario:

@@ -157,9 +157,13 @@ def read_time_tags(path) -> ChannelTags:
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:
     """CSV of (lag_ps, counts, g2, sigma) plus a normalisation sidecar."""
     path = Path(path)
-    # the bytes csv.writer gives for these rows: no field needs quoting
-    rows = map("{},{},{!r},{!r}".format, hist.lag_edges.tolist(), hist.counts.tolist(),
-               hist.g2.tolist(), hist.sigma.tolist())
+    # the bytes csv.writer gives for these rows: no field needs quoting.  g2 and sigma are
+    # IEEE-exact functions of the count, so each distinct count's pair is formatted once
+    counts = hist.counts.tolist()
+    distinct, first = np.unique(hist.counts, return_index=True)
+    pair = dict(zip(distinct.tolist(), map("{!r},{!r}".format, hist.g2[first].tolist(),
+                                             hist.sigma[first].tolist())))
+    rows = map("{},{},{}".format, hist.lag_edges.tolist(), counts, map(pair.__getitem__, counts))
     path.write_text("\r\n".join(["lag_ps,counts,g2,sigma", *rows, ""]), newline="")
     sidecar = {
         "format": "g2-histogram",

@@ -61,6 +61,8 @@ from spphbt.tagio import (
 )
 
 MINIMAL = {"rates": "silver", "duration_ns": 1.0e6}
+# the parsers a scenario may be read with: pure Python always, libyaml where PyYAML has it
+LOADER_BASES = [yaml.SafeLoader, *([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])]
 ABSENT = object()  # a key left out of the mapping
 
 SMALL_RUN = {
@@ -259,6 +261,14 @@ class TestBuiltinScenarios:
         assert capsys.readouterr().out.startswith(f"ok: {expected.name}\n")
 
 
+@pytest.fixture(params=LOADER_BASES, ids=lambda base: base.__name__)
+def loader_base(request, monkeypatch):
+    """The scenario loader's repeated-key check bound to each YAML parser in turn."""
+    loader = type("Loader", (scenarios._UniqueKeys, request.param), {})
+    monkeypatch.setattr(scenarios, "_UniqueKeyLoader", loader)
+    return request.param
+
+
 class TestValidateConfig:
     def test_builtin_name(self):
         scenario, diags = validate_config("silver_ab")
@@ -280,7 +290,11 @@ class TestValidateConfig:
         assert diags == []
         assert scenario.name == "demo"  # falls back to the file stem
 
-    def test_invalid_yaml_reports_line(self, tmp_path):
+    def test_scenarios_are_parsed_by_libyaml_where_present(self):
+        assert issubclass(scenarios._UniqueKeyLoader,
+                          yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    def test_invalid_yaml_reports_line(self, tmp_path, loader_base):
         path = tmp_path / "broken.yaml"
         path.write_text("rates: silver\nduration_ns: [1.0e6\n")
         scenario, diags = validate_config(str(path))
@@ -327,6 +341,9 @@ class TestValidateConfig:
         ("duration_ns", ABSENT, "duration_ns: required"),
         # tags are int64 ps: no acquisition reaches 2^63 ps
         ("duration_ns", 1.0e16, "duration_ns: out of (0, 9.22337e+15], got 1e+16"),
+        # every emitter's SeedSequence child is spawned before the first draw
+        ("n_emitters", 10001, "n_emitters: out of [1, 10000], got 10001"),
+        ("n_emitters", 1.0e9, "n_emitters: out of [1, 10000], got 1000000000.0"),
     ])
     def test_yaml_values_follow_the_number_rule(self, tmp_path, capsys, key, value, expected):
         # validate reports through the same printer as every other command
@@ -339,6 +356,13 @@ class TestValidateConfig:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"configuration error:\n  - {expected}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_n_emitters_may_reach_its_bound(self, tmp_path, capsys):
+        path = tmp_path / "many.yaml"
+        path.write_text(yaml.safe_dump(dict(MINIMAL, n_emitters=10_000)))
+        assert validate_config(str(path))[0].n_emitters == 10_000
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert "n_emitters=10000 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("text,diagnostic", [
         ("rates: silver\n{key}: 2\nfoo: 3\n", "top level: unknown fields {listed}"),
@@ -368,8 +392,12 @@ class TestValidateConfig:
          "duration_ns: 1.0e6\n", "at line 5: invalid YAML: repeated key 'tau21'"),
         ("rates: silver\nduration_ns: 1.0e6\nfit: {k12: 0.03, k12: 0.04}\n",
          "at line 3: invalid YAML: repeated key 'k12'"),
-    ], ids=["top", "rates", "flow"])
-    def test_repeated_keys_are_refused(self, tmp_path, capsys, text, expected):
+        ("rates:\n  <<: {tau12: 27.0, tau21: 9.7, tau23: 27.4, tau31: 102.0}\n  tau21: 9.8\n"
+         "  tau21: 9.9\nduration_ns: 1.0e6\n", "at line 4: invalid YAML: repeated key 'tau21'"),
+        ("rates:\n  <<: {tau12: 27.0, tau21: 9.7, tau23: 27.4, tau21: 9.8, tau31: 102.0}\n"
+         "duration_ns: 1.0e6\n", "at line 2: invalid YAML: repeated key 'tau21'"),
+    ], ids=["top", "rates", "flow", "beside_merge", "inside_merged"])
+    def test_repeated_keys_are_refused(self, tmp_path, capsys, loader_base, text, expected):
         # YAML would keep the last value; which one was meant is unknowable
         path = tmp_path / "twice.yaml"
         path.write_text(text)
@@ -377,12 +405,18 @@ class TestValidateConfig:
         assert main(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == f"configuration error:\n  - twice.yaml {expected}\n"
 
-    def test_a_merged_key_may_be_overridden(self, tmp_path):
+    def test_a_merged_key_may_be_overridden(self, tmp_path, loader_base):
         path = tmp_path / "merged.yaml"
         path.write_text("rates:\n  <<: {tau12: 27.0, tau21: 9.7, tau23: 27.4, tau31: 102.0}\n"
                         "  tau21: 9.8\nduration_ns: 1.0e6\n")
         scenario, diags = validate_config(str(path))
         assert diags == [] and scenario.rates.lifetimes[1] == pytest.approx(9.8)
+
+    def test_a_mapping_merged_again_keeps_its_overrides(self, loader_base):
+        # once merged, a mapping holds the keys it overrides twice; that is no repeated key
+        text = "base: &b {x: 1, y: 2}\next: &e {<<: *b, x: 3}\nmore: {<<: [*e, *b], y: 4}\n"
+        assert yaml.load(text, Loader=scenarios._UniqueKeyLoader) == \
+            {"base": {"x": 1, "y": 2}, "ext": {"x": 3, "y": 2}, "more": {"x": 3, "y": 4}}
 
     @pytest.mark.parametrize("file_name,name", [
         ("named.yaml", "../escaped"), ("named.yaml", ""), ("named.yaml", ".hidden"),
@@ -670,6 +704,27 @@ class TestTagIO:
                 assert getattr(back, name).tobytes() == getattr(hist, name).tobytes(), label
             for name in ("bin_width", "lag_min", "lag_max", "duration", "rate_a", "rate_b"):
                 assert getattr(back, name) == getattr(hist, name), label
+
+    @pytest.mark.parametrize("rates", [(3e4, 7e4, 10**9), (1e160, 1e160, 6 * 10**9)],
+                             ids=["ordinary", "subnormal"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(counts=st.one_of(
+        st.lists(st.sampled_from([0, 0, 1, 2, 7, 2**40]), min_size=1, max_size=40),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=40, unique=True),
+        st.lists(st.integers(0, 3), min_size=1, max_size=40)))
+    def test_histogram_csv_formats_each_row_as_its_own(self, tmp_path, rates, counts):
+        # the writer formats each distinct count's g2 and sigma once; the bytes are those
+        # of formatting every row
+        rate_a, rate_b, duration = rates
+        counts = counts + counts[:1] if len(counts) % 2 else counts
+        hist = CorrelationHistogram(counts=np.array(counts), bin_width=250,
+                                    lag_max=125 * len(counts), duration=duration,
+                                    rate_a=rate_a, rate_b=rate_b)
+        path = write_histogram_csv(tmp_path / "h.csv", hist)
+        rows = map("{},{},{!r},{!r}".format, hist.lag_edges.tolist(), hist.counts.tolist(),
+                   hist.g2.tolist(), hist.sigma.tolist())
+        assert path.read_bytes() == "\r\n".join(["lag_ps,counts,g2,sigma", *rows, ""]).encode()
 
     def test_histogram_reader_ignores_stored_g2_columns(self, tmp_path):
         a, b = self.make_streams(seed=6, n=300)
@@ -1046,6 +1101,39 @@ class TestCli:
         first = sha256_file(out / "tiny.ttag")
         main(["simulate", "--scenario", str(scenario), "--seed", "99"])
         assert sha256_file(out / "tiny.ttag") != first
+
+    @pytest.mark.parametrize("seeded_first", [True, False], ids=["seeded_first", "plain_first"])
+    def test_the_reused_parser_carries_nothing_between_calls(self, cli_env, tmp_path,
+                                                             seeded_first):
+        # main parses with one parser per process; a --seed given to one call is not the
+        # default of the next
+        out, scenario = cli_env
+        calls = {"seeded": ["--seed", "99", "--out", str(tmp_path / "seeded")],
+                 "plain": ["--out", str(tmp_path / "plain")]}
+        for name in ("seeded", "plain") if seeded_first else ("plain", "seeded"):
+            assert main(["simulate", "--scenario", str(scenario), *calls[name]]) == 0
+        for name, seed in (("seeded", 99), ("plain", None)):
+            expected = load_scenario(scenario)
+            expected = expected if seed is None else expected.with_seed(seed)
+            reference = write_time_tags(tmp_path / f"{name}_reference.ttag", acquire(expected))
+            assert (tmp_path / name / "tiny.ttag").read_bytes() == reference.read_bytes()
+
+    def test_a_usage_error_leaves_the_parser_whole(self, cli_env, capsys):
+        _, scenario = cli_env
+        for argv in (["simulate"], ["simulate", "--scenario", str(scenario), "--seed", "-1"],
+                     ["nonsense"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert main(["simulate", "--scenario", str(scenario)]) == 0
+        assert "error: " in capsys.readouterr().err
+
+    def test_the_environment_is_read_at_each_call(self, cli_env, tmp_path, monkeypatch):
+        _, scenario = cli_env
+        for name in ("first", "second"):
+            monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / name))
+            assert main(["simulate", "--scenario", str(scenario)]) == 0
+            assert (tmp_path / name / "tiny.ttag").exists()
 
     def test_out_flag_beats_environment(self, cli_env, tmp_path):
         _, scenario = cli_env
