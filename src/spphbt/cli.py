@@ -17,8 +17,9 @@ and every value read back from an artifact to its rule by `stored_setting`.
 Exit codes: 0 ok, 1 runtime failure (a missing, unreadable or malformed file
 or sidecar, a stored value or window that breaks its rule, empty stream, a
 histogram too large for memory, fit that did not converge or that the rate
-inversion rejects), 2 configuration or usage error (a flag that breaks its
-rule included).  Fit-health `warning:` lines leave the exit code unchanged.
+inversion rejects, whose error line names the histogram file), 2
+configuration or usage error (a flag that breaks its rule included).
+Fit-health `warning:` lines leave the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -80,13 +81,19 @@ def _flag(rule: str):
     return convert
 
 
-def _conclude(fit, rejected) -> None:
-    """Warn about each fit-health flag, then fail on a non-converged or uninvertible fit."""
+def _conclude(fit, rejected, hist) -> int:
+    """Warn about each fit-health flag, then fail on a non-converged or uninvertible fit
+    with one error line that names the histogram file `hist`; the exit code."""
     for line in fit_warnings(fit):
         print(line, file=sys.stderr)
-    require_converged(fit)
-    if rejected is not None:
-        raise rejected
+    try:
+        require_converged(fit)
+    except NonConvergence as exc:
+        rejected = exc
+    if rejected is None:
+        return 0
+    print(f"error: {hist}: {rejected}", file=sys.stderr)
+    return 1
 
 
 def _load_scenario_arg(source: str, seed: int | None):
@@ -167,8 +174,7 @@ def _cmd_fit(args) -> int:
           f"(chi2_red={fit.chi2_reduced:.3g}, {'converged' if fit.converged else 'NOT converged'})")
     if report is not None:
         print(report.format_table(payload["scenario"]))
-    _conclude(fit, rejected)
-    return 0
+    return _conclude(fit, rejected, args.hist)
 
 
 def _cmd_run(args) -> int:
@@ -182,8 +188,7 @@ def _cmd_run(args) -> int:
     if result.report is not None:
         print(result.report.format_table(scenario.name))
     print(f"  artifacts in {result.paths['manifest'].parent}")
-    _conclude(result.fit, result.rejected)
-    return 0
+    return _conclude(result.fit, result.rejected, result.paths["histogram"])
 
 
 def build_parser() -> argparse.ArgumentParser:

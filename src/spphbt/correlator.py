@@ -16,28 +16,33 @@ give each tag's first partner lo and its number of partners in the window.
 Ordered by that number, descending, the tags with more than k partners form
 a prefix, and their (k+1)-th partners are the gather tb[k:][lo] over that
 prefix: one gather, one subtraction, one floor division and one bincount per
-rank k.  Once fewer than a small fixed number of tags remain, their
-remaining pairs are listed in one go, so a burst tag with many partners
-costs no more Python steps than the ranks before it.  The cost is O(pairs),
-and each step holds O(chunk) memory whatever the window.  A tag's reach,
-t + lag, saturates at the int64 clock's top (`_ahead`), so tags near
-2^63 - 1 ps pair like any others.
+rank k, or an np.add.at where its pairs are fewer than half the bins, so a
+wide window costs no full histogram per rank.  Once fewer than a small
+fixed number of tags remain, their remaining pairs are listed in one go, so
+a burst tag with many partners costs no more Python steps than the ranks
+before it.  The cost is O(pairs), and each step holds O(chunk) memory
+whatever the window, besides an auto chunk's copy of the tags within
+lag_max past it.  A tag's reach, t + lag, saturates at the int64 clock's
+top (`_ahead`), so tags near 2^63 - 1 ps pair like any others.
 
 An auto-correlation counts each pair once, in one sorted stream t where
-tag i's partner at rank k is tag i + k.  While at least a fixed share of a
-chunk still has a partner in the window, rank k is the slice difference
-t[i0+k:i1+k] - t[i0:i1], floored, clipped into one overflow bin and
-bincounted: no search, sort or gather.  The tags still inside once the chunk
-thins out go on through the rank-stepped loop above, which then searches
-for their partners only.  This gives the histogram G of the pairs i < j
-with lag in [0, lag_max).  The window is symmetric with whole bins per
-side.  Mirrored, a lag d > 0 lands in the k-th bin left of zero for d in
-(k*w, (k+1)*w], so that bin holds G[k] - E[k] + E[k+1], where E[k] counts
-the pairs i < j whose lag is exactly k*w; equal tags pair both ways, so
-bin 0 of the positive half holds G[0] + E[0].  Pairs at lag exactly k*w
-share t mod w, so E comes from the same kernel at unit bins over sorted
-keys (t mod w, t div w), restricted to the few keys that have a neighbour
-within the window.
+tag i's partner at rank k is tag i + k.  A chunk's tags and the partners
+within lag_max of its last are split once into quotients q and residues r
+of t - t0 by the bin width w, t0 the chunk's first tag: int32 quotients
+wherever they and the slots fit, residues on the smallest signed type that
+holds -w.  A pair i < j with lag d = t[j] - t[i] <= lag_max = H*w goes to
+slot 3 (q_j - q_i) + sign(r_j - r_i), one of 0..3H.  Slots 3b to 3b + 2
+hold the lags d in [b*w, (b+1)*w), forward bin b, and slots 3b + 1 to
+3b + 3 the lags in (b*w, (b+1)*w], whose mirror -d falls in the b-th bin
+left of zero; slot 0 holds the equal tags, which pair both ways at lag 0.
+So one slot histogram gives both halves of the window, lags on a bin edge
+included.
+While at least a fixed share of a chunk still has a partner in the window,
+rank k is the slice difference of q and of r, its quotient difference
+clipped so that the pairs past the window pile up in the slots past 3H,
+and bincounted: no search, sort, gather or division.  The tags still
+inside once the chunk thins out go on through the rank-stepped loop above,
+over the same quotients and residues.
 
 Both correlators run in time blocks of the pooled stream of both channels
 on every usable core, under one rule (`montecarlo._time_blocks`): a fixed
@@ -45,13 +50,10 @@ number of equal-duration blocks, or a single block on the calling thread
 for a stream of at most one chunk (`montecarlo._BLOCKED_MIN`).  A cross
 block owns the pairs whose A tag lies in it: it copies out its A tags and
 the B tags within lag_max of them, so neither channel is copied whole.  An
-auto block owns the pairs whose earlier tag lies in it, reading its
-partners past the block's end in the carried window, the tags within
-lag_max of the block's last.  Its share of E is E over the block and the
-carried window less E over the carried window alone, the pairs both of
-whose tags lie beyond the block.  The blocks' int64 histograms add up to
-the whole stream's whatever the order, so the counts do not depend on the
-thread count.
+auto block owns the pairs whose earlier tag lies in it, reading their
+partners past the block's end in place.  The blocks' int64 histograms add
+up to the whole stream's whatever the order, so the counts do not depend
+on the thread count.
 
 A channel is the one stream type of the whole run, `montecarlo.TimeTagStream`
 (sorted int64 ps over [0, duration]), which this module exports.  An
@@ -78,12 +80,15 @@ __all__ = [
     "auto_correlate",
 ]
 
-# tags of ta correlated per pass; the per-step arrays are this long at most
-_CHUNK = 1 << 15
+# tags correlated per pass; the per-step arrays are this long at most, but for an auto
+# chunk's quotients and residues, which also cover the tags within lag_max past it
+_CHUNK = 1 << 17
 # below this many tags left in a rank step, their remaining pairs are expanded at once
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
 _DENSE = 1 / 3
+# tags split into quotients and residues per step, so that its int64 temporaries stay small
+_PIECE = 1 << 14
 # the int64 clock's last picosecond
 _CLOCK_TOP = (1 << 63) - 1
 
@@ -219,6 +224,10 @@ def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
                  bin_width: int) -> np.ndarray:
     """Histogram of lags tb[j] - ta[i] inside [lag_min, lag_max)."""
     counts = np.zeros((lag_max - lag_min) // bin_width, dtype=np.int64)
+
+    def bins(partner: np.ndarray, start: np.ndarray) -> np.ndarray:
+        return np.floor_divide(np.subtract(partner, start, out=partner), bin_width, out=partner)
+
     for i0 in range(0, ta.size, _CHUNK):
         start = ta[i0:i0 + _CHUNK] + lag_min
         last = _ahead(ta[i0:i0 + _CHUNK], lag_max - 1)  # the latest partner of each tag
@@ -228,27 +237,39 @@ def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
         tw = tb[j0:j1]
         lo = np.searchsorted(tw, start, side="left")
         per = np.searchsorted(tw, last, side="right") - lo
-        _step_ranks(tw, start, lo, per, bin_width, counts)
+        _step_ranks((tw,), (start,), lo, per, bins, counts)
     return counts
 
 
-def _step_ranks(tw: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarray,
-                bin_width: int, counts: np.ndarray) -> None:
-    """Add the lags tw[lo[i] + k] - start[i], k < per[i], to counts at bin_width."""
+def _slots(q: np.ndarray, r: np.ndarray, q0: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Slots 3 (q - q0) + sign(r - r0) of pairs, in q's array; r is overwritten."""
+    q -= q0
+    q *= 3
+    r -= r0
+    q += np.sign(r, out=r)
+    return q
+
+
+def _step_ranks(windows: tuple, starts: tuple, lo: np.ndarray, per: np.ndarray, bins,
+                counts: np.ndarray) -> None:
+    """Add the bins of each tag i's pairs with partners lo[i] + k, k < per[i], to counts.
+
+    `windows` hold the partners' values and `starts` the tags' own, one
+    array per value; bins(*partners, *tags) bins a run of pairs, in the
+    first partner array.
+    """
     # sorted by partner count, descending, the tags with more than k partners
     # form a prefix of length m_k; a stable sort keeps each count's tags in
     # time order, and on the narrowest integer type that holds the counts it
     # is a radix sort
     neg_per = -per
     order = np.argsort(neg_per.astype(np.min_scalar_type(neg_per.min())), kind="stable")
-    neg_per, lo, start = neg_per[order], lo[order], start[order]
+    neg_per, lo = neg_per[order], lo[order]
+    starts = [start[order] for start in starts]
     k = 0
     m = int(np.searchsorted(neg_per, 0, side="left"))
     while m >= _TAIL:
-        lags = tw[k:][lo[:m]]
-        lags -= start[:m]
-        lags //= bin_width
-        counts += np.bincount(lags, minlength=counts.size)
+        _count(bins(*(w[k:][lo[:m]] for w in windows), *(start[:m] for start in starts)), counts)
         k += 1
         m = int(np.searchsorted(neg_per, -k, side="left"))
     if m == 0:
@@ -258,110 +279,90 @@ def _step_ranks(tw: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarr
     total = int(rest.sum())
     offsets = np.repeat(np.cumsum(rest) - rest, rest)
     partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
-    lags = tw[partner] - np.repeat(start[:m], rest)
-    counts += np.bincount(lags // bin_width, minlength=counts.size)
+    _count(bins(*(w[partner] for w in windows), *(np.repeat(start[:m], rest) for start in starts)),
+           counts)
 
 
-def _forward_pair_counts(t: np.ndarray, lag_max: int, bin_width: int,
-                         first: int = 0, stop: int | None = None) -> np.ndarray:
-    """Histogram of lags t[j] - t[i], i < j, inside [0, lag_max) of sorted tags t.
+def _count(bins: np.ndarray, counts: np.ndarray) -> None:
+    """Add one to counts at each of bins: by np.add.at where they number less than half the
+    histogram, whose full-length bincount would cost more than they do, else by a bincount."""
+    if 2 * bins.size < counts.size:
+        np.add.at(counts, bins, 1)
+    else:
+        counts += np.bincount(bins, minlength=counts.size)
 
-    Only the pairs whose earlier tag i lies in [first, stop) are counted;
-    their partners may lie past stop.
-    """
-    stop = t.size if stop is None else stop
-    n_bins = lag_max // bin_width
-    counts = np.zeros(n_bins, dtype=np.int64)
+
+def _quotients(tw: np.ndarray, bin_width: int, n_half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotients q and residues r of tw - tw[0] by bin_width, on the narrowest types that
+    hold a window of n_half bins: int32 quotients where they and the slots, at most
+    3 (n_half + 1) + 1 with quotient differences clipped to n_half + 1, lie below 2^31;
+    residues on the smallest signed type that holds -bin_width."""
+    span = (int(tw[-1]) - int(tw[0])) // bin_width
+    q = np.empty(tw.size, np.int32 if max(span, 3 * n_half + 4) < 1 << 31 else np.int64)
+    r = np.empty(tw.size, np.min_scalar_type(-bin_width))
+    for j in range(0, tw.size, _PIECE):
+        rel = tw[j:j + _PIECE] - tw[0]
+        quotient = rel // bin_width
+        q[j:j + _PIECE] = quotient
+        quotient *= bin_width
+        rel -= quotient
+        r[j:j + _PIECE] = rel
+    return q, r
+
+
+def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int,
+                 counts: np.ndarray) -> tuple[int, np.ndarray]:
+    """Add the slots of the first `size` tags' pairs at ranks k = 1, 2, ... to counts while
+    a share _DENSE of the tags stays inside the window; the last rank sliced and the tags
+    still inside after it.  Pairs past the window land in the slots 3H + 1 to 3H + 4."""
+    n_slots = 3 * n_half + 1
+    slots, sign = np.empty(size, q.dtype), np.empty(size, r.dtype)
+    k, m = 0, size
+    while m and m >= _DENSE * size:
+        k += 1
+        n = min(size, q.size - k)  # the tags with a rank-k partner in q
+        x = np.subtract(q[k:k + n], q[:n], out=slots[:n])
+        np.minimum(x, n_half + 1, out=x)
+        x *= 3
+        s = np.subtract(r[k:k + n], r[:n], out=sign[:n])
+        x += np.sign(s, out=s)
+        past = int(counts[n_slots:].sum())
+        _count(x, counts)
+        m = n - int(counts[n_slots:].sum()) + past
+    return k, np.flatnonzero(x < n_slots) if k else np.arange(size)
+
+
+def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
+                 bin_width: int) -> np.ndarray:
+    """Slot histogram S[0..3H] (H = lag_max // bin_width) of the pairs i < j of sorted tags
+    t with lag t[j] - t[i] <= lag_max whose earlier tag i lies in t[first:stop]; their
+    partners may lie past stop."""
+    n_half = lag_max // bin_width
+    counts = np.zeros(3 * n_half + 5, dtype=np.int64)  # the last four for pairs past the window
     for i0 in range(first, stop, _CHUNK):
         i1 = min(i0 + _CHUNK, stop)
-        # tag i's partner at rank k is tag i + k: while enough of the chunk
-        # is still inside the window, rank k is one slice difference, and the
-        # lags that have left it pile up in an overflow bin
-        k, m = 0, i1 - i0
-        while m and m >= _DENSE * (i1 - i0):
-            k += 1
-            end = min(i1, t.size - k)  # the chunk's tags that have a rank-k partner
-            lags = t[i0 + k:end + k] - t[i0:end]
-            lags //= bin_width
-            np.minimum(lags, n_bins, out=lags)
-            binned = np.bincount(lags, minlength=n_bins + 1)
-            counts += binned[:n_bins]
-            m = end - i0 - int(binned[n_bins])
-        if m == 0:
-            continue
-        # the tags still inside after rank k go on by rank steps over the
-        # slice their partners can reach
-        inside = np.arange(i1 - i0) if k == 0 else np.flatnonzero(lags < n_bins)
-        tw = t[i0:int(np.searchsorted(t, _ahead(t[i1 - 1], lag_max - 1), side="right"))]
-        start = tw[inside]
-        lo = inside + (k + 1)
-        per = np.searchsorted(tw, _ahead(start, lag_max - 1), side="right") - lo
-        _step_ranks(tw, start, lo, per, bin_width, counts)
+        # every partner of the chunk's tags, lag_max included, lies in tw
+        tw = t[i0:int(np.searchsorted(t, _ahead(t[i1 - 1], lag_max), side="right"))]
+        q, r = _quotients(tw, bin_width, n_half)
+        k, inside = _slice_ranks(q, r, i1 - i0, n_half, counts)
+        if inside.size:
+            # the tags still inside after rank k go on by rank steps
+            lo = inside + (k + 1)
+            per = np.searchsorted(tw, _ahead(tw[inside], lag_max), side="right") - lo
+            _step_ranks((q, r), (q[inside], r[inside]), lo, per, _slots, counts)
+    return counts[:3 * n_half + 1]
+
+
+def _mirrored(slots: np.ndarray) -> np.ndarray:
+    """An auto-correlation's histogram over [-lag_max, lag_max) from its slots: forward bin
+    b sums slots 3b to 3b + 2, the b-th bin left of zero slots 3b + 1 to 3b + 3, and the
+    equal tags of slot 0 pair both ways at lag 0."""
+    inner = slots[1::3] + slots[2::3]
+    counts = np.empty(2 * inner.size, dtype=np.int64)
+    np.add(inner, slots[:-1:3], out=counts[inner.size:])
+    np.add(inner, slots[3::3], out=counts[inner.size - 1::-1])
+    counts[inner.size] += slots[0]
     return counts
-
-
-def _exact_lag_counts(tags: np.ndarray, n_half: int, bin_width: int) -> np.ndarray:
-    """Pairs i < j with lag exactly k * w (w = bin_width), k = 0..n_half.
-
-    Such pairs share their residue t mod w and differ by k in t div w.  On
-    the keys (t mod w) * stride + (t div w - first), with `first` the first
-    tag's quotient and stride above the quotients' span plus n_half, keys of
-    different residues differ by more than n_half, so these are the pairs
-    whose keys differ by k.  Only keys with a neighbour within n_half can
-    pair.  The keys are built, tested and compacted a chunk at a time, so
-    they are the one array as long as tags.  Tags too far apart for int64
-    keys are counted apart between the gaps wider than the window.
-    """
-    if tags.size == 0:
-        return np.zeros(n_half + 1, dtype=np.int64)
-    first = int(tags[0]) // bin_width
-    span = int(tags[-1]) // bin_width - first
-    stride = span + n_half + 1
-    if (bin_width - 1) * stride + span > _CLOCK_TOP:
-        # no pair spans a gap wider than the window
-        cuts = np.flatnonzero(np.diff(tags) > n_half * bin_width) + 1
-        if cuts.size == 0:
-            raise ValueError(f"a window of {n_half} bins of {bin_width} ps over tags "
-                             f"{int(tags[0])} to {int(tags[-1])} ps overflows int64 keys")
-        return np.sum([_exact_lag_counts(run, n_half, bin_width)
-                       for run in np.split(tags, cuts)], axis=0)
-    keys = np.empty_like(tags)
-    for i0 in range(0, tags.size, _CHUNK):
-        block, chunk = keys[i0:i0 + _CHUNK], tags[i0:i0 + _CHUNK]
-        # the residue from the quotient: a floor division costs a fifth of np.remainder
-        quotient = chunk // bin_width
-        np.multiply(quotient, bin_width, out=block)
-        np.subtract(chunk, block, out=block)
-        block *= stride
-        block -= first
-        block += quotient
-    keys.sort()
-    near = np.zeros(keys.size, dtype=bool)
-    for i0 in range(0, keys.size - 1, _CHUNK):
-        i1 = min(i0 + _CHUNK, keys.size - 1)
-        close = keys[i0 + 1:i1 + 1] - keys[i0:i1] <= n_half
-        near[i0:i1] |= close
-        near[i0 + 1:i1 + 1] |= close
-    # a kept key never moves right, so the keys compact in place
-    kept = 0
-    for i0 in range(0, keys.size, _CHUNK):
-        block = keys[i0:i0 + _CHUNK][near[i0:i0 + _CHUNK]]
-        keys[kept:kept + block.size] = block
-        kept += block.size
-    del near
-    return _forward_pair_counts(keys[:kept], n_half + 1, 1)
-
-
-def _block_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
-                  bin_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and exact-lag counts of the pairs whose earlier tag lies in t[first:stop]."""
-    n_half = lag_max // bin_width
-    # the carried window: every tag past the block within lag_max of its last, lag_max included
-    carried = int(np.searchsorted(t, _ahead(t[stop - 1], lag_max), side="right"))
-    forward = _forward_pair_counts(t, lag_max, bin_width, first, stop)
-    exact = _exact_lag_counts(t[first:carried], n_half, bin_width) \
-        - _exact_lag_counts(t[stop:carried], n_half, bin_width)
-    return forward, exact
 
 
 def _validate_window(lag_max: int, bin_width: int) -> int:
@@ -404,7 +405,7 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
 
     parts = _map_on_threads(count, _time_blocks(t, tags.duration), _usable_cores())
     return CorrelationHistogram(
-        counts=np.sum(parts, axis=0),
+        counts=sum(parts[1:], parts[0]),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=tags.duration,
@@ -418,24 +419,20 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
 
     Each tag's pairing with itself is excluded; pairs of distinct tags that
     happen to share a timestamp are kept.  The window must hold a whole
-    number of bins on each side.  Only the pairs with lag in [0, lag_max)
-    are counted; the negative half is their mirror image, corrected for the
-    pairs whose lag sits exactly on a bin edge.  The counting runs in time
-    blocks on every usable core, with counts that do not depend on their number.
+    number of bins on each side.  Only the pairs with lag in [0, lag_max]
+    are counted, each once, in slots that give both its bin and its
+    mirror's.  The counting runs in time blocks on every usable core, with
+    counts that do not depend on their number.
     """
     if len(a) == 0:
         raise EmptyStream("channel has no tags")
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
-    parts = _map_on_threads(lambda block: _block_counts(t, *block, lag_max, bin_width),
+    # each block folds its own slots, so the blocks' results are no longer than the window
+    parts = _map_on_threads(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width)),
                             _time_blocks(t, a.duration), _usable_cores())
-    forward, exact = (np.sum(counts, axis=0) for counts in zip(*parts))
-    # the mirror -d of a lag d > 0 falls in the k-th bin left of zero for d
-    # in (k*w, (k+1)*w]: forward bin k, less the lag k*w, plus the lag (k+1)*w
-    backward = forward - exact[:-1] + exact[1:]
-    forward[0] += exact[0]  # equal tags pair both ways at lag 0: add the pairs j < i
     return CorrelationHistogram(
-        counts=np.concatenate([backward[::-1], forward]),
+        counts=sum(parts[1:], parts[0]),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=a.duration,

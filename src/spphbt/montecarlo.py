@@ -113,8 +113,9 @@ _THREADED_MIN_DETECTIONS = 8192
 # more blocks than cores even out the threads' loads
 _TIME_BLOCKS = 8
 # items (merged events, correlated tags) at or below which a blocked stage runs
-# whole on the calling thread: one correlator chunk
-_BLOCKED_MIN = 1 << 15
+# whole on the calling thread: one correlator chunk (`correlator._CHUNK`).  On
+# 2 cores, 2^16 and 2^17 tags correlated and merged no faster in blocks
+_BLOCKED_MIN = 1 << 17
 # the expected span of one chunk's gaps at most, in ps: float64 sums whole ps
 # exactly below 2^53.  It binds below ~60 detections per second per emitter
 _CHUNK_SPAN_PS = 1 << 51

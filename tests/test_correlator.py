@@ -48,6 +48,11 @@ def brute_force_counts(ta, tb, lag_min, lag_max, bin_width, drop_diagonal=False,
     return np.bincount((lags - lag_min) // bin_width, minlength=n_bins)
 
 
+def forward_bins(slots):
+    """The forward half of an auto-correlation's slot histogram: bin b holds slots 3b to 3b + 2."""
+    return slots[:-1:3] + slots[1::3] + slots[2::3]
+
+
 # the int64 clock's last picosecond
 CLOCK_TOP = (1 << 63) - 1
 
@@ -173,11 +178,14 @@ class TestAgainstBruteForce:
         assert oracle.sum() > 0
         assert np.array_equal(h.counts, oracle)
 
-    def test_exact_lag_keys_that_cannot_fit_int64_are_refused(self):
-        # bins of 2^59 ps over the whole clock, with no gap wider than the window
-        tags = [0, 1 << 61, 1 << 62, 3 << 61, CLOCK_TOP]
-        with pytest.raises(ValueError, match="overflows int64 keys"):
-            auto_correlate(stream(tags, CLOCK_TOP), lag_max=1 << 62, bin_width=1 << 59)
+    def test_bins_of_2_59_ps_over_the_whole_clock_are_counted(self):
+        # no gap wider than the window: every lag is a multiple of 2^59 ps,
+        # on a bin edge or on the window's ends
+        tags = np.array([0, 1 << 61, 1 << 62, 3 << 61, CLOCK_TOP], dtype=np.int64)
+        h = auto_correlate(stream(tags, CLOCK_TOP), lag_max=1 << 62, bin_width=1 << 59)
+        oracle = brute_force_counts(tags, tags, -(1 << 62), 1 << 62, 1 << 59, drop_diagonal=True)
+        assert oracle.sum() > 0
+        assert np.array_equal(h.counts, oracle)
 
     def test_duplicate_timestamps_pair_with_each_other(self):
         # three tags at the same instant give 3*2 ordered cross-pairs at lag 0
@@ -252,12 +260,14 @@ def auto_cases(draw):
 
 @st.composite
 def forward_cases(draw):
-    """An auto case, its tags optionally on a lattice of the bin width, and a dense share."""
+    """An auto case, its tags optionally on a lattice of the bin width, a dense share and the
+    length of the pieces split into quotients and residues."""
     ta, lag_max, bin_width, chunk, tail = draw(auto_cases())
     if draw(st.booleans()):
         ta = ta * bin_width  # every lag sits on a bin edge
     dense = draw(st.sampled_from([0, correlator._DENSE, 2]))
-    return ta, lag_max, bin_width, chunk, tail, dense
+    piece = draw(st.sampled_from([1, 5, correlator._PIECE]))
+    return ta, lag_max, bin_width, chunk, tail, dense, piece
 
 
 class TestRankSteppedKernel:
@@ -327,13 +337,16 @@ class TestDenseRankKernel:
     @settings(max_examples=300, deadline=None)
     @given(case=forward_cases())
     def test_forward_pairs_match_oracle(self, case):
-        ta, lag_max, bin_width, chunk, tail, dense = case
+        ta, lag_max, bin_width, chunk, tail, dense, piece = case
         with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_DENSE", dense), \
                 patch.object(correlator, "_CHUNK", chunk), \
+                patch.object(correlator, "_PIECE", piece), \
                 patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
-            counts = correlator._forward_pair_counts(ta, lag_max, bin_width)
+            slots = correlator._slot_counts(ta, 0, ta.size, lag_max, bin_width)
         oracle = brute_force_counts(ta, ta, 0, lag_max, bin_width, forward_only=True)
-        assert np.array_equal(counts, oracle)
+        assert np.array_equal(forward_bins(slots), oracle)
+        oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
+        assert np.array_equal(correlator._mirrored(slots), oracle)
         if dense == 0:
             assert not ranked.called
         elif dense > 1:
@@ -346,11 +359,14 @@ class TestDenseRankKernel:
         ta = np.unique(rng.integers(0, 4_000_000, 4_000))
         with patch.object(correlator, "_CHUNK", 1_000), \
                 patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
-            counts = correlator._forward_pair_counts(ta, 1_000, 100)
-        assert np.array_equal(counts, brute_force_counts(ta, ta, 0, 1_000, 100, forward_only=True))
+            slots = correlator._slot_counts(ta, 0, ta.size, 1_000, 100)
+        oracle = brute_force_counts(ta, ta, 0, 1_000, 100, forward_only=True)
+        assert np.array_equal(forward_bins(slots), oracle)
         assert ranked.call_count == 4
-        for (tw, start, lo, *_), _ in ranked.call_args_list:
-            # tags are distinct, so a survivor's index in tw gives the ranks already sliced
+        for ((q, r), (q0, r0), lo, *_), _ in ranked.call_args_list:
+            # tags are distinct, so a survivor's index in the chunk's times
+            # q * w + r gives the ranks already sliced
+            tw, start = q * 100 + r, q0 * 100 + r0
             assert np.all(lo - np.searchsorted(tw, start) >= 2)
 
     @pytest.mark.parametrize("chunk", [700, correlator._CHUNK])
@@ -368,6 +384,47 @@ class TestDenseRankKernel:
             + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
         oracle[2_000 // 100] += n_burst * (n_burst - 1)
         assert np.array_equal(h.counts, oracle)
+
+
+class TestSlotTypes:
+    """The auto kernel's quotients and residues at the limits of their integer types."""
+
+    @pytest.mark.parametrize("bin_width,residue_type", [
+        (32_767, np.int16), (32_768, np.int16), (32_769, np.int32)])
+    def test_residue_type_switches_above_int16(self, bin_width, residue_type):
+        # residues 0 and w - 1 side by side, so residue differences reach -(w - 1) and w - 1
+        rng = np.random.default_rng(37)
+        lattice = np.arange(0, 12 * bin_width, bin_width)
+        tags = np.sort(np.concatenate([lattice, lattice + bin_width - 1, lattice + 1,
+                                       rng.integers(0, 12 * bin_width, 200)]))
+        assert correlator._quotients(tags, bin_width, 4)[1].dtype == residue_type
+        h = auto_correlate(stream(tags, int(tags[-1])), 4 * bin_width, bin_width)
+        oracle = brute_force_counts(tags, tags, -4 * bin_width, 4 * bin_width, bin_width,
+                                    drop_diagonal=True)
+        assert np.array_equal(h.counts, oracle)
+
+    @pytest.mark.parametrize("span,quotient_type", [
+        ((1 << 31) - 1, np.int32), (1 << 31, np.int64)])
+    def test_quotient_type_switches_at_the_int32_limit(self, span, quotient_type):
+        # one chunk of 1 ps bins whose quotients span up to the limit, with
+        # pairs at both ends; the slots' clipped quotient differences stay small
+        tags = np.array([0, 1, 3, 5, span - 4, span - 2, span - 1, span], dtype=np.int64)
+        assert correlator._quotients(tags, 1, 4)[0].dtype == quotient_type
+        h = auto_correlate(stream(tags, span), 4, 1)
+        oracle = brute_force_counts(tags, tags, -4, 4, 1, drop_diagonal=True)
+        assert oracle.sum() > 0
+        assert np.array_equal(h.counts, oracle)
+
+    def test_quotient_differences_past_2_62_do_not_overflow(self):
+        # 1 ps bins: quotient differences reach 2^63 - 1, three times which
+        # leaves int64; every chunk's rank slices meet them
+        tags = np.array([0, 1, 2, 4, 1 << 62, (1 << 62) + 3, CLOCK_TOP - 2, CLOCK_TOP],
+                        dtype=np.int64)
+        for chunk in (1, 3, correlator._CHUNK):
+            with patch.object(correlator, "_CHUNK", chunk), patch.object(correlator, "_DENSE", 0):
+                h = auto_correlate(stream(tags, CLOCK_TOP), 4, 1)
+            oracle = brute_force_counts(tags, tags, -4, 4, 1, drop_diagonal=True)
+            assert np.array_equal(h.counts, oracle)
 
 
 @st.composite
@@ -398,7 +455,7 @@ class TestTimeBlocks:
     def counts_on_threads(ta, lag_max, bin_width, chunk):
         """auto_correlate's counts at 1, 2 and 3 usable cores, and the threads of its blocks."""
         results = []
-        blocks = correlator._block_counts
+        blocks = correlator._slot_counts
         a = stream(ta, int(max(ta[-1], 1)))
         for n_cores in (1, 2, 3):
             threads = set()
@@ -410,7 +467,7 @@ class TestTimeBlocks:
             with patch.object(correlator, "_CHUNK", chunk), \
                     patch.object(montecarlo, "_BLOCKED_MIN", chunk), \
                     patch.object(correlator, "_usable_cores", lambda: n_cores), \
-                    patch.object(correlator, "_block_counts", recording):
+                    patch.object(correlator, "_slot_counts", recording):
                 results.append((auto_correlate(a, lag_max, bin_width).counts, threads))
         return results
 
@@ -444,6 +501,31 @@ class TestTimeBlocks:
                 assert threads == {threading.current_thread()}
             else:
                 assert len(threads) == n_cores
+
+    def test_a_stream_of_one_chunk_is_one_block(self):
+        # the merge and both correlators share the gate: at most one chunk runs whole
+        assert montecarlo._BLOCKED_MIN == correlator._CHUNK
+        ta = np.arange(correlator._CHUNK, dtype=np.int64)
+        assert montecarlo._time_blocks(ta, int(ta[-1])) == [(0, ta.size)]
+        assert len(montecarlo._time_blocks(np.append(ta, ta[-1]), int(ta[-1]))) > 1
+
+    def test_blocks_longer_than_a_chunk(self):
+        # 8 blocks of about 150 k tags, each more than one chunk; every lag is
+        # a multiple of 20 ps, so a fifth of them sit on 100 ps bin edges
+        rng = np.random.default_rng(38)
+        n = 9 * correlator._CHUNK
+        ta = np.sort(rng.integers(0, 50 * n, n)) * 20
+        a = stream(ta, 1_000 * n)
+        assert min(stop - start for start, stop in montecarlo._time_blocks(ta, a.duration)) \
+            > correlator._CHUNK
+        counts = []
+        for n_cores in (1, 2, 3):
+            with patch.object(correlator, "_usable_cores", lambda: n_cores):
+                counts.append(auto_correlate(a, 2_000, 100).counts.tobytes())
+        # every ordered pair of distinct tags, from the cross-correlation's kernel
+        cross = cross_correlate(a, a, 2_000, 100).counts
+        cross[2_000 // 100] -= n
+        assert counts == [cross.tobytes()] * 3
 
 
     @staticmethod
@@ -518,7 +600,8 @@ class TestTimeBlocks:
 class TestMemory:
     @pytest.mark.parametrize("n_cores", [1, 2])
     def test_auto_peak_stays_near_the_tags(self, n_cores):
-        # each block's exact-lag keys are the largest arrays auto_correlate holds
+        # each chunk's quotients, residues and slots are the largest arrays
+        # auto_correlate holds
         rng = np.random.default_rng(35)
         n = 1 << 18
         a = stream(np.sort(rng.integers(0, n * 1_000, n)), n * 1_000)

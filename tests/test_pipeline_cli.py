@@ -1383,24 +1383,26 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1 and "dir.ttag" in err
 
     def test_non_converged_fit_is_exit_1(self, tmp_path, capsys):
-        # both commands still write the fit, without a report, and the manifest
+        # both commands still write the fit, without a report, and the manifest,
+        # and name the histogram in the same error line
         cases = {
             # two iterations cannot converge
             "short": ({"duration_ns": 1.0e7, "fit": {"max_iterations": 2}},
-                      "error: fit did not converge (max_iterations)\n"),
+                      "error: {hist}: fit did not converge (max_iterations)\n"),
             # a pump rate above gamma1 leaves the inversion no rate set
-            "pumped": ({"fit": {"k12": 5.0}}, "error: k21 + k23 would be non-positive\n"),
+            "pumped": ({"fit": {"k12": 5.0}}, "error: {hist}: k21 + k23 would be non-positive\n"),
             # ~1800 pairs: the fit converges to a shape that admits no rate set
             "cornered": ({"n_emitters": 10, "duration_ns": 1.0e11, "seed": 5, "fiber_config": "AB",
                           "geometry": "fourier_default", "budget": "silver_filtered"},
                          "warning: non_identifiable: c is within two standard errors of 0, "
                          "so the rates are undetermined\n"
-                         "error: shape parameters imply non-positive zero-lag slope\n"),
+                         "error: {hist}: shape parameters imply non-positive zero-lag slope\n"),
         }
         for name, (overrides, err) in cases.items():
             path = tmp_path / f"{name}.yaml"
             path.write_text(yaml.safe_dump(dict(SMALL_RUN, name=name, **overrides)))
             out = tmp_path / "out"
+            err = err.format(hist=out / f"{name}_g2.csv")
             assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1, name
             assert capsys.readouterr().err == err
             assert (out / f"{name}_manifest.json").exists()
