@@ -10,20 +10,25 @@ error bars sqrt(counts) on the same scale.
 
 Pairs are counted by stepping over partner rank rather than by listing
 them.  A chunk of channel-A tags can only reach the slice of tb between its
-first tag's earliest partner and its last tag's latest one; two scalar
-searches locate that slice, and the per-tag searches run inside it.  They
-give each tag's first partner lo and its number of partners in the window.
-Ordered by that number, descending, the tags with more than k partners form
-a prefix, and their (k+1)-th partners are the gather tb[k:][lo] over that
-prefix: one gather, one subtraction, one floor division and one bincount per
-rank k, or an np.add.at where its pairs are fewer than half the bins, so a
-wide window costs no full histogram per rank.  Once fewer than a small
-fixed number of tags remain, their remaining pairs are listed in one go, so
-a burst tag with many partners costs no more Python steps than the ranks
-before it.  The cost is O(pairs), and each step holds O(chunk) memory
-whatever the window, besides an auto chunk's copy of the tags within
-lag_max past it.  A tag's reach, t + lag, saturates at the int64 clock's
-top (`_ahead`), so tags near 2^63 - 1 ps pair like any others.
+first tag's earliest partner and its last tag's latest one, which two scalar
+searches locate.  The slice's tags go into buckets of t // width, the width
+the larger of the window's span and the chunk's time span over its tag
+count, so a tag's partners lie in its window start's bucket and the next,
+and the buckets number about one per tag at most.  The cumulative bincount
+of the buckets gives each tag its candidates without a search: the first,
+lo, and their number; candidates outside the window land in one spare bin,
+dropped at the end.  Ordered by that number, descending, the tags with more
+than k candidates form a prefix, and their (k+1)-th candidates are the
+gather tb[k:][lo] over that prefix: one gather, one subtraction, one floor
+division and one bincount per rank k, or an np.add.at where its pairs are
+fewer than half the bins, so a wide window costs no full histogram per
+rank.  Once fewer than a small fixed number of tags remain, their remaining
+pairs are listed in one go, so a burst tag with many partners costs no more
+Python steps than the ranks before it.  The cost is O(pairs + tags), and
+each step holds O(chunk) memory whatever the window, besides an auto
+chunk's copy of the tags within lag_max past it.  A tag's reach, t + lag,
+saturates at the int64 clock's top (`_ahead`), so tags near 2^63 - 1 ps
+pair like any others.
 
 An auto-correlation counts each pair once, in one sorted stream t where
 tag i's partner at rank k is tag i + k.  A chunk's tags and the partners
@@ -51,9 +56,10 @@ for a stream of at most one chunk (`montecarlo._BLOCKED_MIN`).  A cross
 block owns the pairs whose A tag lies in it: it copies out its A tags and
 the B tags within lag_max of them, so neither channel is copied whole.  An
 auto block owns the pairs whose earlier tag lies in it, reading their
-partners past the block's end in place.  The blocks' int64 histograms add
-up to the whole stream's whatever the order, so the counts do not depend
-on the thread count.
+partners past the block's end in place.  Each block's int64 histogram is
+added to one running total as the block ends, so no more than one per
+thread is held beside it; they add up to the whole stream's whatever the
+order, so the counts do not depend on the thread count.
 
 A channel is the one stream type of the whole run, `montecarlo.TimeTagStream`
 (sorted int64 ps over [0, duration]), which this module exports.  An
@@ -65,6 +71,7 @@ it as it is; a whole channel is copied out only when asked for.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,22 +230,40 @@ def _ahead(t, lag: int):
 def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
                  bin_width: int) -> np.ndarray:
     """Histogram of lags tb[j] - ta[i] inside [lag_min, lag_max)."""
-    counts = np.zeros((lag_max - lag_min) // bin_width, dtype=np.int64)
+    span = lag_max - lag_min
+    n_bins = span // bin_width
+    counts = np.zeros(n_bins + 1, dtype=np.int64)  # the last bin takes the candidates outside
 
     def bins(partner: np.ndarray, start: np.ndarray) -> np.ndarray:
-        return np.floor_divide(np.subtract(partner, start, out=partner), bin_width, out=partner)
+        x = np.floor_divide(np.subtract(partner, start, out=partner), bin_width, out=partner)
+        # a negative bin, read unsigned, lies past every other
+        np.minimum(x.view(np.uint64), n_bins, out=x.view(np.uint64))
+        return x
 
     for i0 in range(0, ta.size, _CHUNK):
-        start = ta[i0:i0 + _CHUNK] + lag_min
-        last = _ahead(ta[i0:i0 + _CHUNK], lag_max - 1)  # the latest partner of each tag
-        # the chunk's partners all lie in tb[j0:j1]; search only there
-        j0 = int(np.searchsorted(tb, start[0], side="left"))
-        j1 = int(np.searchsorted(tb, last[-1], side="right"))
-        tw = tb[j0:j1]
-        lo = np.searchsorted(tw, start, side="left")
-        per = np.searchsorted(tw, last, side="right") - lo
+        a = ta[i0:i0 + _CHUNK]
+        base = int(a[0]) + lag_min
+        top = int(_ahead(a[-1], lag_max - 1))  # the chunk's latest partner
+        tw = tb[np.searchsorted(tb, base, side="left"):np.searchsorted(tb, top, side="right")]
+        if tw.size == 0:
+            continue
+        # buckets of t // width hold a tag's partners, start to start + span - 1, in its
+        # start's bucket and the next, and number about one per tag at most.  A candidate's
+        # lag past 2^63 - 1 ps lies past the window: it wraps negative, into the last bin
+        width = max(span - 1, (top - base) // a.size + 1)
+        first_bucket = base // width
+        n_buckets = top // width - first_bucket + 1
+        first = np.zeros(n_buckets + 2, dtype=np.int64)
+        np.cumsum(np.bincount(tw // width - first_bucket, minlength=n_buckets + 1), out=first[1:])
+        start = a + lag_min
+        bucket = np.floor_divide(start, width)
+        bucket -= first_bucket
+        lo = first[bucket]
+        bucket += 2
+        per = np.take(first, bucket, out=bucket)
+        per -= lo
         _step_ranks((tw,), (start,), lo, per, bins, counts)
-    return counts
+    return counts[:-1]
 
 
 def _slots(q: np.ndarray, r: np.ndarray, q0: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -365,6 +390,26 @@ def _mirrored(slots: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _summed(count, blocks: list) -> np.ndarray:
+    """The sum of the histograms count(block), None for none, over the blocks on every usable
+    core: each is added to one running total as it ends, so at most one per thread is held."""
+    total = None
+    lock = threading.Lock()
+
+    def add(block) -> None:
+        nonlocal total
+        counts = count(block)
+        if counts is not None:
+            with lock:
+                if total is None:
+                    total = counts
+                else:
+                    total += counts
+
+    _map_on_threads(add, blocks, _usable_cores())
+    return total
+
+
 def _validate_window(lag_max: int, bin_width: int) -> int:
     """lag_max as an int, once it is a positive whole number of bins."""
     if bin_width <= 0:
@@ -393,19 +438,18 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
     lag_max = _validate_window(lag_max, bin_width)
     t, on_b = tags.pooled.tags, tags.on_b
 
-    def count(block: tuple[int, int]) -> np.ndarray:
+    def count(block: tuple[int, int]) -> np.ndarray | None:
         first, stop = block
         ta = np.compress(~on_b[first:stop], t[first:stop])
         if ta.size == 0:
-            return np.zeros(2 * lag_max // bin_width, dtype=np.int64)
+            return None
         # the B tags in reach of the block's A tags
         lo = int(np.searchsorted(t, ta[0] - lag_max, side="left"))
         hi = int(np.searchsorted(t, _ahead(ta[-1], lag_max - 1), side="right"))
         return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
 
-    parts = _map_on_threads(count, _time_blocks(t, tags.duration), _usable_cores())
     return CorrelationHistogram(
-        counts=sum(parts[1:], parts[0]),
+        counts=_summed(count, _time_blocks(t, tags.duration)),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=tags.duration,
@@ -429,10 +473,9 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
     # each block folds its own slots, so the blocks' results are no longer than the window
-    parts = _map_on_threads(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width)),
-                            _time_blocks(t, a.duration), _usable_cores())
     return CorrelationHistogram(
-        counts=sum(parts[1:], parts[0]),
+        counts=_summed(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width)),
+                       _time_blocks(t, a.duration)),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=a.duration,

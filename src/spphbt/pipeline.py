@@ -9,9 +9,9 @@ timestamps for exactly that reason.
 Acquisition gives one `ChannelTags`: both channels' tags in one time-ordered
 stream plus a mask of channel B's, unsplit from the router to the tag file
 and the correlator.  `run_pipeline` writes the tag file, hashing it as it is
-written, beside the analysis (correlate, fit, report) on a second core; the
-bytes do not depend on the thread count.  A run in which either fails
-writes no manifest.
+written, beside the analysis (correlate, fit, report) on a second core, and
+that core then helps with the correlation; the bytes do not depend on the
+thread count.  A run in which either fails writes no manifest.
 """
 
 from __future__ import annotations
@@ -206,8 +206,10 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     and returns the in-memory results alongside the manifest.  After
     acquisition the work runs in two lanes on up to two cores: the tag lane
     writes the tag file, hashing it as it goes, while the analysis lane
-    correlates, fits and writes the rest.  A failed lane raises once both
-    have stopped, the tag lane's error first, and no manifest is written.
+    correlates, fits and writes the rest.  Once the tag file is written, the
+    tag lane's thread takes the correlation's time blocks that the analysis
+    lane has not started.  A failed lane raises once both have stopped, the
+    tag lane's error first, and no manifest is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

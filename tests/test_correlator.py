@@ -7,6 +7,7 @@ the Poisson baseline tests.
 
 from __future__ import annotations
 
+import sys
 import threading
 import tracemalloc
 from unittest.mock import patch
@@ -26,6 +27,7 @@ from spphbt.correlator import (
     cross_correlate,
 )
 from spphbt.errors import EmptyStream, UnsortedInput
+from thread_checks import meeting
 
 
 def brute_force_counts(ta, tb, lag_min, lag_max, bin_width, drop_diagonal=False,
@@ -184,6 +186,24 @@ class TestAgainstBruteForce:
         tags = np.array([0, 1 << 61, 1 << 62, 3 << 61, CLOCK_TOP], dtype=np.int64)
         h = auto_correlate(stream(tags, CLOCK_TOP), lag_max=1 << 62, bin_width=1 << 59)
         oracle = brute_force_counts(tags, tags, -(1 << 62), 1 << 62, 1 << 59, drop_diagonal=True)
+        assert oracle.sum() > 0
+        assert np.array_equal(h.counts, oracle)
+
+    @pytest.mark.parametrize("lag_max", [1 << 61, 1 << 62])
+    @pytest.mark.parametrize("tags", [
+        [0, 1_000, 1 << 61, (1 << 61) + 7, 1 << 62, 3 << 61, CLOCK_TOP - 2_000, CLOCK_TOP - 5,
+         CLOCK_TOP],
+        # two A tags at the clock's ends, B tags beside them
+        [0, 5, CLOCK_TOP - 3, CLOCK_TOP],
+    ], ids=["spread", "two_a_tags"])
+    def test_cross_windows_of_2_62_ps_over_the_whole_clock_are_counted(self, tags, lag_max):
+        # a chunk's buckets are at least as wide as the window, so candidate lags reach
+        # past 2^63 - 1 ps; those past the window must not wrap into it
+        tags = np.array(tags, dtype=np.int64)
+        on_b = np.arange(tags.size) % 2 == 1
+        h = cross_correlate(ChannelTags(stream(tags, CLOCK_TOP), on_b), None,
+                            lag_max=lag_max, bin_width=1 << 58)
+        oracle = brute_force_counts(tags[~on_b], tags[on_b], -lag_max, lag_max, 1 << 58)
         assert oracle.sum() > 0
         assert np.array_equal(h.counts, oracle)
 
@@ -449,7 +469,11 @@ def cross_cases(draw):
 
 
 class TestTimeBlocks:
-    """Both correlations in time blocks on 1, 2 and 3 threads against the brute-force oracle."""
+    """Both correlations in time blocks on 1, 2 and 3 threads against the brute-force oracle.
+
+    The first blocks to start, one per usable core, wait for each other, so each
+    count below is made on as many threads at once as there are cores.
+    """
 
     @staticmethod
     def counts_on_threads(ta, lag_max, bin_width, chunk):
@@ -462,12 +486,14 @@ class TestTimeBlocks:
 
             def recording(*args):
                 threads.add(threading.current_thread())
+                meet()
                 return blocks(*args)
 
             with patch.object(correlator, "_CHUNK", chunk), \
                     patch.object(montecarlo, "_BLOCKED_MIN", chunk), \
                     patch.object(correlator, "_usable_cores", lambda: n_cores), \
                     patch.object(correlator, "_slot_counts", recording):
+                meet = meeting(min(n_cores, len(montecarlo._time_blocks(a.tags, a.duration))))
                 results.append((auto_correlate(a, lag_max, bin_width).counts, threads))
         return results
 
@@ -500,6 +526,7 @@ class TestTimeBlocks:
             if ta.size <= chunk:
                 assert threads == {threading.current_thread()}
             else:
+                # the blocks' first meeting took every core, and no more threads
                 assert len(threads) == n_cores
 
     def test_a_stream_of_one_chunk_is_one_block(self):
@@ -540,8 +567,11 @@ class TestTimeBlocks:
             threads, counted = set(), []
 
             def mapping(fn, blocks, n_threads):
+                meet = meeting(min(n_cores, len(blocks)))
+
                 def block(item):
                     threads.add(threading.current_thread())
+                    meet()
                     return fn(item)
 
                 return map_on_threads(block, blocks, n_threads)
@@ -586,8 +616,20 @@ class TestTimeBlocks:
         for n_cores, (counts, threads, counted) in enumerate(
                 self.cross_on_threads(ta, tb, lag_max, bin_width, chunk=1), start=1):
             assert counts.tobytes() == oracle.tobytes()
-            assert len(threads) == n_cores
+            assert len(threads) == n_cores  # every core met in the first blocks, and no more
             assert counted == blocks_with_a  # a block without A tags counts nothing
+
+    def test_the_running_total_loses_no_block(self):
+        # 64 blocks of ones added on five threads, switching as often as the interpreter
+        # can: a lost update of the total shows as a count below 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with patch.object(correlator, "_usable_cores", lambda: 5):
+                total = correlator._summed(lambda _: np.ones(1_000, np.int64), list(range(64)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert total.tolist() == [64] * 1_000
 
     def test_lag_max_partner_counts_once(self):
         # the first case by hand: every A tag pairs at -lag_max, the one B tag
@@ -613,6 +655,41 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * a.tags.nbytes
+
+
+    @pytest.mark.parametrize("n_cores,bound_mib", [(1, 70), (2, 115)])
+    def test_block_histograms_add_into_one_running_total(self, n_cores, bound_mib):
+        # 10^6 bins a side (1 ns bins over +/-1 ms) on 2^18 tags about 0.5 ms apart, in 8
+        # blocks: a block's 24 MiB of slots and 15 MiB histogram last until it is added
+        # to the total, so the peak is the total and one block per thread, not 8 blocks
+        rng = np.random.default_rng(35)
+        n = 1 << 18
+        a = stream(np.sort(rng.integers(0, n * 500_000_000, n)), n * 500_000_000)
+        assert len(montecarlo._time_blocks(a.tags, a.duration)) == montecarlo._TIME_BLOCKS
+        tracemalloc.start()
+        try:
+            with patch.object(correlator, "_usable_cores", lambda: n_cores):
+                counts = auto_correlate(a, 1_000_000_000, 1_000).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() > n
+        assert peak <= bound_mib * 2**20
+
+    @pytest.mark.parametrize("n", [4, 1024])
+    def test_a_chunk_over_the_whole_clock_holds_memory_of_its_tags(self, n):
+        # tags about 2^62 / n ps apart under a 2 ns window: buckets as wide as the window
+        # would number 2^51
+        ta = np.linspace(0, 1 << 62, n).astype(np.int64)
+        tb = np.sort(np.concatenate([ta + 300, ta[1:] - 700, ta + 1_000]))
+        tracemalloc.start()
+        try:
+            counts = correlator._pair_counts(ta, tb, -1_000, 1_000, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts, brute_force_counts(ta, tb, -1_000, 1_000, 100))
+        assert peak < 16_384 + 128 * n
 
 
 class TestChannelTags:

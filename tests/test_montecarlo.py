@@ -393,7 +393,11 @@ class TestSimulateEnsemble:
                 sampled_on.clear()
                 monkeypatch.setattr(montecarlo, "_worker_count", lambda *args: n_threads)
                 assert np.array_equal(sample(), reference)
-                assert len(sampled_on) == min(n_threads, 4)
+                # the threads claim the emitters as they free up: one thread may take them all
+                if n_threads == 1:
+                    assert sampled_on == {threading.current_thread()}
+                else:
+                    assert 1 <= len(sampled_on) <= min(n_threads, 4)
         finally:
             sys.setswitchinterval(interval)
 
@@ -401,7 +405,7 @@ class TestSimulateEnsemble:
         original = montecarlo.simulate_emitter
 
         def failing(rates, duration, seed, **kwargs):
-            if seed.spawn_key[-1] == 2:  # the first item of the third thread
+            if seed.spawn_key[-1] == 2:  # an item in the middle
                 raise RuntimeError("emitter 2 failed")
             return original(rates, duration, seed, **kwargs)
 
@@ -414,22 +418,29 @@ class TestSimulateEnsemble:
 
     def test_lowest_index_error_is_raised_whichever_fails_first(self):
         failed = threading.Event()
-        worker: list[threading.Thread] = []
+        ran_on: dict[int, threading.Thread] = {}
+
+        def meet(_):
+            barrier.wait()
+            return threading.current_thread()
 
         def fn(i):
+            ran_on[i] = threading.current_thread()
             if i == 1:
-                worker.append(threading.current_thread())
                 failed.set()
                 raise RuntimeError("item 1 failed")
             assert failed.wait(5)
-            worker[0].join(5)  # item 1's error is recorded before item 0 fails
-            assert not worker[0].is_alive()
+            # item 1's thread helps this inner stage, which its two items only pass
+            # together, once it has recorded item 1's error
+            assert ran_on[1] in montecarlo._map_on_threads(meet, [0, 1], 2)
             raise ValueError("item 0 failed")
 
+        barrier = threading.Barrier(2, timeout=5)
         before = threading.active_count()
         with pytest.raises(ValueError, match="item 0 failed"):
-            montecarlo._map_on_threads(fn, [0, 1], 2)
-        assert worker[0] is not threading.current_thread()
+            montecarlo._map_on_threads(fn, [0, 1, 2, 3], 2)
+        # item 1's failure ended the claims: no thread started items 2 and 3
+        assert sorted(ran_on) == [0, 1] and ran_on[0] is not ran_on[1]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n_threads", [1, 2, 5])
@@ -483,19 +494,129 @@ class TestSimulateEnsemble:
 
 
 class TestCoreBudget:
+    @pytest.mark.parametrize("n_threads,items", [(1, range(10)), (4, [0])],
+                             ids=["one_thread", "one_item"])
+    def test_a_stage_that_cannot_be_shared_is_a_plain_loop(self, monkeypatch, n_threads, items):
+        def unusable(*args, **kwargs):
+            raise AssertionError("a plain loop starts no thread and takes no lock")
+
+        monkeypatch.setattr(montecarlo, "_cond", unusable)
+        monkeypatch.setattr(montecarlo, "_open", unusable)
+        monkeypatch.setattr(threading.Thread, "start", unusable)
+        ran = []
+        results = montecarlo._map_on_threads(
+            lambda i: ran.append((i, threading.current_thread())) or -i, list(items), n_threads)
+        assert results == [-i for i in items]
+        assert ran == [(i, threading.current_thread()) for i in items]
+
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    def test_workers_hold_their_cores_until_joined(self, monkeypatch, cores):
-        monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
-        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], cores)
-        # one thread per item at most: inside, every item sees the cores less the
-        # workers started beside its caller
-        assert seen == [max(1, cores - (min(2, cores) - 1))] * 2
-        assert montecarlo._usable_cores() == cores
+    def test_threads_at_work_never_outnumber_the_cores(self, cores):
+        # two outer items, each opening a stage of six inner items, all on `cores`
+        # cores; the first min(cores, 2) outer items wait for each other
+        lock, active, peak = threading.Lock(), [0], [0]
+        workers: set[threading.Thread] = set()
+        barrier = threading.Barrier(min(cores, 2), timeout=5)
+
+        def inner(i):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                workers.add(threading.current_thread())
+                assert montecarlo._running_workers <= cores - 1
+            with lock:
+                active[0] -= 1
+            return i
+
+        def outer(i):
+            barrier.wait()
+            return montecarlo._map_on_threads(inner, list(range(6)), cores)
+
+        assert montecarlo._map_on_threads(outer, [0, 1], cores) == [list(range(6))] * 2
+        assert peak[0] <= cores and len(workers) <= cores
+        assert montecarlo._running_workers == 0 and not montecarlo._open
+
+    def test_a_thread_done_with_its_stage_helps_the_stage_inside(self):
+        # outer item 0 waits while item 1 opens an inner stage, on one thread each;
+        # the inner stage's first item holds its thread until item 0's thread has run
+        # one of the others
+        released, helped = threading.Event(), threading.Event()
+        outer_on: dict[int, threading.Thread] = {}
+
+        def inner(i):
+            if i == 0:
+                released.set()
+                assert helped.wait(5)
+            elif threading.current_thread() is outer_on[0]:
+                helped.set()
+            return i
+
+        def outer(i):
+            outer_on[i] = threading.current_thread()
+            if i == 0:
+                assert released.wait(5)
+                return None
+            return montecarlo._map_on_threads(inner, list(range(4)), 2)
+
+        assert montecarlo._map_on_threads(outer, [0, 1], 2) == [None, [0, 1, 2, 3]]
+        assert outer_on[0] is threading.current_thread()  # the caller claims first
+        assert outer_on[1] is not outer_on[0] and helped.is_set()
+
+    def test_a_helper_takes_the_newest_stage_first(self):
+        # outer item 1 opens a middle stage whose item 0 opens an inner one; outer item 0's
+        # thread, released by the inner stage, helps it before the middle one
+        released, helped = threading.Event(), threading.Event()
+        outer_on: dict[int, threading.Thread] = {}
+        helper_ran: list[tuple[str, int]] = []
+
+        def item_of(stage: str):
+            def run(i):
+                if threading.current_thread() is outer_on.get(0):
+                    helper_ran.append((stage, i))
+                    helped.set()
+                elif stage == "middle" and i == 0:
+                    return montecarlo._map_on_threads(item_of("inner"), [0, 1], 2)
+                elif stage == "inner" and i == 0:
+                    released.set()
+                    assert helped.wait(5)
+                return i
+            return run
+
+        def outer(i):
+            outer_on[i] = threading.current_thread()
+            if i == 0:
+                assert released.wait(5)
+                return None
+            return montecarlo._map_on_threads(item_of("middle"), [0, 1, 2], 2)
+
+        assert montecarlo._map_on_threads(outer, [0, 1], 2) == [None, [[0, 1], 1, 2]]
+        assert helper_ran[0] == ("inner", 1)
+
+    def test_every_item_is_claimed_once_under_contention(self):
+        # five threads on fewer cores, each outer item opening an inner stage, with the
+        # interpreter switching threads as often as it can: a claim lost or taken twice
+        # shows as an item run twice or never
+        runs = [0] * 400
+        lock = threading.Lock()
+
+        def inner(i):
+            with lock:
+                runs[i] += 1
+            return i
+
+        def outer(j):
+            return montecarlo._map_on_threads(inner, list(range(40 * j, 40 * j + 40)), 5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = montecarlo._map_on_threads(outer, list(range(10)), 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [list(range(40 * j, 40 * j + 40)) for j in range(10)]
+        assert runs == [1] * 400
 
     @pytest.mark.parametrize("failing", ["item", "thread_start"])
     def test_a_failed_map_releases_its_cores(self, monkeypatch, failing):
-        monkeypatch.setattr(montecarlo, "_process_cores", lambda: 3)
-
         def fail(*args):
             raise RuntimeError(f"{failing} failed")
 
@@ -503,7 +624,7 @@ class TestCoreBudget:
             monkeypatch.setattr(threading.Thread, "start", fail)
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             montecarlo._map_on_threads(fail, [0, 1, 2], 3)
-        assert montecarlo._usable_cores() == 3
+        assert montecarlo._running_workers == 0 and not montecarlo._open
 
 
 class TestTrajectoryReference:

@@ -34,6 +34,7 @@ from spphbt.optics import (
 )
 from spphbt.scenarios import budget_preset, geometry_preset
 from spphbt.tagio import write_time_tags
+from thread_checks import meeting
 
 
 def signal_stream(n, duration, seed):
@@ -338,8 +339,12 @@ class TestBlockedMergeAndRound:
         map_on_threads = montecarlo._map_on_threads
 
         def recording(fn, blocks, n_threads):
+            # the first blocks to start, one per core, wait for each other
+            meet = meeting(min(n_cores, len(blocks)))
+
             def block(item):
                 merged_on.add(threading.current_thread())
+                meet()
                 return fn(item)
 
             return map_on_threads(block, blocks, n_threads)
@@ -388,7 +393,7 @@ class TestBlockedMergeAndRound:
         _, routed, merged_on = self.blocked(streams, duration, 0.5, 8, 0.0, 8, n_cores)
         assert routed.channels.pooled.tags.tobytes() == tags.tobytes()
         assert routed.channels.on_b.tobytes() == on_b.tobytes()
-        assert len(merged_on) == n_cores
+        assert len(merged_on) == n_cores  # every core met in the first blocks, and no more
 
     def test_small_streams_stay_on_the_calling_thread(self):
         s = signal_stream(montecarlo._BLOCKED_MIN // 2, 1e5, seed=4)

@@ -919,7 +919,9 @@ class TestRunPipeline:
             monkeypatch.setattr(pipeline, "_usable_cores", lambda: n_cores)
             result = run_pipeline(s, tmp_path / str(n_cores))
             files[n_cores] = {p.name: p.read_bytes() for p in (tmp_path / str(n_cores)).iterdir()}
-            assert len(lane_threads["write_time_tags"] | lane_threads["correlate_tags"]) == n_cores
+            # on two cores either thread may claim either lane
+            on = lane_threads["write_time_tags"] | lane_threads["correlate_tags"]
+            assert on == {threading.current_thread()} if n_cores == 1 else len(on) <= 2
             for record in result.manifest["artifacts"].values():
                 data = files[n_cores][record["path"]]
                 assert record["bytes"] == len(data)
@@ -928,26 +930,52 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_correlation_in_a_lane_takes_the_cores_left(self, tmp_path, monkeypatch, cores):
-        # the tag lane holds one core, so on two the cross blocks stay on the analysis lane
+        # once the tag lane has written its file, its thread takes cross blocks that the
+        # analysis lane has not started: every block waits until one has run on that thread
         s = scenario_from_mapping(dict(SILVER_DEMO, name="silver_ab", fiber_config="AB",
                                        duration_ns=3.0e6))
-        monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
+        for module in (pipeline, correlator):
+            monkeypatch.setattr(module, "_usable_cores", lambda: cores)
         monkeypatch.setattr(correlator, "_CHUNK", 1024)
         monkeypatch.setattr(montecarlo, "_BLOCKED_MIN", 1024)
+        written, helped, lock = threading.Event(), threading.Event(), threading.Lock()
+        tag_thread: list[threading.Thread] = []
         block_threads: set[threading.Thread] = set()
-        map_on_threads = correlator._map_on_threads
+        active, peak = [0], [0]
+        write_time_tags, map_on_threads = pipeline.write_time_tags, correlator._map_on_threads
+
+        def writing(*args, **kwargs):
+            path = write_time_tags(*args, **kwargs)
+            tag_thread.append(threading.current_thread())
+            written.set()
+            return path
 
         def recording(fn, blocks, n_threads):
+            assert len(blocks) > cores  # a block is left for the tag lane's thread
+
             def block(item):
-                block_threads.add(threading.current_thread())
-                return fn(item)
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                    block_threads.add(threading.current_thread())
+                try:
+                    assert written.wait(5)
+                    if threading.current_thread() is tag_thread[0]:
+                        helped.set()
+                    assert helped.wait(5)
+                    return fn(item)
+                finally:
+                    with lock:
+                        active[0] -= 1
 
             return map_on_threads(block, blocks, n_threads)
 
+        monkeypatch.setattr(pipeline, "write_time_tags", writing)
         monkeypatch.setattr(correlator, "_map_on_threads", recording)
         run_pipeline(s, tmp_path)
-        assert len(block_threads) == max(1, cores - 1)
-        assert (threading.current_thread() in block_threads) == (cores == 1)
+        assert tag_thread[0] in block_threads
+        assert len(block_threads) <= cores and peak[0] <= cores
+        assert (block_threads == {threading.current_thread()}) == (cores == 1)
 
     def test_fit_json_roundtrip(self, tmp_path):
         s = scenario_from_mapping(dict(SMALL_RUN))
