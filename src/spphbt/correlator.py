@@ -10,17 +10,21 @@ error bars sqrt(counts) on the same scale.
 
 Pairs are counted by stepping over partner rank rather than by listing
 them.  A chunk of channel-A tags can only reach the slice of tb between its
-first tag's earliest partner and its last tag's latest one, which two scalar
-searches locate.  The slice's tags go into buckets of t // width, the width
-the larger of the window's span and the chunk's time span over its tag
-count, so a tag's partners lie in its window start's bucket and the next,
-and the buckets number about one per tag at most.  The cumulative bincount
-of the buckets gives each tag its candidates without a search: the first,
-lo, and their number; candidates outside the window land in one spare bin,
-dropped at the end.  Ordered by that number, descending, the tags with more
-than k candidates form a prefix, and their (k+1)-th candidates are the
-gather tb[k:][lo] over that prefix: one gather, one subtraction, one floor
-division and one bincount per rank k, or an np.add.at where its pairs are
+first tag's earliest partner and its last tag's latest one, which two
+scalar searches locate.  The slice's tags go into buckets of t // width,
+the width the larger of 1/32 of the window's span and the chunk's time span
+over the larger of its tag count and the slice's, so the buckets number
+about one per tag at most and, on a narrow window, hold about one B tag
+each.  A tag's partners lie in the run of buckets from its window start's
+to the one its window's end reaches, and the cumulative bincount of the
+buckets gives each tag those candidates without a search: the first, lo,
+and their number.  Candidates outside the window, about 3 % more than the
+pairs on a wide window and a few per tag on a narrow one, land in one spare
+bin, dropped at the end.  Ordered by that number, descending, the tags with
+more than k candidates form a prefix, and their (k+1)-th candidates are the
+gather tb[k:][lo] over that prefix, into one buffer reused by every rank:
+one gather, one subtraction, one floor division, a cross's clamp to the
+spare bin and one bincount per rank k, or an np.add.at where its pairs are
 fewer than half the bins, so a wide window costs no full histogram per
 rank.  Once fewer than a small fixed number of tags remain, their remaining
 pairs are listed in one go, so a burst tag with many partners costs no more
@@ -90,6 +94,9 @@ __all__ = [
 # tags correlated per pass; the per-step arrays are this long at most, but for an auto
 # chunk's quotients and residues, which also cover the tags within lag_max past it
 _CHUNK = 1 << 17
+# a cross window's span over the width of the buckets its partners are found in: a tag's
+# candidates overrun its window by about 1/_BUCKETS_PER_WINDOW of its span
+_BUCKETS_PER_WINDOW = 32
 # below this many tags left in a rank step, their remaining pairs are expanded at once
 _TAIL = 64
 # below this share of an auto chunk still inside the window, rank steps take over from slices
@@ -247,19 +254,23 @@ def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
         tw = tb[np.searchsorted(tb, base, side="left"):np.searchsorted(tb, top, side="right")]
         if tw.size == 0:
             continue
-        # buckets of t // width hold a tag's partners, start to start + span - 1, in its
-        # start's bucket and the next, and number about one per tag at most.  A candidate's
-        # lag past 2^63 - 1 ps lies past the window: it wraps negative, into the last bin
-        width = max(span - 1, (top - base) // a.size + 1)
+        # buckets of t // width, about _BUCKETS_PER_WINDOW to a window and no more than
+        # either channel's tags: a tag's partners, start to start + span - 1, lie in its
+        # start's bucket and the `reach` after it.  A candidate's lag past 2^63 - 1 ps lies
+        # past the window: it wraps negative, into the last bin
+        width = max(-(-(span - 1) // _BUCKETS_PER_WINDOW),
+                    (top - base) // max(a.size, tw.size) + 1)
+        reach = -(-(span - 1) // width)
         first_bucket = base // width
         n_buckets = top // width - first_bucket + 1
-        first = np.zeros(n_buckets + 2, dtype=np.int64)
-        np.cumsum(np.bincount(tw // width - first_bucket, minlength=n_buckets + 1), out=first[1:])
+        first = np.zeros(n_buckets + reach + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tw // width - first_bucket, minlength=n_buckets + reach),
+                  out=first[1:])
         start = a + lag_min
         bucket = np.floor_divide(start, width)
         bucket -= first_bucket
         lo = first[bucket]
-        bucket += 2
+        bucket += reach + 1
         per = np.take(first, bucket, out=bucket)
         per -= lo
         _step_ranks((tw,), (start,), lo, per, bins, counts)
@@ -293,8 +304,12 @@ def _step_ranks(windows: tuple, starts: tuple, lo: np.ndarray, per: np.ndarray, 
     starts = [start[order] for start in starts]
     k = 0
     m = int(np.searchsorted(neg_per, 0, side="left"))
+    # every rank gathers into one buffer per partner array
+    buffers = [np.empty(m, w.dtype) for w in windows]
     while m >= _TAIL:
-        _count(bins(*(w[k:][lo[:m]] for w in windows), *(start[:m] for start in starts)), counts)
+        _count(bins(*(np.take(w[k:], lo[:m], out=buffer[:m], mode="clip")
+                      for w, buffer in zip(windows, buffers)),
+                    *(start[:m] for start in starts)), counts)
         k += 1
         m = int(np.searchsorted(neg_per, -k, side="left"))
     if m == 0:
@@ -390,14 +405,18 @@ def _mirrored(slots: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _summed(count, blocks: list) -> np.ndarray:
+def _summed(count, blocks: list, beside=None) -> np.ndarray:
     """The sum of the histograms count(block), None for none, over the blocks on every usable
-    core: each is added to one running total as it ends, so at most one per thread is held."""
+    core: each is added to one running total as it ends, so at most one per thread is held.
+    beside(), if given, runs first on the calling thread while the other cores take blocks."""
     total = None
     lock = threading.Lock()
 
     def add(block) -> None:
         nonlocal total
+        if block is beside:
+            beside()
+            return
         counts = count(block)
         if counts is not None:
             with lock:
@@ -406,7 +425,7 @@ def _summed(count, blocks: list) -> np.ndarray:
                 else:
                     total += counts
 
-    _map_on_threads(add, blocks, _usable_cores())
+    _map_on_threads(add, blocks if beside is None else [beside, *blocks], _usable_cores())
     return total
 
 
@@ -420,22 +439,29 @@ def _validate_window(lag_max: int, bin_width: int) -> int:
 
 
 def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag_max: int,
-                    bin_width: int) -> CorrelationHistogram:
+                    bin_width: int, beside=None) -> CorrelationHistogram:
     """Correlate channel A against channel B over lags [-lag_max, lag_max) ps.
 
     `a` and `b` are the two channels' streams, or `a` is the ChannelTags of
     both and `b` is None.  The window must hold a whole number of bins on
-    each side.  Every pair in the window is counted, which keeps the
-    estimator unbiased at any rate.  The counting runs in time blocks of the
-    pooled stream on every usable core, with counts that do not depend on
-    their number; each block copies out its own A tags and the B tags their
-    window reaches, so neither channel is copied whole.
+    each side, and lag_max may be at most 2^62 ps.  Every pair in the window
+    is counted, which keeps the estimator unbiased at any rate.  The counting
+    runs in time blocks of the pooled stream on every usable core, with
+    counts that do not depend on their number; each block copies out its own
+    A tags and the B tags their window reaches, so neither channel is copied
+    whole.  `beside`, a callable of no arguments, shares those cores: the
+    calling thread runs it before it takes any block, and its error, if it
+    fails, is the one raised.
     """
     tags = a if b is None else ChannelTags.pool(a, b)
     n_a, n_b = tags.counts
     if n_a == 0 or n_b == 0:
         raise EmptyStream("both channels need at least one tag")
     lag_max = _validate_window(lag_max, bin_width)
+    if lag_max > 1 << 62:
+        # past it the window's span, 2 lag_max, overruns the int64 clock, and so would a
+        # pair's offset from its window's start
+        raise ValueError(f"a cross window's lag_max must be at most 2^62 ps, got {lag_max!r}")
     t, on_b = tags.pooled.tags, tags.on_b
 
     def count(block: tuple[int, int]) -> np.ndarray | None:
@@ -449,7 +475,7 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
         return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
 
     return CorrelationHistogram(
-        counts=_summed(count, _time_blocks(t, tags.duration)),
+        counts=_summed(count, _time_blocks(t, tags.duration), beside),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=tags.duration,
@@ -458,7 +484,8 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
     )
 
 
-def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> CorrelationHistogram:
+def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int,
+                   beside=None) -> CorrelationHistogram:
     """Correlate a channel with itself over lags [-lag_max, lag_max) ps.
 
     Each tag's pairing with itself is excluded; pairs of distinct tags that
@@ -466,7 +493,8 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
     number of bins on each side.  Only the pairs with lag in [0, lag_max]
     are counted, each once, in slots that give both its bin and its
     mirror's.  The counting runs in time blocks on every usable core, with
-    counts that do not depend on their number.
+    counts that do not depend on their number; `beside` shares those cores
+    as in `cross_correlate`.
     """
     if len(a) == 0:
         raise EmptyStream("channel has no tags")
@@ -475,7 +503,7 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int) -> Correlatio
     # each block folds its own slots, so the blocks' results are no longer than the window
     return CorrelationHistogram(
         counts=_summed(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width)),
-                       _time_blocks(t, a.duration)),
+                       _time_blocks(t, a.duration), beside),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=a.duration,

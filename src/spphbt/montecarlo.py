@@ -78,13 +78,12 @@ A sorted union is unique, so the bytes do not depend on the thread count.
 The merge and both correlators share one block rule, `_time_blocks`: a
 fixed number of equal-duration blocks, or one block on the calling thread
 at or below `_BLOCKED_MIN` items.  Every threaded stage runs on
-`_map_on_threads`.  Its threads claim the items one at a time, in index
-order, and a thread whose stage has none left unclaimed helps the stages
-opened inside its own, newest first, before it waits for the stage to end.
-So when one lane of `run` is done, its thread takes the correlation blocks
-that the other lane has not started.  A stage starts threads only for the
-cores that no thread at work holds, so the threads at work never outnumber
-the usable cores.
+`_map_on_threads`.  The caller runs its first item and the threads claim
+the rest one at a time, in index order, as they free up; so in `run`, where
+the first item writes the tag file and the others are the correlation's
+blocks, the writer's thread then takes the blocks left.  A stage started
+inside another's worker thread takes only the cores the outer one left
+free, so the threads at work never outnumber the usable cores.
 """
 
 from __future__ import annotations
@@ -125,8 +124,7 @@ _BLOCKED_MIN = 1 << 17
 _CHUNK_SPAN_PS = 1 << 51
 # worker threads that _map_on_threads has started and not yet joined, callers not counted
 _running_workers = 0
-# guards _running_workers, _open and every shared stage; notified when a stage opens or ends
-_cond = threading.Condition()
+_workers_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -396,8 +394,16 @@ def _worker_count(rates: RateSet, duration: float, efficiency: float) -> int:
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
+    """Cores that no worker thread of _map_on_threads holds, at least 1.
+
+    A stage started inside another's worker thread so spreads over the cores
+    the outer stage left free.
+    """
+    return max(1, _process_cores() - _running_workers)
+
+
+def _process_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
@@ -418,134 +424,62 @@ def _time_blocks(times: np.ndarray, duration) -> list[tuple[int, int]]:
     return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if stop > start]
 
 
-class _Stage:
-    """One shared call of _map_on_threads: its items, claimed in index order, and their results."""
-
-    def __init__(self, fn, items: list, parent: "_Stage | None") -> None:
-        self.fn, self.items, self.parent = fn, items, parent
-        self.results: list = [None] * len(items)
-        self.errors: list[tuple[int, BaseException]] = []
-        self.claimed = 0  # items claimed so far, every index below it
-        self.running = 0  # claimed items not yet finished
-        self.stopped = False  # a failed item, or a caller that gave up, ends the claims
-
-    @property
-    def open(self) -> bool:
-        return self.claimed < len(self.items) and not self.stopped
-
-    def within(self, outer: "_Stage") -> bool:
-        stage = self
-        while stage is not None and stage is not outer:
-            stage = stage.parent
-        return stage is outer
-
-
-class _Current(threading.local):
-    stage: _Stage | None = None  # the shared stage whose item this thread runs
-
-
-_current = _Current()
-# shared stages with items left to claim, oldest first
-_open: list[_Stage] = []
-
-
 def _map_on_threads(fn, items: list, n_threads: int) -> list:
     """[fn(item) for item in items] on up to n_threads cores, the caller's included.
 
     A stage of one item or one thread is that plain loop on the caller.
-    Otherwise the threads claim the items one at a time in index order, the
-    caller the first, and a thread with none of its own stage's items left
-    helps the stages opened inside it, newest first, until every item has
-    finished.  The stage starts a thread only for each of its n_threads - 1
-    cores that no worker thread holds.  A failed item ends the claims, while
-    the items before it, all claimed already, still run; the error raised is
-    that of the lowest-index failing item, whichever failed first.
+    Otherwise the caller runs item 0 and the threads claim the rest one at a
+    time, in index order, as they free up.  A failed item ends the claims,
+    while the items before it, all claimed already, still run; the error
+    raised is that of the lowest-index failing item, whichever failed first.
     """
     if min(n_threads, len(items)) < 2:
         return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: list[tuple[int, BaseException]] = []
+    lock = threading.Lock()
+    claimed = 1  # items claimed so far, every index below it; item 0 is the caller's
+
+    def run(i: int) -> bool:
+        try:
+            results[i] = fn(items[i])
+            return True
+        except BaseException as exc:  # re-raised on the calling thread
+            with lock:
+                errors.append((i, exc))
+            return False
+
+    def work() -> None:
+        nonlocal claimed
+        while True:
+            with lock:
+                if errors or claimed == len(items):
+                    return
+                i, claimed = claimed, claimed + 1
+            if not run(i):
+                return
+
     global _running_workers
-    stage = _Stage(fn, items, _current.stage)
-    with _cond:
-        n_new = max(0, min(n_threads, len(items)) - 1 - _running_workers)
-        _running_workers += n_new
+    threads = [threading.Thread(target=work) for _ in range(min(n_threads, len(items)) - 1)]
+    with _workers_lock:
+        _running_workers += len(threads)
     started = []
     try:
-        with _cond:
-            _open.append(stage)
-            _cond.notify_all()
-            for _ in range(n_new):
-                thread = threading.Thread(target=_work_on, args=(stage,))
-                thread.start()
-                started.append(thread)
-            # claimed under the lock that the new threads wait on, so the caller runs the
-            # first item; and after the starts, so a start that fails leaves it unclaimed
-            task = _claim(stage)
-        _run(*task)
-        _work_on(stage)
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        if run(0):
+            work()
     finally:
-        with _cond:
-            _stop(stage)
+        with lock:
+            claimed = len(items)  # a thread that failed to start ends the claims
         for thread in started:
             thread.join()
-        with _cond:
-            _running_workers -= n_new
-    if stage.errors:
-        raise min(stage.errors, key=lambda error: error[0])[1]
-    return stage.results
-
-
-def _work_on(stage: _Stage) -> None:
-    """Run items of `stage`, else of the newest stage opened inside it, until every item of
-    `stage` has finished."""
-    while True:
-        with _cond:
-            task = _claim(stage)
-            while task is None and (stage.open or stage.running):
-                _cond.wait()
-                task = _claim(stage)
-        if task is None:
-            return
-        _run(*task)
-
-
-def _claim(stage: _Stage) -> tuple[_Stage, int] | None:
-    """Under _cond, the next item for a thread of `stage`: its own, else the newest open
-    stage's inside it; None if neither has one."""
-    for candidate in (stage, *reversed(_open)):
-        if candidate.open and candidate.within(stage):
-            i = candidate.claimed
-            candidate.claimed += 1
-            candidate.running += 1
-            if not candidate.open:
-                _open.remove(candidate)
-            return candidate, i
-    return None
-
-
-def _run(stage: _Stage, i: int) -> None:
-    outer, _current.stage = _current.stage, stage
-    try:
-        result, error = stage.fn(stage.items[i]), None
-    except BaseException as exc:  # re-raised by the stage's caller
-        result, error = None, exc
-    finally:
-        _current.stage = outer
-    with _cond:
-        stage.running -= 1
-        if error is None:
-            stage.results[i] = result
-        else:
-            stage.errors.append((i, error))
-            _stop(stage)
-        if not (stage.open or stage.running):
-            _cond.notify_all()  # the stage has ended
-
-
-def _stop(stage: _Stage) -> None:
-    """Under _cond, end the claims of `stage`."""
-    if stage.open:
-        _open.remove(stage)
-    stage.stopped = True
+        with _workers_lock:
+            _running_workers -= len(threads)
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return results
 
 
 def poisson_background(rate: float, duration: float, seed) -> TimeTagStream:

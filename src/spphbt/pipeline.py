@@ -9,9 +9,9 @@ timestamps for exactly that reason.
 Acquisition gives one `ChannelTags`: both channels' tags in one time-ordered
 stream plus a mask of channel B's, unsplit from the router to the tag file
 and the correlator.  `run_pipeline` writes the tag file, hashing it as it is
-written, beside the analysis (correlate, fit, report) on a second core, and
-that core then helps with the correlation; the bytes do not depend on the
-thread count.  A run in which either fails writes no manifest.
+written, on one core while the others correlate, and that core then takes
+the correlation's blocks left; the fit and the report follow.  The bytes do
+not depend on the thread count, and a failed run writes no manifest.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .fitter import (
     report_photophysics,
 )
 from .kinetics import steady_emission_rate
-from .montecarlo import _map_on_threads, _usable_cores, simulate_ensemble
+from .montecarlo import simulate_ensemble
 from .optics import expected_channel_efficiencies, route_events
 from .scenarios import Scenario, check_setting
 from .tagio import (
@@ -117,12 +117,13 @@ def acquire(scenario: Scenario) -> ChannelTags:
     return replace(routed.channels, metadata=info)
 
 
-def correlate_tags(channels: ChannelTags, kind: str, window_ps: int,
-                   bin_width_ps: int) -> CorrelationHistogram:
-    """Histogram two channels: one against the other, or pooled for a same-point run."""
+def correlate_tags(channels: ChannelTags, kind: str, window_ps: int, bin_width_ps: int,
+                   beside=None) -> CorrelationHistogram:
+    """Histogram two channels: one against the other, or pooled for a same-point run.
+    `beside` shares the correlation's cores as in `cross_correlate`."""
     if check_setting("correlation", kind) == "cross":
-        return cross_correlate(channels, None, window_ps, bin_width_ps)
-    return auto_correlate(channels.pooled, window_ps, bin_width_ps)
+        return cross_correlate(channels, None, window_ps, bin_width_ps, beside)
+    return auto_correlate(channels.pooled, window_ps, bin_width_ps, beside)
 
 
 # not an alias of fit_g2: the traced benchmark wraps this name in cli and
@@ -204,12 +205,13 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
 
     Writes all artifacts under out_dir using the scenario name as the stem
     and returns the in-memory results alongside the manifest.  After
-    acquisition the work runs in two lanes on up to two cores: the tag lane
-    writes the tag file, hashing it as it goes, while the analysis lane
-    correlates, fits and writes the rest.  Once the tag file is written, the
-    tag lane's thread takes the correlation's time blocks that the analysis
-    lane has not started.  A failed lane raises once both have stopped, the
-    tag lane's error first, and no manifest is written.
+    acquisition the calling thread writes the tag file, hashing it as it
+    goes, while the other usable cores start on the correlation's time
+    blocks; once the file is written, that thread takes the blocks left.
+    The histogram, fit and report are written after both.  A failed step
+    raises once every block has stopped, the tag file's error first, and no
+    manifest is written; a window or channel the correlator rejects is
+    raised before the tag file is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,36 +220,33 @@ def run_pipeline(scenario: Scenario, out_dir) -> PipelineResult:
     tags = acquire(scenario)
     info = tags.metadata
 
-    def tag_lane():
+    written = {}
+
+    def write_tags() -> None:
         digest = hashlib.sha256()
         path = write_time_tags(out / f"{stem}.ttag", tags, digest=digest)
-        return {"tags": path, "tags_sidecar": sidecar_path(path)}, digest.hexdigest()
+        written.update(paths={"tags": path, "tags_sidecar": sidecar_path(path)},
+                        sha256=digest.hexdigest())
 
-    def analysis_lane():
-        hist = correlate_tags(tags, scenario.correlation_kind,
-                              scenario.window_ps, scenario.bin_width_ps)
-        paths = {"histogram": write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)}
-        paths["histogram_sidecar"] = sidecar_path(paths["histogram"])
-        fit = fit_histogram(hist, scenario.fit.max_iterations)
-        payload, report, rejected = fit_payload(fit, scenario.name, scenario.fit.k12,
-                                                scenario.fit.inversion, scenario.n_emitters,
-                                                info["rho_effective"])
-        paths["fit"] = write_json(out / f"{stem}_fit.json", payload)
-        if report is not None:
-            paths["report"] = out / f"{stem}_report.txt"
-            paths["report"].write_text(report.format_table(scenario.name) + "\n")
-        return paths, hist, fit, report, rejected
-
-    # the tag lane is item 0, so its error is the one raised when both lanes fail
-    (tag_paths, tags_sha256), (analysis_paths, hist, fit, report, rejected) = _map_on_threads(
-        lambda lane: lane(), [tag_lane, analysis_lane], _usable_cores())
-    paths = {**tag_paths, **analysis_paths}
+    hist = correlate_tags(tags, scenario.correlation_kind, scenario.window_ps,
+                          scenario.bin_width_ps, write_tags)
+    paths = {**written["paths"],
+             "histogram": write_histogram_csv(out / f"{stem}_g2.csv", hist, metadata=info)}
+    paths["histogram_sidecar"] = sidecar_path(paths["histogram"])
+    fit = fit_histogram(hist, scenario.fit.max_iterations)
+    payload, report, rejected = fit_payload(fit, scenario.name, scenario.fit.k12,
+                                            scenario.fit.inversion, scenario.n_emitters,
+                                            info["rho_effective"])
+    paths["fit"] = write_json(out / f"{stem}_fit.json", payload)
+    if report is not None:
+        paths["report"] = out / f"{stem}_report.txt"
+        paths["report"].write_text(report.format_table(scenario.name) + "\n")
 
     artifact_records = {
         name: {
             "path": p.name,
             "bytes": p.stat().st_size,
-            "sha256": tags_sha256 if name == "tags" else sha256_file(p),
+            "sha256": written["sha256"] if name == "tags" else sha256_file(p),
         }
         for name, p in sorted(paths.items())
     }

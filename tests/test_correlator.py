@@ -299,13 +299,40 @@ class TestRankSteppedKernel:
     """
 
     @settings(max_examples=300, deadline=None)
-    @given(case=kernel_cases())
-    def test_cross_matches_oracle(self, case):
+    @given(case=kernel_cases(), buckets=st.sampled_from([1, 2, 3, correlator._BUCKETS_PER_WINDOW]))
+    def test_cross_matches_oracle(self, case, buckets):
+        # a window spans `buckets` buckets where the tags are dense enough
         ta, tb, lag_min, lag_max, bin_width, chunk, tail = case
         duration = int(max(ta[-1], tb[-1], 1))
-        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", chunk):
+        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", chunk), \
+                patch.object(correlator, "_BUCKETS_PER_WINDOW", buckets):
             counts = correlator._pair_counts(ta, tb, lag_min, lag_max, bin_width)
         assert np.array_equal(counts, brute_force_counts(ta, tb, lag_min, lag_max, bin_width))
+
+    @pytest.mark.parametrize("n_a,lag_max", [(20_000, 2_500_000), (200, 1_000)],
+                             ids=["100_partners_per_tag", "sparse_a_dense_b"])
+    def test_candidates_overrun_the_pairs_by_little(self, n_a, lag_max):
+        # 20 000 B tags over 1 ms: buckets a window wide would double a wide window's
+        # candidates, and buckets one per A tag would hold ~100 B tags each for the sparse A;
+        # buckets 1/32 of the window wide overrun it by about 3 %
+        rng = np.random.default_rng(3)
+        ta = np.sort(rng.integers(0, 10**9, n_a))
+        tb = np.sort(rng.integers(0, 10**9, 20_000))
+        candidates = []
+        step_ranks = correlator._step_ranks
+
+        def recording(windows, starts, lo, per, bins, counts):
+            candidates.append(int(per.sum()))
+            return step_ranks(windows, starts, lo, per, bins, counts)
+
+        with patch.object(correlator, "_step_ranks", recording):
+            counts = correlator._pair_counts(ta, tb, -lag_max, lag_max, 1_000)
+        pairs = int(counts.sum())
+        if n_a == 200:
+            assert np.array_equal(counts, brute_force_counts(ta, tb, -lag_max, lag_max, 1_000))
+        else:
+            assert pairs > 90 * n_a
+        assert sum(candidates) <= 1.1 * pairs + 3 * n_a
 
     @settings(max_examples=300, deadline=None)
     @given(case=auto_cases())
@@ -812,6 +839,14 @@ class TestValidation:
             cross_correlate(a, a, **kwargs)
         with pytest.raises(ValueError):
             auto_correlate(a, **kwargs)
+
+    def test_cross_windows_past_2_62_ps_raise(self):
+        # the window's span would overrun the int64 clock
+        tags = ChannelTags(stream([0, 5, 1 << 62, CLOCK_TOP], CLOCK_TOP),
+                           np.array([False, True, False, True]))
+        assert cross_correlate(tags, None, lag_max=1 << 62, bin_width=1 << 58).counts.sum() > 0
+        with pytest.raises(ValueError, match="at most 2\\^62 ps"):
+            cross_correlate(tags, None, lag_max=(1 << 62) + (1 << 58), bin_width=1 << 58)
 
     @pytest.mark.parametrize("lag_max,bin_width", [(10, 4), (0, 1), (-8, 4), (8, 0)])
     def test_auto_needs_whole_bins_per_side(self, lag_max, bin_width):

@@ -26,6 +26,7 @@ from spphbt.montecarlo import (
 )
 
 from rate_oracles import compound_geometric_gaps, float_clock_tags
+from thread_checks import meeting
 
 
 class EmitterState(enum.IntEnum):
@@ -383,6 +384,7 @@ class TestSimulateEnsemble:
 
         def recording(*args, **kwargs):
             sampled_on.add(threading.current_thread())
+            meet()
             return original(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "simulate_emitter", recording)
@@ -392,12 +394,11 @@ class TestSimulateEnsemble:
             for n_threads in (1, 2, 3, 8):
                 sampled_on.clear()
                 monkeypatch.setattr(montecarlo, "_worker_count", lambda *args: n_threads)
+                # the threads claim the emitters as they free up: the first ones meet, so
+                # each thread the map may use samples one
+                meet = meeting(min(n_threads, 4))
                 assert np.array_equal(sample(), reference)
-                # the threads claim the emitters as they free up: one thread may take them all
-                if n_threads == 1:
-                    assert sampled_on == {threading.current_thread()}
-                else:
-                    assert 1 <= len(sampled_on) <= min(n_threads, 4)
+                assert len(sampled_on) == min(n_threads, 4)
         finally:
             sys.setswitchinterval(interval)
 
@@ -420,28 +421,43 @@ class TestSimulateEnsemble:
         failed = threading.Event()
         ran_on: dict[int, threading.Thread] = {}
 
-        def meet(_):
-            barrier.wait()
-            return threading.current_thread()
-
         def fn(i):
             ran_on[i] = threading.current_thread()
             if i == 1:
                 failed.set()
                 raise RuntimeError("item 1 failed")
             assert failed.wait(5)
-            # item 1's thread helps this inner stage, which its two items only pass
-            # together, once it has recorded item 1's error
-            assert ran_on[1] in montecarlo._map_on_threads(meet, [0, 1], 2)
+            ran_on[1].join(5)  # item 1's error is recorded before item 0 fails
+            assert not ran_on[1].is_alive()
             raise ValueError("item 0 failed")
 
-        barrier = threading.Barrier(2, timeout=5)
         before = threading.active_count()
         with pytest.raises(ValueError, match="item 0 failed"):
             montecarlo._map_on_threads(fn, [0, 1, 2, 3], 2)
         # item 1's failure ended the claims: no thread started items 2 and 3
-        assert sorted(ran_on) == [0, 1] and ran_on[0] is not ran_on[1]
+        assert sorted(ran_on) == [0, 1] and ran_on[0] is threading.current_thread()
+        assert ran_on[1] is not ran_on[0]
         assert threading.active_count() == before
+
+    def test_a_failure_ends_the_claims(self):
+        # item 1 fails on the worker; item 0 then ends well, but its thread claims no more
+        failed = threading.Event()
+        ran_on: dict[int, threading.Thread] = {}
+
+        def fn(i):
+            ran_on[i] = threading.current_thread()
+            if i == 1:
+                failed.set()
+                raise RuntimeError("item 1 failed")
+            if i == 0:
+                assert failed.wait(5)
+                ran_on[1].join(5)
+                assert not ran_on[1].is_alive()
+            return i
+
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            montecarlo._map_on_threads(fn, [0, 1, 2, 3], 2)
+        assert sorted(ran_on) == [0, 1]
 
     @pytest.mark.parametrize("n_threads", [1, 2, 5])
     def test_a_failed_item_never_stops_an_earlier_one(self, n_threads):
@@ -500,8 +516,8 @@ class TestCoreBudget:
         def unusable(*args, **kwargs):
             raise AssertionError("a plain loop starts no thread and takes no lock")
 
-        monkeypatch.setattr(montecarlo, "_cond", unusable)
-        monkeypatch.setattr(montecarlo, "_open", unusable)
+        monkeypatch.setattr(montecarlo, "_workers_lock", unusable)
+        monkeypatch.setattr(threading, "Lock", unusable)
         monkeypatch.setattr(threading.Thread, "start", unusable)
         ran = []
         results = montecarlo._map_on_threads(
@@ -510,86 +526,34 @@ class TestCoreBudget:
         assert ran == [(i, threading.current_thread()) for i in items]
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    def test_threads_at_work_never_outnumber_the_cores(self, cores):
-        # two outer items, each opening a stage of six inner items, all on `cores`
-        # cores; the first min(cores, 2) outer items wait for each other
-        lock, active, peak = threading.Lock(), [0], [0]
-        workers: set[threading.Thread] = set()
-        barrier = threading.Barrier(min(cores, 2), timeout=5)
+    def test_workers_hold_their_cores_until_joined(self, monkeypatch, cores):
+        monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
+        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], cores)
+        # one thread per item at most: inside, every item sees the cores less the
+        # workers started beside its caller
+        assert seen == [max(1, cores - (min(2, cores) - 1))] * 2
+        assert montecarlo._usable_cores() == cores
 
-        def inner(i):
-            with lock:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-                workers.add(threading.current_thread())
-                assert montecarlo._running_workers <= cores - 1
-            with lock:
-                active[0] -= 1
-            return i
-
-        def outer(i):
-            barrier.wait()
-            return montecarlo._map_on_threads(inner, list(range(6)), cores)
-
-        assert montecarlo._map_on_threads(outer, [0, 1], cores) == [list(range(6))] * 2
-        assert peak[0] <= cores and len(workers) <= cores
-        assert montecarlo._running_workers == 0 and not montecarlo._open
-
-    def test_a_thread_done_with_its_stage_helps_the_stage_inside(self):
-        # outer item 0 waits while item 1 opens an inner stage, on one thread each;
-        # the inner stage's first item holds its thread until item 0's thread has run
-        # one of the others
+    def test_a_thread_done_with_its_item_takes_the_next_unclaimed_one(self):
+        # on two threads, item 0 waits until item 1 has started; item 1 then holds its
+        # thread until item 0's thread, free again, has run one of the items after it
         released, helped = threading.Event(), threading.Event()
-        outer_on: dict[int, threading.Thread] = {}
+        ran_on: dict[int, threading.Thread] = {}
 
-        def inner(i):
+        def fn(i):
+            ran_on[i] = threading.current_thread()
             if i == 0:
+                assert released.wait(5)
+            elif i == 1:
                 released.set()
                 assert helped.wait(5)
-            elif threading.current_thread() is outer_on[0]:
+            elif threading.current_thread() is ran_on[0]:
                 helped.set()
             return i
 
-        def outer(i):
-            outer_on[i] = threading.current_thread()
-            if i == 0:
-                assert released.wait(5)
-                return None
-            return montecarlo._map_on_threads(inner, list(range(4)), 2)
-
-        assert montecarlo._map_on_threads(outer, [0, 1], 2) == [None, [0, 1, 2, 3]]
-        assert outer_on[0] is threading.current_thread()  # the caller claims first
-        assert outer_on[1] is not outer_on[0] and helped.is_set()
-
-    def test_a_helper_takes_the_newest_stage_first(self):
-        # outer item 1 opens a middle stage whose item 0 opens an inner one; outer item 0's
-        # thread, released by the inner stage, helps it before the middle one
-        released, helped = threading.Event(), threading.Event()
-        outer_on: dict[int, threading.Thread] = {}
-        helper_ran: list[tuple[str, int]] = []
-
-        def item_of(stage: str):
-            def run(i):
-                if threading.current_thread() is outer_on.get(0):
-                    helper_ran.append((stage, i))
-                    helped.set()
-                elif stage == "middle" and i == 0:
-                    return montecarlo._map_on_threads(item_of("inner"), [0, 1], 2)
-                elif stage == "inner" and i == 0:
-                    released.set()
-                    assert helped.wait(5)
-                return i
-            return run
-
-        def outer(i):
-            outer_on[i] = threading.current_thread()
-            if i == 0:
-                assert released.wait(5)
-                return None
-            return montecarlo._map_on_threads(item_of("middle"), [0, 1, 2], 2)
-
-        assert montecarlo._map_on_threads(outer, [0, 1], 2) == [None, [[0, 1], 1, 2]]
-        assert helper_ran[0] == ("inner", 1)
+        assert montecarlo._map_on_threads(fn, list(range(6)), 2) == list(range(6))
+        assert ran_on[0] is threading.current_thread()  # the caller runs item 0
+        assert ran_on[1] is not ran_on[0] and helped.is_set()
 
     def test_every_item_is_claimed_once_under_contention(self):
         # five threads on fewer cores, each outer item opening an inner stage, with the
@@ -617,6 +581,8 @@ class TestCoreBudget:
 
     @pytest.mark.parametrize("failing", ["item", "thread_start"])
     def test_a_failed_map_releases_its_cores(self, monkeypatch, failing):
+        monkeypatch.setattr(montecarlo, "_process_cores", lambda: 3)
+
         def fail(*args):
             raise RuntimeError(f"{failing} failed")
 
@@ -624,7 +590,7 @@ class TestCoreBudget:
             monkeypatch.setattr(threading.Thread, "start", fail)
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             montecarlo._map_on_threads(fail, [0, 1, 2], 3)
-        assert montecarlo._running_workers == 0 and not montecarlo._open
+        assert montecarlo._usable_cores() == 3
 
 
 class TestTrajectoryReference:

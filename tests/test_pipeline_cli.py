@@ -900,7 +900,7 @@ class TestRunPipeline:
         assert sha256_file(r1.paths["tags"]) != sha256_file(r2.paths["tags"])
 
     def test_lanes_write_the_bytes_of_one_thread(self, tmp_path, monkeypatch):
-        # the tag lane and the analysis lane, on the caller alone and then on two threads
+        # the tag file beside the correlation, on the caller alone and then on two threads
         s = scenario_from_mapping(dict(SILVER_DEMO, name="silver_ab", fiber_config="AB",
                                        duration_ns=3.0e6))
         lane_threads: dict[str, set[threading.Thread]] = {}
@@ -916,12 +916,12 @@ class TestRunPipeline:
         files = {}
         for n_cores in (1, 2):
             lane_threads.clear()
-            monkeypatch.setattr(pipeline, "_usable_cores", lambda: n_cores)
+            monkeypatch.setattr(correlator, "_usable_cores", lambda: n_cores)
             result = run_pipeline(s, tmp_path / str(n_cores))
             files[n_cores] = {p.name: p.read_bytes() for p in (tmp_path / str(n_cores)).iterdir()}
-            # on two cores either thread may claim either lane
-            on = lane_threads["write_time_tags"] | lane_threads["correlate_tags"]
-            assert on == {threading.current_thread()} if n_cores == 1 else len(on) <= 2
+            # the caller writes the tag file whatever the cores
+            assert lane_threads == {"write_time_tags": {threading.current_thread()},
+                                    "correlate_tags": {threading.current_thread()}}
             for record in result.manifest["artifacts"].values():
                 data = files[n_cores][record["path"]]
                 assert record["bytes"] == len(data)
@@ -929,13 +929,12 @@ class TestRunPipeline:
         assert len(files[1]) == 7 and files[2] == files[1]
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_correlation_in_a_lane_takes_the_cores_left(self, tmp_path, monkeypatch, cores):
-        # once the tag lane has written its file, its thread takes cross blocks that the
-        # analysis lane has not started: every block waits until one has run on that thread
+    def test_the_tag_writers_thread_takes_the_blocks_left(self, tmp_path, monkeypatch, cores):
+        # once the caller has written the tag file, it takes cross blocks that the other
+        # cores have not started: every block waits until one has run on that thread
         s = scenario_from_mapping(dict(SILVER_DEMO, name="silver_ab", fiber_config="AB",
                                        duration_ns=3.0e6))
-        for module in (pipeline, correlator):
-            monkeypatch.setattr(module, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(correlator, "_usable_cores", lambda: cores)
         monkeypatch.setattr(correlator, "_CHUNK", 1024)
         monkeypatch.setattr(montecarlo, "_BLOCKED_MIN", 1024)
         written, helped, lock = threading.Event(), threading.Event(), threading.Lock()
@@ -950,10 +949,13 @@ class TestRunPipeline:
             written.set()
             return path
 
-        def recording(fn, blocks, n_threads):
-            assert len(blocks) > cores  # a block is left for the tag lane's thread
+        def recording(fn, items, n_threads):
+            write_tags, *blocks = items
+            assert callable(write_tags) and len(blocks) > cores  # a block is left for it
 
             def block(item):
+                if item is write_tags:
+                    return fn(item)
                 with lock:
                     active[0] += 1
                     peak[0] = max(peak[0], active[0])
@@ -968,12 +970,12 @@ class TestRunPipeline:
                     with lock:
                         active[0] -= 1
 
-            return map_on_threads(block, blocks, n_threads)
+            return map_on_threads(block, items, n_threads)
 
         monkeypatch.setattr(pipeline, "write_time_tags", writing)
         monkeypatch.setattr(correlator, "_map_on_threads", recording)
         run_pipeline(s, tmp_path)
-        assert tag_thread[0] in block_threads
+        assert tag_thread == [threading.current_thread()] and tag_thread[0] in block_threads
         assert len(block_threads) <= cores and peak[0] <= cores
         assert (block_threads == {threading.current_thread()}) == (cores == 1)
 
@@ -1107,7 +1109,7 @@ class TestCli:
     @pytest.mark.parametrize("lane", ["tags", "analysis"])
     def test_a_failed_lane_writes_no_manifest(self, cli_env, capsys, monkeypatch, lane, n_cores):
         out, scenario = cli_env
-        monkeypatch.setattr(pipeline, "_usable_cores", lambda: n_cores)
+        monkeypatch.setattr(correlator, "_usable_cores", lambda: n_cores)
         if lane == "tags":
             (out / "tiny.ttag").mkdir(parents=True)
         else:
