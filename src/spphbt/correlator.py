@@ -451,7 +451,8 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
     A tags and the B tags their window reaches, so neither channel is copied
     whole.  `beside`, a callable of no arguments, shares those cores: the
     calling thread runs it before it takes any block, and its error, if it
-    fails, is the one raised.
+    fails, is the one raised.  It must not start a threaded stage of its own,
+    which would run beside the blocks' threads on cores they already use.
     """
     tags = a if b is None else ChannelTags.pool(a, b)
     n_a, n_b = tags.counts
@@ -493,8 +494,8 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int,
     number of bins on each side.  Only the pairs with lag in [0, lag_max]
     are counted, each once, in slots that give both its bin and its
     mirror's.  The counting runs in time blocks on every usable core, with
-    counts that do not depend on their number; `beside` shares those cores
-    as in `cross_correlate`.
+    counts that do not depend on their number; `beside` shares those cores,
+    and must not start a threaded stage, as in `cross_correlate`.
     """
     if len(a) == 0:
         raise EmptyStream("channel has no tags")

@@ -226,10 +226,9 @@ def fit_curve(tau, y, sigma, initial, max_iterations: int = DEFAULT_MAX_ITERATIO
 def _initial_guess(hist: CorrelationHistogram) -> tuple[float, float, float, float]:
     """Data-driven starting point: contrast from the dip, gamma1 from its width."""
     tau = np.abs(hist.lag_centers) / 1000.0  # ns
-    y = hist.g2
-    # light smoothing so single-bin noise does not drive the guesses
-    kernel = np.ones(5) / 5.0
-    ys = np.convolve(y, kernel, mode="same") if y.size >= 5 else y
+    # light smoothing so single-bin noise does not drive the guesses; fit_g2 calls this
+    # only with 8 or more bins
+    ys = np.convolve(hist.g2, np.ones(5) / 5.0, mode="same")
     c0 = float(np.clip(1.0 - ys.min(), 1e-3, 1.0))
     half = 1.0 - 0.5 * c0
     recovered = tau[ys >= half]

@@ -81,9 +81,9 @@ at or below `_BLOCKED_MIN` items.  Every threaded stage runs on
 `_map_on_threads`.  The caller runs its first item and the threads claim
 the rest one at a time, in index order, as they free up; so in `run`, where
 the first item writes the tag file and the others are the correlation's
-blocks, the writer's thread then takes the blocks left.  A stage started
-inside another's worker thread takes only the cores the outer one left
-free, so the threads at work never outnumber the usable cores.
+blocks, the writer's thread then takes the blocks left.  Stages run one
+after another, and none starts inside another's item, so the threads at
+work never outnumber the usable cores.
 """
 
 from __future__ import annotations
@@ -122,9 +122,6 @@ _BLOCKED_MIN = 1 << 17
 # the expected span of one chunk's gaps at most, in ps: float64 sums whole ps
 # exactly below 2^53.  It binds below ~60 detections per second per emitter
 _CHUNK_SPAN_PS = 1 << 51
-# worker threads that _map_on_threads has started and not yet joined, callers not counted
-_running_workers = 0
-_workers_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -394,16 +391,8 @@ def _worker_count(rates: RateSet, duration: float, efficiency: float) -> int:
 
 
 def _usable_cores() -> int:
-    """Cores that no worker thread of _map_on_threads holds, at least 1.
-
-    A stage started inside another's worker thread so spreads over the cores
-    the outer stage left free.
-    """
-    return max(1, _process_cores() - _running_workers)
-
-
-def _process_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+    """The cores this process may run on, at least 1."""
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
@@ -411,7 +400,7 @@ def _process_cores() -> int:
 def _block_edges(duration, n_items: int) -> list:
     """Inner edges of the _TIME_BLOCKS equal-duration blocks of [0, duration].
 
-    None at or below _BLOCKED_MIN items, whose stage is then one block.
+    An empty list at or below _BLOCKED_MIN items, whose stage is then one block.
     """
     if n_items <= _BLOCKED_MIN:
         return []
@@ -459,13 +448,10 @@ def _map_on_threads(fn, items: list, n_threads: int) -> list:
             if not run(i):
                 return
 
-    global _running_workers
-    threads = [threading.Thread(target=work) for _ in range(min(n_threads, len(items)) - 1)]
-    with _workers_lock:
-        _running_workers += len(threads)
     started = []
     try:
-        for thread in threads:
+        for _ in range(min(n_threads, len(items)) - 1):
+            thread = threading.Thread(target=work)
             thread.start()
             started.append(thread)
         if run(0):
@@ -475,8 +461,6 @@ def _map_on_threads(fn, items: list, n_threads: int) -> list:
             claimed = len(items)  # a thread that failed to start ends the claims
         for thread in started:
             thread.join()
-        with _workers_lock:
-            _running_workers -= len(threads)
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return results

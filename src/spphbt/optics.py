@@ -177,8 +177,9 @@ def route_events(
     jittered tags outside [0, duration] are dropped.  Equal tags list
     channel A's first.
     """
-    if jitter_sigma_ns < 0.0:
-        raise ValueError("jitter_sigma_ns must be >= 0")
+    sigma_ps = jitter_sigma_ns * 1000.0
+    if not (math.isfinite(sigma_ps) and sigma_ps >= 0.0):
+        raise ValueError(f"jitter_sigma_ns must be finite and >= 0, got {jitter_sigma_ns!r}")
     rng = np.random.default_rng(seed)
     n = len(stream)
     # the uniforms are drawn a block at a time: the same stream as one draw, in less memory
@@ -187,8 +188,12 @@ def route_events(
         part = on_b[first:first + _DRAW_BLOCK]
         np.greater_equal(rng.random(part.size), share_a, out=part)
     tags = stream.tags
-    if jitter_sigma_ns > 0.0:
-        tags = tags + np.rint(rng.normal(0.0, jitter_sigma_ns * 1000.0, n)).astype(np.int64)
+    if sigma_ps > 0.0:
+        # a shift past the duration drops its tag wherever it lies; clipped there, it fits
+        # the int64 cast
+        shift, reach = rng.normal(0.0, sigma_ps, n), stream.duration + 1
+        np.clip(np.rint(shift, out=shift), -reach, reach, out=shift)
+        tags = tags + shift.astype(np.int64)
         # jittered tags reorder; each keeps its channel.  A stable sort is the fast
         # one on nearly sorted tags; the order at equal tags is set below
         order = np.argsort(tags, kind="stable")

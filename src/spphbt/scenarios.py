@@ -260,7 +260,8 @@ _RULES: dict[str, tuple | dict | re.Pattern] = {
     "fiber_config": _FIBER_CONFIGS,
     "fraction_vertical": {"minimum": 0.0, "maximum": 1.0},
     "rho": {"positive": True, "minimum": 0.0, "maximum": 1.0},  # 0 needs infinite background
-    "jitter_sigma_ns": {"minimum": 0.0},
+    # as for duration_ns: no jitter is wider than the int64 clock's 2^63 ps
+    "jitter_sigma_ns": {"minimum": 0.0, "maximum": 2.0 ** 63 / 1000.0},
     "bin_width_ps": {"integer": True, "minimum": 1},
     "window_ps": {"integer": True, "minimum": 1},
     # a nested field without a rule of its own follows the plain number rule

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from spphbt import montecarlo
 from spphbt.kinetics import RateSet
 
 # every property test draws the same examples on every run; each keeps its own max_examples
@@ -44,15 +43,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread running or a core reserved: every block thread
-    must be joined, and release its core, or each later blocked stage runs on fewer."""
+    """Fail a test that leaves a thread running: every block thread must be joined."""
     before = set(threading.enumerate())
-    workers = montecarlo._running_workers
     yield
     left = [thread for thread in threading.enumerate()
             if thread not in before and thread.is_alive()]
     assert not left, f"threads still running after the test: {left}"
-    assert montecarlo._running_workers == workers, "worker cores still reserved after the test"
 
 
 @pytest.fixture(scope="session")

@@ -516,7 +516,6 @@ class TestCoreBudget:
         def unusable(*args, **kwargs):
             raise AssertionError("a plain loop starts no thread and takes no lock")
 
-        monkeypatch.setattr(montecarlo, "_workers_lock", unusable)
         monkeypatch.setattr(threading, "Lock", unusable)
         monkeypatch.setattr(threading.Thread, "start", unusable)
         ran = []
@@ -524,15 +523,6 @@ class TestCoreBudget:
             lambda i: ran.append((i, threading.current_thread())) or -i, list(items), n_threads)
         assert results == [-i for i in items]
         assert ran == [(i, threading.current_thread()) for i in items]
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    def test_workers_hold_their_cores_until_joined(self, monkeypatch, cores):
-        monkeypatch.setattr(montecarlo, "_process_cores", lambda: cores)
-        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], cores)
-        # one thread per item at most: inside, every item sees the cores less the
-        # workers started beside its caller
-        assert seen == [max(1, cores - (min(2, cores) - 1))] * 2
-        assert montecarlo._usable_cores() == cores
 
     def test_a_thread_done_with_its_item_takes_the_next_unclaimed_one(self):
         # on two threads, item 0 waits until item 1 has started; item 1 then holds its
@@ -580,17 +570,16 @@ class TestCoreBudget:
         assert runs == [1] * 400
 
     @pytest.mark.parametrize("failing", ["item", "thread_start"])
-    def test_a_failed_map_releases_its_cores(self, monkeypatch, failing):
-        monkeypatch.setattr(montecarlo, "_process_cores", lambda: 3)
-
+    def test_a_failed_map_raises_and_joins_its_threads(self, monkeypatch, failing):
         def fail(*args):
             raise RuntimeError(f"{failing} failed")
 
         if failing == "thread_start":
             monkeypatch.setattr(threading.Thread, "start", fail)
+        before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             montecarlo._map_on_threads(fail, [0, 1, 2], 3)
-        assert montecarlo._usable_cores() == 3
+        assert threading.active_count() == before
 
 
 class TestTrajectoryReference:

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1477,6 +1478,22 @@ class TestCli:
         assert err.startswith("error: the gap between detections is out of float64 range at ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("sigma,code,diagnostic", [
+        # past the int64 clock: the scenario's rule refuses it
+        (1.0e300, 2, "configuration error:\n"
+                     "  - jitter_sigma_ns: out of [0, 9.22337e+15], got 1e+300\n"),
+        # just under it every tag is jittered out of the run, with no numpy warning
+        (9.2e15, 1, "error: both channels need at least one tag\n"),
+    ], ids=["1e300", "just_under_the_maximum"])
+    def test_jitter_past_the_clock(self, tmp_path, capsys, sigma, code, diagnostic):
+        path = tmp_path / "jitter.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_RUN, name="jitter", fiber_config="AB",
+                                            jitter_sigma_ns=sigma)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == diagnostic
+
     def test_config_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path))
         assert main(["run", "--scenario", "not_a_scenario"]) == 2
@@ -1687,3 +1704,42 @@ class TestStagesReproduceRun:
         else:
             assert run_fit["fit"]["n_iterations"] == max_iterations
             assert not (run_dir / "chain_report.txt").exists()
+
+
+class TestStagesNeverNest:
+    def test_no_stage_starts_inside_another(self, tmp_path, monkeypatch):
+        # the threads at work stay within the usable cores because the stages run one
+        # after another: every threaded stage of every command starts while none runs
+        lock = threading.Lock()
+        running, nested, stages = [0], [], []
+        map_on_threads = montecarlo._map_on_threads
+
+        def guarded(fn, items, n_threads):
+            with lock:
+                if running[0]:
+                    nested.append(fn.__qualname__)
+                running[0] += 1
+                stages.append((fn.__qualname__, min(n_threads, len(items))))
+            try:
+                return map_on_threads(fn, items, n_threads)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        for module in (correlator, montecarlo):
+            monkeypatch.setattr(module, "_map_on_threads", guarded)
+            monkeypatch.setattr(module, "_usable_cores", lambda: 2)
+        # 25-51 k detections per emitter and 0.26-0.51 M tags: above the sampler's
+        # threading gate and every blocked stage's
+        stored = tmp_path / "stored"
+        for argv in (["run", "--scenario", "silver_ab", "--out", str(tmp_path / "cross")],
+                     ["run", "--scenario", "silver_aa", "--out", str(tmp_path / "auto")],
+                     ["simulate", "--scenario", "silver_aa", "--out", str(stored)],
+                     ["correlate", "--tags", str(stored / "silver_aa.ttag"), "--out", str(stored)],
+                     ["fit", "--hist", str(stored / "silver_aa_g2.csv"), "--out", str(stored)]):
+            assert main(argv) == 0, argv
+        assert nested == []
+        # each stage really ran on two threads
+        assert {threads for _, threads in stages} == {2}
+        assert {"simulate_ensemble.<locals>.emitter", "TimeTagStream.merge.<locals>.sort_block",
+                "_summed.<locals>.add"} <= {name for name, _ in stages}
