@@ -524,6 +524,21 @@ class TestCoreBudget:
         assert results == [-i for i in items]
         assert ran == [(i, threading.current_thread()) for i in items]
 
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_workers_leave_the_usable_cores_unchanged(self, monkeypatch, cores):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        start = threading.Thread.start
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        seen = montecarlo._map_on_threads(lambda _: montecarlo._usable_cores(), [0, 1], cores)
+        # one thread per item at most, the caller's included; no stage reserves a core,
+        # so inside and after it every item sees all the cores of the affinity mask
+        assert len(started) == min(2, cores) - 1
+        assert seen == [cores] * 2
+        assert montecarlo._usable_cores() == cores
+
     def test_a_thread_done_with_its_item_takes_the_next_unclaimed_one(self):
         # on two threads, item 0 waits until item 1 has started; item 1 then holds its
         # thread until item 0's thread, free again, has run one of the items after it
