@@ -30,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError, EmptyStream, NonConvergence
 from .fitter import (
     DEFAULT_INVERSION,
     DEFAULT_MAX_ITERATIONS,
@@ -141,7 +141,10 @@ def _cmd_correlate(args) -> int:
     if problems:  # a usage error if a flag is to blame, else the stored values'
         raise (ConfigError(problems) if args.window or args.bins
                else ValueError(f"{sidecar}: {'; '.join(problems)}"))
-    hist = correlate_tags(tags, kind, window, bins)
+    try:
+        hist = correlate_tags(tags, kind, window, bins)
+    except EmptyStream as exc:  # the tag file's fault, as every other of its faults
+        raise ValueError(f"{args.tags}: {exc}") from exc
     out = _out_dir(args.out)
     stem = Path(args.tags).stem
     used = dict(inner, correlation=kind, window_ps=window, bin_width_ps=bins)

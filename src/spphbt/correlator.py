@@ -49,9 +49,16 @@ included.
 While at least a fixed share of a chunk still has a partner in the window,
 rank k is the slice difference of q and of r, its quotient difference
 clipped so that the pairs past the window pile up in the slots past 3H,
-and bincounted: no search, sort, gather or division.  The tags still
-inside once the chunk thins out go on through the rank-stepped loop above,
-over the same quotients and residues.
+and bincounted: no search, sort, gather or division.  The clip is against
+one read-only array of the bound per correlation, not a scalar, with
+which numpy's np.minimum on int32 misses its vector loop.  The
+tags still inside once the chunk thins out go on by compaction: each rank
+gathers every survivor's next partner, bins the pair the same way, and
+keeps the survivors still inside, so no tag's partners are searched for.
+A burst of equal tags keeps nearly all its survivors rank after rank; once
+a rank retires fewer than an eighth of them, or few are left, their
+partners are counted by a search and they go on through the rank-stepped
+loop above, over the same quotients and residues.
 
 Both correlators run in time blocks of the pooled stream of both channels
 on every usable core, under one rule (`montecarlo._time_blocks`): a fixed
@@ -97,9 +104,10 @@ _CHUNK = 1 << 17
 # a cross window's span over the width of the buckets its partners are found in: a tag's
 # candidates overrun its window by about 1/_BUCKETS_PER_WINDOW of its span
 _BUCKETS_PER_WINDOW = 32
-# below this many tags left in a rank step, their remaining pairs are expanded at once
+# below this many tags left in a rank step, their remaining pairs are expanded at once,
+# and below this many survivors an auto chunk's compaction hands them to rank steps
 _TAIL = 64
-# below this share of an auto chunk still inside the window, rank steps take over from slices
+# below this share of an auto chunk still inside the window, compaction takes over from slices
 _DENSE = 1 / 3
 # tags split into quotients and residues per step, so that its int64 temporaries stay small
 _PIECE = 1 << 14
@@ -350,7 +358,23 @@ def _quotients(tw: np.ndarray, bin_width: int, n_half: int) -> tuple[np.ndarray,
     return q, r
 
 
-def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int,
+def _clip_bound(size: int, n_half: int) -> np.ndarray:
+    """A read-only array of `size` entries n_half + 1, the bound an auto chunk's quotient
+    differences are clipped to: int32 where quotients of that type can hold the slots,
+    else int64.  Against an array of its own type np.minimum takes its vector loop, which
+    a scalar operand misses."""
+    bound = np.full(size, n_half + 1, np.int32 if 3 * n_half + 4 < 1 << 31 else np.int64)
+    bound.flags.writeable = False
+    return bound
+
+
+def _clipped(x: np.ndarray, bound: np.ndarray, n_half: int) -> np.ndarray:
+    """x clipped to n_half + 1 in place: against the bound where it has x's type, else
+    against the scalar."""
+    return np.minimum(x, bound[:x.size] if bound.dtype == x.dtype else n_half + 1, out=x)
+
+
+def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int, bound: np.ndarray,
                  counts: np.ndarray) -> tuple[int, np.ndarray]:
     """Add the slots of the first `size` tags' pairs at ranks k = 1, 2, ... to counts while
     a share _DENSE of the tags stays inside the window; the last rank sliced and the tags
@@ -361,8 +385,7 @@ def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int,
     while m and m >= _DENSE * size:
         k += 1
         n = min(size, q.size - k)  # the tags with a rank-k partner in q
-        x = np.subtract(q[k:k + n], q[:n], out=slots[:n])
-        np.minimum(x, n_half + 1, out=x)
+        x = _clipped(np.subtract(q[k:k + n], q[:n], out=slots[:n]), bound, n_half)
         x *= 3
         s = np.subtract(r[k:k + n], r[:n], out=sign[:n])
         x += np.sign(s, out=s)
@@ -372,24 +395,57 @@ def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int,
     return k, np.flatnonzero(x < n_slots) if k else np.arange(size)
 
 
-def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
-                 bin_width: int) -> np.ndarray:
+def _compact_ranks(tw: np.ndarray, q: np.ndarray, r: np.ndarray, k: int, inside: np.ndarray,
+                   lag_max: int, n_half: int, bound: np.ndarray, counts: np.ndarray) -> None:
+    """Add the slots of the pairs past rank k of the tags `inside` (indices into tw, whose
+    quotients and residues are q and r) to counts.  Each rank gathers every survivor's
+    next partner, bins the pair and keeps the survivors still inside the window.  Once a
+    rank retires fewer than an eighth of them, as in a burst of equal tags, or fewer than
+    _TAIL are left, the rest go on by rank steps, their partners counted by a search."""
+    n_slots = 3 * n_half + 1
+    partner, q0, r0 = inside + k, q[inside], r[inside]
+    while partner.size:
+        k += 1
+        partner += 1
+        if partner[-1] >= q.size:  # past tw's end, past the window
+            end = int(np.searchsorted(partner, q.size))
+            partner, q0, r0 = partner[:end], q0[:end], r0[:end]
+        x = _clipped(np.subtract(q[partner], q0), bound, n_half)
+        x *= 3
+        s = np.subtract(r[partner], r0)
+        x += np.sign(s, out=s)
+        _count(x, counts)
+        m = partner.size
+        # indices, not the mask itself: numpy indexes by a mask of mixed bits far slower
+        keep = np.flatnonzero(x < n_slots)
+        partner, q0, r0 = partner[keep], q0[keep], r0[keep]
+        if partner.size < _TAIL or 8 * (m - partner.size) < m:
+            break
+    if partner.size:
+        lo = partner + 1
+        per = np.searchsorted(tw, _ahead(tw[partner - k], lag_max), side="right") - lo
+        _step_ranks((q, r), (q0, r0), lo, per, _slots, counts)
+
+
+def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int, bin_width: int,
+                 bound: np.ndarray | None = None) -> np.ndarray:
     """Slot histogram S[0..3H] (H = lag_max // bin_width) of the pairs i < j of sorted tags
     t with lag t[j] - t[i] <= lag_max whose earlier tag i lies in t[first:stop]; their
-    partners may lie past stop."""
+    partners may lie past stop.  `bound` is the `_clip_bound` of the block's chunks, one
+    for the whole correlation; without it the block makes its own."""
     n_half = lag_max // bin_width
+    if bound is None:
+        bound = _clip_bound(min(_CHUNK, stop - first), n_half)
     counts = np.zeros(3 * n_half + 5, dtype=np.int64)  # the last four for pairs past the window
     for i0 in range(first, stop, _CHUNK):
         i1 = min(i0 + _CHUNK, stop)
         # every partner of the chunk's tags, lag_max included, lies in tw
         tw = t[i0:int(np.searchsorted(t, _ahead(t[i1 - 1], lag_max), side="right"))]
         q, r = _quotients(tw, bin_width, n_half)
-        k, inside = _slice_ranks(q, r, i1 - i0, n_half, counts)
+        k, inside = _slice_ranks(q, r, i1 - i0, n_half, bound, counts)
         if inside.size:
-            # the tags still inside after rank k go on by rank steps
-            lo = inside + (k + 1)
-            per = np.searchsorted(tw, _ahead(tw[inside], lag_max), side="right") - lo
-            _step_ranks((q, r), (q[inside], r[inside]), lo, per, _slots, counts)
+            # the tags still inside after rank k go on by compaction
+            _compact_ranks(tw, q, r, k, inside, lag_max, n_half, bound, counts)
     return counts[:3 * n_half + 1]
 
 
@@ -501,10 +557,15 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int,
         raise EmptyStream("channel has no tags")
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
+    blocks = _time_blocks(t, a.duration)
+    # one read-only bound for every block's chunks
+    bound = _clip_bound(min(_CHUNK, max(stop - first for first, stop in blocks)),
+                        lag_max // bin_width)
     # each block folds its own slots, so the blocks' results are no longer than the window
     return CorrelationHistogram(
-        counts=_summed(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width)),
-                       _time_blocks(t, a.duration), beside),
+        counts=_summed(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width,
+                                                            bound)),
+                       blocks, beside),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=a.duration,

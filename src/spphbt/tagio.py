@@ -15,9 +15,13 @@ records on channel B.  The writer builds records straight from them, a
 block of a fixed number of tags at a time, so writing holds a few MB
 whatever the file's size and the bytes do not depend on the block size; it
 can hash each block as it writes it, so the file need not be read back to
-be hashed.  The reader refuses records out of time order, or with a B
-record before an A record at an equal timestamp; a channel is split off
-only when it is asked for.
+be hashed.  The reader, like the writer, works a block at a time: it reads
+the records through one reused block buffer straight into the time and
+channel columns, so it holds those and one block, not an image of the
+file, and checks each block as it arrives.  It refuses a channel byte
+other than 0 or 1, a time at or past 2^63 ps (which the int64 time column
+cannot hold), records out of time order, and a B record before an A record
+at an equal timestamp; a channel is split off only when it is asked for.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
 precision) plus a JSON sidecar of the window and normalisation; the reader
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -57,7 +62,7 @@ TTAG_MAGIC = b"TTAG"
 TTAG_VERSION = 1
 _HEADER = struct.Struct("<4sH10x")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1"), ("pad", "V7")])
-_BLOCK = 1 << 16  # tags per block of records that write_time_tags builds at once
+_BLOCK = 1 << 16  # records per block that the writer builds and the reader reads at once
 
 
 def sidecar_path(path) -> Path:
@@ -115,43 +120,80 @@ def _ttag_bytes(tags: ChannelTags):
 def read_time_tags(path) -> ChannelTags:
     """Read a TTAG file and its sidecar; the result unpacks as (channel A, channel B, metadata)."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version = _HEADER.unpack_from(raw)
-    if magic != TTAG_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {TTAG_MAGIC!r}")
-    if version != TTAG_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    if (len(raw) - _HEADER.size) % _RECORD_DTYPE.itemsize:
-        raise ValueError(f"{path}: truncated record block")
-    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    channel = records["ch"].copy()
-    top = int(channel.max(initial=0))
-    if top > 1:
-        raise ValueError(f"{path}: invalid channel byte {top}")
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, version = _HEADER.unpack(header)
+        if magic != TTAG_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {TTAG_MAGIC!r}")
+        if version != TTAG_VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        n, rest = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, _RECORD_DTYPE.itemsize)
+        if rest:
+            raise ValueError(f"{path}: truncated record block")
+        tags, channel, faults = _read_records(fh, n, path)
+    if faults["top"] > 1:
+        raise ValueError(f"{path}: invalid channel byte {faults['top']}")
+    if faults["past_clock"]:
+        raise ValueError(f"{path}: a record's time lies at or past 2^63 ps")
     sidecar, meta = _read_sidecar(path)
     metadata = json_section(meta, "metadata", sidecar)
     duration = stored_setting(meta, "duration_ps", sidecar)
-    tags = records["t"].astype(np.int64)
-    del records, raw  # the tags and channels are copies; free the file image
     on_b = channel.view(bool)
     n_b = int(np.count_nonzero(on_b))
-    for key, count in (("n_a", tags.size - n_b), ("n_b", n_b)):
+    for key, count in (("n_a", n - n_b), ("n_b", n_b)):
         if stored_setting(meta, key, sidecar) != count:
             raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
     try:
-        # the time column is sorted across both channels, so each channel is too
-        pooled = TimeTagStream(tags, "A+B", duration)
-    except UnsortedInput as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # tags beyond the duration
+        # the records were checked for order as they were read
+        pooled = TimeTagStream(tags, "A+B", duration, _validate=False)
+    except ValueError as exc:  # the duration
         raise ValueError(f"{sidecar}: {exc}") from exc
-    ties = np.flatnonzero(tags[1:] == tags[:-1])
-    if np.any(on_b[ties] & ~on_b[ties + 1]):
+    # the time column is sorted across both channels, so each channel is too
+    if faults["unsorted"]:
+        raise ValueError(f"{path}: stream A+B: tags are not sorted")
+    if n and tags[-1] > duration:
+        raise ValueError(f"{sidecar}: tags must lie within [0, duration]")
+    if faults["b_first"]:
         raise ValueError(f"{path}: a channel B record comes before a channel A record "
                          "at an equal timestamp")
     return ChannelTags(pooled, on_b, metadata)
+
+
+def _read_records(fh, n: int, path: Path) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The time and channel columns of the n records that follow, read _BLOCK at a time
+    through one record buffer, and the faults found in them: the largest channel byte,
+    whether a time lies at or past 2^63 ps, whether a time is less than the one before
+    it, and whether a B record comes before an A record at an equal time.  They are
+    raised by the caller, in the order of its checks."""
+    tags, channel = np.empty(n, np.int64), np.empty(n, np.uint8)
+    records = np.empty(min(_BLOCK, n), _RECORD_DTYPE)
+    faults = {"top": 0, "past_clock": False, "unsorted": False, "b_first": False}
+    for first in range(0, n, _BLOCK):
+        stop = min(first + _BLOCK, n)
+        block = records[:stop - first]
+        if fh.readinto(block) != block.nbytes:  # the file shrank since its size was read
+            raise ValueError(f"{path}: truncated record block")
+        np.copyto(channel[first:stop], block["ch"])
+        faults["top"] = max(faults["top"], int(channel[first:stop].max()))
+        times = tags[first:stop]
+        np.copyto(times.view(np.uint64), block["t"])
+        # with the last time of the block before, so that faults across the edge show; a
+        # time at most the one before it is rare, so the faults are sought among those
+        seen = tags[max(first - 1, 0):stop]
+        at_most = np.flatnonzero(seen[1:] <= seen[:-1])
+        fall = seen[at_most + 1] < seen[at_most]
+        falls = bool(fall.any())
+        # a time at or past 2^63 ps reads negative: it is the first or follows a fall
+        if (first == 0 and times[0] < 0) or (falls and times.min() < 0):
+            faults["past_clock"] = True
+        faults["unsorted"] |= falls
+        ties = at_most[~fall]
+        if ties.size and not faults["b_first"]:
+            on_b = channel[max(first - 1, 0):stop]
+            faults["b_first"] = bool(np.any(on_b[ties] > on_b[ties + 1]))
+    return tags, channel, faults
 
 
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:

@@ -388,6 +388,8 @@ class TestDenseRankKernel:
         with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_DENSE", dense), \
                 patch.object(correlator, "_CHUNK", chunk), \
                 patch.object(correlator, "_PIECE", piece), \
+                patch.object(correlator, "_compact_ranks",
+                             wraps=correlator._compact_ranks) as compacted, \
                 patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
             slots = correlator._slot_counts(ta, 0, ta.size, lag_max, bin_width)
         oracle = brute_force_counts(ta, ta, 0, lag_max, bin_width, forward_only=True)
@@ -395,26 +397,30 @@ class TestDenseRankKernel:
         oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
         assert np.array_equal(correlator._mirrored(slots), oracle)
         if dense == 0:
-            assert not ranked.called
+            assert not compacted.called and not ranked.called
         elif dense > 1:
-            assert ranked.call_count == -(-ta.size // chunk)
+            # no rank is sliced: every chunk's tags go on by compaction from rank 0
+            assert compacted.call_count == -(-ta.size // chunk)
+            assert all(call.args[3] == 0 for call in compacted.call_args_list)
 
     def test_dense_ranks_hand_over_to_rank_steps(self):
         # about one partner per tag: rank 1 is sliced, rank 2 leaves fewer
-        # than a third of the chunk inside, and those go on by rank steps
+        # than a third of the chunk inside, and those go on rank by rank, compacted
         rng = np.random.default_rng(33)
         ta = np.unique(rng.integers(0, 4_000_000, 4_000))
         with patch.object(correlator, "_CHUNK", 1_000), \
-                patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+                patch.object(correlator, "_compact_ranks",
+                             wraps=correlator._compact_ranks) as compacted:
             slots = correlator._slot_counts(ta, 0, ta.size, 1_000, 100)
         oracle = brute_force_counts(ta, ta, 0, 1_000, 100, forward_only=True)
         assert np.array_equal(forward_bins(slots), oracle)
-        assert ranked.call_count == 4
-        for ((q, r), (q0, r0), lo, *_), _ in ranked.call_args_list:
-            # tags are distinct, so a survivor's index in the chunk's times
-            # q * w + r gives the ranks already sliced
-            tw, start = q * 100 + r, q0 * 100 + r0
-            assert np.all(lo - np.searchsorted(tw, start) >= 2)
+        assert compacted.call_count == 4
+        for call in compacted.call_args_list:
+            tw, _, _, k, inside = call.args[:5]
+            # ranks 1 and 2 were sliced, and each survivor's rank-2 partner is inside
+            assert k == 2
+            assert inside.size < 1_000 / 3
+            assert np.all(tw[inside + k] - tw[inside] <= 1_000)
 
     @pytest.mark.parametrize("chunk", [700, correlator._CHUNK])
     def test_auto_burst_is_exact(self, chunk):
@@ -431,6 +437,29 @@ class TestDenseRankKernel:
             + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
         oracle[2_000 // 100] += n_burst * (n_burst - 1)
         assert np.array_equal(h.counts, oracle)
+
+
+    def test_burst_among_many_tags_hands_over_to_rank_steps(self):
+        # 5 000 equal tags among 200 000: once only the burst is left inside, a rank
+        # retires few of the survivors, and they go on by rank steps
+        rng = np.random.default_rng(38)
+        burst_at, n_burst = 400_000_000, 5_000
+        sparse = np.sort(rng.integers(0, 10**9, 195_000))
+        ta = np.sort(np.concatenate([sparse, np.full(n_burst, burst_at)]))
+        with patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+            h = auto_correlate(stream(ta, 10**9), 2_000, 100)
+        # pairs never span a gap longer than the window, so the sparse tags' pairs are
+        # those within the groups of about 300 tags cut at such gaps
+        gaps = np.flatnonzero(np.diff(sparse) > 2_000) + 1
+        cuts = [0, *gaps[np.searchsorted(gaps, np.arange(300, sparse.size, 300))], sparse.size]
+        oracle = sum(brute_force_counts(group, group, -2_000, 2_000, 100, drop_diagonal=True)
+                     for group in np.split(sparse, np.unique(cuts)[1:-1]))
+        oracle += n_burst * brute_force_counts(sparse, [burst_at], -2_000, 2_000, 100) \
+            + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
+        oracle[2_000 // 100] += n_burst * (n_burst - 1)
+        assert np.array_equal(h.counts, oracle)
+        handed = [call.args[2].size for call in ranked.call_args_list]
+        assert max(handed) >= n_burst - 64
 
 
 class TestSlotTypes:

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -797,6 +798,84 @@ class TestTagIO:
         p2 = write_json(tmp_path / "b.json", payload)
         assert p1.read_bytes() == p2.read_bytes()
         assert sha256_file(p1) == sha256_file(p2)
+
+
+def rewritten_records(path: Path, change) -> Path:
+    """Path, its records passed through change(records) and written back over the file."""
+    data = path.read_bytes()
+    records = np.frombuffer(data, dtype=TestTagIO.RECORD, offset=16).copy()
+    change(records)
+    path.write_bytes(data[:16] + records.tobytes())
+    return path
+
+
+class TestTagReaderBlocks:
+    """The reader at its block edges, with blocks of 4 records."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9])
+    def test_files_round_trip_across_block_edges(self, tmp_path, n):
+        # ties within and across channels fall on the block edges
+        times = np.array([0, 2, 2, 3, 3, 3, 7, 7, 9])[:n]
+        on_b = np.array([0, 0, 1, 0, 1, 1, 0, 1, 1], dtype=bool)[:n]
+        tags = ChannelTags(TimeTagStream(times, "A+B", 10), on_b, {"k": n})
+        with mock.patch.object(tagio, "_BLOCK", 4):
+            path = write_time_tags(tmp_path / "edges.ttag", tags)
+            back = read_time_tags(path)
+        assert back.pooled.tags.tobytes() == tags.pooled.tags.tobytes()
+        assert back.on_b.tobytes() == tags.on_b.tobytes()
+        assert back.duration == 10 and back.metadata == {"k": n}
+
+    def time_falls(records):
+        records["t"][4] -= np.uint64(1)
+
+    def swap_channels(records):
+        records["ch"][[3, 4]] = records["ch"][[4, 3]]
+
+    def channel_byte_2(records):
+        records["ch"][4] = 2
+
+    def past_the_clock(records):
+        records["t"][4:] += np.uint64(1 << 63)
+
+    @pytest.mark.parametrize("change,message", [
+        (time_falls, "stream A+B: tags are not sorted"),
+        (swap_channels, "a channel B record comes before a channel A record at an equal "
+                        "timestamp"),
+        (channel_byte_2, "invalid channel byte 2"),
+        (past_the_clock, "a record's time lies at or past 2^63 ps"),
+        (None, "truncated record block"),
+    ], ids=["out_of_order", "b_before_a", "channel_byte", "past_2_63", "truncated"])
+    def test_record_faults_across_a_block_edge_are_refused(self, tmp_path, change, message):
+        # records 3 and 4 sit on either side of the first block edge; the cut record is the
+        # third block's first
+        times = np.array([1, 2, 3, 5, 5, 6, 7, 8, 9])
+        on_b = np.array([0, 1, 0, 0, 1, 0, 1, 0, 1], dtype=bool)
+        path = write_time_tags(tmp_path / "f.ttag", ChannelTags(TimeTagStream(times, "A+B", 10),
+                                                                on_b))
+        if change is None:
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            rewritten_records(path, change)
+        with mock.patch.object(tagio, "_BLOCK", 4), pytest.raises(ValueError) as refused:
+            read_time_tags(path)
+        assert str(refused.value) == f"{path}: {message}"
+
+    def test_the_reader_holds_no_file_image(self, tmp_path):
+        # a file of n records is read into 9 bytes a record, the time and channel columns,
+        # beside one block of records: no copy of the file's bytes is held
+        n = 600_000
+        rng = np.random.default_rng(13)
+        times = np.sort(rng.integers(0, 10**12, n))
+        tags = ChannelTags(TimeTagStream(times, "A+B", 10**12), rng.random(n) < 0.5)
+        path = write_time_tags(tmp_path / "big.ttag", tags)
+        tracemalloc.start()
+        try:
+            back = read_time_tags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.pooled.tags.tobytes() == times.tobytes()
+        assert peak <= 9 * n + 2 * 2**20
 
 
 class TestBackgroundResolution:
@@ -1669,6 +1748,38 @@ class TestTagRecordContract:
                     assert "small.ttag" in lines[0], (kind, lines)
         finally:
             path.write_bytes(original)
+
+
+    @pytest.mark.parametrize("times", [[5, (1 << 63) + 5], [(1 << 63) + 5]],
+                             ids=["after_a_tag", "alone"])
+    def test_a_time_past_2_63_is_a_record_fault(self, tmp_path, capsys, times):
+        # read as an int64 it turns negative: out of order after a tag, before the
+        # sidecar's duration alone; either way the record is at fault
+        tags = ChannelTags(TimeTagStream(np.arange(len(times)) + 5, "A+B", 10),
+                           np.zeros(len(times), dtype=bool))
+
+        def change(records):
+            records["t"] = np.array(times, dtype=np.uint64)
+
+        path = rewritten_records(write_time_tags(tmp_path / "x.ttag", tags), change)
+        for kind in ("auto", "cross"):
+            assert main(["correlate", "--tags", str(path), "--kind", kind,
+                         "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == \
+                f"error: {path}: a record's time lies at or past 2^63 ps\n"
+
+    @pytest.mark.parametrize("kind,a,b,cause", [
+        ("cross", [3, 4], [], "both channels need at least one tag"),
+        ("cross", [], [4], "both channels need at least one tag"),
+        ("auto", [], [], "channel has no tags"),
+    ], ids=["cross_without_b", "cross_without_a", "auto_without_tags"])
+    def test_an_empty_channel_names_the_tag_file(self, tmp_path, capsys, kind, a, b, cause):
+        path = write_time_tags(tmp_path / "empty.ttag",
+                               TimeTagStream(np.array(a, dtype=np.int64), "A", 10**6),
+                               TimeTagStream(np.array(b, dtype=np.int64), "B", 10**6))
+        assert main(["correlate", "--tags", str(path), "--kind", kind,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {cause}\n"
 
 
 class TestStagesReproduceRun:
