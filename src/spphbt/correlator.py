@@ -50,15 +50,16 @@ While at least a fixed share of a chunk still has a partner in the window,
 rank k is the slice difference of q and of r, its quotient difference
 clipped so that the pairs past the window pile up in the slots past 3H,
 and bincounted: no search, sort, gather or division.  The clip is against
-one read-only array of the bound per correlation, not a scalar, with
-which numpy's np.minimum on int32 misses its vector loop.  The
+an array of the bound that each chunk makes in its quotients' type, not a
+scalar, with which numpy's np.minimum on int32 misses its vector loop.  The
 tags still inside once the chunk thins out go on by compaction: each rank
 gathers every survivor's next partner, bins the pair the same way, and
 keeps the survivors still inside, so no tag's partners are searched for.
 A burst of equal tags keeps nearly all its survivors rank after rank; once
 a rank retires fewer than an eighth of them, or few are left, their
 partners are counted by a search and they go on through the rank-stepped
-loop above, over the same quotients and residues.
+loop above, over the same quotients and residues, unclipped: their pairs
+lie inside the window.
 
 Both correlators run in time blocks of the pooled stream of both channels
 on every usable core, under one rule (`montecarlo._time_blocks`): a fixed
@@ -76,8 +77,10 @@ A channel is the one stream type of the whole run, `montecarlo.TimeTagStream`
 (sorted int64 ps over [0, duration]), which this module exports.  An
 acquisition's two channels travel as one `ChannelTags`: the time-ordered
 tags of both and a mask of B's, A's first at equal tags (`_a_first_at_ties`,
-the one rule for the router and `ChannelTags.pool`).  Both correlators read
-it as it is; a whole channel is copied out only when asked for.
+the one rule for the router and `ChannelTags.pool`, whose runs of equal tags
+come from the tie search the tag reader also uses, `montecarlo._ties`).  Both
+correlators read it as it is; a whole channel is copied out only when asked
+for.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyStream
-from .montecarlo import _PS_PER_SECOND, TimeTagStream, _map_on_threads, _time_blocks, _usable_cores
+from .montecarlo import (_PS_PER_SECOND, TimeTagStream, _map_on_threads, _ties, _time_blocks,
+                         _usable_cores)
 
 __all__ = [
     "TimeTagStream",
@@ -167,8 +171,7 @@ class ChannelTags:
 def _a_first_at_ties(tags: np.ndarray, on_b: np.ndarray) -> None:
     """Reorder the channel mask of sorted tags in place so that each run of equal tags
     lists channel A's first: the one record order of `ChannelTags`."""
-    ties = np.flatnonzero(tags[1:] == tags[:-1])
-    if ties.size:
+    for ties in _ties(tags):
         run = np.union1d(ties, ties + 1)
         on_b[run] = on_b[run][np.lexsort((on_b[run], tags[run]))]
 
@@ -285,13 +288,17 @@ def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
     return counts[:-1]
 
 
-def _slots(q: np.ndarray, r: np.ndarray, q0: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Slots 3 (q - q0) + sign(r - r0) of pairs, in q's array; r is overwritten."""
-    q -= q0
-    q *= 3
-    r -= r0
-    q += np.sign(r, out=r)
-    return q
+def _slots(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Slots 3x + sign(s) of pairs whose quotients differ by x and residues by s, in x's
+    array; s is overwritten."""
+    x *= 3
+    x += np.sign(s, out=s)
+    return x
+
+
+def _pair_slots(q: np.ndarray, r: np.ndarray, q0: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Slots of the pairs of partners (q, r) and tags (q0, r0), in q's array; r is overwritten."""
+    return _slots(np.subtract(q, q0, out=q), np.subtract(r, r0, out=r))
 
 
 def _step_ranks(windows: tuple, starts: tuple, lo: np.ndarray, per: np.ndarray, bins,
@@ -358,37 +365,26 @@ def _quotients(tw: np.ndarray, bin_width: int, n_half: int) -> tuple[np.ndarray,
     return q, r
 
 
-def _clip_bound(size: int, n_half: int) -> np.ndarray:
-    """A read-only array of `size` entries n_half + 1, the bound an auto chunk's quotient
-    differences are clipped to: int32 where quotients of that type can hold the slots,
-    else int64.  Against an array of its own type np.minimum takes its vector loop, which
-    a scalar operand misses."""
-    bound = np.full(size, n_half + 1, np.int32 if 3 * n_half + 4 < 1 << 31 else np.int64)
-    bound.flags.writeable = False
-    return bound
-
-
-def _clipped(x: np.ndarray, bound: np.ndarray, n_half: int) -> np.ndarray:
-    """x clipped to n_half + 1 in place: against the bound where it has x's type, else
-    against the scalar."""
-    return np.minimum(x, bound[:x.size] if bound.dtype == x.dtype else n_half + 1, out=x)
+def _clipped(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Quotient differences x clipped in place to the chunk's bound, n_half + 1 in an array
+    of x's type: against it np.minimum takes its vector loop, which a scalar operand misses.
+    The pairs past the window then land in the slots 3H + 1 to 3H + 4."""
+    return np.minimum(x, bound[:x.size], out=x)
 
 
 def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int, bound: np.ndarray,
                  counts: np.ndarray) -> tuple[int, np.ndarray]:
     """Add the slots of the first `size` tags' pairs at ranks k = 1, 2, ... to counts while
     a share _DENSE of the tags stays inside the window; the last rank sliced and the tags
-    still inside after it.  Pairs past the window land in the slots 3H + 1 to 3H + 4."""
+    still inside after it."""
     n_slots = 3 * n_half + 1
     slots, sign = np.empty(size, q.dtype), np.empty(size, r.dtype)
     k, m = 0, size
     while m and m >= _DENSE * size:
         k += 1
         n = min(size, q.size - k)  # the tags with a rank-k partner in q
-        x = _clipped(np.subtract(q[k:k + n], q[:n], out=slots[:n]), bound, n_half)
-        x *= 3
-        s = np.subtract(r[k:k + n], r[:n], out=sign[:n])
-        x += np.sign(s, out=s)
+        x = _slots(_clipped(np.subtract(q[k:k + n], q[:n], out=slots[:n]), bound),
+                   np.subtract(r[k:k + n], r[:n], out=sign[:n]))
         past = int(counts[n_slots:].sum())
         _count(x, counts)
         m = n - int(counts[n_slots:].sum()) + past
@@ -410,10 +406,7 @@ def _compact_ranks(tw: np.ndarray, q: np.ndarray, r: np.ndarray, k: int, inside:
         if partner[-1] >= q.size:  # past tw's end, past the window
             end = int(np.searchsorted(partner, q.size))
             partner, q0, r0 = partner[:end], q0[:end], r0[:end]
-        x = _clipped(np.subtract(q[partner], q0), bound, n_half)
-        x *= 3
-        s = np.subtract(r[partner], r0)
-        x += np.sign(s, out=s)
+        x = _slots(_clipped(np.subtract(q[partner], q0), bound), np.subtract(r[partner], r0))
         _count(x, counts)
         m = partner.size
         # indices, not the mask itself: numpy indexes by a mask of mixed bits far slower
@@ -424,24 +417,23 @@ def _compact_ranks(tw: np.ndarray, q: np.ndarray, r: np.ndarray, k: int, inside:
     if partner.size:
         lo = partner + 1
         per = np.searchsorted(tw, _ahead(tw[partner - k], lag_max), side="right") - lo
-        _step_ranks((q, r), (q0, r0), lo, per, _slots, counts)
+        # their pairs lie inside the window, so the hand-over does not clip
+        _step_ranks((q, r), (q0, r0), lo, per, _pair_slots, counts)
 
 
-def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int, bin_width: int,
-                 bound: np.ndarray | None = None) -> np.ndarray:
+def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
+                 bin_width: int) -> np.ndarray:
     """Slot histogram S[0..3H] (H = lag_max // bin_width) of the pairs i < j of sorted tags
     t with lag t[j] - t[i] <= lag_max whose earlier tag i lies in t[first:stop]; their
-    partners may lie past stop.  `bound` is the `_clip_bound` of the block's chunks, one
-    for the whole correlation; without it the block makes its own."""
+    partners may lie past stop."""
     n_half = lag_max // bin_width
-    if bound is None:
-        bound = _clip_bound(min(_CHUNK, stop - first), n_half)
     counts = np.zeros(3 * n_half + 5, dtype=np.int64)  # the last four for pairs past the window
     for i0 in range(first, stop, _CHUNK):
         i1 = min(i0 + _CHUNK, stop)
         # every partner of the chunk's tags, lag_max included, lies in tw
         tw = t[i0:int(np.searchsorted(t, _ahead(t[i1 - 1], lag_max), side="right"))]
         q, r = _quotients(tw, bin_width, n_half)
+        bound = np.full(i1 - i0, n_half + 1, q.dtype)  # the chunk's `_clipped` bound
         k, inside = _slice_ranks(q, r, i1 - i0, n_half, bound, counts)
         if inside.size:
             # the tags still inside after rank k go on by compaction
@@ -557,15 +549,10 @@ def auto_correlate(a: TimeTagStream, lag_max: int, bin_width: int,
         raise EmptyStream("channel has no tags")
     lag_max = _validate_window(lag_max, bin_width)
     t = a.tags
-    blocks = _time_blocks(t, a.duration)
-    # one read-only bound for every block's chunks
-    bound = _clip_bound(min(_CHUNK, max(stop - first for first, stop in blocks)),
-                        lag_max // bin_width)
     # each block folds its own slots, so the blocks' results are no longer than the window
     return CorrelationHistogram(
-        counts=_summed(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width,
-                                                            bound)),
-                       blocks, beside),
+        counts=_summed(lambda block: _mirrored(_slot_counts(t, *block, lag_max, bin_width)),
+                       _time_blocks(t, a.duration), beside),
         bin_width=bin_width,
         lag_max=lag_max,
         duration=a.duration,

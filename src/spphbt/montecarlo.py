@@ -59,12 +59,14 @@ enters the sampler.
 A detected photon is an integer picosecond, the clock of a time-tagger, and
 the detection stage routes signal and background alike.  One stream type,
 `TimeTagStream` (sorted int64 ps over [0, duration]), carries a run from the
-sampler through the router and the tag file to the correlators.  No absolute
-time is held in a float: each chunk's gaps are summed from its start as whole
-picoseconds, exactly, and fractions, rounded once, then added to the int64
-time of the detection before the chunk.  The chunks are written into one
-array per emitter, sized by the run's expected count and four sd, which a
-run past that grows.
+sampler through the router and the tag file to the correlators.  Its order
+check, which the tag reader also runs, and the tie search (`_ties`) compare
+neighbouring tags a block at a time, so neither holds a byte per tag.  No
+absolute time is held in a float: each chunk's gaps are summed from its
+start as whole picoseconds, exactly, and fractions, rounded once, then added
+to the int64 time of the detection before the chunk.  The chunks are written
+into one array per emitter, sized by the run's expected count and four sd,
+which a run past that grows.
 
 Emitters are independent and each draws from its own SeedSequence child, so
 `simulate_ensemble` samples them on one thread per usable core (numpy's
@@ -122,6 +124,9 @@ _BLOCKED_MIN = 1 << 17
 # the expected span of one chunk's gaps at most, in ps: float64 sums whole ps
 # exactly below 2^53.  It binds below ~60 detections per second per emitter
 _CHUNK_SPAN_PS = 1 << 51
+# neighbouring pairs of tags that the order check and the tie search compare at once,
+# so that they hold a bool per pair of a block, not of the stream
+_CHECK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class TimeTagStream:
         if duration <= 0:
             raise ValueError(f"duration must be > 0 ps, got {duration!r}")
         if self._validate and tags.size:
-            if np.any(tags[1:] < tags[:-1]):
+            if any(np.any(later < earlier) for _, earlier, later in _pairs(tags)):
                 raise UnsortedInput(f"stream {label}: tags are not sorted")
             if tags[0] < 0 or tags[-1] > duration:
                 raise ValueError("tags must lie within [0, duration]")
@@ -189,6 +194,29 @@ class TimeTagStream:
 
 
 EventStream = TimeTagStream  # the name bench/tracing.py wraps the merge under
+
+
+def _pairs(tags: np.ndarray):
+    """The neighbouring pairs of tags, _CHECK_BLOCK at a time: (first, earlier, later) with
+    earlier = tags[first:stop] and later = tags[first + 1:stop + 1], so that blocks overlap
+    by one tag and a pair across an edge is compared too."""
+    for first in range(0, tags.size - 1, _CHECK_BLOCK):
+        stop = min(first + _CHECK_BLOCK, tags.size - 1)
+        yield first, tags[first:stop], tags[first + 1:stop + 1]
+
+
+def _ties(tags: np.ndarray):
+    """The indices i of sorted tags with tags[i] == tags[i + 1], a block of pairs at a time,
+    each run of equal tags whole: the ties of a block's last tag wait for the next block."""
+    held = np.empty(0, np.intp)
+    for first, earlier, later in _pairs(tags):
+        ties = np.concatenate([held, first + np.flatnonzero(later == earlier)])
+        cut = int(np.searchsorted(tags[ties], later[-1]))
+        ties, held = ties[:cut], ties[cut:]
+        if ties.size:
+            yield ties
+    if held.size:
+        yield held
 
 
 def _burn_in(rates: RateSet) -> float:

@@ -18,10 +18,12 @@ can hash each block as it writes it, so the file need not be read back to
 be hashed.  The reader, like the writer, works a block at a time: it reads
 the records through one reused block buffer straight into the time and
 channel columns, so it holds those and one block, not an image of the
-file, and checks each block as it arrives.  It refuses a channel byte
-other than 0 or 1, a time at or past 2^63 ps (which the int64 time column
-cannot hold), records out of time order, and a B record before an A record
-at an equal timestamp; a channel is split off only when it is asked for.
+file.  It then refuses, in this order, a channel byte other than 0 or 1, a
+time at or past 2^63 ps (which the int64 time column cannot hold), counts
+that differ from the sidecar's, records out of time order or past the
+duration (`TimeTagStream`'s own check), and a B record before an A record
+at an equal timestamp (the tie search of `_a_first_at_ties`); a channel is
+split off only when it is asked for.
 
 Histograms are CSV with columns lag_ps, counts, g2, sigma (full float
 precision) plus a JSON sidecar of the window and normalisation; the reader
@@ -43,6 +45,7 @@ import numpy as np
 
 from .correlator import ChannelTags, CorrelationHistogram, TimeTagStream
 from .errors import UnsortedInput
+from .montecarlo import _ties
 from .scenarios import stored_setting
 
 __all__ = [
@@ -132,10 +135,10 @@ def read_time_tags(path) -> ChannelTags:
         n, rest = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, _RECORD_DTYPE.itemsize)
         if rest:
             raise ValueError(f"{path}: truncated record block")
-        tags, channel, faults = _read_records(fh, n, path)
-    if faults["top"] > 1:
-        raise ValueError(f"{path}: invalid channel byte {faults['top']}")
-    if faults["past_clock"]:
+        tags, channel = _read_records(fh, n, path)
+    if n and channel.max() > 1:
+        raise ValueError(f"{path}: invalid channel byte {channel.max()}")
+    if n and tags.min() < 0:  # read as an int64, a time at or past 2^63 ps
         raise ValueError(f"{path}: a record's time lies at or past 2^63 ps")
     sidecar, meta = _read_sidecar(path)
     metadata = json_section(meta, "metadata", sidecar)
@@ -146,54 +149,30 @@ def read_time_tags(path) -> ChannelTags:
         if stored_setting(meta, key, sidecar) != count:
             raise ValueError(f"{path}: {key} is {count}, but {sidecar} says {meta[key]!r}")
     try:
-        # the records were checked for order as they were read
-        pooled = TimeTagStream(tags, "A+B", duration, _validate=False)
-    except ValueError as exc:  # the duration
+        # the time column is sorted across both channels, so each channel is too
+        pooled = TimeTagStream(tags, "A+B", duration)
+    except UnsortedInput as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the duration, or a tag past it
         raise ValueError(f"{sidecar}: {exc}") from exc
-    # the time column is sorted across both channels, so each channel is too
-    if faults["unsorted"]:
-        raise ValueError(f"{path}: stream A+B: tags are not sorted")
-    if n and tags[-1] > duration:
-        raise ValueError(f"{sidecar}: tags must lie within [0, duration]")
-    if faults["b_first"]:
+    if any(np.any(on_b[ties] > on_b[ties + 1]) for ties in _ties(tags)):
         raise ValueError(f"{path}: a channel B record comes before a channel A record "
                          "at an equal timestamp")
     return ChannelTags(pooled, on_b, metadata)
 
 
-def _read_records(fh, n: int, path: Path) -> tuple[np.ndarray, np.ndarray, dict]:
+def _read_records(fh, n: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The time and channel columns of the n records that follow, read _BLOCK at a time
-    through one record buffer, and the faults found in them: the largest channel byte,
-    whether a time lies at or past 2^63 ps, whether a time is less than the one before
-    it, and whether a B record comes before an A record at an equal time.  They are
-    raised by the caller, in the order of its checks."""
+    through one record buffer."""
     tags, channel = np.empty(n, np.int64), np.empty(n, np.uint8)
     records = np.empty(min(_BLOCK, n), _RECORD_DTYPE)
-    faults = {"top": 0, "past_clock": False, "unsorted": False, "b_first": False}
     for first in range(0, n, _BLOCK):
-        stop = min(first + _BLOCK, n)
-        block = records[:stop - first]
+        block = records[:min(_BLOCK, n - first)]
         if fh.readinto(block) != block.nbytes:  # the file shrank since its size was read
             raise ValueError(f"{path}: truncated record block")
-        np.copyto(channel[first:stop], block["ch"])
-        faults["top"] = max(faults["top"], int(channel[first:stop].max()))
-        times = tags[first:stop]
-        np.copyto(times.view(np.uint64), block["t"])
-        # with the last time of the block before, so that faults across the edge show; a
-        # time at most the one before it is rare, so the faults are sought among those
-        seen = tags[max(first - 1, 0):stop]
-        at_most = np.flatnonzero(seen[1:] <= seen[:-1])
-        fall = seen[at_most + 1] < seen[at_most]
-        falls = bool(fall.any())
-        # a time at or past 2^63 ps reads negative: it is the first or follows a fall
-        if (first == 0 and times[0] < 0) or (falls and times.min() < 0):
-            faults["past_clock"] = True
-        faults["unsorted"] |= falls
-        ties = at_most[~fall]
-        if ties.size and not faults["b_first"]:
-            on_b = channel[max(first - 1, 0):stop]
-            faults["b_first"] = bool(np.any(on_b[ties] > on_b[ties + 1]))
-    return tags, channel, faults
+        np.copyto(channel[first:first + _BLOCK], block["ch"])
+        np.copyto(tags[first:first + _BLOCK].view(np.uint64), block["t"])
+    return tags, channel
 
 
 def write_histogram_csv(path, hist: CorrelationHistogram, metadata: dict | None = None) -> Path:

@@ -97,6 +97,63 @@ class TestTimeTagStream:
         assert len(TimeTagStream(np.array([]), "A", 10)) == 0
 
 
+class TestStreamChecks:
+    """The order check and the tie search, which compare neighbouring tags a block at a time."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_check_holds_a_byte_per_tag(self):
+        # 8 M sorted tags, 7.6 MiB of bools had either check compared them whole
+        tags = np.arange(1 << 23, dtype=np.int64)
+        tags[5_000:5_010] = 5_000
+        on_b = np.zeros(tags.size, dtype=bool)
+        on_b[5_000] = True
+        # once untraced: numpy's one-off allocations on a first call are not the search's
+        correlator._a_first_at_ties(tags[4_990:5_020], on_b[4_990:5_020].copy())
+        assert self.traced_peak(TimeTagStream, tags, "A+B", 1 << 23) <= 2**20
+        assert self.traced_peak(correlator._a_first_at_ties, tags, on_b) <= 2**20
+        assert on_b[5_009] and np.count_nonzero(on_b) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(tags=st.lists(st.integers(0, 6), max_size=30), block=st.integers(1, 5),
+           on_b=st.lists(st.booleans(), min_size=30, max_size=30))
+    def test_checks_match_the_whole_array_across_block_edges(self, tags, block, on_b):
+        # few distinct values: falls and runs of equal tags fall on every block edge
+        tags, on_b = np.array(tags, dtype=np.int64), np.array(on_b[:len(tags)])
+        with patch.object(montecarlo, "_CHECK_BLOCK", block):
+            if np.any(tags[1:] < tags[:-1]):
+                with pytest.raises(UnsortedInput):
+                    stream(tags, 6)
+                tags.sort()
+            stream(tags, 6)
+            oracle = on_b[np.lexsort((on_b, tags))]
+            correlator._a_first_at_ties(tags, on_b)
+        assert np.array_equal(on_b, oracle)
+
+    @pytest.mark.parametrize("edge", [3, 7])
+    def test_a_fall_or_a_run_across_a_block_edge(self, edge):
+        # blocks of 4 pairs: tags 0-4 and 4-8 are compared together, so the pairs
+        # (3, 4) and (7, 8) are their blocks' last
+        tags = np.arange(12, dtype=np.int64)
+        fallen = tags.copy()
+        fallen[edge + 1] -= 2
+        run = tags.copy()
+        run[edge - 1:edge + 3] = edge
+        on_b = np.array([i in (edge - 1, edge) for i in range(12)])
+        with patch.object(montecarlo, "_CHECK_BLOCK", 4):
+            with pytest.raises(UnsortedInput):
+                stream(fallen, 12)
+            correlator._a_first_at_ties(run, on_b)
+        assert np.flatnonzero(on_b).tolist() == [edge + 1, edge + 2]
+
+
 class TestWorkedExample:
     """Three tags against two at 1 ns bins over a +-6 ns window."""
 

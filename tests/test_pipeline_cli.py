@@ -878,6 +878,74 @@ class TestTagReaderBlocks:
         assert peak <= 9 * n + 2 * 2**20
 
 
+class TestReaderFaults:
+    """The record faults that the stream checks find, and which of two faults is reported."""
+
+    @staticmethod
+    def ttag(tmp_path, change, sidecar=None):
+        # 11 records a tag apart, alternating channels, in [0, 20]
+        times = np.arange(1, 12)
+        tags = ChannelTags(TimeTagStream(times, "A+B", 20), times % 2 == 0)
+        path = rewritten_records(write_time_tags(tmp_path / "f.ttag", tags), change)
+        if sidecar:
+            side = tagio.sidecar_path(path)
+            side.write_text(json.dumps({**json.loads(side.read_text()), **sidecar}))
+        return path
+
+    @staticmethod
+    def refusal(path):
+        with pytest.raises(ValueError) as refused:
+            read_time_tags(path)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("edge", [3, 7])
+    def test_faults_across_a_check_block_edge_are_refused(self, tmp_path, edge):
+        # check blocks of 4 pairs and one read block: the pair (edge, edge + 1) is its
+        # check block's last
+        def fall(records):
+            records["t"][edge + 1] = records["t"][edge] - np.uint64(1)
+
+        def b_first(records):
+            records["t"][edge + 1] = records["t"][edge]
+            records["ch"][[edge, edge + 1]] = [1, 0]
+
+        with mock.patch.object(montecarlo, "_CHECK_BLOCK", 4):
+            path = self.ttag(tmp_path, fall)
+            assert self.refusal(path) == f"{path}: stream A+B: tags are not sorted"
+            path = self.ttag(tmp_path, b_first)
+            assert self.refusal(path) == f"{path}: a channel B record comes before a " \
+                "channel A record at an equal timestamp"
+
+    def fall(records):
+        records["t"][6] -= np.uint64(3)
+
+    def channel_byte_2(records):
+        records["ch"][2] = 2
+
+    def past_the_clock(records):
+        records["t"][-1] += np.uint64(1 << 63)
+
+    def past_the_duration(records):
+        records["t"][-1] = 25
+
+    def b_first(records):
+        records["t"][3] = records["t"][2]
+        records["ch"][[2, 3]] = [1, 0]
+
+    @pytest.mark.parametrize("changes,sidecar,message", [
+        ((channel_byte_2, fall), None, "{path}: invalid channel byte 2"),
+        ((past_the_clock, fall), None, "{path}: a record's time lies at or past 2^63 ps"),
+        ((fall,), {"n_b": 4}, "{path}: n_b is 5, but {path}.json says 4"),
+        ((past_the_duration, fall), None, "{path}: stream A+B: tags are not sorted"),
+        ((b_first, fall), None, "{path}: stream A+B: tags are not sorted"),
+    ], ids=["channel_byte", "past_2_63", "count", "past_duration", "b_before_a"])
+    def test_of_two_faults_the_first_checked_is_reported(self, tmp_path, changes, sidecar,
+                                                         message):
+        path = self.ttag(tmp_path, lambda records: [change(records) for change in changes],
+                         sidecar)
+        assert self.refusal(path) == message.format(path=path)
+
+
 class TestBackgroundResolution:
     def test_target_rho_sets_background(self):
         s = scenario_from_mapping(dict(SMALL_RUN, rho=0.8))
