@@ -55,11 +55,6 @@ scalar, with which numpy's np.minimum on int32 misses its vector loop.  The
 tags still inside once the chunk thins out go on by compaction: each rank
 gathers every survivor's next partner, bins the pair the same way, and
 keeps the survivors still inside, so no tag's partners are searched for.
-A burst of equal tags keeps nearly all its survivors rank after rank; once
-a rank retires fewer than an eighth of them, or few are left, their
-partners are counted by a search and they go on through the rank-stepped
-loop above, over the same quotients and residues, unclipped: their pairs
-lie inside the window.
 
 Both correlators run in time blocks of the pooled stream of both channels
 on every usable core, under one rule (`montecarlo._time_blocks`): a fixed
@@ -108,8 +103,7 @@ _CHUNK = 1 << 17
 # a cross window's span over the width of the buckets its partners are found in: a tag's
 # candidates overrun its window by about 1/_BUCKETS_PER_WINDOW of its span
 _BUCKETS_PER_WINDOW = 32
-# below this many tags left in a rank step, their remaining pairs are expanded at once,
-# and below this many survivors an auto chunk's compaction hands them to rank steps
+# below this many tags left in a rank step, their remaining pairs are expanded at once
 _TAIL = 64
 # below this share of an auto chunk still inside the window, compaction takes over from slices
 _DENSE = 1 / 3
@@ -284,7 +278,7 @@ def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
         bucket += reach + 1
         per = np.take(first, bucket, out=bucket)
         per -= lo
-        _step_ranks((tw,), (start,), lo, per, bins, counts)
+        _step_ranks(tw, start, lo, per, bins, counts)
     return counts[:-1]
 
 
@@ -296,19 +290,10 @@ def _slots(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pair_slots(q: np.ndarray, r: np.ndarray, q0: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Slots of the pairs of partners (q, r) and tags (q0, r0), in q's array; r is overwritten."""
-    return _slots(np.subtract(q, q0, out=q), np.subtract(r, r0, out=r))
-
-
-def _step_ranks(windows: tuple, starts: tuple, lo: np.ndarray, per: np.ndarray, bins,
+def _step_ranks(window: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarray, bins,
                 counts: np.ndarray) -> None:
-    """Add the bins of each tag i's pairs with partners lo[i] + k, k < per[i], to counts.
-
-    `windows` hold the partners' values and `starts` the tags' own, one
-    array per value; bins(*partners, *tags) bins a run of pairs, in the
-    first partner array.
-    """
+    """Add the bins of each tag i's pairs with partners window[lo[i] + k], k < per[i], to
+    counts; bins(partners, starts) bins a run of pairs, in the partners' array."""
     # sorted by partner count, descending, the tags with more than k partners
     # form a prefix of length m_k; a stable sort keeps each count's tags in
     # time order, and on the narrowest integer type that holds the counts it
@@ -316,15 +301,13 @@ def _step_ranks(windows: tuple, starts: tuple, lo: np.ndarray, per: np.ndarray, 
     neg_per = -per
     order = np.argsort(neg_per.astype(np.min_scalar_type(neg_per.min())), kind="stable")
     neg_per, lo = neg_per[order], lo[order]
-    starts = [start[order] for start in starts]
+    start = start[order]  # after neg_per's unsorted array is freed, whose memory it may take
     k = 0
     m = int(np.searchsorted(neg_per, 0, side="left"))
-    # every rank gathers into one buffer per partner array
-    buffers = [np.empty(m, w.dtype) for w in windows]
+    # every rank gathers into one buffer
+    buffer = np.empty(m, window.dtype)
     while m >= _TAIL:
-        _count(bins(*(np.take(w[k:], lo[:m], out=buffer[:m], mode="clip")
-                      for w, buffer in zip(windows, buffers)),
-                    *(start[:m] for start in starts)), counts)
+        _count(bins(np.take(window[k:], lo[:m], out=buffer[:m], mode="clip"), start[:m]), counts)
         k += 1
         m = int(np.searchsorted(neg_per, -k, side="left"))
     if m == 0:
@@ -334,8 +317,7 @@ def _step_ranks(windows: tuple, starts: tuple, lo: np.ndarray, per: np.ndarray, 
     total = int(rest.sum())
     offsets = np.repeat(np.cumsum(rest) - rest, rest)
     partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
-    _count(bins(*(w[partner] for w in windows), *(np.repeat(start[:m], rest) for start in starts)),
-           counts)
+    _count(bins(window[partner], np.repeat(start[:m], rest)), counts)
 
 
 def _count(bins: np.ndarray, counts: np.ndarray) -> None:
@@ -391,34 +373,23 @@ def _slice_ranks(q: np.ndarray, r: np.ndarray, size: int, n_half: int, bound: np
     return k, np.flatnonzero(x < n_slots) if k else np.arange(size)
 
 
-def _compact_ranks(tw: np.ndarray, q: np.ndarray, r: np.ndarray, k: int, inside: np.ndarray,
-                   lag_max: int, n_half: int, bound: np.ndarray, counts: np.ndarray) -> None:
-    """Add the slots of the pairs past rank k of the tags `inside` (indices into tw, whose
-    quotients and residues are q and r) to counts.  Each rank gathers every survivor's
-    next partner, bins the pair and keeps the survivors still inside the window.  Once a
-    rank retires fewer than an eighth of them, as in a burst of equal tags, or fewer than
-    _TAIL are left, the rest go on by rank steps, their partners counted by a search."""
+def _compact_ranks(q: np.ndarray, r: np.ndarray, k: int, inside: np.ndarray, n_half: int,
+                   bound: np.ndarray, counts: np.ndarray) -> None:
+    """Add the slots of the pairs past rank k of the tags `inside` (indices into the chunk's
+    quotients q and residues r) to counts.  Each rank gathers every survivor's next
+    partner, bins the pair and keeps the survivors still inside the window."""
     n_slots = 3 * n_half + 1
     partner, q0, r0 = inside + k, q[inside], r[inside]
     while partner.size:
-        k += 1
         partner += 1
-        if partner[-1] >= q.size:  # past tw's end, past the window
+        if partner[-1] >= q.size:  # past q's end, past the window
             end = int(np.searchsorted(partner, q.size))
             partner, q0, r0 = partner[:end], q0[:end], r0[:end]
         x = _slots(_clipped(np.subtract(q[partner], q0), bound), np.subtract(r[partner], r0))
         _count(x, counts)
-        m = partner.size
         # indices, not the mask itself: numpy indexes by a mask of mixed bits far slower
         keep = np.flatnonzero(x < n_slots)
         partner, q0, r0 = partner[keep], q0[keep], r0[keep]
-        if partner.size < _TAIL or 8 * (m - partner.size) < m:
-            break
-    if partner.size:
-        lo = partner + 1
-        per = np.searchsorted(tw, _ahead(tw[partner - k], lag_max), side="right") - lo
-        # their pairs lie inside the window, so the hand-over does not clip
-        _step_ranks((q, r), (q0, r0), lo, per, _pair_slots, counts)
 
 
 def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
@@ -437,7 +408,7 @@ def _slot_counts(t: np.ndarray, first: int, stop: int, lag_max: int,
         k, inside = _slice_ranks(q, r, i1 - i0, n_half, bound, counts)
         if inside.size:
             # the tags still inside after rank k go on by compaction
-            _compact_ranks(tw, q, r, k, inside, lag_max, n_half, bound, counts)
+            _compact_ranks(q, r, k, inside, n_half, bound, counts)
     return counts[:3 * n_half + 1]
 
 

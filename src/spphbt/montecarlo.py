@@ -156,12 +156,13 @@ class TimeTagStream:
         if tags.ndim != 1:
             raise ValueError(f"stream {label}: tags must be a 1-d array")
         if duration <= 0:
-            raise ValueError(f"duration must be > 0 ps, got {duration!r}")
+            raise ValueError(f"stream {label}: duration must be > 0 ps, got {duration!r}")
         if self._validate and tags.size:
             if any(np.any(later < earlier) for _, earlier, later in _pairs(tags)):
                 raise UnsortedInput(f"stream {label}: tags are not sorted")
             if tags[0] < 0 or tags[-1] > duration:
-                raise ValueError("tags must lie within [0, duration]")
+                raise ValueError(f"stream {label}: tags must lie within [0, {duration}] ps, "
+                                 f"got {tags[0]} to {tags[-1]}")
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "duration", duration)
 

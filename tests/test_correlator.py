@@ -378,9 +378,9 @@ class TestRankSteppedKernel:
         candidates = []
         step_ranks = correlator._step_ranks
 
-        def recording(windows, starts, lo, per, bins, counts):
+        def recording(window, start, lo, per, bins, counts):
             candidates.append(int(per.sum()))
-            return step_ranks(windows, starts, lo, per, bins, counts)
+            return step_ranks(window, start, lo, per, bins, counts)
 
         with patch.object(correlator, "_step_ranks", recording):
             counts = correlator._pair_counts(ta, tb, -lag_max, lag_max, 1_000)
@@ -431,11 +431,11 @@ class TestRankSteppedKernel:
 
 
 class TestDenseRankKernel:
-    """The auto kernel's forward pairs i < j: rank slices while a chunk is dense, then rank steps.
+    """The auto kernel's forward pairs i < j: rank slices while a chunk is dense, then compaction.
 
     A dense share of 0 slices every rank, the module's share hands the
-    survivors over once the chunk thins out, and a share above 1 hands every
-    tag over before the first slice.
+    survivors to compaction once the chunk thins out, and a share above 1
+    hands every tag over before the first slice.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -446,21 +446,20 @@ class TestDenseRankKernel:
                 patch.object(correlator, "_CHUNK", chunk), \
                 patch.object(correlator, "_PIECE", piece), \
                 patch.object(correlator, "_compact_ranks",
-                             wraps=correlator._compact_ranks) as compacted, \
-                patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+                             wraps=correlator._compact_ranks) as compacted:
             slots = correlator._slot_counts(ta, 0, ta.size, lag_max, bin_width)
         oracle = brute_force_counts(ta, ta, 0, lag_max, bin_width, forward_only=True)
         assert np.array_equal(forward_bins(slots), oracle)
         oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
         assert np.array_equal(correlator._mirrored(slots), oracle)
         if dense == 0:
-            assert not compacted.called and not ranked.called
+            assert not compacted.called
         elif dense > 1:
             # no rank is sliced: every chunk's tags go on by compaction from rank 0
             assert compacted.call_count == -(-ta.size // chunk)
-            assert all(call.args[3] == 0 for call in compacted.call_args_list)
+            assert all(call.args[2] == 0 for call in compacted.call_args_list)
 
-    def test_dense_ranks_hand_over_to_rank_steps(self):
+    def test_dense_ranks_hand_over_to_compaction(self):
         # about one partner per tag: rank 1 is sliced, rank 2 leaves fewer
         # than a third of the chunk inside, and those go on rank by rank, compacted
         rng = np.random.default_rng(33)
@@ -472,12 +471,13 @@ class TestDenseRankKernel:
         oracle = brute_force_counts(ta, ta, 0, 1_000, 100, forward_only=True)
         assert np.array_equal(forward_bins(slots), oracle)
         assert compacted.call_count == 4
-        for call in compacted.call_args_list:
-            tw, _, _, k, inside = call.args[:5]
+        for i0, call in zip(range(0, ta.size, 1_000), compacted.call_args_list):
+            k, inside = call.args[2:4]
             # ranks 1 and 2 were sliced, and each survivor's rank-2 partner is inside
             assert k == 2
             assert inside.size < 1_000 / 3
-            assert np.all(tw[inside + k] - tw[inside] <= 1_000)
+            chunk = ta[i0:]
+            assert np.all(chunk[inside + k] - chunk[inside] <= 1_000)
 
     @pytest.mark.parametrize("chunk", [700, correlator._CHUNK])
     def test_auto_burst_is_exact(self, chunk):
@@ -496,9 +496,9 @@ class TestDenseRankKernel:
         assert np.array_equal(h.counts, oracle)
 
 
-    def test_burst_among_many_tags_hands_over_to_rank_steps(self):
-        # 5 000 equal tags among 200 000: once only the burst is left inside, a rank
-        # retires few of the survivors, and they go on by rank steps
+    def test_burst_among_many_tags_is_compacted(self):
+        # 5 000 equal tags among 200 000: once only the burst is left inside, compaction
+        # takes it rank by rank to the window's end, with no rank steps
         rng = np.random.default_rng(38)
         burst_at, n_burst = 400_000_000, 5_000
         sparse = np.sort(rng.integers(0, 10**9, 195_000))
@@ -515,8 +515,7 @@ class TestDenseRankKernel:
             + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
         oracle[2_000 // 100] += n_burst * (n_burst - 1)
         assert np.array_equal(h.counts, oracle)
-        handed = [call.args[2].size for call in ranked.call_args_list]
-        assert max(handed) >= n_burst - 64
+        assert not ranked.called
 
 
 class TestSlotTypes:
@@ -611,11 +610,15 @@ class TestTimeBlocks:
         return results
 
     @settings(max_examples=200, deadline=None)
-    @given(case=auto_cases())
-    def test_blocks_match_oracle_on_any_thread_count(self, case):
+    @given(case=auto_cases(), dense=st.sampled_from([0, correlator._DENSE, 2]))
+    def test_blocks_match_oracle_on_any_thread_count(self, case, dense):
+        # a dense share of 2 counts every block by compaction alone, from rank 0, reading its
+        # partners past the block's end
         ta, lag_max, bin_width, chunk, _ = case
         oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
-        for counts, _ in self.counts_on_threads(ta, lag_max, bin_width, chunk):
+        with patch.object(correlator, "_DENSE", dense):
+            results = self.counts_on_threads(ta, lag_max, bin_width, chunk)
+        for counts, _ in results:
             assert counts.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("ta,lag_max,bin_width,chunk", [

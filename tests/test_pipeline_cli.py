@@ -938,7 +938,10 @@ class TestReaderFaults:
         ((fall,), {"n_b": 4}, "{path}: n_b is 5, but {path}.json says 4"),
         ((past_the_duration, fall), None, "{path}: stream A+B: tags are not sorted"),
         ((b_first, fall), None, "{path}: stream A+B: tags are not sorted"),
-    ], ids=["channel_byte", "past_2_63", "count", "past_duration", "b_before_a"])
+        ((b_first,), {"duration_ps": 10},
+         "{path}.json: stream A+B: tags must lie within [0, 10] ps, got 1 to 11"),
+    ], ids=["channel_byte", "past_2_63", "count", "past_duration", "b_before_a",
+            "duration_before_last_tag"])
     def test_of_two_faults_the_first_checked_is_reported(self, tmp_path, changes, sidecar,
                                                          message):
         path = self.ttag(tmp_path, lambda records: [change(records) for change in changes],
