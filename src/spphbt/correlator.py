@@ -235,26 +235,18 @@ class CorrelationHistogram:
 
 def _ahead(t, lag: int):
     """t + lag ps for a tag or an array of tags, saturated at the int64 clock's top;
-    lag <= 2^63 - 1."""
-    return np.minimum(t, _CLOCK_TOP - lag) + lag if lag > 0 else t + lag
+    0 <= lag <= 2^63 - 1."""
+    return np.minimum(t, _CLOCK_TOP - lag) + lag
 
 
-def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
-                 bin_width: int) -> np.ndarray:
-    """Histogram of lags tb[j] - ta[i] inside [lag_min, lag_max)."""
-    span = lag_max - lag_min
-    n_bins = span // bin_width
-    counts = np.zeros(n_bins + 1, dtype=np.int64)  # the last bin takes the candidates outside
-
-    def bins(partner: np.ndarray, start: np.ndarray) -> np.ndarray:
-        x = np.floor_divide(np.subtract(partner, start, out=partner), bin_width, out=partner)
-        # a negative bin, read unsigned, lies past every other
-        np.minimum(x.view(np.uint64), n_bins, out=x.view(np.uint64))
-        return x
+def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_max: int, bin_width: int) -> np.ndarray:
+    """Histogram of lags tb[j] - ta[i] inside [-lag_max, lag_max)."""
+    span = 2 * lag_max
+    counts = np.zeros(span // bin_width + 1, dtype=np.int64)  # the last is the spare bin
 
     for i0 in range(0, ta.size, _CHUNK):
         a = ta[i0:i0 + _CHUNK]
-        base = int(a[0]) + lag_min
+        base = int(a[0]) - lag_max
         top = int(_ahead(a[-1], lag_max - 1))  # the chunk's latest partner
         tw = tb[np.searchsorted(tb, base, side="left"):np.searchsorted(tb, top, side="right")]
         if tw.size == 0:
@@ -271,14 +263,14 @@ def _pair_counts(ta: np.ndarray, tb: np.ndarray, lag_min: int, lag_max: int,
         first = np.zeros(n_buckets + reach + 1, dtype=np.int64)
         np.cumsum(np.bincount(tw // width - first_bucket, minlength=n_buckets + reach),
                   out=first[1:])
-        start = a + lag_min
+        start = a - lag_max
         bucket = np.floor_divide(start, width)
         bucket -= first_bucket
         lo = first[bucket]
         bucket += reach + 1
         per = np.take(first, bucket, out=bucket)
         per -= lo
-        _step_ranks(tw, start, lo, per, bins, counts)
+        _step_ranks(tw, start, lo, per, bin_width, counts)
     return counts[:-1]
 
 
@@ -290,11 +282,18 @@ def _slots(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return x
 
 
-def _step_ranks(window: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarray, bins,
-                counts: np.ndarray) -> None:
-    """Add the bins of each tag i's pairs with partners window[lo[i] + k], k < per[i], to
-    counts; bins(partners, starts) bins a run of pairs, in the partners' array."""
-    # sorted by partner count, descending, the tags with more than k partners
+def _step_ranks(window: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.ndarray,
+                bin_width: int, counts: np.ndarray) -> None:
+    """Add to counts the bin of each tag i's candidates window[lo[i] + k], k < per[i], by
+    their lag past start[i]; the last bin is the spare bin of those outside the window."""
+
+    def add(partner: np.ndarray, start: np.ndarray) -> None:
+        x = np.floor_divide(np.subtract(partner, start, out=partner), bin_width, out=partner)
+        # a negative bin, read unsigned, lies past every other
+        np.minimum(x.view(np.uint64), counts.size - 1, out=x.view(np.uint64))
+        _count(x, counts)
+
+    # sorted by candidate count, descending, the tags with more than k candidates
     # form a prefix of length m_k; a stable sort keeps each count's tags in
     # time order, and on the narrowest integer type that holds the counts it
     # is a radix sort
@@ -307,7 +306,7 @@ def _step_ranks(window: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.n
     # every rank gathers into one buffer
     buffer = np.empty(m, window.dtype)
     while m >= _TAIL:
-        _count(bins(np.take(window[k:], lo[:m], out=buffer[:m], mode="clip"), start[:m]), counts)
+        add(np.take(window[k:], lo[:m], out=buffer[:m], mode="clip"), start[:m])
         k += 1
         m = int(np.searchsorted(neg_per, -k, side="left"))
     if m == 0:
@@ -317,7 +316,7 @@ def _step_ranks(window: np.ndarray, start: np.ndarray, lo: np.ndarray, per: np.n
     total = int(rest.sum())
     offsets = np.repeat(np.cumsum(rest) - rest, rest)
     partner = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[:m] + k, rest)
-    _count(bins(window[partner], np.repeat(start[:m], rest)), counts)
+    add(window[partner], np.repeat(start[:m], rest))
 
 
 def _count(bins: np.ndarray, counts: np.ndarray) -> None:
@@ -492,7 +491,7 @@ def cross_correlate(a: TimeTagStream | ChannelTags, b: TimeTagStream | None, lag
         # the B tags in reach of the block's A tags
         lo = int(np.searchsorted(t, ta[0] - lag_max, side="left"))
         hi = int(np.searchsorted(t, _ahead(ta[-1], lag_max - 1), side="right"))
-        return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), -lag_max, lag_max, bin_width)
+        return _pair_counts(ta, np.compress(on_b[lo:hi], t[lo:hi]), lag_max, bin_width)
 
     return CorrelationHistogram(
         counts=_summed(count, _time_blocks(t, tags.duration), beside),

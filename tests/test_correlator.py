@@ -180,15 +180,6 @@ class TestAgainstBruteForce:
         oracle = brute_force_counts(ta, tb, -64, 64, 4)
         assert np.array_equal(h.counts, oracle)
 
-    def test_asymmetric_window(self):
-        # the public windows are symmetric; the pair counter takes any start offset
-        rng = np.random.default_rng(4)
-        ta = np.sort(rng.integers(0, 500, 200))
-        tb = np.sort(rng.integers(0, 500, 200))
-        counts = correlator._pair_counts(ta, tb, -16, 40, 8)
-        oracle = brute_force_counts(ta, tb, -16, 40, 8)
-        assert np.array_equal(counts, oracle)
-
     def test_chunk_size_does_not_change_counts(self):
         rng = np.random.default_rng(5)
         ta = np.sort(rng.integers(0, 10_000, 1_000))
@@ -285,38 +276,10 @@ class TestAgainstBruteForce:
 
 
 @st.composite
-def kernel_cases(draw):
-    """Tags with duplicates, a window placed on or around their lags, and a chunk size."""
-    span = draw(st.integers(0, 300))
-    times = st.integers(0, span)
-    ta = np.sort(draw(st.lists(times, min_size=1, max_size=150)))
-    tb = np.sort(draw(st.lists(st.sampled_from(ta.tolist()) | times, min_size=1, max_size=150)))
-    bin_width = draw(st.integers(1, 16))
-    n_bins = draw(st.integers(1, 40))
-    placement = draw(st.sampled_from(["on_lag", "above_0", "below_0", "wider_than_span"]))
-    if placement == "on_lag":
-        # an actual lag sits on lag_min (j = 0), on lag_max (j = n_bins) or on a bin edge
-        lag = draw(st.sampled_from(np.unique(tb[:, None] - ta[None, :]).tolist()))
-        lag_min = lag - draw(st.integers(0, n_bins)) * bin_width
-    elif placement == "above_0":
-        lag_min = draw(st.integers(0, span + 1))
-    elif placement == "below_0":
-        lag_min = -n_bins * bin_width - draw(st.integers(0, span + 1))
-    else:
-        lag_min = -span - 1 - draw(st.integers(0, bin_width))
-        n_bins = -(-(span + 1 - lag_min) // bin_width) + draw(st.integers(0, 3))
-    chunk = draw(st.integers(1, ta.size))
-    tail = draw(st.sampled_from([1, 2, correlator._TAIL]))
-    return ta, tb, lag_min, lag_min + n_bins * bin_width, bin_width, chunk, tail
-
-
-@st.composite
-def auto_cases(draw):
-    """Tags with duplicates, a symmetric whole-bin window placed on their lags, and a chunk size."""
-    span = draw(st.integers(0, 300))
-    ta = draw(st.lists(st.integers(0, span), min_size=1, max_size=120))
-    ta = np.sort(ta + draw(st.lists(st.sampled_from(ta), max_size=30)))
-    lag = abs(draw(st.sampled_from(np.unique(ta[:, None] - ta[None, :]).tolist())))
+def windows(draw, lags, span):
+    """A symmetric whole-bin window (lag_max, bin_width) placed on the actual `lags` of tags
+    within [0, span]."""
+    lag = abs(draw(st.sampled_from(lags.tolist())))
     placement = draw(st.sampled_from(["on_edge", "at_lag_max", "any", "wider_than_span"]))
     if placement in ("on_edge", "at_lag_max"):
         # the bin width divides an actual lag, which then sits on a bin edge
@@ -330,41 +293,61 @@ def auto_cases(draw):
         n_half = draw(st.integers(1, 40))
         if placement == "wider_than_span":
             n_half = -(-(span + 1) // bin_width) + draw(st.integers(0, 3))
+    return n_half * bin_width, bin_width
+
+
+@st.composite
+def kernel_cases(draw):
+    """Tags with duplicates, a window placed on their lags, a chunk size and a tail."""
+    span = draw(st.integers(0, 300))
+    times = st.integers(0, span)
+    ta = np.sort(draw(st.lists(times, min_size=1, max_size=150)))
+    tb = np.sort(draw(st.lists(st.sampled_from(ta.tolist()) | times, min_size=1, max_size=150)))
+    lag_max, bin_width = draw(windows(np.unique(tb[:, None] - ta[None, :]), span))
     chunk = draw(st.integers(1, ta.size))
     tail = draw(st.sampled_from([1, 2, correlator._TAIL]))
-    return ta, n_half * bin_width, bin_width, chunk, tail
+    return ta, tb, lag_max, bin_width, chunk, tail
+
+
+@st.composite
+def auto_cases(draw):
+    """Tags with duplicates, a window placed on their lags, and a chunk size."""
+    span = draw(st.integers(0, 300))
+    ta = draw(st.lists(st.integers(0, span), min_size=1, max_size=120))
+    ta = np.sort(ta + draw(st.lists(st.sampled_from(ta), max_size=30)))
+    lag_max, bin_width = draw(windows(np.unique(ta[:, None] - ta[None, :]), span))
+    return ta, lag_max, bin_width, draw(st.integers(1, ta.size))
 
 
 @st.composite
 def forward_cases(draw):
     """An auto case, its tags optionally on a lattice of the bin width, a dense share and the
     length of the pieces split into quotients and residues."""
-    ta, lag_max, bin_width, chunk, tail = draw(auto_cases())
+    ta, lag_max, bin_width, chunk = draw(auto_cases())
     if draw(st.booleans()):
         ta = ta * bin_width  # every lag sits on a bin edge
     dense = draw(st.sampled_from([0, correlator._DENSE, 2]))
     piece = draw(st.sampled_from([1, 5, correlator._PIECE]))
-    return ta, lag_max, bin_width, chunk, tail, dense, piece
+    return ta, lag_max, bin_width, chunk, dense, piece
 
 
 class TestRankSteppedKernel:
-    """The rank-stepping pair counter against the brute-force oracle.
+    """Both correlations' pair counters against the brute-force oracle.
 
-    Besides the module's tail constant, the tests run tails of 1 (every rank
-    is stepped) and 2 (one tag left for the expansion), so small inputs reach
-    both branches of the kernel.
+    Besides the module's tail constant, the cross tests run tails of 1 (every
+    rank is stepped) and 2 (one tag left for the expansion), so small inputs
+    reach both branches of the cross kernel; the auto kernel has no tail.
     """
 
     @settings(max_examples=300, deadline=None)
     @given(case=kernel_cases(), buckets=st.sampled_from([1, 2, 3, correlator._BUCKETS_PER_WINDOW]))
     def test_cross_matches_oracle(self, case, buckets):
         # a window spans `buckets` buckets where the tags are dense enough
-        ta, tb, lag_min, lag_max, bin_width, chunk, tail = case
-        duration = int(max(ta[-1], tb[-1], 1))
+        ta, tb, lag_max, bin_width, chunk, tail = case
         with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", chunk), \
                 patch.object(correlator, "_BUCKETS_PER_WINDOW", buckets):
-            counts = correlator._pair_counts(ta, tb, lag_min, lag_max, bin_width)
-        assert np.array_equal(counts, brute_force_counts(ta, tb, lag_min, lag_max, bin_width))
+            counts = correlator._pair_counts(ta, tb, lag_max, bin_width)
+        assert np.array_equal(counts, brute_force_counts(ta, tb, -lag_max, lag_max, bin_width))
 
     @pytest.mark.parametrize("n_a,lag_max", [(20_000, 2_500_000), (200, 1_000)],
                              ids=["100_partners_per_tag", "sparse_a_dense_b"])
@@ -375,15 +358,10 @@ class TestRankSteppedKernel:
         rng = np.random.default_rng(3)
         ta = np.sort(rng.integers(0, 10**9, n_a))
         tb = np.sort(rng.integers(0, 10**9, 20_000))
-        candidates = []
-        step_ranks = correlator._step_ranks
-
-        def recording(window, start, lo, per, bins, counts):
-            candidates.append(int(per.sum()))
-            return step_ranks(window, start, lo, per, bins, counts)
-
-        with patch.object(correlator, "_step_ranks", recording):
-            counts = correlator._pair_counts(ta, tb, -lag_max, lag_max, 1_000)
+        # every candidate is binned, those outside the window into the spare bin
+        with patch.object(correlator, "_count", wraps=correlator._count) as count:
+            counts = correlator._pair_counts(ta, tb, lag_max, 1_000)
+        candidates = [call.args[0].size for call in count.call_args_list]
         pairs = int(counts.sum())
         if n_a == 200:
             assert np.array_equal(counts, brute_force_counts(ta, tb, -lag_max, lag_max, 1_000))
@@ -394,21 +372,20 @@ class TestRankSteppedKernel:
     @settings(max_examples=300, deadline=None)
     @given(case=auto_cases())
     def test_auto_matches_oracle(self, case):
-        ta, lag_max, bin_width, chunk, tail = case
+        ta, lag_max, bin_width, chunk = case
         duration = int(max(ta[-1], 1))
-        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", chunk):
+        with patch.object(correlator, "_CHUNK", chunk):
             h = auto_correlate(stream(ta, duration), lag_max, bin_width)
         oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
         assert np.array_equal(h.counts, oracle)
 
-    @pytest.mark.parametrize("tail", [1, 2, correlator._TAIL])
-    def test_auto_on_a_lattice(self, tail):
+    def test_auto_on_a_lattice(self):
         # every lag is a multiple of the bin width, so every pair sits on a
         # bin edge and the mirrored half is all edge terms
         rng = np.random.default_rng(32)
         bin_width = 8
         ta = np.sort(rng.integers(0, 120, 400)) * bin_width
-        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_CHUNK", 37):
+        with patch.object(correlator, "_CHUNK", 37):
             h = auto_correlate(stream(ta, int(ta[-1])), 10 * bin_width, bin_width)
         oracle = brute_force_counts(ta, ta, -10 * bin_width, 10 * bin_width, bin_width,
                                     drop_diagonal=True)
@@ -441,8 +418,8 @@ class TestDenseRankKernel:
     @settings(max_examples=300, deadline=None)
     @given(case=forward_cases())
     def test_forward_pairs_match_oracle(self, case):
-        ta, lag_max, bin_width, chunk, tail, dense, piece = case
-        with patch.object(correlator, "_TAIL", tail), patch.object(correlator, "_DENSE", dense), \
+        ta, lag_max, bin_width, chunk, dense, piece = case
+        with patch.object(correlator, "_DENSE", dense), \
                 patch.object(correlator, "_CHUNK", chunk), \
                 patch.object(correlator, "_PIECE", piece), \
                 patch.object(correlator, "_compact_ranks",
@@ -498,12 +475,12 @@ class TestDenseRankKernel:
 
     def test_burst_among_many_tags_is_compacted(self):
         # 5 000 equal tags among 200 000: once only the burst is left inside, compaction
-        # takes it rank by rank to the window's end, with no rank steps
+        # takes it rank by rank to the window's end, and the cross kernel is never called
         rng = np.random.default_rng(38)
         burst_at, n_burst = 400_000_000, 5_000
         sparse = np.sort(rng.integers(0, 10**9, 195_000))
         ta = np.sort(np.concatenate([sparse, np.full(n_burst, burst_at)]))
-        with patch.object(correlator, "_step_ranks", wraps=correlator._step_ranks) as ranked:
+        with patch.object(correlator, "_pair_counts", wraps=correlator._pair_counts) as crossed:
             h = auto_correlate(stream(ta, 10**9), 2_000, 100)
         # pairs never span a gap longer than the window, so the sparse tags' pairs are
         # those within the groups of about 300 tags cut at such gaps
@@ -515,7 +492,7 @@ class TestDenseRankKernel:
             + n_burst * brute_force_counts([burst_at], sparse, -2_000, 2_000, 100)
         oracle[2_000 // 100] += n_burst * (n_burst - 1)
         assert np.array_equal(h.counts, oracle)
-        assert not ranked.called
+        assert not crossed.called
 
 
 class TestSlotTypes:
@@ -614,7 +591,7 @@ class TestTimeBlocks:
     def test_blocks_match_oracle_on_any_thread_count(self, case, dense):
         # a dense share of 2 counts every block by compaction alone, from rank 0, reading its
         # partners past the block's end
-        ta, lag_max, bin_width, chunk, _ = case
+        ta, lag_max, bin_width, chunk = case
         oracle = brute_force_counts(ta, ta, -lag_max, lag_max, bin_width, drop_diagonal=True)
         with patch.object(correlator, "_DENSE", dense):
             results = self.counts_on_threads(ta, lag_max, bin_width, chunk)
@@ -711,7 +688,7 @@ class TestTimeBlocks:
     def test_cross_blocks_match_oracle_on_any_thread_count(self, case):
         ta, tb, lag_max, bin_width, chunk, n_blocks = case
         oracle = brute_force_counts(ta, tb, -lag_max, lag_max, bin_width)
-        one_shot = correlator._pair_counts(ta, tb, -lag_max, lag_max, bin_width)
+        one_shot = correlator._pair_counts(ta, tb, lag_max, bin_width)
         assert one_shot.tobytes() == oracle.tobytes()
         for counts, *_ in self.cross_on_threads(ta, tb, lag_max, bin_width, chunk, n_blocks):
             assert counts.dtype == np.int64 and counts.tobytes() == oracle.tobytes()
@@ -800,7 +777,7 @@ class TestMemory:
         tb = np.sort(np.concatenate([ta + 300, ta[1:] - 700, ta + 1_000]))
         tracemalloc.start()
         try:
-            counts = correlator._pair_counts(ta, tb, -1_000, 1_000, 100)
+            counts = correlator._pair_counts(ta, tb, 1_000, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
