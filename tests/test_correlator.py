@@ -180,6 +180,16 @@ class TestAgainstBruteForce:
         oracle = brute_force_counts(ta, tb, -64, 64, 4)
         assert np.array_equal(h.counts, oracle)
 
+    def test_window_holds_minus_lag_max_but_not_plus_lag_max(self):
+        # lags -41, -40, 0, 39 and 40 around one A tag, by rank steps and by the tail
+        ta = np.array([1_000])
+        tb = 1_000 + np.array([-41, -40, 0, 39, 40])
+        for tail in (1, 2):
+            with patch.object(correlator, "_TAIL", tail):
+                counts = correlator._pair_counts(ta, tb, 40, 8)
+            assert counts.tolist() == [1, 0, 0, 0, 0, 1, 0, 0, 0, 1]
+            assert np.array_equal(counts, brute_force_counts(ta, tb, -40, 40, 8))
+
     def test_chunk_size_does_not_change_counts(self):
         rng = np.random.default_rng(5)
         ta = np.sort(rng.integers(0, 10_000, 1_000))
@@ -227,6 +237,14 @@ class TestAgainstBruteForce:
         oracle = brute_force_counts(tags[~on_b], tags[on_b], -4_000, 4_000, 1_000)
         assert oracle.sum() > 0
         assert np.array_equal(h.counts, oracle)
+
+    @pytest.mark.parametrize("lag", [0, 1_000, 1 << 62, CLOCK_TOP], ids=["0", "1000", "2_62", "top"])
+    def test_ahead_adds_the_lag_up_to_the_clock_top(self, lag):
+        tags = np.array([0, 5, 1 << 62, CLOCK_TOP - 1_000, CLOCK_TOP], dtype=np.int64)
+        expected = [min(t + lag, CLOCK_TOP) for t in tags.tolist()]
+        ahead = correlator._ahead(tags, lag)
+        assert ahead.dtype == np.int64 and ahead.tolist() == expected
+        assert [int(correlator._ahead(t, lag)) for t in tags] == expected
 
     def test_bins_of_2_59_ps_over_the_whole_clock_are_counted(self):
         # no gap wider than the window: every lag is a multiple of 2^59 ps,
